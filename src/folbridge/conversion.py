@@ -9,7 +9,7 @@ ground terms and that agreement is itself property-tested.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .terms import (
     BUILTIN_FUNCTIONS, FALSE, INT, PROP, TRUE, TYPE, And, App, Branch, Const,

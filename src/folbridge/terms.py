@@ -53,8 +53,8 @@ class Ind(Term):
 class TVar(Term):
     """Rigid type symbol: a section-style type variable fixed by the goal.
 
-    Introduced by the pipeline when stripping the goal's leading type
-    binders; closed (no de Bruijn index) and never bound.
+    Stands for one of the goal's leading type binders once it is
+    stripped; closed (no de Bruijn index) and never bound.
     """
     name: str
 

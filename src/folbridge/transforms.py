@@ -2,8 +2,8 @@
 
 Each consumes a ProofState and returns new named hypotheses paired with
 Justifications; none of them modifies existing hypotheses or the goal.
-The certify module replays every justification before a pipeline commits
-the hypothesis.
+Justifications are recorded with each hypothesis but not yet replayed:
+nothing checks them before a hypothesis enters the context.
 """
 
 from __future__ import annotations
@@ -11,13 +11,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .conversion import Fuel, beta_reduce, typecheck
+from .conversion import beta_reduce, typecheck
 from .terms import (
-    And, App, Const, Ctor, Eq, Exists, FolbridgeError, GlobalEnv, Ind,
-    IntT, Match, Not, Or, Pi, SortProp, SortType, TVar, Term, Var,
-    alpha_eq, as_inductive_instance, children, ctor_arg_types, is_closed,
-    lift, make_app, make_pis, map_subterms, spine, strip_lams, strip_pis,
-    subst, subst_list, subterms, INTERPRETED_TYPES,
+    And, App, Const, Ctor, Eq, Exists, FalseP, Fix, FolbridgeError,
+    GlobalEnv, Ind, IntLit, IntT, Lam, Match, Not, Or, Pi, SortProp,
+    SortType, TVar, Term, TrueP, Var, alpha_eq, as_inductive_instance,
+    children, ctor_arg_types, lift, make_app, make_pis, map_subterms, spine,
+    strip_lams, strip_pis, subst, subst_list, INTERPRETED_TYPES,
 )
 
 
@@ -230,8 +230,7 @@ def eliminate_fix(state: ProofState, hyp_name: str) -> Hypothesis:
         raise NoFixpointFound(f"{hyp_name} is not a universally quantified equation")
     n = len(binders)
     rhead, rargs = spine(body.rhs)
-    from .terms import Fix as FixNode
-    if not isinstance(rhead, FixNode):
+    if not isinstance(rhead, Fix):
         raise NoFixpointFound(f"{hyp_name}: right-hand side is not a fix application")
     k = len(rargs)
     if rargs != [Var(k - 1 - i) for i in range(k)]:
@@ -382,24 +381,54 @@ def _replace_binder(t: Term, at: int, widen: int, replacement: Term) -> Term:
 # Monomorphization
 # ---------------------------------------------------------------------------
 
+# Spine heads of subterms that are never type instances. `_infer` types
+# none of the others as SortType: a constructor's type is `I params` or a
+# product, and an application of any of them is ill-typed. The sorts do have
+# sort Type, but are not instances.
+_NEVER_TYPE_HEADS = (Ctor, IntLit, Eq, And, Or, Not, Exists, TrueP, FalseP,
+                     SortType, SortProp)
+
+
 def collect_type_instances(env: GlobalEnv, t: Term) -> list[Term]:
     """Closed subterms of sort Type, nested instances included, in first
-    occurrence order."""
+    occurrence order.
+
+    One post-order walk finds the candidates: closed subterms whose spine
+    head can have sort Type, other than an unapplied Lam or Fix, whose type
+    is a product. That filter is only a necessary condition. The candidates
+    are taken in preorder; one alpha-equal to an instance already found is
+    skipped, and `typecheck` makes the final decision on the rest."""
+    candidates: list[tuple[int, Term]] = []
+    position = itertools.count()
+
+    def walk(s: Term) -> tuple[int, Term]:
+        """Return how many binders above s its free variables reach, and
+        the head of its spine."""
+        pos = next(position)
+        if isinstance(s, Var):
+            return s.index + 1, s
+        reach, head = 0, s
+        for c, extra in children(s):
+            c_reach, c_head = walk(c)
+            reach = max(reach, c_reach - extra)
+            if isinstance(s, App) and c is s.head:
+                head = c_head
+        if (reach == 0 and not isinstance(head, _NEVER_TYPE_HEADS)
+                and not isinstance(s, (Lam, Fix))):
+            candidates.append((pos, s))
+        return reach, head
+
+    walk(t)
+    candidates.sort(key=lambda c: c[0])
     out: list[Term] = []
-    for s in subterms(t):
-        if isinstance(s, (SortType, SortProp)):
-            continue
-        if not is_closed(s):
-            continue
-        if any(c is None for c, _ in children(s)):
+    for _pos, s in candidates:
+        if any(alpha_eq(s, seen) for seen in out):
             continue
         try:
             ty = typecheck(env, [], s)
         except FolbridgeError:
             continue
-        if not isinstance(ty, SortType):
-            continue
-        if not any(alpha_eq(s, seen) for seen in out):
+        if isinstance(ty, SortType):
             out.append(s)
     return out
 
@@ -589,17 +618,18 @@ def interp_alg_types(state: ProofState, include_exhaustiveness: bool = False) ->
     and context, excluding solver-interpreted types."""
     out: list[Hypothesis] = []
     existing = [h.statement for h in state.hypotheses]
+    used = {h.name for h in state.hypotheses} | state.env.names()
 
     def emit(name: str, stmt: Term, just: Justification) -> None:
         if any(alpha_eq(stmt, e) for e in existing):
             return
         existing.append(stmt)
-        used = {h.name for h in state.hypotheses} | {h.name for h in out} | state.env.names()
         final = name
         i = 2
         while final in used:
             final = f"{name}_{i}"
             i += 1
+        used.add(final)
         out.append(Hypothesis(final, stmt, just))
 
     for inst in _algebraic_instances(state):

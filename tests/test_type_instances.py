@@ -1,0 +1,171 @@
+"""The one-pass `collect_type_instances` against the reference version, and
+its cost as the list literal in a goal grows."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import PRELUDE
+from folbridge import conversion, transforms
+from folbridge.parser import parse_problem, parse_term
+from folbridge.terms import Ctor, IntT, TVar, map_subterms, spine
+from folbridge.transforms import collect_type_instances
+
+import instances_reference
+
+# Type-level definitions: with a flat universe, constants and redexes can
+# have sort Type too.
+FLAT = """\
+def T : Type = list Int.
+def id : forall (A : Type), A -> A = fun (A : Type) (x : A) => x.
+def F : Type -> Type = fun (A : Type) => list A.
+"""
+
+# Each denotes list Int.
+FLAT_TYPES = ("T", "id Type (list Int)", "F Int", "(fun (A : Type) => list A) Int")
+
+
+@pytest.fixture(scope="module")
+def flat_env():
+    return parse_problem(
+        PRELUDE.replace("goal true = true.", FLAT + "goal true = true.")).env
+
+
+def nat(v: int) -> str:
+    out = "O"
+    for _ in range(v):
+        out = f"S ({out})"
+    return out
+
+
+def list_literal(ty: str, values: list[str]) -> str:
+    out = f"nil ({ty})"
+    for v in reversed(values):
+        out = f"cons ({ty}) ({v}) ({out})"
+    return out
+
+
+@st.composite
+def ground_value(draw, ty: str) -> str:
+    if ty == "Int":
+        return str(draw(st.integers(0, 99)))
+    if ty == "nat":
+        return nat(draw(st.integers(0, 3)))
+    if ty == "Bool":
+        return draw(st.sampled_from(("true", "false")))
+    if ty == "list Int":
+        return list_literal("Int", draw(st.lists(ground_value("Int"), max_size=3)))
+    if draw(st.booleans()):
+        return "none nat"
+    return f"some nat ({draw(ground_value('nat'))})"
+
+
+def atoms(ty: str, lit: str, x: str) -> st.SearchStrategy[str]:
+    """Propositions over a list `lit` of elements of type `ty`, and `x : ty`."""
+    return st.sampled_from((
+        f"length ({ty}) ({lit}) = 3",
+        f"({lit}) = ({lit})",
+        f"search ({ty}) ({x}) ({lit}) = true",
+        f"hd_error ({ty}) ({lit}) = hd_error ({ty}) ({lit})",
+        f"nlength ({ty}) (app ({ty}) ({lit}) ({lit})) = nlength ({ty}) ({lit})",
+    ))
+
+
+@st.composite
+def ground_atom(draw) -> str:
+    ty = draw(st.sampled_from(("Int", "nat", "Bool", "list Int", "option nat")))
+    lit = list_literal(ty, draw(st.lists(ground_value(ty), max_size=12)))
+    return draw(atoms(ty, lit, draw(ground_value(ty))))
+
+
+@st.composite
+def polymorphic_atom(draw) -> str:
+    ty = draw(st.sampled_from(("A", "list A", "option A")))
+    lit = draw(st.sampled_from(("l", f"cons ({ty}) x l", f"app ({ty}) l (nil ({ty}))")))
+    body = draw(atoms(ty, lit, "x"))
+    return f"forall (A : Type) (x : {ty}) (l : list ({ty})), {body}"
+
+
+@st.composite
+def flat_atom(draw) -> str:
+    ty = draw(st.sampled_from(FLAT_TYPES))
+    body = draw(st.sampled_from((
+        "length Int l = length Int l",
+        "l = l",
+        "app Int l (nil Int) = l",
+    )))
+    return f"forall (l : {ty}), {body}"
+
+
+@st.composite
+def goals(draw) -> tuple[str, bool]:
+    """A statement text and whether to make Int a rigid type symbol."""
+    parts = draw(st.lists(
+        st.one_of(ground_atom(), flat_atom()), min_size=1, max_size=3))
+    text = " /\\ ".join(f"({p})" for p in parts)
+    if draw(st.booleans()):
+        # Type binders must form a leading prefix.
+        text = draw(polymorphic_atom()) + f" /\\ ({text})"
+    return text, draw(st.booleans())
+
+
+def rigid_int(t):
+    """Replace Int by the rigid type symbol A everywhere, literals' types
+    included, so some subterms no longer typecheck."""
+    if isinstance(t, IntT):
+        return TVar("A")
+    return map_subterms(t, lambda s, _e: rigid_int(s))
+
+
+@settings(deadline=None, max_examples=80)
+@given(goals())
+def test_matches_reference(flat_env, goal):
+    text, rigid = goal
+    t = parse_term(text, flat_env)
+    if rigid:
+        t = rigid_int(t)
+    expected = instances_reference.collect_type_instances(flat_env, t)
+    assert collect_type_instances(flat_env, t) == expected
+
+
+@pytest.mark.parametrize("ty", FLAT_TYPES)
+def test_flat_universe_instances(flat_env, ty):
+    t = parse_term(f"forall (l : {ty}), l = l", flat_env)
+    insts = collect_type_instances(flat_env, t)
+    assert insts == instances_reference.collect_type_instances(flat_env, t)
+    assert insts[0] == parse_term(ty, flat_env)
+
+
+def ground_goal(env, n: int):
+    values = [str(v % 100) for v in range(n)]
+    return parse_term(
+        f"length Int (app Int ({list_literal('Int', values)}) (cons Int 7 (nil Int)))"
+        f" = {n + 1} /\\ search Int 7 (cons Int 8 (nil Int)) = false", env)
+
+
+def test_infer_visits_grow_linearly(env, monkeypatch):
+    goals_by_n = {n: ground_goal(env, n) for n in (40, 80)}
+    visits = 0
+    infer = conversion._infer
+
+    def counting_infer(*args):
+        nonlocal visits
+        visits += 1
+        return infer(*args)
+
+    typecheck = transforms.typecheck
+
+    def checked_typecheck(env, ctx, t, *rest):
+        assert not isinstance(spine(t)[0], Ctor), t
+        return typecheck(env, ctx, t, *rest)
+
+    monkeypatch.setattr(conversion, "_infer", counting_infer)
+    monkeypatch.setattr(transforms, "typecheck", checked_typecheck)
+    counts = {}
+    for n, goal in goals_by_n.items():
+        visits = 0
+        collect_type_instances(env, goal)
+        counts[n] = visits
+    assert counts[80] <= 2.2 * counts[40], counts
