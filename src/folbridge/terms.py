@@ -2,7 +2,8 @@
 
 Terms double as types and Prop-level formulas (CIC style). Variables are
 de Bruijn indices; index 0 is the innermost binder. Binder name fields are
-printing hints only and are ignored by alpha_eq.
+printing hints only: alpha_eq ignores them, and alpha_key erases them, so
+that alpha-equal terms have equal (and equally hashed) keys.
 """
 
 from __future__ import annotations
@@ -482,6 +483,27 @@ def alpha_eq(t: Term, u: Term) -> bool:
     if len(tc) != len(uc):
         return False
     return all(alpha_eq(a, b) for (a, _), (b, _) in zip(tc, uc))
+
+
+def alpha_key(t: Term) -> Term:
+    """t with every binder name hint erased: alpha_key(t) == alpha_key(u)
+    exactly when alpha_eq(t, u), so keys can index sets and dicts."""
+    if isinstance(t, Pi):
+        return Pi("", alpha_key(t.domain), alpha_key(t.codomain))
+    if isinstance(t, Lam):
+        return Lam("", alpha_key(t.domain), alpha_key(t.body))
+    if isinstance(t, Exists):
+        return Exists("", alpha_key(t.domain), alpha_key(t.body))
+    if isinstance(t, Fix):
+        return Fix("", t.decreasing, alpha_key(t.full_type), alpha_key(t.body))
+    if isinstance(t, Match):
+        return Match(
+            alpha_key(t.scrutinee),
+            None if t.scrutinee_type is None else alpha_key(t.scrutinee_type),
+            alpha_key(t.return_type),
+            tuple(Branch(("",) * b.arity, alpha_key(b.body)) for b in t.branches),
+        )
+    return map_subterms(t, lambda s, _e: alpha_key(s))
 
 
 # ---------------------------------------------------------------------------

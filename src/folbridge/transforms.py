@@ -15,9 +15,10 @@ from .conversion import beta_reduce, typecheck
 from .terms import (
     And, App, Const, Ctor, Eq, Exists, FalseP, Fix, FolbridgeError,
     GlobalEnv, Ind, IntLit, IntT, Lam, Match, Not, Or, Pi, SortProp,
-    SortType, TVar, Term, TrueP, Var, alpha_eq, as_inductive_instance,
-    children, ctor_arg_types, lift, make_app, make_pis, map_subterms, spine,
-    strip_lams, strip_pis, subst, subst_list, INTERPRETED_TYPES,
+    SortType, TVar, Term, TrueP, Var, alpha_eq, alpha_key,
+    as_inductive_instance, builtin_type, children, ctor_arg_types, lift,
+    make_app, make_pis, map_subterms, spine, strip_lams, strip_pis, subst,
+    subst_list, INTERPRETED_TYPES,
 )
 
 
@@ -120,12 +121,40 @@ class Hypothesis:
     justification: Justification
 
 
+def fresh_name(base: str, used: set[str]) -> str:
+    """`base`, or the first of `base_2`, `base_3`, ... that is not in
+    `used`; the name returned is added to `used`."""
+    name, i = base, 2
+    while name in used:
+        name = f"{base}_{i}"
+        i += 1
+    used.add(name)
+    return name
+
+
 @dataclass
 class ProofState:
-    """Named hypotheses plus goal; extended but never rewritten."""
+    """Named hypotheses plus goal; extended but never rewritten.
+
+    The state indexes its hypotheses: their names, the alpha keys of their
+    statements, and the type instances of every statement it was asked
+    about. The index catches up lazily with `hypotheses`, so a list passed
+    in prefilled or extended by a plain `append` is indexed too; removing or
+    replacing hypotheses, or changing `env`, is not supported."""
     env: GlobalEnv
     hypotheses: list[Hypothesis] = field(default_factory=list)
     goal: Term = None
+    _indexed: int = field(default=0, init=False, repr=False, compare=False)
+    _names: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
+    _keys: set[Term] = field(default_factory=set, init=False, repr=False, compare=False)
+    _instances: dict[Term, tuple[Term, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def _sync(self) -> None:
+        for h in self.hypotheses[self._indexed:]:
+            self._names.add(h.name)
+            self._keys.add(alpha_key(h.statement))
+        self._indexed = len(self.hypotheses)
 
     def find(self, name: str) -> Hypothesis:
         for h in self.hypotheses:
@@ -133,17 +162,29 @@ class ProofState:
                 return h
         raise TransformError(f"no hypothesis named {name!r}")
 
+    def statement_keys(self) -> set[Term]:
+        """The alpha keys of all hypothesis statements; do not mutate."""
+        self._sync()
+        return self._keys
+
+    def used_names(self) -> set[str]:
+        """A new set of the hypothesis and environment names."""
+        self._sync()
+        return self._names | self.env.names()
+
     def has_alpha(self, statement: Term) -> bool:
-        return any(alpha_eq(h.statement, statement) for h in self.hypotheses)
+        return alpha_key(statement) in self.statement_keys()
 
     def fresh_name(self, base: str) -> str:
-        used = {h.name for h in self.hypotheses} | self.env.names()
-        if base not in used:
-            return base
-        i = 2
-        while f"{base}_{i}" in used:
-            i += 1
-        return f"{base}_{i}"
+        return fresh_name(base, self.used_names())
+
+    def type_instances(self, t: Term) -> tuple[Term, ...]:
+        """`collect_type_instances(env, t)`, computed once per exact term:
+        the instances keep the binder names of their occurrence in t."""
+        insts = self._instances.get(t)
+        if insts is None:
+            insts = self._instances[t] = tuple(collect_type_instances(self.env, t))
+        return insts
 
     def add(self, hyp: Hypothesis) -> None:
         self.hypotheses.append(hyp)
@@ -389,41 +430,66 @@ _NEVER_TYPE_HEADS = (Ctor, IntLit, Eq, And, Or, Not, Exists, TrueP, FalseP,
                      SortType, SortProp)
 
 
+def _never_a_type(env: GlobalEnv, name: str, nargs: int) -> bool:
+    """True when the constant `name` applied to `nargs` arguments cannot
+    have sort Type: its declared type has at least `nargs` leading Pis and
+    what remains is a Pi, or is headed by an Ind or Int. Substituting the
+    arguments keeps that head, so `typecheck` can only return a type that
+    is not a sort, or raise."""
+    ty = builtin_type(name)
+    if ty is None:
+        d = env.definitions.get(name)
+        if d is None:
+            return False
+        ty = d.type
+    for _ in range(nargs):
+        if not isinstance(ty, Pi):
+            return False
+        ty = ty.codomain
+    return isinstance(ty, Pi) or isinstance(spine(ty)[0], (Ind, IntT))
+
+
 def collect_type_instances(env: GlobalEnv, t: Term) -> list[Term]:
     """Closed subterms of sort Type, nested instances included, in first
     occurrence order.
 
     One post-order walk finds the candidates: closed subterms whose spine
-    head can have sort Type, other than an unapplied Lam or Fix, whose type
-    is a product. That filter is only a necessary condition. The candidates
-    are taken in preorder; one alpha-equal to an instance already found is
+    head can have sort Type, other than an unapplied Lam or Fix (whose type
+    is a product) and a constant application that `_never_a_type` rules
+    out. That filter is only a necessary condition. The candidates are
+    taken in preorder; one alpha-equal to a candidate already decided is
     skipped, and `typecheck` makes the final decision on the rest."""
     candidates: list[tuple[int, Term]] = []
     position = itertools.count()
 
-    def walk(s: Term) -> tuple[int, Term]:
-        """Return how many binders above s its free variables reach, and
-        the head of its spine."""
+    def walk(s: Term) -> tuple[int, Term, int]:
+        """Return how many binders above s its free variables reach, the
+        head of its spine and the number of arguments applied to it."""
         pos = next(position)
         if isinstance(s, Var):
-            return s.index + 1, s
-        reach, head = 0, s
+            return s.index + 1, s, 0
+        reach, head, nargs = 0, s, 0
         for c, extra in children(s):
-            c_reach, c_head = walk(c)
+            c_reach, c_head, c_nargs = walk(c)
             reach = max(reach, c_reach - extra)
             if isinstance(s, App) and c is s.head:
-                head = c_head
+                head, nargs = c_head, c_nargs + 1
         if (reach == 0 and not isinstance(head, _NEVER_TYPE_HEADS)
-                and not isinstance(s, (Lam, Fix))):
+                and not isinstance(s, (Lam, Fix))
+                and not (isinstance(head, Const)
+                         and _never_a_type(env, head.name, nargs))):
             candidates.append((pos, s))
-        return reach, head
+        return reach, head, nargs
 
     walk(t)
     candidates.sort(key=lambda c: c[0])
     out: list[Term] = []
+    decided: set[Term] = set()
     for _pos, s in candidates:
-        if any(alpha_eq(s, seen) for seen in out):
+        key = alpha_key(s)
+        if key in decided:
             continue
+        decided.add(key)
         try:
             ty = typecheck(env, [], s)
         except FolbridgeError:
@@ -482,10 +548,10 @@ def monomorphize(state: ProofState, extra_lemmas: list[tuple[str, Term]] | None 
     """Instantiate every prenex-polymorphic hypothesis (and extra lemma) at
     all ground type instances of the goal (Cartesian product for multiple
     leading binders); instances already present are skipped."""
-    insts = collect_type_instances(state.env, state.goal)
+    insts = list(state.type_instances(state.goal))
     if from_context:
         for h in state.hypotheses:
-            for cand in collect_type_instances(state.env, h.statement):
+            for cand in state.type_instances(h.statement):
                 if not any(alpha_eq(cand, s) for s in insts):
                     insts.append(cand)
     if not insts:
@@ -494,9 +560,9 @@ def monomorphize(state: ProofState, extra_lemmas: list[tuple[str, Term]] | None 
     for name, stmt in (extra_lemmas or []):
         if not any(n == name for n, _ in sources):
             sources.append((name, stmt))
-    existing = [h.statement for h in state.hypotheses]
+    existing = set(state.statement_keys())
+    used_names = state.used_names()
     out: list[Hypothesis] = []
-    used_names = {h.name for h in state.hypotheses} | state.env.names()
     for src_name, stmt in sources:
         k = _leading_type_binders(stmt)
         if k == 0 or _has_interior_type_binder(stmt):
@@ -506,16 +572,12 @@ def monomorphize(state: ProofState, extra_lemmas: list[tuple[str, Term]] | None 
             for ty in combo:
                 assert isinstance(inst_stmt, Pi)
                 inst_stmt = subst(inst_stmt.codomain, 0, ty)
-            if any(alpha_eq(inst_stmt, e) for e in existing):
+            key = alpha_key(inst_stmt)
+            if key in existing:
                 continue
-            existing.append(inst_stmt)
-            base = f"{src_name}_{'_'.join(type_slug(ty) for ty in combo)}"
-            name = base
-            i = 2
-            while name in used_names:
-                name = f"{base}_{i}"
-                i += 1
-            used_names.add(name)
+            existing.add(key)
+            name = fresh_name(
+                f"{src_name}_{'_'.join(type_slug(ty) for ty in combo)}", used_names)
             out.append(Hypothesis(name, inst_stmt,
                                   ByInstantiation(src_name, tuple(combo))))
     return out
@@ -531,7 +593,7 @@ def _algebraic_instances(state: ProofState) -> list[Term]:
     terms = [state.goal] + [h.statement for h in state.hypotheses]
     insts: list[Term] = []
     for t in terms:
-        for cand in collect_type_instances(state.env, t):
+        for cand in state.type_instances(t):
             head, args = spine(cand)
             if not isinstance(head, Ind):
                 continue
@@ -617,20 +679,15 @@ def interp_alg_types(state: ProofState, include_exhaustiveness: bool = False) ->
     exhaustiveness disjunction) for every algebraic instance in the goal
     and context, excluding solver-interpreted types."""
     out: list[Hypothesis] = []
-    existing = [h.statement for h in state.hypotheses]
-    used = {h.name for h in state.hypotheses} | state.env.names()
+    existing = set(state.statement_keys())
+    used = state.used_names()
 
     def emit(name: str, stmt: Term, just: Justification) -> None:
-        if any(alpha_eq(stmt, e) for e in existing):
+        key = alpha_key(stmt)
+        if key in existing:
             return
-        existing.append(stmt)
-        final = name
-        i = 2
-        while final in used:
-            final = f"{name}_{i}"
-            i += 1
-        used.add(final)
-        out.append(Hypothesis(final, stmt, just))
+        existing.add(key)
+        out.append(Hypothesis(fresh_name(name, used), stmt, just))
 
     for inst in _algebraic_instances(state):
         ind_name, _targs = as_inductive_instance(inst)

@@ -1,4 +1,5 @@
-"""Lifting/substitution against an independent named-variable oracle."""
+"""Lifting/substitution against an independent named-variable oracle, and
+alpha keys against alpha_eq."""
 
 from __future__ import annotations
 
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folbridge.terms import (
-    App, Const, INT, IntLit, Lam, Pi, Term, Var, alpha_eq, is_closed, lift,
-    subst, subst_list, well_scoped,
+    App, Branch, Const, Eq, Exists, Fix, INT, IntLit, Lam, Match, Pi, TYPE,
+    Term, TrueP, Var, alpha_eq, alpha_key, is_closed, lift, subst, subst_list,
+    well_scoped,
 )
 from named_calculus import from_named, named_subst, to_named
 
@@ -141,3 +143,71 @@ def test_well_scoped_preserved():
         assert well_scoped(subst(t, 1, Const("c")), 1)
     assert is_closed(Const("c"))
     assert not is_closed(Var(0))
+
+
+LEAVES = st.sampled_from(
+    (Var(0), Var(1), Const("c"), IntLit(0), INT, TYPE, TrueP()))
+NAMES = st.sampled_from(("x", "y", "_"))
+
+
+@st.composite
+def term_pairs(draw, depth: int = 3, renamed_only: bool | None = None):
+    """Two terms of one shape whose binder names are drawn apart. Unless
+    `renamed_only`, each leaf, `Fix.decreasing`, branch arity and `None`
+    hole of the second term may also be drawn apart from the first."""
+    if renamed_only is None:
+        renamed_only = draw(st.booleans())
+
+    def apart(first, strategy):
+        if renamed_only or draw(st.integers(0, 5)):
+            return first
+        return draw(strategy)
+
+    kinds = ("leaf", "pi", "lam", "exists", "fix", "match", "eq", "app")
+    kind = draw(st.sampled_from(kinds if depth else kinds[:1]))
+    if kind == "leaf":
+        t = draw(LEAVES)
+        return t, apart(t, LEAVES)
+
+    def sub():
+        return draw(term_pairs(depth - 1, renamed_only))
+
+    if kind in ("pi", "lam", "exists"):
+        cls = {"pi": Pi, "lam": Lam, "exists": Exists}[kind]
+        (d1, d2), (b1, b2) = sub(), sub()
+        return cls(draw(NAMES), d1, b1), cls(draw(NAMES), d2, b2)
+    if kind == "fix":
+        decreasing = draw(st.integers(0, 1))
+        (f1, f2), (b1, b2) = sub(), sub()
+        return (Fix(draw(NAMES), decreasing, f1, b1),
+                Fix(draw(NAMES), apart(decreasing, st.integers(0, 1)), f2, b2))
+    if kind == "app":
+        (h1, h2), (a1, a2) = sub(), sub()
+        return App(h1, a1), App(h2, a2)
+    (a1, a2), (l1, l2), (r1, r2) = sub(), sub(), sub()
+    hole = draw(st.booleans())
+    hole2 = apart(hole, st.booleans())
+    a1 = None if hole else a1
+    a2 = None if hole2 else a2
+    if kind == "eq":
+        return Eq(a1, l1, r1), Eq(a2, l2, r2)
+    branches1, branches2 = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        arity = draw(st.integers(0, 2))
+        arity2 = apart(arity, st.integers(0, 2))
+        b1, b2 = sub()
+        branches1.append(Branch(tuple(draw(NAMES) for _ in range(arity)), b1))
+        branches2.append(Branch(tuple(draw(NAMES) for _ in range(arity2)), b2))
+    return (Match(l1, a1, r1, tuple(branches1)),
+            Match(l2, a2, r2, tuple(branches2)))
+
+
+@given(term_pairs())
+@settings(deadline=None, max_examples=300)
+def test_alpha_key_agrees_with_alpha_eq(pair):
+    t, u = pair
+    kt, ku = alpha_key(t), alpha_key(u)
+    assert (kt == ku) == alpha_eq(t, u)
+    if kt == ku:
+        assert hash(kt) == hash(ku)
+    assert alpha_eq(kt, t)

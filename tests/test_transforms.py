@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from folbridge import terms, transforms
 from folbridge.conversion import random_truth_check, typecheck
 from folbridge.parser import parse_term
 from folbridge.printer import print_term
@@ -420,3 +421,49 @@ class TestInterpAlgTypes:
         # nat occurs only in the hypothesis; injectivity of S expected
         want = parse_term("forall (x1 : nat) (y1 : nat), S x1 = S y1 -> x1 = y1", env)
         assert any(alpha_eq(h.statement, want) for h in out)
+
+
+class TestProofStateIndex:
+    def test_prefilled_and_appended_hypotheses(self, env):
+        stmt = parse_term("forall (n : nat), S n <> O", env)
+        renamed = parse_term("forall (m : nat), S m <> O", env)
+        other = parse_term("forall (l : list Int), l = l", env)
+        state = ProofState(env, [Hypothesis("h", stmt, Given())],
+                           parse_term("true = true", env))
+        assert state.has_alpha(renamed)
+        assert not state.has_alpha(other)
+        assert state.fresh_name("h") == "h_2"
+        state.hypotheses.append(Hypothesis("g", other, Given()))
+        assert state.has_alpha(other)
+        assert state.fresh_name("g") == "g_2"
+
+    def test_has_alpha_makes_no_alpha_eq_calls(self, env, monkeypatch):
+        state = mk_state(env, "true = true", [("h", SEARCH_APP)])
+        renamed = parse_term(SEARCH_APP.replace("l1", "k"), env)
+        other = parse_term("1 = 1", env)
+
+        def no_alpha_eq(*args):
+            raise AssertionError("alpha_eq called")
+
+        monkeypatch.setattr(terms, "alpha_eq", no_alpha_eq)
+        monkeypatch.setattr(transforms, "alpha_eq", no_alpha_eq)
+        assert state.has_alpha(renamed)
+        assert not state.has_alpha(other)
+
+    def test_instances_walked_once_per_statement(self, env, monkeypatch):
+        state = mk_state(env, "forall (l : list Int), l = l",
+                         [("h", "forall (n : nat), S n <> O")])
+        calls = 0
+        collect = transforms.collect_type_instances
+
+        def counting_collect(*args):
+            nonlocal calls
+            calls += 1
+            return collect(*args)
+
+        monkeypatch.setattr(transforms, "collect_type_instances", counting_collect)
+        first = interp_alg_types(state)
+        assert first and calls == 2
+        calls = 0
+        assert interp_alg_types(state) == first
+        assert calls == 0

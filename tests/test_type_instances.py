@@ -1,5 +1,6 @@
 """The one-pass `collect_type_instances` against the reference version, and
-its cost as the list literal in a goal grows."""
+its cost as the list literal or the nesting of constant applications in a
+goal grows."""
 
 from __future__ import annotations
 
@@ -16,15 +17,18 @@ from folbridge.transforms import collect_type_instances
 import instances_reference
 
 # Type-level definitions: with a flat universe, constants and redexes can
-# have sort Type too.
+# have sort Type too. G's type is a product only after unfolding Arrow.
 FLAT = """\
 def T : Type = list Int.
 def id : forall (A : Type), A -> A = fun (A : Type) (x : A) => x.
 def F : Type -> Type = fun (A : Type) => list A.
+def Arrow : Type = Type -> Type.
+def G : Arrow = fun (A : Type) => list A.
 """
 
 # Each denotes list Int.
-FLAT_TYPES = ("T", "id Type (list Int)", "F Int", "(fun (A : Type) => list A) Int")
+FLAT_TYPES = ("T", "id Type (list Int)", "F Int", "G Int",
+              "(fun (A : Type) => list A) Int")
 
 
 @pytest.fixture(scope="module")
@@ -99,11 +103,29 @@ def flat_atom(draw) -> str:
     return f"forall (l : {ty}), {body}"
 
 
+# Constant-headed applications, fully and partially applied: builtins,
+# definitions whose type is a product, a type (F, G) or a variable (id).
+CONST_APPS = (
+    "add 1 2", "add 1", "add", "eqb Int 1 2", "eqb Int", "eqb (list Int)",
+    "negb true", "two", "length Int", "length Int (nil Int)",
+    "search Int 7", "hd_error nat (nil nat)", "id Int 3", "id Type",
+    "id Type (list Int)", "id (Type -> Type) F", "id Arrow G Int",
+    "F", "F Int", "G", "G nat", "add (add 1 2) (length Int (nil Int))",
+)
+
+
+@st.composite
+def const_atom(draw) -> str:
+    app = draw(st.sampled_from(CONST_APPS))
+    return f"({app}) = ({app})"
+
+
 @st.composite
 def goals(draw) -> tuple[str, bool]:
     """A statement text and whether to make Int a rigid type symbol."""
     parts = draw(st.lists(
-        st.one_of(ground_atom(), flat_atom()), min_size=1, max_size=3))
+        st.one_of(ground_atom(), flat_atom(), const_atom()),
+        min_size=1, max_size=3))
     text = " /\\ ".join(f"({p})" for p in parts)
     if draw(st.booleans()):
         # Type binders must form a leading prefix.
@@ -145,8 +167,15 @@ def ground_goal(env, n: int):
         f" = {n + 1} /\\ search Int 7 (cons Int 8 (nil Int)) = false", env)
 
 
+def add_chain_goal(env, n: int):
+    """add 0 (add 1 (... (add (n-1) 0))) = 5"""
+    chain = "0"
+    for v in reversed(range(n)):
+        chain = f"add {v} ({chain})"
+    return parse_term(f"{chain} = 5", env)
+
+
 def test_infer_visits_grow_linearly(env, monkeypatch):
-    goals_by_n = {n: ground_goal(env, n) for n in (40, 80)}
     visits = 0
     infer = conversion._infer
 
@@ -163,9 +192,11 @@ def test_infer_visits_grow_linearly(env, monkeypatch):
 
     monkeypatch.setattr(conversion, "_infer", counting_infer)
     monkeypatch.setattr(transforms, "typecheck", checked_typecheck)
-    counts = {}
-    for n, goal in goals_by_n.items():
-        visits = 0
-        collect_type_instances(env, goal)
-        counts[n] = visits
-    assert counts[80] <= 2.2 * counts[40], counts
+    for make_goal in (ground_goal, add_chain_goal):
+        counts = {}
+        for n in (40, 80):
+            goal = make_goal(env, n)
+            visits = 0
+            collect_type_instances(env, goal)
+            counts[n] = visits
+        assert counts[80] <= 2.2 * counts[40], (make_goal.__name__, counts)
