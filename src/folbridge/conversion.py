@@ -16,7 +16,7 @@ from .terms import (
     Ctor, Eq, Exists, FalseP, Fix, FolbridgeError, GlobalEnv, Ind, IntLit,
     IntT, Lam, Match, Not, Or, Pi, SortProp, SortType, TVar, Term, TrueP,
     Var, alpha_eq, as_inductive_instance, builtin_type, ctor_arg_types,
-    ctor_type, ind_type, lift, make_app, map_subterms, spine, subst,
+    ctor_type, ind_type, lift, make_app, map_subterms, rebind, spine, subst,
     subst_list, subterms, well_scoped,
 )
 
@@ -72,12 +72,6 @@ def typecheck(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel | None = None
     return infer(env, ctx, t, fuel)[1]
 
 
-def _types_equal(env: GlobalEnv, a: Term, b: Term, fuel: Fuel) -> bool:
-    if alpha_eq(a, b):
-        return True
-    return alpha_eq(normalize(env, [], a, fuel), normalize(env, [], b, fuel))
-
-
 def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> tuple[Term, Term]:
     if isinstance(t, Var):
         if not 0 <= t.index < len(ctx):
@@ -117,13 +111,13 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> tuple[Term, 
         if not isinstance(hty, Pi):
             raise TypingError("application head is not a function")
         arg, aty = _infer(env, ctx, t.arg, fuel)
-        if not _types_equal(env, aty, hty.domain, fuel):
+        if not convertible(env, ctx, aty, hty.domain, fuel):
             raise TypingError(
                 f"argument type mismatch: expected {hty.domain}, found {aty}")
         return App(head, arg), subst(hty.codomain, 0, arg)
     if isinstance(t, Match):
         scrut, sty = _infer(env, ctx, t.scrutinee, fuel)
-        if t.scrutinee_type is not None and not _types_equal(env, t.scrutinee_type, sty, fuel):
+        if t.scrutinee_type is not None and not convertible(env, ctx, t.scrutinee_type, sty, fuel):
             raise TypingError("scrutinee type annotation mismatch")
         inst = as_inductive_instance(whnf(env, sty, fuel))
         if inst is None:
@@ -151,7 +145,7 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> tuple[Term, 
             for j, at in enumerate(arg_tys):
                 bctx = [lift(at, j)] + bctx
             body, bty = _infer(env, bctx, br.body, fuel)
-            if not _types_equal(env, bty, lift(rty, br.arity), fuel):
+            if not convertible(env, bctx, bty, lift(rty, br.arity), fuel):
                 raise TypingError(f"branch for {cd.name} has type {bty}, expected {rty}")
             new_branches.append(Branch(br.binders, body))
         sty_n = whnf(env, sty, fuel)
@@ -171,7 +165,7 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> tuple[Term, 
         if as_inductive_instance(whnf(env, darg, fuel)) is None:
             raise TypingError("fixpoint decreasing argument is not of an inductive type")
         body, bty = _infer(env, [fty] + ctx, t.body, fuel)
-        if not _types_equal(env, bty, lift(fty, 1), fuel):
+        if not convertible(env, [fty] + ctx, bty, lift(fty, 1), fuel):
             raise TypingError("fixpoint body type differs from its annotation")
         return Fix(t.binder, t.decreasing, fty, body), fty
     if isinstance(t, Eq):
@@ -183,7 +177,7 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> tuple[Term, 
                 raise TypingError("equality annotation is not a type")
         else:
             at = lty
-        if not _types_equal(env, lty, at, fuel) or not _types_equal(env, rty, at, fuel):
+        if not convertible(env, ctx, lty, at, fuel) or not convertible(env, ctx, rty, at, fuel):
             raise TypingError(
                 f"equality sides disagree: {lty} vs {rty} at {at}")
         return Eq(at, lhs, rhs), PROP
@@ -496,23 +490,12 @@ def _eval(env: GlobalEnv, t: Term, venv: tuple[Value, ...], fuel: Fuel) -> Value
 def _reify_type(t: Term, venv: tuple[Value, ...]) -> Term:
     """Resolve Var references inside a type argument to the closed types
     recorded in the value environment."""
-    if isinstance(t, Var):
-        v = venv[t.index]
+    def on_free(k: int, d: int) -> Term:
+        v = venv[k]
         if not isinstance(v, VType):
             raise EvalError("type argument position held a non-type value")
-        return v.type_term
-
-    def go(s: Term, depth: int) -> Term:
-        if isinstance(s, Var):
-            if s.index < depth:
-                return s
-            v = venv[s.index - depth]
-            if not isinstance(v, VType):
-                raise EvalError("type argument position held a non-type value")
-            return lift(v.type_term, depth)
-        return map_subterms(s, lambda c, extra: go(c, depth + extra))
-
-    return go(t, 0)
+        return lift(v.type_term, d)
+    return rebind(t, on_free)
 
 
 def _apply(env: GlobalEnv, f: Value, a: Value, fuel: Fuel) -> Value:
@@ -757,12 +740,13 @@ def _eval_prop(env: GlobalEnv, t: Term, rng: random.Random, fuel: Fuel) -> bool:
         return not _eval_prop(env, t.body, rng, fuel)
     if isinstance(t, Pi):
         # Non-dependent Pi over Prop is implication; quantifiers must have
-        # been instantiated by the caller.
+        # been instantiated by the caller. The codomain's binder is unused,
+        # so substituting TrueP only drops its slot.
         if not isinstance(typecheck(env, [], t.domain), SortProp):
             raise EvalUnsupported("residual quantifier in propositional evaluation")
         if not _eval_prop(env, t.domain, rng, fuel):
             return True
-        return _eval_prop(env, _drop_binder(t.codomain), rng, fuel)
+        return _eval_prop(env, subst(t.codomain, 0, TrueP()), rng, fuel)
     if isinstance(t, Eq):
         va = _eval(env, t.lhs, (), fuel)
         vb = _eval(env, t.rhs, (), fuel)
@@ -770,11 +754,6 @@ def _eval_prop(env: GlobalEnv, t: Term, rng: random.Random, fuel: Fuel) -> bool:
     if isinstance(t, Exists):
         return _eval_exists(env, t, rng, fuel)
     raise EvalUnsupported(f"cannot evaluate proposition {type(t).__name__}")
-
-
-def _drop_binder(t: Term) -> Term:
-    """Remove the unused binder of a non-dependent Pi codomain."""
-    return subst(t, 0, TrueP())
 
 
 def _eval_exists(env: GlobalEnv, t: Term, rng: random.Random, fuel: Fuel) -> bool:

@@ -12,13 +12,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .conversion import Fuel, TypingError, _types_equal, infer
+from .conversion import TypingError, convertible, infer
 from .terms import (
     And, App, Branch, Const, Ctor, CtorDecl, Definition, Eq, Exists,
     FalseP, Fix, FolbridgeError, GlobalEnv, Ind, InductiveDecl, IntLit,
-    IntT, Match, Not, Or, Pi, Problem, ScopeError, SortProp, SortType,
-    TYPE, Term, TrueP, Var, builtin_type, lift, make_lams, make_pis,
-    map_subterms,
+    IntT, Match, Not, Or, Pi, Problem, ScopeError, SortProp, TYPE, Term,
+    TrueP, Var, builtin_type, has_interior_type_binder, lift, make_lams,
+    make_pis, rebind,
 )
 
 
@@ -486,7 +486,7 @@ class Parser:
             ebody, bty = infer(self.env, [], full_body)
         except TypingError as e:
             raise TypingError(f"in definition {name}: {e}") from None
-        if not _types_equal(self.env, bty, ety, Fuel()):
+        if not convertible(self.env, [], bty, ety):
             raise TypingError(f"definition {name}: body has type {bty}, declared {ety}")
         check_prenex(ety, what=f"definition {name}")
         self.env.declare_definition(Definition(name, ety, ebody))
@@ -541,16 +541,12 @@ class Parser:
 
 def _unshift(t: Term, amount: int) -> Term | None:
     """Inverse of lift when the lowest `amount` indices are unused."""
-    def go(s: Term, depth: int):
-        if isinstance(s, Var):
-            if s.index < depth:
-                return s
-            if s.index < depth + amount:
-                raise _UnshiftHit()
-            return Var(s.index - amount)
-        return map_subterms(s, lambda c, extra: go(c, depth + extra))
+    def on_free(k: int, d: int) -> Term:
+        if k < amount:
+            raise _UnshiftHit()
+        return Var(k + d - amount)
     try:
-        return go(t, 0)
+        return rebind(t, on_free)
     except _UnshiftHit:
         return None
 
@@ -563,33 +559,8 @@ def check_prenex(stmt: Term, what: str = "statement") -> None:
     """Type binders (forall A : Type) must form a leading prefix of the
     statement / definition type; none may occur deeper in the proposition
     structure or after an object binder."""
-    t = stmt
-    while isinstance(t, Pi) and isinstance(t.domain, SortType):
-        t = t.codomain
-    _no_type_binders_in_prop(t, what)
-
-
-def _no_type_binders_in_prop(t: Term, what: str) -> None:
-    if isinstance(t, Pi):
-        if isinstance(t.domain, SortType):
-            raise PrenexError(
-                f"{what}: type quantifier is not in prenex position")
-        _no_type_binders_in_prop(t.codomain, what)
-        if isinstance(t.domain, (And, Or, Not, Eq, TrueP, FalseP, Pi, Exists)):
-            _no_type_binders_in_prop(t.domain, what)
-        return
-    if isinstance(t, (And, Or)):
-        _no_type_binders_in_prop(t.lhs, what)
-        _no_type_binders_in_prop(t.rhs, what)
-        return
-    if isinstance(t, Not):
-        _no_type_binders_in_prop(t.body, what)
-        return
-    if isinstance(t, Exists):
-        _no_type_binders_in_prop(t.body, what)
-        return
-    # Equations and deeper object terms: type binders may legitimately
-    # occur inside types (e.g. an equality at a polymorphic type).
+    if has_interior_type_binder(stmt):
+        raise PrenexError(f"{what}: type quantifier is not in prenex position")
 
 
 def parse_problem(text: str) -> Problem:

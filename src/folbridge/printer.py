@@ -8,7 +8,8 @@ from __future__ import annotations
 from .terms import (
     And, App, Const, Ctor, Eq, Exists, FalseP, Fix, GlobalEnv, Ind,
     IntLit, IntT, Lam, Match, Not, Or, Pi, Problem, SortProp, SortType,
-    TVar, Term, TrueP, Var, lift, spine,
+    TVar, Term, TrueP, Var, as_inductive_instance, children, lift, spine,
+    subst,
 )
 
 # Levels, loosest to tightest. A node prints parens when its own level is
@@ -55,17 +56,6 @@ class _Namer:
         return name
 
 
-def _uses_binder(t: Term) -> bool:
-    from .terms import children
-
-    def go(s: Term, depth: int) -> bool:
-        if isinstance(s, Var):
-            return s.index == depth
-        return any(go(c, depth + extra) for c, extra in children(s))
-
-    return go(t, 0)
-
-
 def print_term(t: Term, env: GlobalEnv | None = None,
                context_names: list[str] | None = None) -> str:
     """Render t; context_names[i] names Var(i) (innermost first)."""
@@ -103,12 +93,13 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
     if isinstance(t, FalseP):
         return "false_p"
     if isinstance(t, Pi):
-        if _uses_binder(t.codomain):
+        if _uses_binder_at(t.codomain, 0):
             groups, body, names2 = _collect_binders(t, env, names, namer, Pi)
             s = f"forall {groups}, {_pp(body, env, names2, namer, L_BINDER)}"
             return _wrap(s, L_BINDER, want)
         dom = _pp(t.domain, env, names, namer, L_IMP + 1)
-        cod = _pp(_shift_unused(t.codomain), env, names, namer, L_IMP)
+        # The binder is unused, so TrueP never appears: this only drops its slot.
+        cod = _pp(subst(t.codomain, 0, TrueP()), env, names, namer, L_IMP)
         return _wrap(f"{dom} -> {cod}", L_IMP, want)
     if isinstance(t, Exists):
         groups, body, names2 = _collect_binders(t, env, names, namer, Exists)
@@ -192,8 +183,6 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
 
 
 def _uses_binder_at(t: Term, index: int) -> bool:
-    from .terms import children
-
     def go(s: Term, depth: int) -> bool:
         if isinstance(s, Var):
             return s.index == depth + index
@@ -202,22 +191,16 @@ def _uses_binder_at(t: Term, index: int) -> bool:
     return go(t, 0)
 
 
-def _shift_unused(t: Term) -> Term:
-    """Drop the unused binder slot of a non-dependent Pi codomain."""
-    from .terms import TrueP as _T, subst
-    return subst(t, 0, _T())
-
-
 def _collect_binders(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, cls):
     """Group consecutive binders of the same flavor for printing."""
     groups: list[str] = []
     cur = t
     names2 = list(names)
     while isinstance(cur, cls):
-        if cls is Pi and not _uses_binder(cur.codomain):
+        if cls is Pi and not _uses_binder_at(cur.codomain, 0):
             break
         body = cur.codomain if cls is Pi else cur.body
-        nm = namer.fresh(cur.binder) if (_uses_binder(body) or (cur.binder and cur.binder != "_")) else "_"
+        nm = namer.fresh(cur.binder) if (_uses_binder_at(body, 0) or (cur.binder and cur.binder != "_")) else "_"
         groups.append(f"({nm} : {_pp(cur.domain, env, names2, namer, L_BINDER)})")
         names2 = [nm] + names2
         cur = body
@@ -225,7 +208,6 @@ def _collect_binders(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, c
 
 
 def _match_inductive(t: Match, env: GlobalEnv) -> str:
-    from .terms import as_inductive_instance
     inst = as_inductive_instance(t.scrutinee_type) if t.scrutinee_type is not None else None
     if inst is not None:
         return inst[0]

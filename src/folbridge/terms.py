@@ -1,9 +1,12 @@
 """Core language syntax: de Bruijn terms, declarations, environments.
 
 Terms double as types and Prop-level formulas (CIC style). Variables are
-de Bruijn indices; index 0 is the innermost binder. Binder name fields are
-printing hints only: alpha_eq ignores them, and alpha_key erases them, so
-that alpha-equal terms have equal (and equally hashed) keys.
+de Bruijn indices; index 0 is the innermost binder. Every index rewrite
+(lift, subst, subst_list and the shifts of the other modules) is one call
+to rebind, which hands each free variable and its binder depth to a
+function. Binder name fields are printing hints only: alpha_eq ignores
+them, and alpha_key erases them, so that alpha-equal terms have equal (and
+equally hashed) keys.
 """
 
 from __future__ import annotations
@@ -406,43 +409,43 @@ def map_subterms(t: Term, f, depth: int = 0) -> Term:
 # Lifting and substitution
 # ---------------------------------------------------------------------------
 
+# Node classes without subterms; rebind returns them as they are.
+_LEAVES = frozenset({Const, Ctor, Ind, TVar, IntT, SortType, SortProp,
+                     TrueP, FalseP, IntLit})
+
+
+def rebind(t: Term, on_free, depth: int = 0) -> Term:
+    """Rebuild t with its free variables replaced: a Var(i) under d binders
+    (d counted from depth) with i >= d becomes on_free(i - d, d). Every
+    de Bruijn index rewrite goes through this one traversal."""
+    def go(s: Term, d: int) -> Term:
+        if isinstance(s, Var):
+            return s if s.index < d else on_free(s.index - d, d)
+        if type(s) in _LEAVES:
+            return s
+        return map_subterms(s, go, d)
+    return go(t, depth)
+
+
 def lift(t: Term, amount: int, cutoff: int = 0) -> Term:
     """Raise every free Var index >= cutoff by amount."""
     if amount == 0:
         return t
-    if isinstance(t, Var):
-        return Var(t.index + amount) if t.index >= cutoff else t
-    return map_subterms(t, lambda s, extra: lift(s, amount, cutoff + extra))
+    return rebind(t, lambda k, d: Var(k + d + amount), cutoff)
 
 
 def subst(t: Term, index: int, replacement: Term) -> Term:
     """Capture-avoiding substitution of Var(index) by replacement; free
     variables above index are decremented."""
-    if isinstance(t, Var):
-        if t.index == index:
-            return lift(replacement, index)
-        if t.index > index:
-            return Var(t.index - 1)
-        return t
-    return map_subterms(t, lambda s, extra: subst(s, index + extra, replacement))
+    return rebind(t, lambda k, d: lift(replacement, d) if k == 0 else Var(k + d - 1),
+                  index)
 
 
 def subst_list(t: Term, values: list[Term]) -> Term:
     """Simultaneous substitution Var(i) := values[i] for i < len(values);
     higher frees drop by len(values). values are in the outer context."""
     n = len(values)
-
-    def go(s: Term, depth: int) -> Term:
-        if isinstance(s, Var):
-            if s.index < depth:
-                return s
-            k = s.index - depth
-            if k < n:
-                return lift(values[k], depth)
-            return Var(s.index - n)
-        return map_subterms(s, lambda c, extra: go(c, depth + extra))
-
-    return go(t, 0)
+    return rebind(t, lambda k, d: lift(values[k], d) if k < n else Var(k + d - n))
 
 
 def well_scoped(t: Term, depth: int = 0) -> bool:
@@ -554,6 +557,26 @@ def make_lams(binders: list[tuple[str, Term]], body: Term) -> Term:
     for name, dom in reversed(binders):
         body = Lam(name, dom, body)
     return body
+
+
+def has_interior_type_binder(stmt: Term) -> bool:
+    """True when a type binder (forall A : Type) occurs in the proposition
+    structure of stmt after its leading prefix of type binders: after an
+    object binder, in a premise, or under a connective or an exists. Types
+    inside equations and object terms are not inspected."""
+    while isinstance(stmt, Pi) and isinstance(stmt.domain, SortType):
+        stmt = stmt.codomain
+
+    def bad(t: Term) -> bool:
+        if isinstance(t, Pi):
+            return isinstance(t.domain, SortType) or bad(t.codomain) or bad(t.domain)
+        if isinstance(t, (And, Or)):
+            return bad(t.lhs) or bad(t.rhs)
+        if isinstance(t, (Not, Exists)):
+            return bad(t.body)
+        return False
+
+    return bad(stmt)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ from .terms import (
     And, App, Const, Ctor, Eq, Exists, FalseP, Fix, FolbridgeError,
     GlobalEnv, Ind, IntLit, IntT, Lam, Match, Not, Or, Pi, SortProp,
     SortType, TVar, Term, TrueP, Var, alpha_eq, alpha_key,
-    as_inductive_instance, builtin_type, children, ctor_arg_types, lift,
-    make_app, make_pis, map_subterms, spine, strip_lams, strip_pis, subst,
-    subst_list, INTERPRETED_TYPES,
+    as_inductive_instance, builtin_type, children, ctor_arg_types,
+    has_interior_type_binder, lift, make_app, make_pis, map_subterms, rebind,
+    spine, strip_lams, strip_pis, subst, subst_list, INTERPRETED_TYPES,
 )
 
 
@@ -149,11 +149,16 @@ class ProofState:
     _keys: set[Term] = field(default_factory=set, init=False, repr=False, compare=False)
     _instances: dict[Term, tuple[Term, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # The statement `has_alpha` keyed last, and its key, which `_sync` reuses
+    # when that statement is committed next; `has_alpha` syncs before keying.
+    _last: tuple[Term, Term] = field(default=(None, None), init=False, repr=False,
+                                     compare=False)
 
     def _sync(self) -> None:
+        last, last_key = self._last
         for h in self.hypotheses[self._indexed:]:
             self._names.add(h.name)
-            self._keys.add(alpha_key(h.statement))
+            self._keys.add(last_key if h.statement is last else alpha_key(h.statement))
         self._indexed = len(self.hypotheses)
 
     def find(self, name: str) -> Hypothesis:
@@ -173,7 +178,10 @@ class ProofState:
         return self._names | self.env.names()
 
     def has_alpha(self, statement: Term) -> bool:
-        return alpha_key(statement) in self.statement_keys()
+        keys = self.statement_keys()
+        key = alpha_key(statement)
+        self._last = (statement, key)
+        return key in keys
 
     def fresh_name(self, base: str) -> str:
         return fresh_name(base, self.used_names())
@@ -327,15 +335,11 @@ def _match_candidates(body: Term, n: int) -> list[int]:
 def _shift_above(t: Term, at: int, by: int) -> Term:
     """Lift indices strictly greater than `at` by `by`; index == at must
     not occur."""
-    def go(s: Term, depth: int) -> Term:
-        if isinstance(s, Var):
-            if s.index < at + depth:
-                return s
-            if s.index == at + depth:
-                raise TransformError("dependency on the substituted binder")
-            return Var(s.index + by)
-        return map_subterms(s, lambda c, extra: go(c, depth + extra))
-    return go(t, 0)
+    def on_free(k: int, d: int) -> Term:
+        if k == 0:
+            raise TransformError("dependency on the substituted binder")
+        return Var(k + d + by)
+    return rebind(t, on_free, at)
 
 
 def iota_reduce(env: GlobalEnv, t: Term, rounds: int = 64) -> Term:
@@ -407,15 +411,8 @@ def eliminate_pattern_matching(state: ProofState, hyp_name: str) -> list[Hypothe
 def _replace_binder(t: Term, at: int, widen: int, replacement: Term) -> Term:
     """Replace Var(at) by `replacement` (expressed at the root of t's new
     context) and shift references above `at` by `widen`."""
-    def go(s: Term, depth: int) -> Term:
-        if isinstance(s, Var):
-            if s.index < at + depth:
-                return s
-            if s.index == at + depth:
-                return lift(replacement, depth)
-            return Var(s.index + widen)
-        return map_subterms(s, lambda c, extra: go(c, depth + extra))
-    return go(t, 0)
+    return rebind(t, lambda k, d: lift(replacement, d - at) if k == 0 else Var(k + d + widen),
+                  at)
 
 
 # ---------------------------------------------------------------------------
@@ -507,28 +504,6 @@ def _leading_type_binders(stmt: Term) -> int:
     return k
 
 
-def _has_interior_type_binder(stmt: Term) -> bool:
-    """True when a type quantifier remains after the leading prefix
-    anywhere in the proposition structure."""
-    while isinstance(stmt, Pi) and isinstance(stmt.domain, SortType):
-        stmt = stmt.codomain
-
-    def bad(t: Term) -> bool:
-        if isinstance(t, Pi):
-            if isinstance(t.domain, SortType):
-                return True
-            return bad(t.codomain) or (isinstance(t.domain, (Pi, And, Or, Not)) and bad(t.domain))
-        if isinstance(t, (And, Or)):
-            return bad(t.lhs) or bad(t.rhs)
-        if isinstance(t, Not):
-            return bad(t.body)
-        if isinstance(t, Exists):
-            return bad(t.body)
-        return False
-
-    return bad(stmt)
-
-
 def type_slug(t: Term) -> str:
     """Readable tag for a ground type, used in generated hypothesis names."""
     if isinstance(t, IntT):
@@ -565,7 +540,7 @@ def monomorphize(state: ProofState, extra_lemmas: list[tuple[str, Term]] | None 
     out: list[Hypothesis] = []
     for src_name, stmt in sources:
         k = _leading_type_binders(stmt)
-        if k == 0 or _has_interior_type_binder(stmt):
+        if k == 0 or has_interior_type_binder(stmt):
             continue
         for combo in itertools.product(insts, repeat=k):
             inst_stmt = stmt

@@ -1,4 +1,5 @@
-"""Lifting/substitution against an independent named-variable oracle, and
+"""Lifting/substitution against an independent named-variable oracle, the
+other `rebind`-based traversals against their hand-written originals, and
 alpha keys against alpha_eq."""
 
 from __future__ import annotations
@@ -6,13 +7,16 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import debruijn_reference as reference
+from folbridge import conversion, parser, transforms
+from folbridge.conversion import VInt, VType
 from folbridge.terms import (
-    App, Branch, Const, Eq, Exists, Fix, INT, IntLit, Lam, Match, Pi, TYPE,
-    Term, TrueP, Var, alpha_eq, alpha_key, is_closed, lift, subst, subst_list,
-    well_scoped,
+    App, Branch, Const, Eq, Exists, Fix, FolbridgeError, INT, Ind, IntLit, Lam,
+    Match, Pi, TYPE, Term, TrueP, Var, alpha_eq, alpha_key, is_closed, lift,
+    subst, subst_list, well_scoped,
 )
 from named_calculus import from_named, named_subst, to_named
 
@@ -211,3 +215,52 @@ def test_alpha_key_agrees_with_alpha_eq(pair):
     if kt == ku:
         assert hash(kt) == hash(ku)
     assert alpha_eq(kt, t)
+
+
+# Open terms: every node kind with `None` holes, and the deeper random
+# skeletons with three free variables.
+OPEN_TERMS = st.one_of(
+    term_pairs(renamed_only=True).map(lambda pair: pair[0]),
+    st.integers(0, 2**32).map(lambda seed: random_term(random.Random(seed), 3, 12)))
+VALUES = st.one_of(
+    st.sampled_from((Var(0), Const("c"), App(Ind("list"), Var(1)))).map(VType),
+    st.just(VInt(0)))
+
+
+def outcome(f, *args):
+    """f's result, or the class and message of the error it raised."""
+    try:
+        return f(*args)
+    except (FolbridgeError, IndexError) as e:
+        return type(e), str(e)
+
+
+@given(OPEN_TERMS, st.integers(0, 2), st.integers(0, 3))
+@example(Var(0), 0, 1)
+@settings(deadline=None, max_examples=100)
+def test_shift_above_matches_reference(t, at, by):
+    assert (outcome(transforms._shift_above, t, at, by)
+            == outcome(reference._shift_above, t, at, by))
+
+
+@given(OPEN_TERMS, st.integers(0, 2), st.integers(0, 3), OPEN_TERMS)
+@settings(deadline=None, max_examples=100)
+def test_replace_binder_matches_reference(t, at, widen, replacement):
+    assert (transforms._replace_binder(t, at, widen, replacement)
+            == reference._replace_binder(t, at, widen, replacement))
+
+
+@given(OPEN_TERMS, st.integers(0, 3))
+@example(Lam("x", INT, Var(1)), 1)
+@settings(deadline=None, max_examples=100)
+def test_unshift_matches_reference(t, amount):
+    assert parser._unshift(t, amount) == reference._unshift(t, amount)
+
+
+@given(OPEN_TERMS, st.lists(VALUES, max_size=3).map(tuple))
+@example(Var(1), (VType(INT), VInt(0)))
+@example(Var(2), (VType(INT),))
+@settings(deadline=None, max_examples=100)
+def test_reify_type_matches_reference(t, venv):
+    assert (outcome(conversion._reify_type, t, venv)
+            == outcome(reference._reify_type, t, venv))

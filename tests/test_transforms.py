@@ -6,11 +6,12 @@ import pytest
 
 from folbridge import terms, transforms
 from folbridge.conversion import random_truth_check, typecheck
-from folbridge.parser import parse_term
+from folbridge.parser import PrenexError, check_prenex, parse_term
 from folbridge.printer import print_term
 from folbridge.terms import (
-    App, BOOL, Const, Ctor, Eq, INT, Ind, IntT, Pi, SortProp, TYPE, TVar,
-    Term, Var, alpha_eq, make_app, spine, subterms, well_scoped,
+    And, App, BOOL, Const, Ctor, Eq, Exists, INT, Ind, IntT, Not, Or, Pi,
+    SortProp, TYPE, TVar, Term, TrueP, Var, alpha_eq, has_interior_type_binder,
+    make_app, spine, subterms, well_scoped,
 )
 from folbridge.transforms import (
     AlreadyPresent, ByCaseConversion, ByConversion, ByDefinition,
@@ -354,6 +355,51 @@ class TestMonomorphize:
         stmts_truthy(env, monomorphize(state, []), samples=25)
 
 
+# A type binder in proposition position, and the shapes that put it after
+# the leading prefix of type binders.
+TYPE_BINDER = Pi("B", TYPE, TrueP())
+INTERIOR = {
+    "premise": Pi("_", TYPE_BINDER, TrueP()),
+    "and": And(TrueP(), TYPE_BINDER),
+    "or": Or(TYPE_BINDER, TrueP()),
+    "not": Not(TYPE_BINDER),
+    "exists body": Exists("x", INT, TYPE_BINDER),
+    "after object binder": Pi("x", INT, TYPE_BINDER),
+    "object binder domain": Pi("f", Pi("A", TYPE, Var(0)), TrueP()),
+    "exists premise": Pi("_", Exists("x", INT, TYPE_BINDER), TrueP()),
+}
+
+
+class TestPrenex:
+    @pytest.mark.parametrize("stmt", [
+        TYPE_BINDER,
+        Pi("A", TYPE, Pi("B", TYPE, Pi("x", Var(1), Eq(Var(2), Var(0), Var(0))))),
+        # types inside an equation are object terms, not propositions
+        Eq(TYPE, Pi("A", TYPE, Pi("_", Var(0), Var(1))), Pi("A", TYPE, Var(0))),
+    ])
+    def test_leading_prefix_accepted(self, stmt):
+        assert not has_interior_type_binder(stmt)
+        check_prenex(stmt)
+
+    @pytest.mark.parametrize("shape", sorted(INTERIOR))
+    def test_interior_binder_rejected(self, shape):
+        for stmt in (INTERIOR[shape], Pi("A", TYPE, INTERIOR[shape])):
+            assert has_interior_type_binder(stmt)
+            with pytest.raises(PrenexError):
+                check_prenex(stmt)
+
+    def test_monomorphize_skips_exists_premise(self, env):
+        # forall A, (exists x : A, <tail>) -> true_p, where only the
+        # rejected lemma's tail is a type binder.
+        def lemma(tail: Term) -> Term:
+            return Pi("A", TYPE, Pi("_", Exists("x", Var(0), tail), TrueP()))
+
+        state = mk_state(env, "forall (l : list Int), l = l")
+        out = monomorphize(state, extra_lemmas=[("bad", lemma(TYPE_BINDER)),
+                                                ("good", lemma(TrueP()))])
+        assert out and all(h.justification.source == "good" for h in out)
+
+
 class TestInterpAlgTypes:
     def test_list_int_axioms(self, env):
         state = mk_state(env, "forall (l : list Int), l = l")
@@ -449,6 +495,29 @@ class TestProofStateIndex:
         monkeypatch.setattr(transforms, "alpha_eq", no_alpha_eq)
         assert state.has_alpha(renamed)
         assert not state.has_alpha(other)
+
+    def test_committed_statement_keyed_once(self, env, monkeypatch):
+        stmts = [parse_term(f"{i} = {i}", env) for i in range(5)]
+        state = ProofState(env, [], parse_term("true = true", env))
+        calls = 0
+        alpha_key = transforms.alpha_key
+
+        def counting_key(t):
+            nonlocal calls
+            calls += 1
+            return alpha_key(t)
+
+        monkeypatch.setattr(transforms, "alpha_key", counting_key)
+        for i, stmt in enumerate(stmts):
+            assert not state.has_alpha(stmt)
+            state.add(Hypothesis(f"h{i}", stmt, Given()))
+        assert len(state.statement_keys()) == len(stmts)
+        assert calls == len(stmts)
+        # A statement other than the one last asked about is keyed itself.
+        other = parse_term("forall (n : nat), S n <> O", env)
+        assert not state.has_alpha(parse_term("7 = 7", env))
+        state.add(Hypothesis("g", other, Given()))
+        assert state.has_alpha(parse_term("forall (m : nat), S m <> O", env))
 
     def test_instances_walked_once_per_statement(self, env, monkeypatch):
         state = mk_state(env, "forall (l : list Int), l = l",
