@@ -61,7 +61,8 @@ def _is_sort(t: Term) -> bool:
 
 def infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel | None = None) -> tuple[Term, Term]:
     """Return (elaborated term, type). Fills the parser's holes: Match
-    scrutinee types and Eq at_types left as None."""
+    scrutinee types and Eq at_types left as None. A node whose subterms
+    need no elaboration is returned itself, not copied."""
     if fuel is None:
         fuel = Fuel()
     return _infer(env, ctx, t, fuel)
@@ -73,6 +74,20 @@ def typecheck(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel | None = None
 
 
 def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> tuple[Term, Term]:
+    # Applications first: they are the most frequent node.
+    if isinstance(t, App):
+        head, hty = _infer(env, ctx, t.head, fuel)
+        if not isinstance(hty, Pi):  # a product is its own whnf
+            hty = whnf(env, hty, fuel)
+        if not isinstance(hty, Pi):
+            raise TypingError("application head is not a function")
+        arg, aty = _infer(env, ctx, t.arg, fuel)
+        if not convertible(env, ctx, aty, hty.domain, fuel):
+            raise TypingError(
+                f"argument type mismatch: expected {hty.domain}, found {aty}")
+        if not (head is t.head and arg is t.arg):
+            t = App(head, arg)
+        return t, subst(hty.codomain, 0, arg)
     if isinstance(t, Var):
         if not 0 <= t.index < len(ctx):
             raise TypingError(f"unbound variable index {t.index}")
@@ -98,23 +113,17 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> tuple[Term, 
         cod, csort = _infer(env, [dom] + ctx, t.codomain, fuel)
         if not _is_sort(csort):
             raise TypingError("product codomain is not a type or proposition")
+        if dom is t.domain and cod is t.codomain:
+            return t, csort
         return Pi(t.binder, dom, cod), csort
     if isinstance(t, Lam):
         dom, dsort = _infer(env, ctx, t.domain, fuel)
         if not _is_sort(dsort):
             raise TypingError("lambda domain is not a type")
         body, bty = _infer(env, [dom] + ctx, t.body, fuel)
-        return Lam(t.binder, dom, body), Pi(t.binder, dom, bty)
-    if isinstance(t, App):
-        head, hty = _infer(env, ctx, t.head, fuel)
-        hty = whnf(env, hty, fuel)
-        if not isinstance(hty, Pi):
-            raise TypingError("application head is not a function")
-        arg, aty = _infer(env, ctx, t.arg, fuel)
-        if not convertible(env, ctx, aty, hty.domain, fuel):
-            raise TypingError(
-                f"argument type mismatch: expected {hty.domain}, found {aty}")
-        return App(head, arg), subst(hty.codomain, 0, arg)
+        if not (dom is t.domain and body is t.body):
+            t = Lam(t.binder, dom, body)
+        return t, Pi(t.binder, dom, bty)
     if isinstance(t, Match):
         scrut, sty = _infer(env, ctx, t.scrutinee, fuel)
         if t.scrutinee_type is not None and not convertible(env, ctx, t.scrutinee_type, sty, fuel):
@@ -147,8 +156,13 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> tuple[Term, 
             body, bty = _infer(env, bctx, br.body, fuel)
             if not convertible(env, bctx, bty, lift(rty, br.arity), fuel):
                 raise TypingError(f"branch for {cd.name} has type {bty}, expected {rty}")
-            new_branches.append(Branch(br.binders, body))
+            new_branches.append(br if body is br.body else Branch(br.binders, body))
         sty_n = whnf(env, sty, fuel)
+        if sty_n == t.scrutinee_type:
+            sty_n = t.scrutinee_type
+        if (scrut is t.scrutinee and sty_n is t.scrutinee_type and rty is t.return_type
+                and all(new is br for new, br in zip(new_branches, t.branches))):
+            return t, rty
         return Match(scrut, sty_n, rty, tuple(new_branches)), rty
     if isinstance(t, Fix):
         fty, fsort = _infer(env, ctx, t.full_type, fuel)
@@ -167,6 +181,8 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> tuple[Term, 
         body, bty = _infer(env, [fty] + ctx, t.body, fuel)
         if not convertible(env, [fty] + ctx, bty, lift(fty, 1), fuel):
             raise TypingError("fixpoint body type differs from its annotation")
+        if fty is t.full_type and body is t.body:
+            return t, fty
         return Fix(t.binder, t.decreasing, fty, body), fty
     if isinstance(t, Eq):
         lhs, lty = _infer(env, ctx, t.lhs, fuel)
@@ -180,6 +196,8 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> tuple[Term, 
         if not convertible(env, ctx, lty, at, fuel) or not convertible(env, ctx, rty, at, fuel):
             raise TypingError(
                 f"equality sides disagree: {lty} vs {rty} at {at}")
+        if at is t.at_type and lhs is t.lhs and rhs is t.rhs:
+            return t, PROP
         return Eq(at, lhs, rhs), PROP
     if isinstance(t, (TrueP, FalseP)):
         return t, PROP
@@ -188,12 +206,14 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> tuple[Term, 
         rhs, rs = _infer(env, ctx, t.rhs, fuel)
         if not isinstance(ls, SortProp) or not isinstance(rs, SortProp):
             raise TypingError("connective applied to non-propositions")
+        if lhs is t.lhs and rhs is t.rhs:
+            return t, PROP
         return type(t)(lhs, rhs), PROP
     if isinstance(t, Not):
         body, bs = _infer(env, ctx, t.body, fuel)
         if not isinstance(bs, SortProp):
             raise TypingError("negation applied to a non-proposition")
-        return Not(body), PROP
+        return (t if body is t.body else Not(body)), PROP
     if isinstance(t, Exists):
         dom, dsort = _infer(env, ctx, t.domain, fuel)
         if not isinstance(dsort, SortType):
@@ -201,6 +221,8 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> tuple[Term, 
         body, bs = _infer(env, [dom] + ctx, t.body, fuel)
         if not isinstance(bs, SortProp):
             raise TypingError("existential body is not a proposition")
+        if dom is t.domain and body is t.body:
+            return t, PROP
         return Exists(t.binder, dom, body), PROP
     raise TypingError(f"cannot type {t!r}")
 
@@ -596,14 +618,22 @@ _INF = float("inf")
 
 def min_term_size(env: GlobalEnv, ty: Term, _active: frozenset = frozenset()):
     """Least constructor-node count of an inhabitant of the ground type ty,
-    or infinity when it has none."""
+    or infinity when it has none; computed once per environment and type."""
     if isinstance(ty, IntT):
         return 1
+    if not _active:
+        size = env.memo.get(("min_term_size", ty))
+        if size is None:
+            size = env.memo["min_term_size", ty] = _min_term_size(env, ty, _active)
+        return size
+    return _min_term_size(env, ty, _active)
+
+
+def _min_term_size(env: GlobalEnv, ty: Term, active: frozenset):
+    """min_term_size of ty with the types in `active` (those being sized
+    further up) counted as uninhabited."""
     inst = as_inductive_instance(ty)
-    if inst is None:
-        return _INF
-    key = repr(ty)
-    if key in _active:
+    if inst is None or ty in active:
         return _INF
     name, targs = inst
     decl = env.inductive(name)
@@ -614,7 +644,7 @@ def min_term_size(env: GlobalEnv, ty: Term, _active: frozenset = frozenset()):
         arg_tys = ctor_arg_types(env, name, k, targs)
         total = 1
         for at in arg_tys:
-            total += min_term_size(env, at, _active | {key})
+            total += min_term_size(env, at, active | {ty})
         best = min(best, total)
     return best
 

@@ -16,7 +16,7 @@ from .conversion import TypingError, convertible, infer
 from .terms import (
     And, App, Branch, Const, Ctor, CtorDecl, Definition, Eq, Exists,
     FalseP, Fix, FolbridgeError, GlobalEnv, Ind, InductiveDecl, IntLit,
-    IntT, Match, Not, Or, Pi, Problem, ScopeError, SortProp, TYPE, Term,
+    INT, Match, Not, Or, Pi, Problem, ScopeError, SortProp, TYPE, Term,
     TrueP, Var, builtin_type, has_interior_type_binder, lift, make_lams,
     make_pis, rebind,
 )
@@ -47,8 +47,12 @@ _PUNCT = [
     "(", ")", ",", ".", ":", "=", "|", "~", "<", "+", "-", "*", "/",
 ]
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_INT_RE = re.compile(r"[0-9]+")
+# One alternative per token class; the first that matches wins, so the
+# punctuation keeps the order of _PUNCT (longer symbols first).
+_TOKEN_RE = re.compile(
+    r"(?P<space>[ \t\r]+)|(?P<newline>\n)|(?P<comment>#[^\n]*)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<int>[0-9]+)"
+    r"|(?P<punct>" + "|".join(re.escape(p) for p in _PUNCT) + ")")
 
 
 @dataclass
@@ -65,42 +69,22 @@ def tokenize(text: str) -> list[Token]:
     i = 0
     n = len(text)
     while i < n:
-        c = text[i]
-        if c == "\n":
+        m = _TOKEN_RE.match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {text[i]!r}", line, col)
+        kind, word = m.lastgroup, m.group()
+        i = m.end()
+        if kind == "newline":
             line += 1
             col = 1
-            i += 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "comment":
             continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = "kw" if word in KEYWORDS else "ident"
+        if kind != "space":
+            if kind == "ident" and word in KEYWORDS:
+                kind = "kw"
             tokens.append(Token(kind, word, line, col))
-            col += len(word)
-            i = m.end()
-            continue
-        m = _INT_RE.match(text, i)
-        if m:
-            tokens.append(Token("int", m.group(0), line, col))
-            col += len(m.group(0))
-            i = m.end()
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token("punct", p, line, col))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
+        col += len(word)
     tokens.append(Token("eof", "", line, col))
     return tokens
 
@@ -115,7 +99,8 @@ class Parser:
     # -- token plumbing ------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        i = self.pos + ahead
+        return self.tokens[i] if i < len(self.tokens) else self.tokens[-1]
 
     def next(self) -> Token:
         tok = self.peek()
@@ -123,7 +108,8 @@ class Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("punct", "kw")
+        tok = self.peek()
+        return tok.text == text and tok.kind in ("punct", "kw")
 
     def eat(self, text: str) -> Token:
         tok = self.peek()
@@ -148,7 +134,7 @@ class Parser:
         if name in bound:
             return Var(bound.index(name))
         if name == "Int":
-            return IntT()
+            return INT
         if name in self.env.definitions:
             return Const(name)
         if builtin_type(name) is not None:

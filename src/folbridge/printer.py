@@ -8,8 +8,7 @@ from __future__ import annotations
 from .terms import (
     And, App, Const, Ctor, Eq, Exists, FalseP, Fix, GlobalEnv, Ind,
     IntLit, IntT, Lam, Match, Not, Or, Pi, Problem, SortProp, SortType,
-    TVar, Term, TrueP, Var, as_inductive_instance, children, lift, spine,
-    subst,
+    TVar, Term, TrueP, Var, as_inductive_instance, children, spine,
 )
 
 # Levels, loosest to tightest. A node prints parens when its own level is
@@ -40,8 +39,33 @@ _INFIX_BUILTINS = {
 
 
 class _Namer:
+    """The state of one print_term call: the names taken so far, and the
+    free de Bruijn indices of every subterm asked about."""
+
     def __init__(self, used: set[str]):
         self.used = set(used)
+        # id(subterm) -> (subterm, its free indices); holding the subterm
+        # keeps its id from being reused while the call runs.
+        self._free: dict[int, tuple[Term, frozenset[int]]] = {}
+
+    def uses_binder_at(self, t: Term, index: int) -> bool:
+        """Whether Var(index) occurs free in t."""
+        return index in self._free_indices(t)
+
+    def _free_indices(self, t: Term) -> frozenset[int]:
+        hit = self._free.get(id(t))
+        if hit is not None:
+            return hit[1]
+        if isinstance(t, Var):
+            free = frozenset((t.index,))
+        else:
+            free = _NO_INDICES
+            for c, extra in children(t):
+                below = self._free_indices(c)
+                if below:
+                    free = free.union(i - extra for i in below if i >= extra)
+        self._free[id(t)] = (t, free)
+        return free
 
     def fresh(self, hint: str) -> str:
         base = hint if hint and hint != "_" else "x"
@@ -54,6 +78,9 @@ class _Namer:
         name = f"{base}{i}"
         self.used.add(name)
         return name
+
+
+_NO_INDICES: frozenset[int] = frozenset()
 
 
 def print_term(t: Term, env: GlobalEnv | None = None,
@@ -93,13 +120,13 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
     if isinstance(t, FalseP):
         return "false_p"
     if isinstance(t, Pi):
-        if _uses_binder_at(t.codomain, 0):
+        if namer.uses_binder_at(t.codomain, 0):
             groups, body, names2 = _collect_binders(t, env, names, namer, Pi)
             s = f"forall {groups}, {_pp(body, env, names2, namer, L_BINDER)}"
             return _wrap(s, L_BINDER, want)
         dom = _pp(t.domain, env, names, namer, L_IMP + 1)
-        # The binder is unused, so TrueP never appears: this only drops its slot.
-        cod = _pp(subst(t.codomain, 0, TrueP()), env, names, namer, L_IMP)
+        # The binder is unused, so its placeholder name is never printed.
+        cod = _pp(t.codomain, env, ["_"] + names, namer, L_IMP)
         return _wrap(f"{dom} -> {cod}", L_IMP, want)
     if isinstance(t, Exists):
         groups, body, names2 = _collect_binders(t, env, names, namer, Exists)
@@ -135,7 +162,7 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
             cname = env.inductive(inst).ctors[k].name
             bnames = []
             for j, hint in enumerate(br.binders):
-                used = _uses_binder_at(br.body, br.arity - 1 - j)
+                used = namer.uses_binder_at(br.body, br.arity - 1 - j)
                 bnames.append(namer.fresh(hint) if used or (hint and hint != "_") else "_")
             body_names = list(reversed(bnames)) + names
             body = _pp(br.body, env, body_names, namer, L_BINDER)
@@ -145,22 +172,22 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
     if isinstance(t, Fix):
         self_name = namer.fresh(t.binder)
         lam_binders = []
+        lam_names: list[str] = []  # innermost first
         body = t.body
-        inner_names = [self_name] + names
         while isinstance(body, Lam):
             nm = namer.fresh(body.binder)
-            lam_binders.append(f"({nm} : {_pp(body.domain, env, inner_names, namer, L_BINDER)})")
-            inner_names = [nm] + inner_names
+            lam_binders.append(
+                f"({nm} : {_pp(body.domain, env, lam_names + [self_name] + names, namer, L_BINDER)})")
+            lam_names.insert(0, nm)
             body = body.body
-        n = len(lam_binders)
         rty = t.full_type
-        for _ in range(n):
+        for _ in lam_binders:
             assert isinstance(rty, Pi)
             rty = rty.codomain
-        rty = lift(rty, 1, n)  # account for the self binder slot
+        # rty lies under the lam binders of full_type, without the self binder.
         s = (f"fix {self_name}/{t.decreasing} {' '.join(lam_binders)} : "
-             f"{_pp(rty, env, inner_names, namer, L_BINDER)} := "
-             f"{_pp(body, env, inner_names, namer, L_BINDER)}")
+             f"{_pp(rty, env, lam_names + names, namer, L_BINDER)} := "
+             f"{_pp(body, env, lam_names + [self_name] + names, namer, L_BINDER)}")
         return _wrap(s, L_BINDER, want)
     if isinstance(t, App):
         head, args = spine(t)
@@ -182,25 +209,16 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
     raise ValueError(f"cannot print {t!r}")
 
 
-def _uses_binder_at(t: Term, index: int) -> bool:
-    def go(s: Term, depth: int) -> bool:
-        if isinstance(s, Var):
-            return s.index == depth + index
-        return any(go(c, depth + extra) for c, extra in children(s))
-
-    return go(t, 0)
-
-
 def _collect_binders(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, cls):
     """Group consecutive binders of the same flavor for printing."""
     groups: list[str] = []
     cur = t
     names2 = list(names)
     while isinstance(cur, cls):
-        if cls is Pi and not _uses_binder_at(cur.codomain, 0):
+        if cls is Pi and not namer.uses_binder_at(cur.codomain, 0):
             break
         body = cur.codomain if cls is Pi else cur.body
-        nm = namer.fresh(cur.binder) if (_uses_binder_at(body, 0) or (cur.binder and cur.binder != "_")) else "_"
+        nm = namer.fresh(cur.binder) if (namer.uses_binder_at(body, 0) or (cur.binder and cur.binder != "_")) else "_"
         groups.append(f"({nm} : {_pp(cur.domain, env, names2, namer, L_BINDER)})")
         names2 = [nm] + names2
         cur = body

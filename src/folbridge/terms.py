@@ -7,6 +7,13 @@ to rebind, which hands each free variable and its binder depth to a
 function. Binder name fields are printing hints only: alpha_eq ignores
 them, and alpha_key erases them, so that alpha-equal terms have equal (and
 equally hashed) keys.
+
+The kernels (map_subterms and with it rebind, lift, subst and subst_list,
+and alpha_key) return the input node itself when none of its children
+changed, so a closed term survives lift and subst, and a binder-free term
+is its own key, without a copy. Terms are immutable, so this sharing is
+never observable: an `is` check on a result is only a fast path, and no
+code needs one for correctness.
 """
 
 from __future__ import annotations
@@ -255,6 +262,11 @@ class GlobalEnv:
     unique across inductives, constructors, definitions and builtins."""
     inductives: dict[str, InductiveDecl] = field(default_factory=dict)
     definitions: dict[str, Definition] = field(default_factory=dict)
+    # Facts derived from the inductive declarations (constructor types and
+    # names, least inhabitant sizes), keyed by (function name, arguments) and
+    # filled on demand; declare_inductive clears it.
+    memo: dict[tuple, object] = field(default_factory=dict, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self) -> None:
         if "Bool" not in self.inductives:
@@ -281,11 +293,13 @@ class GlobalEnv:
         return decl.ctors[index]
 
     def find_ctor(self, name: str) -> tuple[str, int] | None:
-        for decl in self.inductives.values():
-            for i, c in enumerate(decl.ctors):
-                if c.name == name:
-                    return decl.name, i
-        return None
+        ctors = self.memo.get(("find_ctor",))
+        if ctors is None:
+            ctors = self.memo["find_ctor",] = {}
+            for decl in self.inductives.values():
+                for i, c in enumerate(decl.ctors):
+                    ctors.setdefault(c.name, (decl.name, i))
+        return ctors.get(name)
 
     def names(self) -> set[str]:
         out = set(self.inductives) | set(self.definitions) | set(BUILTIN_FUNCTIONS)
@@ -308,6 +322,7 @@ class GlobalEnv:
                     raise ScopeError(
                         f"constructor {c.name}: argument types must be first-order")
         self.inductives[decl.name] = decl
+        self.memo.clear()
 
     def declare_definition(self, d: Definition) -> None:
         if d.name in self.names():
@@ -335,8 +350,15 @@ class Problem:
 # Traversal helpers
 # ---------------------------------------------------------------------------
 
+# Node classes without subterms, which the walks below handle without recursing.
+_LEAVES = frozenset({Const, Ctor, Ind, TVar, IntT, SortType, SortProp,
+                     TrueP, FalseP, IntLit})
+
+
 def children(t: Term) -> tuple[tuple[Term, int], ...]:
     """Immediate subterms with the number of binders crossed to reach each."""
+    if type(t) in _LEAVES or type(t) is Var:
+        return ()
     if isinstance(t, Pi):
         return ((t.domain, 0), (t.codomain, 1))
     if isinstance(t, Lam):
@@ -367,52 +389,62 @@ def children(t: Term) -> tuple[tuple[Term, int], ...]:
 
 
 def subterms(t: Term) -> Iterator[Term]:
-    """Preorder walk including t itself."""
-    yield t
-    for child, _ in children(t):
-        yield from subterms(child)
+    """Preorder walk including t itself. An explicit stack keeps each step
+    O(1); nested generators would pass every node up through all of its
+    ancestors, O(size * depth) in all."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        stack.extend(c for c, _ in reversed(children(s)))
 
 
 def map_subterms(t: Term, f, depth: int = 0) -> Term:
     """Rebuild t with f applied to every immediate child; f(child, depth)
-    receives the binder depth of the child."""
+    receives the binder depth of the child. Returns t itself when f returns
+    every child unchanged (by identity)."""
     if isinstance(t, Pi):
-        return Pi(t.binder, f(t.domain, depth), f(t.codomain, depth + 1))
+        a, b = f(t.domain, depth), f(t.codomain, depth + 1)
+        return t if a is t.domain and b is t.codomain else Pi(t.binder, a, b)
     if isinstance(t, Lam):
-        return Lam(t.binder, f(t.domain, depth), f(t.body, depth + 1))
+        a, b = f(t.domain, depth), f(t.body, depth + 1)
+        return t if a is t.domain and b is t.body else Lam(t.binder, a, b)
     if isinstance(t, App):
-        return App(f(t.head, depth), f(t.arg, depth))
+        a, b = f(t.head, depth), f(t.arg, depth)
+        return t if a is t.head and b is t.arg else App(a, b)
     if isinstance(t, Match):
-        return Match(
-            f(t.scrutinee, depth),
-            None if t.scrutinee_type is None else f(t.scrutinee_type, depth),
-            f(t.return_type, depth),
-            tuple(Branch(b.binders, f(b.body, depth + b.arity)) for b in t.branches),
-        )
+        scrut = f(t.scrutinee, depth)
+        sty = None if t.scrutinee_type is None else f(t.scrutinee_type, depth)
+        rty = f(t.return_type, depth)
+        bodies = [f(b.body, depth + b.arity) for b in t.branches]
+        if (scrut is t.scrutinee and sty is t.scrutinee_type and rty is t.return_type
+                and all(new is b.body for new, b in zip(bodies, t.branches))):
+            return t
+        return Match(scrut, sty, rty, tuple(
+            b if new is b.body else Branch(b.binders, new)
+            for new, b in zip(bodies, t.branches)))
     if isinstance(t, Fix):
-        return Fix(t.binder, t.decreasing, f(t.full_type, depth), f(t.body, depth + 1))
+        a, b = f(t.full_type, depth), f(t.body, depth + 1)
+        return t if a is t.full_type and b is t.body else Fix(t.binder, t.decreasing, a, b)
     if isinstance(t, Eq):
-        return Eq(None if t.at_type is None else f(t.at_type, depth),
-                  f(t.lhs, depth), f(t.rhs, depth))
-    if isinstance(t, And):
-        return And(f(t.lhs, depth), f(t.rhs, depth))
-    if isinstance(t, Or):
-        return Or(f(t.lhs, depth), f(t.rhs, depth))
+        at = None if t.at_type is None else f(t.at_type, depth)
+        a, b = f(t.lhs, depth), f(t.rhs, depth)
+        return t if at is t.at_type and a is t.lhs and b is t.rhs else Eq(at, a, b)
+    if isinstance(t, (And, Or)):
+        a, b = f(t.lhs, depth), f(t.rhs, depth)
+        return t if a is t.lhs and b is t.rhs else type(t)(a, b)
     if isinstance(t, Not):
-        return Not(f(t.body, depth))
+        a = f(t.body, depth)
+        return t if a is t.body else Not(a)
     if isinstance(t, Exists):
-        return Exists(t.binder, f(t.domain, depth), f(t.body, depth + 1))
+        a, b = f(t.domain, depth), f(t.body, depth + 1)
+        return t if a is t.domain and b is t.body else Exists(t.binder, a, b)
     return t
 
 
 # ---------------------------------------------------------------------------
 # Lifting and substitution
 # ---------------------------------------------------------------------------
-
-# Node classes without subterms; rebind returns them as they are.
-_LEAVES = frozenset({Const, Ctor, Ind, TVar, IntT, SortType, SortProp,
-                     TrueP, FalseP, IntLit})
-
 
 def rebind(t: Term, on_free, depth: int = 0) -> Term:
     """Rebuild t with its free variables replaced: a Var(i) under d binders
@@ -424,7 +456,12 @@ def rebind(t: Term, on_free, depth: int = 0) -> Term:
         if type(s) in _LEAVES:
             return s
         return map_subterms(s, go, d)
-    return go(t, depth)
+    try:
+        return go(t, depth)
+    finally:
+        # go's closure cell holds go: emptying it leaves no reference cycle
+        # for the cyclic garbage collector.
+        del go
 
 
 def lift(t: Term, amount: int, cutoff: int = 0) -> Term:
@@ -461,6 +498,8 @@ def is_closed(t: Term) -> bool:
 
 def alpha_eq(t: Term, u: Term) -> bool:
     """Structural equality ignoring binder name hints."""
+    if t is u:
+        return True
     if type(t) is not type(u):
         return False
     if isinstance(t, Var):
@@ -490,23 +529,33 @@ def alpha_eq(t: Term, u: Term) -> bool:
 
 def alpha_key(t: Term) -> Term:
     """t with every binder name hint erased: alpha_key(t) == alpha_key(u)
-    exactly when alpha_eq(t, u), so keys can index sets and dicts."""
-    if isinstance(t, Pi):
-        return Pi("", alpha_key(t.domain), alpha_key(t.codomain))
-    if isinstance(t, Lam):
-        return Lam("", alpha_key(t.domain), alpha_key(t.body))
-    if isinstance(t, Exists):
-        return Exists("", alpha_key(t.domain), alpha_key(t.body))
+    exactly when alpha_eq(t, u), so keys can index sets and dicts. A term
+    without binder names is its own key."""
+    if type(t) in _LEAVES or type(t) is Var:
+        return t
+    if isinstance(t, (Pi, Lam, Exists)):
+        body = t.codomain if isinstance(t, Pi) else t.body
+        a, b = alpha_key(t.domain), alpha_key(body)
+        if t.binder == "" and a is t.domain and b is body:
+            return t
+        return type(t)("", a, b)
     if isinstance(t, Fix):
-        return Fix("", t.decreasing, alpha_key(t.full_type), alpha_key(t.body))
-    if isinstance(t, Match):
+        a, b = alpha_key(t.full_type), alpha_key(t.body)
+        if t.binder == "" and a is t.full_type and b is t.body:
+            return t
+        return Fix("", t.decreasing, a, b)
+    if isinstance(t, Match) and any(any(b.binders) for b in t.branches):
         return Match(
             alpha_key(t.scrutinee),
             None if t.scrutinee_type is None else alpha_key(t.scrutinee_type),
             alpha_key(t.return_type),
             tuple(Branch(("",) * b.arity, alpha_key(b.body)) for b in t.branches),
         )
-    return map_subterms(t, lambda s, _e: alpha_key(s))
+    return map_subterms(t, _key_child)
+
+
+def _key_child(s: Term, _depth: int) -> Term:
+    return alpha_key(s)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +641,15 @@ def ind_type(decl: InductiveDecl) -> Term:
 
 
 def ctor_type(env: GlobalEnv, ind: str, index: int) -> Term:
-    """Closed type of a constructor: forall params, args -> I params."""
+    """Closed type of a constructor: forall params, args -> I params;
+    computed once per environment."""
+    ty = env.memo.get(("ctor_type", ind, index))
+    if ty is None:
+        ty = env.memo["ctor_type", ind, index] = _ctor_type(env, ind, index)
+    return ty
+
+
+def _ctor_type(env: GlobalEnv, ind: str, index: int) -> Term:
     decl = env.inductive(ind)
     c = decl.ctors[index]
     p = len(decl.params)

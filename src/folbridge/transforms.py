@@ -15,11 +15,14 @@ from .conversion import beta_reduce, typecheck
 from .terms import (
     And, App, Const, Ctor, Eq, Exists, FalseP, Fix, FolbridgeError,
     GlobalEnv, Ind, IntLit, IntT, Lam, Match, Not, Or, Pi, SortProp,
-    SortType, TVar, Term, TrueP, Var, alpha_eq, alpha_key,
+    SortType, TVar, Term, TrueP, Var, alpha_key,
     as_inductive_instance, builtin_type, children, ctor_arg_types,
     has_interior_type_binder, lift, make_app, make_pis, map_subterms, rebind,
     spine, strip_lams, strip_pis, subst, subst_list, INTERPRETED_TYPES,
 )
+# Not called here; bench/tracer.py wraps the kernels at this module's
+# bindings, so the name must resolve in it.
+from .terms import alpha_eq  # noqa: F401
 
 
 class TransformError(FolbridgeError):
@@ -136,19 +139,32 @@ def fresh_name(base: str, used: set[str]) -> str:
 class ProofState:
     """Named hypotheses plus goal; extended but never rewritten.
 
-    The state indexes its hypotheses: their names, the alpha keys of their
-    statements, and the type instances of every statement it was asked
-    about. The index catches up lazily with `hypotheses`, so a list passed
-    in prefilled or extended by a plain `append` is indexed too; removing or
-    replacing hypotheses, or changing `env`, is not supported."""
+    The state indexes its hypotheses: each name with its first hypothesis,
+    and the alpha keys of their statements. It also remembers what it has
+    decided about types: the type instances of every statement it was asked
+    about, the algebraic instances of the goal and the hypotheses, and one
+    is-a-type decision per alpha key of a candidate subterm, which every
+    `collect_type_instances` call it makes consults and extends. The index
+    catches up lazily with `hypotheses`, so a list passed in prefilled or
+    extended by a plain `append` is indexed too; removing or replacing
+    hypotheses, or changing `env`, is not supported."""
     env: GlobalEnv
     hypotheses: list[Hypothesis] = field(default_factory=list)
     goal: Term = None
     _indexed: int = field(default=0, init=False, repr=False, compare=False)
-    _names: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
+    _by_name: dict[str, Hypothesis] = field(default_factory=dict, init=False, repr=False,
+                                            compare=False)
     _keys: set[Term] = field(default_factory=set, init=False, repr=False, compare=False)
     _instances: dict[Term, tuple[Term, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _is_type: dict[Term, bool] = field(default_factory=dict, init=False, repr=False,
+                                       compare=False)
+    # The algebraic instances found so far, by alpha key in first occurrence
+    # order, and how many statements (the goal, then the hypotheses in
+    # order) they were collected from.
+    _algebraic: dict[Term, Term] = field(default_factory=dict, init=False, repr=False,
+                                         compare=False)
+    _algebraic_seen: int = field(default=0, init=False, repr=False, compare=False)
     # The statement `has_alpha` keyed last, and its key, which `_sync` reuses
     # when that statement is committed next; `has_alpha` syncs before keying.
     _last: tuple[Term, Term] = field(default=(None, None), init=False, repr=False,
@@ -157,15 +173,16 @@ class ProofState:
     def _sync(self) -> None:
         last, last_key = self._last
         for h in self.hypotheses[self._indexed:]:
-            self._names.add(h.name)
+            self._by_name.setdefault(h.name, h)
             self._keys.add(last_key if h.statement is last else alpha_key(h.statement))
         self._indexed = len(self.hypotheses)
 
     def find(self, name: str) -> Hypothesis:
-        for h in self.hypotheses:
-            if h.name == name:
-                return h
-        raise TransformError(f"no hypothesis named {name!r}")
+        self._sync()
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise TransformError(f"no hypothesis named {name!r}") from None
 
     def statement_keys(self) -> set[Term]:
         """The alpha keys of all hypothesis statements; do not mutate."""
@@ -175,7 +192,7 @@ class ProofState:
     def used_names(self) -> set[str]:
         """A new set of the hypothesis and environment names."""
         self._sync()
-        return self._names | self.env.names()
+        return self._by_name.keys() | self.env.names()
 
     def has_alpha(self, statement: Term) -> bool:
         keys = self.statement_keys()
@@ -191,8 +208,24 @@ class ProofState:
         the instances keep the binder names of their occurrence in t."""
         insts = self._instances.get(t)
         if insts is None:
-            insts = self._instances[t] = tuple(collect_type_instances(self.env, t))
+            insts = self._instances[t] = tuple(
+                collect_type_instances(self.env, t, self._is_type))
         return insts
+
+    def algebraic_instances(self) -> list[Term]:
+        """Ground algebraic instances in goal and context, in first
+        occurrence order, minus the types the back-end interprets natively."""
+        statements = [self.goal] + [h.statement for h in self.hypotheses]
+        for t in statements[self._algebraic_seen:]:
+            for cand in self.type_instances(t):
+                head, args = spine(cand)
+                if not isinstance(head, Ind) or head.inductive in INTERPRETED_TYPES:
+                    continue
+                if len(args) != len(self.env.inductive(head.inductive).params):
+                    continue
+                self._algebraic.setdefault(alpha_key(cand), cand)
+        self._algebraic_seen = len(statements)
+        return list(self._algebraic.values())
 
     def add(self, hyp: Hypothesis) -> None:
         self.hypotheses.append(hyp)
@@ -419,12 +452,15 @@ def _replace_binder(t: Term, at: int, widen: int, replacement: Term) -> Term:
 # Monomorphization
 # ---------------------------------------------------------------------------
 
+# Heads of propositions: a product whose final codomain has one of these
+# spine heads has sort Prop, or is ill-typed.
+_PROP_HEADS = (Eq, And, Or, Not, Exists, TrueP, FalseP)
+
 # Spine heads of subterms that are never type instances. `_infer` types
 # none of the others as SortType: a constructor's type is `I params` or a
 # product, and an application of any of them is ill-typed. The sorts do have
 # sort Type, but are not instances.
-_NEVER_TYPE_HEADS = (Ctor, IntLit, Eq, And, Or, Not, Exists, TrueP, FalseP,
-                     SortType, SortProp)
+_NEVER_TYPE_HEADS = (Ctor, IntLit, SortType, SortProp) + _PROP_HEADS
 
 
 def _never_a_type(env: GlobalEnv, name: str, nargs: int) -> bool:
@@ -446,22 +482,28 @@ def _never_a_type(env: GlobalEnv, name: str, nargs: int) -> bool:
     return isinstance(ty, Pi) or isinstance(spine(ty)[0], (Ind, IntT))
 
 
-def collect_type_instances(env: GlobalEnv, t: Term) -> list[Term]:
+def collect_type_instances(env: GlobalEnv, t: Term,
+                           decided: dict[Term, bool] | None = None) -> list[Term]:
     """Closed subterms of sort Type, nested instances included, in first
     occurrence order.
 
     One post-order walk finds the candidates: closed subterms whose spine
     head can have sort Type, other than an unapplied Lam or Fix (whose type
-    is a product) and a constant application that `_never_a_type` rules
-    out. That filter is only a necessary condition. The candidates are
-    taken in preorder; one alpha-equal to a candidate already decided is
-    skipped, and `typecheck` makes the final decision on the rest."""
+    is a product), a product whose final codomain is a proposition, an
+    inductive applied to other than its parameter count, and a constant
+    application that `_never_a_type` rules out. That filter is only a
+    necessary condition. The candidates are taken in preorder; one
+    alpha-equal to a candidate already taken is skipped, and `typecheck`
+    makes the final decision on the rest. `decided` maps the alpha keys of
+    candidates to those decisions; it is consulted and extended, so callers
+    that share it typecheck each candidate once."""
     candidates: list[tuple[int, Term]] = []
     position = itertools.count()
 
     def walk(s: Term) -> tuple[int, Term, int]:
         """Return how many binders above s its free variables reach, the
-        head of its spine and the number of arguments applied to it."""
+        head of its spine (of its final codomain's, for a product) and the
+        number of arguments applied to that head."""
         pos = next(position)
         if isinstance(s, Var):
             return s.index + 1, s, 0
@@ -469,31 +511,47 @@ def collect_type_instances(env: GlobalEnv, t: Term) -> list[Term]:
         for c, extra in children(s):
             c_reach, c_head, c_nargs = walk(c)
             reach = max(reach, c_reach - extra)
-            if isinstance(s, App) and c is s.head:
-                head, nargs = c_head, c_nargs + 1
-        if (reach == 0 and not isinstance(head, _NEVER_TYPE_HEADS)
-                and not isinstance(s, (Lam, Fix))
-                and not (isinstance(head, Const)
-                         and _never_a_type(env, head.name, nargs))):
+            if (isinstance(s, App) and c is s.head) or (isinstance(s, Pi) and c is s.codomain):
+                head, nargs = c_head, c_nargs + isinstance(s, App)
+        if reach == 0 and not isinstance(s, (Lam, Fix)) and _maybe_a_type(env, s, head, nargs):
             candidates.append((pos, s))
         return reach, head, nargs
 
     walk(t)
     candidates.sort(key=lambda c: c[0])
+    if decided is None:
+        decided = {}
     out: list[Term] = []
-    decided: set[Term] = set()
+    taken: set[Term] = set()
     for _pos, s in candidates:
         key = alpha_key(s)
-        if key in decided:
+        if key in taken:
             continue
-        decided.add(key)
-        try:
-            ty = typecheck(env, [], s)
-        except FolbridgeError:
-            continue
-        if isinstance(ty, SortType):
+        taken.add(key)
+        is_type = decided.get(key)
+        if is_type is None:
+            try:
+                is_type = isinstance(typecheck(env, [], s), SortType)
+            except FolbridgeError:
+                is_type = False
+            decided[key] = is_type
+        if is_type:
             out.append(s)
     return out
+
+
+def _maybe_a_type(env: GlobalEnv, s: Term, head: Term, nargs: int) -> bool:
+    """False when the closed term s, whose (final codomain's) spine head is
+    `head` with `nargs` arguments, cannot have sort Type."""
+    if isinstance(s, Pi):
+        return not isinstance(head, _PROP_HEADS)
+    if isinstance(head, _NEVER_TYPE_HEADS):
+        return False
+    if isinstance(head, Const):
+        return not _never_a_type(env, head.name, nargs)
+    if isinstance(head, Ind) and head.inductive in env.inductives:
+        return nargs == len(env.inductives[head.inductive].params)
+    return True
 
 
 def _leading_type_binders(stmt: Term) -> int:
@@ -525,10 +583,11 @@ def monomorphize(state: ProofState, extra_lemmas: list[tuple[str, Term]] | None 
     leading binders); instances already present are skipped."""
     insts = list(state.type_instances(state.goal))
     if from_context:
+        by_key = {alpha_key(s): s for s in insts}
         for h in state.hypotheses:
             for cand in state.type_instances(h.statement):
-                if not any(alpha_eq(cand, s) for s in insts):
-                    insts.append(cand)
+                by_key.setdefault(alpha_key(cand), cand)
+        insts = list(by_key.values())
     if not insts:
         return []
     sources = [(h.name, h.statement) for h in state.hypotheses]
@@ -561,26 +620,6 @@ def monomorphize(state: ProofState, extra_lemmas: list[tuple[str, Term]] | None 
 # ---------------------------------------------------------------------------
 # Interpreting algebraic types
 # ---------------------------------------------------------------------------
-
-def _algebraic_instances(state: ProofState) -> list[Term]:
-    """Ground algebraic instances in goal and context, minus the types the
-    back-end interprets natively."""
-    terms = [state.goal] + [h.statement for h in state.hypotheses]
-    insts: list[Term] = []
-    for t in terms:
-        for cand in state.type_instances(t):
-            head, args = spine(cand)
-            if not isinstance(head, Ind):
-                continue
-            if head.inductive in INTERPRETED_TYPES:
-                continue
-            decl = state.env.inductive(head.inductive)
-            if len(args) != len(decl.params):
-                continue
-            if not any(alpha_eq(cand, s) for s in insts):
-                insts.append(cand)
-    return insts
-
 
 def injectivity_statement(env: GlobalEnv, instance: Term, ctor_index: int) -> Term:
     """forall (x1 y1 : A1) .. (xn yn : An),
@@ -664,7 +703,7 @@ def interp_alg_types(state: ProofState, include_exhaustiveness: bool = False) ->
         existing.add(key)
         out.append(Hypothesis(fresh_name(name, used), stmt, just))
 
-    for inst in _algebraic_instances(state):
+    for inst in state.algebraic_instances():
         ind_name, _targs = as_inductive_instance(inst)
         decl = state.env.inductive(ind_name)
         slug = type_slug(inst)

@@ -1,18 +1,20 @@
 """Reference de Bruijn traversals: the hand-written versions of
 `transforms._shift_above`, `transforms._replace_binder`, `parser._unshift`
 and `conversion._reify_type`, kept as the oracles that their `rebind`-based
-versions are property-tested against.
+versions are property-tested against, and the printer's per-question
+binder-use walk, the oracle of its one-pass free-index memo.
 
 Each walks the term with its own `Var` case and its own `map_subterms`
-recursion, so it shares none of `rebind`; `map_subterms`, and `lift` where
-a replacement is lifted, are common to both. `lift` itself is checked
-against the named-variable calculus in `tests/named_calculus.py`.
+(or `children`) recursion, so it shares none of `rebind` or of the memo;
+`map_subterms`, `children`, and `lift` where a replacement is lifted, are
+common to both. `lift` itself is checked against the named-variable
+calculus in `tests/named_calculus.py`.
 """
 
 from __future__ import annotations
 
 from folbridge.conversion import EvalError, Value, VType
-from folbridge.terms import Term, Var, lift, map_subterms
+from folbridge.terms import Term, Var, children, lift, map_subterms
 from folbridge.transforms import TransformError
 
 
@@ -82,5 +84,15 @@ def _reify_type(t: Term, venv: tuple[Value, ...]) -> Term:
                 raise EvalError("type argument position held a non-type value")
             return lift(v.type_term, depth)
         return map_subterms(s, lambda c, extra: go(c, depth + extra))
+
+    return go(t, 0)
+
+
+def _uses_binder_at(t: Term, index: int) -> bool:
+    """Whether Var(index) occurs free in t."""
+    def go(s: Term, depth: int) -> bool:
+        if isinstance(s, Var):
+            return s.index == depth + index
+        return any(go(c, depth + extra) for c, extra in children(s))
 
     return go(t, 0)

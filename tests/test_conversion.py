@@ -205,6 +205,18 @@ class TestRandomGroundTerm:
         assert min_term_size(env, parse_term("list Int", env)) == 1  # nil
         assert min_term_size(env, parse_term("option Int", env)) == 1  # none
 
+    def test_min_size_independent_of_query_order(self):
+        # Sizing t first meets `pair t` while t is being sized, where the
+        # cycle guard counts it as uninhabited; asked on its own it has size
+        # 3 (mk leaf leaf).
+        p = parse_problem("data pair (A) = mk (A) (A).\n"
+                          "data t = leaf | br (pair t).\ngoal true = true.")
+        pair_t = App(Ind("pair"), Ind("t"))
+        assert min_term_size(p.env, Ind("t")) == 1
+        assert min_term_size(p.env, pair_t) == 3
+        assert random_ground_term(p.env, pair_t, 3, 0) == make_app(
+            Ctor("pair", 0), [Ind("t"), Ctor("t", 0), Ctor("t", 0)])
+
 
 class TestEvalProp:
     def test_connectives(self, env):

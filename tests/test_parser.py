@@ -5,11 +5,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import PRELUDE
 from folbridge.conversion import infer, typecheck
 from folbridge.parser import (
-    ArityError, ParseError, PrenexError, parse_problem, parse_term,
+    ArityError, ParseError, PrenexError, parse_problem, parse_term, tokenize,
 )
+from folbridge import parser
 from folbridge.printer import print_problem, print_term
 from folbridge.terms import (
     App, BOOL, Const, Ctor, Eq, FALSE, GlobalEnv, Ind, IntLit, IntT, Not,
@@ -226,3 +230,71 @@ class TestSpecListings:
     def test_print_true_eq_true(self, env):
         t = parse_term("true = true", env)
         assert print_term(t, env) == "true = true"
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The character loop the one-regex tokenizer replaced, kept as its
+    oracle: (kind, text, line, col) per token."""
+    import re
+    ident_re = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+    int_re = re.compile(r"[0-9]+")
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        m = ident_re.match(text, i) or int_re.match(text, i)
+        if m:
+            word = m.group(0)
+            kind = "int" if word[0].isdigit() else "kw" if word in parser.KEYWORDS else "ident"
+            tokens.append((kind, word, line, col))
+            col += len(word)
+            i = m.end()
+            continue
+        for p in parser._PUNCT:
+            if text.startswith(p, i):
+                tokens.append(("punct", p, line, col))
+                col += len(p)
+                i += len(p)
+                break
+        else:
+            raise ParseError(f"unexpected character {c!r}", line, col)
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+TOKEN_PIECES = st.sampled_from(
+    list("aZ_'09 \t\r\n#(),.:=|~<>+-*/\\&@") + ["forall", "Type", "x1", "é"]
+    + parser._PUNCT)
+
+
+def tokens_or_error(f, text):
+    try:
+        return [tuple(t) if isinstance(t, tuple) else (t.kind, t.text, t.line, t.col)
+                for t in f(text)]
+    except ParseError as e:
+        return str(e)
+
+
+@given(st.lists(TOKEN_PIECES, max_size=30).map("".join))
+@settings(deadline=None, max_examples=300)
+def test_tokenize_matches_reference(text):
+    assert tokens_or_error(tokenize, text) == tokens_or_error(reference_tokenize, text)
+
+
+def test_tokenize_prelude_matches_reference():
+    assert tokens_or_error(tokenize, PRELUDE) == tokens_or_error(reference_tokenize, PRELUDE)

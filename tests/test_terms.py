@@ -1,9 +1,10 @@
 """Lifting/substitution against an independent named-variable oracle, the
-other `rebind`-based traversals against their hand-written originals, and
-alpha keys against alpha_eq."""
+other `rebind`-based traversals against their hand-written originals, alpha
+keys against alpha_eq, and the kernels' sharing of unchanged nodes."""
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -11,12 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import debruijn_reference as reference
-from folbridge import conversion, parser, transforms
-from folbridge.conversion import VInt, VType
+from folbridge import conversion, parser, printer, transforms
+from folbridge.conversion import VInt, VType, infer
 from folbridge.terms import (
     App, Branch, Const, Eq, Exists, Fix, FolbridgeError, INT, Ind, IntLit, Lam,
     Match, Pi, TYPE, Term, TrueP, Var, alpha_eq, alpha_key, is_closed, lift,
-    subst, subst_list, well_scoped,
+    subst, subst_list, subterms, well_scoped,
 )
 from named_calculus import from_named, named_subst, to_named
 
@@ -264,3 +265,72 @@ def test_unshift_matches_reference(t, amount):
 def test_reify_type_matches_reference(t, venv):
     assert (outcome(conversion._reify_type, t, venv)
             == outcome(reference._reify_type, t, venv))
+
+
+@given(OPEN_TERMS)
+@settings(deadline=None, max_examples=100)
+def test_uses_binder_at_matches_reference(t):
+    # One printer state answers every question about every subterm, as one
+    # print_term call does.
+    state = printer._Namer(set())
+    for s in subterms(t):
+        for index in range(4):
+            assert (state.uses_binder_at(s, index)
+                    == reference._uses_binder_at(s, index)), (s, index)
+
+
+class TestSharing:
+    """The kernels hand back the node they were given when nothing in it
+    changes."""
+
+    def test_closed_term_survives_lift_and_subst(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            t = random_term(rng, 0, 12)
+            assert lift(t, 2) is t
+            assert lift(t, 1, 5) is t
+            assert subst(t, 0, Const("c")) is t
+            assert subst_list(t, [Const("c"), INT]) is t
+
+    def test_open_term_below_cutoff_survives_lift(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            t = random_term(rng, 3, 12)
+            assert lift(t, 2, 3) is t
+
+    @given(term_pairs())
+    @settings(deadline=None, max_examples=200)
+    def test_binder_free_term_is_its_own_key(self, pair):
+        key = alpha_key(pair[0])
+        assert alpha_key(key) is key
+
+    def test_elaborated_term_is_not_copied(self, prelude):
+        env = prelude.env
+        terms = [prelude.goal]
+        for d in env.definitions.values():
+            terms += [d.type, d.body]
+        terms.append(parser.parse_term(
+            "forall (A : Type) (x : A) (l : list A), search A x (cons A x l) = true"
+            " /\\ hd_error A (app A l (nil A)) = hd_error A l", env))
+        for t in terms:
+            assert infer(env, [], t)[0] is t, t
+
+    def test_holes_are_filled(self, env):
+        raw = Match(parser.parse_term("true", env), None, INT,
+                    (Branch((), IntLit(1)), Branch((), IntLit(0))))
+        t = infer(env, [], Eq(None, raw, IntLit(1)))[0]
+        assert t.at_type == INT and t.lhs.scrutinee_type == Ind("Bool")
+
+
+def test_kernels_leave_no_garbage():
+    """lift and subst leave no reference cycles for the collector."""
+    t = Pi("x", App(Ind("list"), INT), Eq(App(Ind("list"), INT), Var(0), Var(1)))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(1000):
+            lift(t, 1)
+            subst(t, 0, Const("c"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

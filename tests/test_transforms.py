@@ -16,7 +16,7 @@ from folbridge.terms import (
 from folbridge.transforms import (
     AlreadyPresent, ByCaseConversion, ByConversion, ByDefinition,
     ByInstantiation, DatatypeAxiom, Given, Hypothesis, NoFixpointFound,
-    NoMatchOnBoundVar, NotAnEquation, ProofState, UnknownConstant,
+    NoMatchOnBoundVar, NotAnEquation, ProofState, TransformError, UnknownConstant,
     arrow_split, collect_type_instances, eliminate_fix,
     eliminate_pattern_matching, expand, gen_eq, get_def, interp_alg_types,
     monomorphize,
@@ -533,6 +533,47 @@ class TestProofStateIndex:
         monkeypatch.setattr(transforms, "collect_type_instances", counting_collect)
         first = interp_alg_types(state)
         assert first and calls == 2
+        # An unchanged state looks at no statement again.
+        looked_at = []
+        type_instances = ProofState.type_instances
+
+        def recording_type_instances(self, t):
+            looked_at.append(t)
+            return type_instances(self, t)
+
+        monkeypatch.setattr(ProofState, "type_instances", recording_type_instances)
         calls = 0
         assert interp_alg_types(state) == first
-        assert calls == 0
+        assert calls == 0 and looked_at == []
+
+    def test_find_indexes_first_of_each_name(self, env):
+        first = Hypothesis("h", parse_term("1 = 1", env), Given())
+        second = Hypothesis("h", parse_term("2 = 2", env), Given())
+        state = ProofState(env, [first, second], parse_term("true = true", env))
+        assert state.find("h") is first
+        later = Hypothesis("g", parse_term("3 = 3", env), Given())
+        state.hypotheses.append(later)
+        assert state.find("g") is later
+        with pytest.raises(TransformError):
+            state.find("missing")
+
+    def test_typecheck_once_per_candidate_key(self, env, monkeypatch):
+        state = mk_state(
+            env, "length Int (app Int (cons Int 1 (nil Int)) (nil Int)) = 1"
+                 " /\\ hd_error nat (cons nat O (nil nat)) = some nat O",
+            [("h", SEARCH_APP), ("g", "forall (n : nat), S n <> O"),
+             ("k", "forall (A : Type) (l : list A), length A l = length A l")])
+        keys = []
+        typecheck = transforms.typecheck
+
+        def recording_typecheck(env_, ctx, t, *rest):
+            keys.append(terms.alpha_key(t))
+            return typecheck(env_, ctx, t, *rest)
+
+        monkeypatch.setattr(transforms, "typecheck", recording_typecheck)
+        for _ in range(3):
+            for h in monomorphize(state) + interp_alg_types(state):
+                state.add(h)
+            monomorphize(state, from_context=True)
+        assert len(state.hypotheses) > 3 and keys
+        assert len(keys) == len(set(keys))

@@ -1,6 +1,7 @@
-"""The one-pass `collect_type_instances` against the reference version, and
-its cost as the list literal or the nesting of constant applications in a
-goal grows."""
+"""The one-pass `collect_type_instances` against the reference version,
+alone and through the decisions a `ProofState` shares between statements,
+and its cost as the list literal or the nesting of constant applications
+in a goal grows."""
 
 from __future__ import annotations
 
@@ -11,8 +12,11 @@ from hypothesis import strategies as st
 from conftest import PRELUDE
 from folbridge import conversion, transforms
 from folbridge.parser import parse_problem, parse_term
-from folbridge.terms import Ctor, IntT, TVar, map_subterms, spine
-from folbridge.transforms import collect_type_instances
+from folbridge.terms import (
+    INT, TYPE, And, App, Ctor, Eq, Exists, FalseP, Ind, IntT, Not, Or, Pi,
+    TVar, TrueP, map_subterms, spine, strip_pis,
+)
+from folbridge.transforms import ProofState, collect_type_instances
 
 import instances_reference
 
@@ -152,6 +156,58 @@ def test_matches_reference(flat_env, goal):
     assert collect_type_instances(flat_env, t) == expected
 
 
+PROP_HEADS = (Eq, And, Or, Not, Exists, TrueP, FalseP)
+
+# Statements with the candidate shapes that are ruled out without a
+# typecheck (a closed product over a proposition, an inductive applied to
+# too few or too many arguments) and ones whose typecheck raises (an unknown
+# inductive, an over-applied one).
+SKIPPED_TEXTS = (
+    "(forall (n : nat), n = n) /\\ (forall (l : list Int), l = l -> true_p)",
+    "list = list",
+    "id (Type -> Type) list Int = list Int",
+    "(forall (x : option nat), ~ (x = x)) -> (exists (b : Bool), b = b \\/ false_p)",
+)
+# Statements that share a candidate which is not a type (id Int 3).
+SHARED_TEXTS = ("id Int 3 = 3", "add (id Int 3) 1 = 4", "id (list Int) (nil Int) = nil Int")
+BUILT = (
+    Eq(TYPE, App(App(Ind("list"), INT), INT), INT),
+    Eq(TYPE, Ind("nosuch"), App(Ind("nosuch"), INT)),
+    Eq(TYPE, App(Ind("option"), App(Ind("list"), INT)), App(Ind("list"), INT)),
+)
+
+
+@st.composite
+def statements(draw, env):
+    kind = draw(st.sampled_from(("goal", "skipped", "built")))
+    if kind == "built":
+        return draw(st.sampled_from(BUILT))
+    if kind == "skipped":
+        t = parse_term(draw(st.sampled_from(SKIPPED_TEXTS + SHARED_TEXTS)), env)
+        rigid = draw(st.booleans())
+    else:
+        text, rigid = draw(goals())
+        t = parse_term(text, env)
+    return rigid_int(t) if rigid else t
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_state_matches_reference(flat_env, data):
+    """One state, asked about many statements in a random order, repeats
+    included, answers each as the reference does on its own."""
+    stmts = data.draw(st.lists(statements(flat_env), min_size=1, max_size=6))
+    order = data.draw(st.lists(st.sampled_from(range(len(stmts))),
+                               min_size=len(stmts), max_size=2 * len(stmts) + 2))
+    state = ProofState(flat_env)
+    decided = {}
+    for i in order:
+        t = stmts[i]
+        expected = instances_reference.collect_type_instances(flat_env, t)
+        assert list(state.type_instances(t)) == expected, t
+        assert collect_type_instances(flat_env, t, decided) == expected, t
+
+
 @pytest.mark.parametrize("ty", FLAT_TYPES)
 def test_flat_universe_instances(flat_env, ty):
     t = parse_term(f"forall (l : {ty}), l = l", flat_env)
@@ -200,3 +256,26 @@ def test_infer_visits_grow_linearly(env, monkeypatch):
             collect_type_instances(env, goal)
             counts[n] = visits
         assert counts[80] <= 2.2 * counts[40], (make_goal.__name__, counts)
+
+
+def test_ruled_out_shapes_are_not_typechecked(flat_env, monkeypatch):
+    checked = []
+    typecheck = transforms.typecheck
+
+    def recording_typecheck(env, ctx, t, *rest):
+        checked.append(t)
+        return typecheck(env, ctx, t, *rest)
+
+    monkeypatch.setattr(transforms, "typecheck", recording_typecheck)
+    for text in SKIPPED_TEXTS:
+        collect_type_instances(flat_env, parse_term(text, flat_env))
+    for t in BUILT:
+        collect_type_instances(flat_env, t)
+    assert checked
+    assert any(isinstance(t, Pi) for t in checked)  # Type -> Type is typechecked
+    for t in checked:
+        codomain_head = spine(strip_pis(t)[1])[0]
+        assert not (isinstance(t, Pi) and isinstance(codomain_head, PROP_HEADS)), t
+        head, args = spine(t)
+        if isinstance(head, Ind) and head.inductive in flat_env.inductives:
+            assert len(args) == len(flat_env.inductives[head.inductive].params), t
