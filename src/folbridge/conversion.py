@@ -4,6 +4,13 @@ normalize is a substitution-based rewriter (beta/delta/iota/guarded fix,
 deterministic leftmost-outermost); eval_ground is an independent
 environment machine used as the semantic oracle. The two agree on closed
 ground terms and that agreement is itself property-tested.
+
+random_truth_check instantiates a statement's prenex binders with random
+ground data and decides the rest with the evaluator. Random data is read
+off one constructor table per ground type, kept in GlobalEnv.memo (each
+constructor's instantiated argument types, their least sizes and the
+total), and the random arguments that probe function values are built as
+Values alongside their terms, not evaluated again.
 """
 
 from __future__ import annotations
@@ -15,9 +22,9 @@ from .terms import (
     BUILTIN_FUNCTIONS, FALSE, INT, PROP, TRUE, TYPE, And, App, Branch, Const,
     Ctor, Eq, Exists, FalseP, Fix, FolbridgeError, GlobalEnv, Ind, IntLit,
     IntT, Lam, Match, Not, Or, Pi, SortProp, SortType, TVar, Term, TrueP,
-    Var, alpha_eq, as_inductive_instance, builtin_type, ctor_arg_types,
+    Var, alpha_eq, as_inductive_instance, builtin_type, children, ctor_arg_types,
     ctor_type, ind_type, lift, make_app, map_subterms, rebind, spine, subst,
-    subst_list, subterms, well_scoped,
+    subst_list, well_scoped,
 )
 
 
@@ -391,12 +398,15 @@ def beta_reduce(t: Term, fuel: Fuel | None = None) -> Term:
             break
         return map_subterms(s, lambda c, _e: go(c))
 
-    out = go(t)
-    while True:
-        again = go(out)
-        if again == out:
-            return out
-        out = again
+    try:
+        out = go(t)
+        while True:
+            again = go(out)
+            if again == out:
+                return out
+            out = again
+    finally:
+        del go  # empties go's own closure cell: no reference cycle is left
 
 
 # ---------------------------------------------------------------------------
@@ -473,40 +483,58 @@ def eval_ground(env: GlobalEnv, t: Term, fuel: Fuel | None = None) -> Value:
 
 
 def _eval(env: GlobalEnv, t: Term, venv: tuple[Value, ...], fuel: Fuel) -> Value:
-    fuel.consume()
-    if isinstance(t, Var):
+    # One fuel step per visited node (Fuel.consume, inlined). Dispatch is on
+    # the exact node class, most frequent first.
+    fuel.remaining -= 1
+    if fuel.remaining < 0:
+        raise FuelExhausted("reduction step budget exhausted")
+    cls = type(t)
+    if cls is App:
+        f = _eval(env, t.head, venv, fuel)
+        return _apply(env, f, _eval(env, t.arg, venv, fuel), fuel)
+    if cls is Var:
         return venv[t.index]
-    if isinstance(t, IntLit):
-        return VInt(t.value)
-    if isinstance(t, Const):
-        if t.name in env.definitions:
-            return _eval(env, env.definitions[t.name].body, (), fuel)
+    if cls is Match:
+        v = _eval(env, t.scrutinee, venv, fuel)
+        if type(v) is not VCtor:
+            raise EvalError("match scrutinee did not evaluate to a constructor")
+        return _eval(env, t.branches[v.ctor_index].body, v.args[::-1] + venv, fuel)
+    if cls is Const:
+        d = env.definitions.get(t.name)
+        if d is not None:
+            return _eval(env, d.body, (), fuel)
         if t.name in _BUILTIN_ARITY:
             return VBuiltin(t.name, ())
         raise EvalError(f"cannot evaluate unknown constant {t.name}")
-    if isinstance(t, Ctor):
-        decl = env.inductive(t.inductive)
-        total = len(decl.params) + len(decl.ctors[t.ctor_index].arg_types)
-        if total == 0:
+    if cls is Ctor:
+        if _ctor_arity(env, t.inductive, t.ctor_index) == 0:
             return VCtor(t.inductive, t.ctor_index, (), ())
         return VCtorPartial(t.inductive, t.ctor_index, ())
-    if isinstance(t, (Ind, IntT, TVar, SortType, SortProp, Pi)):
-        return VType(_reify_type(t, venv))
-    if isinstance(t, Lam):
+    if cls is IntLit:
+        return VInt(t.value)
+    if cls is Lam:
         return VClosure(venv, t)
-    if isinstance(t, Fix):
+    if cls is Fix:
         return VFix(venv, t, ())
-    if isinstance(t, App):
-        f = _eval(env, t.head, venv, fuel)
-        a = _eval(env, t.arg, venv, fuel)
-        return _apply(env, f, a, fuel)
-    if isinstance(t, Match):
-        v = _eval(env, t.scrutinee, venv, fuel)
-        if not isinstance(v, VCtor):
-            raise EvalError("match scrutinee did not evaluate to a constructor")
-        br = t.branches[v.ctor_index]
-        return _eval(env, br.body, tuple(reversed(v.args)) + venv, fuel)
-    raise EvalError(f"not an object-level term: {type(t).__name__}")
+    if cls in _TYPE_LEAVES:
+        return VType(t)  # no variables to resolve
+    if cls is Pi:
+        return VType(_reify_type(t, venv))
+    raise EvalError(f"not an object-level term: {cls.__name__}")
+
+
+_TYPE_LEAVES = frozenset({Ind, IntT, TVar, SortType, SortProp})
+
+
+def _ctor_arity(env: GlobalEnv, ind: str, index: int) -> int:
+    """Type parameters plus value arguments of a constructor; computed once
+    per environment."""
+    n = env.memo.get(("ctor_arity", ind, index))
+    if n is None:
+        decl = env.inductive(ind)
+        n = env.memo["ctor_arity", ind, index] = (
+            len(decl.params) + len(decl.ctors[index].arg_types))
+    return n
 
 
 def _reify_type(t: Term, venv: tuple[Value, ...]) -> Term:
@@ -521,51 +549,50 @@ def _reify_type(t: Term, venv: tuple[Value, ...]) -> Term:
 
 
 def _apply(env: GlobalEnv, f: Value, a: Value, fuel: Fuel) -> Value:
-    fuel.consume()
-    if isinstance(f, VClosure):
-        return _eval(env, f.term.body, (a,) + f.env_values, fuel)
-    if isinstance(f, VType):
-        # A type constructor applied to a type argument stays a type.
-        if not isinstance(a, VType):
-            raise EvalError("type constructor applied to a non-type value")
-        return VType(App(f.type_term, a.type_term))
-    if isinstance(f, VCtorPartial):
-        decl = env.inductive(f.inductive)
-        cd = decl.ctors[f.ctor_index]
+    fuel.remaining -= 1
+    if fuel.remaining < 0:
+        raise FuelExhausted("reduction step budget exhausted")
+    cls = type(f)
+    if cls is VCtorPartial:
         collected = f.collected + (a,)
-        total = len(decl.params) + len(cd.arg_types)
-        if len(collected) == total:
-            type_args = []
-            for v in collected[:len(decl.params)]:
-                if not isinstance(v, VType):
-                    raise EvalError("constructor type argument is not a type")
-                type_args.append(v.type_term)
-            return VCtor(f.inductive, f.ctor_index, tuple(type_args),
-                         tuple(collected[len(decl.params):]))
-        return VCtorPartial(f.inductive, f.ctor_index, collected)
-    if isinstance(f, VBuiltin):
+        if len(collected) < _ctor_arity(env, f.inductive, f.ctor_index):
+            return VCtorPartial(f.inductive, f.ctor_index, collected)
+        n_params = len(env.inductive(f.inductive).params)
+        type_args = []
+        for v in collected[:n_params]:
+            if type(v) is not VType:
+                raise EvalError("constructor type argument is not a type")
+            type_args.append(v.type_term)
+        return VCtor(f.inductive, f.ctor_index, tuple(type_args), collected[n_params:])
+    if cls is VClosure:
+        return _eval(env, f.term.body, (a,) + f.env_values, fuel)
+    if cls is VFix:
+        fix = f.term
+        args = f.args + (a,)
+        n_binders = 0
+        walk = fix.body
+        while type(walk) is Lam:
+            n_binders += 1
+            walk = walk.body
+        if len(args) < n_binders:
+            return VFix(f.env_values, fix, args)
+        if len(args) > n_binders:
+            raise EvalError("fixpoint applied to too many arguments")
+        if type(args[fix.decreasing]) not in (VCtor, VInt):
+            raise EvalError("fixpoint decreasing argument is not a data value")
+        inner = args[::-1] + (VFix(f.env_values, fix, ()),) + f.env_values
+        return _eval(env, walk, inner, fuel)
+    if cls is VBuiltin:
         collected = f.collected + (a,)
         if len(collected) == _BUILTIN_ARITY[f.name]:
             return _run_builtin(env, f.name, collected, fuel)
         return VBuiltin(f.name, collected)
-    if isinstance(f, VFix):
-        fix = f.term
-        args = f.args + (a,)
-        binders = []
-        walk = fix.body
-        while isinstance(walk, Lam):
-            binders.append(walk.domain)
-            walk = walk.body
-        if len(args) < len(binders):
-            return VFix(f.env_values, fix, args)
-        if len(args) > len(binders):
-            raise EvalError("fixpoint applied to too many arguments")
-        dec = args[fix.decreasing]
-        if not isinstance(dec, (VCtor, VInt)):
-            raise EvalError("fixpoint decreasing argument is not a data value")
-        inner = tuple(reversed(args)) + (VFix(f.env_values, fix, ()),) + f.env_values
-        return _eval(env, walk, inner, fuel)
-    raise EvalError(f"cannot apply value of kind {type(f).__name__}")
+    if cls is VType:
+        # A type constructor applied to a type argument stays a type.
+        if type(a) is not VType:
+            raise EvalError("type constructor applied to a non-type value")
+        return VType(App(f.type_term, a.type_term))
+    raise EvalError(f"cannot apply value of kind {cls.__name__}")
 
 
 def _run_builtin(env: GlobalEnv, name: str, args: tuple[Value, ...], fuel: Fuel) -> Value:
@@ -636,12 +663,10 @@ def _min_term_size(env: GlobalEnv, ty: Term, active: frozenset):
     if inst is None or ty in active:
         return _INF
     name, targs = inst
-    decl = env.inductive(name)
-    if len(targs) != len(decl.params):
+    if len(targs) != len(env.inductive(name).params):
         return _INF
     best = _INF
-    for k in range(len(decl.ctors)):
-        arg_tys = ctor_arg_types(env, name, k, targs)
+    for arg_tys in _ctor_arg_types(env, ty, name, targs):
         total = 1
         for at in arg_tys:
             total += min_term_size(env, at, active | {ty})
@@ -649,40 +674,98 @@ def _min_term_size(env: GlobalEnv, ty: Term, active: frozenset):
     return best
 
 
+def _ctor_arg_types(env: GlobalEnv, ty: Term, name: str,
+                    targs: list[Term]) -> tuple[tuple[Term, ...], ...]:
+    """Each constructor's argument types instantiated at the type arguments
+    of ty = name targs; computed once per environment and type."""
+    arg_tys = env.memo.get(("ctor_arg_types", ty))
+    if arg_tys is None:
+        arg_tys = env.memo["ctor_arg_types", ty] = tuple(
+            tuple(ctor_arg_types(env, name, k, targs))
+            for k in range(len(env.inductive(name).ctors)))
+    return arg_tys
+
+
+@dataclass
+class _CtorTable:
+    """How to build data of one ground inductive instance ty = name targs:
+    rows[k] holds constructor k's instantiated argument types, their least
+    sizes and 1 + their sum; least is the least of those totals."""
+    name: str
+    targs: tuple[Term, ...]
+    rows: tuple[tuple[tuple[Term, ...], tuple, float], ...]
+    least: float
+    vtargs: tuple[Term, ...] | None = None  # targs as eval_ground gives them
+
+
+def _ctor_table(env: GlobalEnv, ty: Term) -> _CtorTable | None:
+    """The constructor table of ty, built once per environment and type;
+    None when ty is not an inductive instance."""
+    table = env.memo.get(("ctor_table", ty))
+    if table is None:
+        inst = as_inductive_instance(ty)
+        if inst is None:
+            return None
+        name, targs = inst
+        rows = []
+        for arg_tys in _ctor_arg_types(env, ty, name, targs):
+            mins = tuple(min_term_size(env, at) for at in arg_tys)
+            rows.append((arg_tys, mins, 1 + sum(mins)))
+        table = env.memo["ctor_table", ty] = _CtorTable(
+            name, tuple(targs), tuple(rows), min(total for _, _, total in rows))
+    return table
+
+
+def _type_values(env: GlobalEnv, targs: tuple[Term, ...]) -> tuple[Term, ...]:
+    """The closed types eval_ground makes of the type arguments targs (an
+    alias unfolds)."""
+    out = []
+    for t in targs:
+        v = eval_ground(env, t)
+        if not isinstance(v, VType):
+            raise EvalError("constructor type argument is not a type")
+        out.append(v.type_term)
+    return tuple(out)
+
+
 def random_ground_term(env: GlobalEnv, ty: Term, size: int, seed=0) -> Term:
     """A closed well-typed term of the ground object type ty with at most
     max(size, minimal) constructor nodes; deterministic for a fixed seed."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return _random_value_term(env, ty, size, rng)
+    return _random_datum(env, ty, size, rng, False)[0]
 
 
-def _random_value_term(env: GlobalEnv, ty: Term, size: int, rng: random.Random) -> Term:
+def _random_datum(env: GlobalEnv, ty: Term, size: int, rng: random.Random,
+                  with_value: bool = True) -> tuple[Term, Value | None]:
+    """A random inhabitant of ty as a pair: its term and the Value that
+    eval_ground gives that term. Without with_value, constructed data gets
+    no Value (None), only the term."""
     if isinstance(ty, IntT):
-        return IntLit(rng.randint(-20, 20))
-    inst = as_inductive_instance(ty)
-    if inst is None:
+        n = rng.randint(-20, 20)
+        return IntLit(n), VInt(n)
+    table = _ctor_table(env, ty)
+    if table is None:
         raise Uninhabited(f"cannot generate a value of type {ty!r}")
-    name, targs = inst
-    decl = env.inductive(name)
-    mins = []
-    for k in range(len(decl.ctors)):
-        arg_tys = ctor_arg_types(env, name, k, targs)
-        mins.append(1 + sum(min_term_size(env, at) for at in arg_tys))
-    overall = min(mins)
-    if overall == _INF:
+    if table.least == _INF:
         raise Uninhabited(f"type {ty!r} has no inhabitants")
-    budget = max(size, overall)
-    eligible = [k for k, m in enumerate(mins) if m <= budget]
-    k = rng.choice(eligible)
-    arg_tys = ctor_arg_types(env, name, k, targs)
-    arg_mins = [min_term_size(env, at) for at in arg_tys]
-    slack = budget - mins[k]
-    args: list[Term] = list(targs)
+    budget = max(size, table.least)
+    k = rng.choice([i for i, row in enumerate(table.rows) if row[2] <= budget])
+    arg_tys, arg_mins, total = table.rows[k]
+    slack = budget - total
+    args = list(table.targs)
+    values = []
     for at, m in zip(arg_tys, arg_mins):
         extra = rng.randint(0, slack) if slack > 0 else 0
         slack -= extra
-        args.append(_random_value_term(env, at, int(m) + extra, rng))
-    return make_app(Ctor(name, k), args)
+        term, value = _random_datum(env, at, int(m) + extra, rng, with_value)
+        args.append(term)
+        values.append(value)
+    term = make_app(Ctor(table.name, k), args)
+    if not with_value:
+        return term, None
+    if table.vtargs is None:
+        table.vtargs = _type_values(env, table.targs)
+    return term, VCtor(table.name, k, table.vtargs, tuple(values))
 
 
 def random_ground_type(env: GlobalEnv, rng: random.Random, depth: int = 2) -> Term:
@@ -736,8 +819,7 @@ def _veq(env: GlobalEnv, a: Value, b: Value, at_type: Term, rng: random.Random,
             garg = random_ground_type(env, rng)
             va: Value = VType(garg)
         else:
-            garg = _random_value_term(env, at.domain, rng.randint(1, 5), rng)
-            va = _eval(env, garg, (), fuel)
+            garg, va = _random_datum(env, at.domain, rng.randint(1, 5), rng)
         ra = _apply(env, a, va, fuel)
         rb = _apply(env, b, va, fuel)
         cod = subst(at.codomain, 0, garg)
@@ -829,40 +911,65 @@ def replace_tvars(t: Term, mapping: dict[str, Term]) -> Term:
 
 
 def collect_tvars(t: Term) -> list[str]:
+    """Names of the TVars in t, in preorder of first occurrence."""
     seen: list[str] = []
-    for s in subterms(t):
-        if isinstance(s, TVar) and s.name not in seen:
-            seen.append(s.name)
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        cls = type(s)
+        if cls is App:
+            stack.append(s.arg)
+            stack.append(s.head)
+        elif cls is TVar:
+            if s.name not in seen:
+                seen.append(s.name)
+        elif cls in _COMPOUND:
+            stack.extend([c for c, _ in reversed(children(s))])
     return seen
+
+
+# Node classes with subterms, App aside.
+_COMPOUND = frozenset({Pi, Lam, Match, Fix, Eq, And, Or, Not, Exists})
 
 
 def random_truth_check(env: GlobalEnv, statement: Term, samples: int = 50,
                        size: int = 6, seed: int = 0) -> Counterexample | None:
     """Randomized semantic truth test: instantiate the prenex universal
     binders (types and objects) with random ground data and evaluate.
-    Returns a counterexample on the first falsifying sample."""
+    Returns a counterexample on the first falsifying sample.
+
+    Each sample gets a fresh Fuel, which counts the evaluation of the
+    statement's terms; the random arguments that probe function values are
+    generated as values and are not charged."""
     rng = random.Random(seed)
+    tvs = collect_tvars(statement)
     for _ in range(samples):
         stmt = statement
-        tvs = collect_tvars(stmt)
         if tvs:
             stmt = replace_tvars(stmt, {n: random_ground_type(env, rng) for n in tvs})
+        # insts[i] instantiates the i-th binder of the prenex prefix, so
+        # reversed(insts) lists Var(0), Var(1), ... under the binders taken.
+        insts: list[Term] = []
         ok = True
         while isinstance(stmt, Pi):
-            dom = stmt.domain
+            dom = subst_list(stmt.domain, insts[::-1]) if insts else stmt.domain
             if isinstance(dom, SortType):
                 inst = random_ground_type(env, rng)
             elif isinstance(typecheck(env, [], dom), SortProp):
                 break  # implication: handled by eval_prop
             else:
                 try:
-                    inst = _random_value_term(env, dom, rng.randint(1, max(size, 1)), rng)
+                    inst = _random_datum(env, dom, rng.randint(1, max(size, 1)), rng,
+                                         False)[0]
                 except Uninhabited:
                     ok = False  # vacuously true: domain empty
                     break
-            stmt = subst(stmt.codomain, 0, inst)
+            insts.append(inst)
+            stmt = stmt.codomain
         if not ok:
             continue
+        if insts:
+            stmt = subst_list(stmt, insts[::-1])
         fuel = Fuel()
         if not _eval_prop(env, stmt, rng, fuel):
             return Counterexample(statement, stmt)

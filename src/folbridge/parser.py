@@ -95,6 +95,9 @@ class Parser:
         self.pos = 0
         self.env = GlobalEnv()
         self.pending_inductive: str | None = None
+        # Parenthesized groups parsed so far: (position, bound names) ->
+        # (term, error, position after the group).
+        self._groups: dict[tuple[int, tuple[str, ...]], tuple] = {}
 
     # -- token plumbing ------------------------------------------------------
 
@@ -242,9 +245,24 @@ class Parser:
             if tok.text == "fix":
                 return self.parse_fix(bound)
         if self.at("("):
-            self.next()
-            t = self.parse_expr(bound)
-            self.eat(")")
+            # A proposition atom that turns out to be an expression is parsed
+            # again as one (parse_prop_atom), so each group's outcome is kept
+            # by position and scope: parsing it again is a lookup, and nested
+            # groups cost linear time, not quadratic.
+            key = (self.pos, tuple(bound))
+            done = self._groups.get(key)
+            if done is None:
+                t = err = None
+                try:
+                    self.next()
+                    t = self.parse_expr(bound)
+                    self.eat(")")
+                except (ParseError, ScopeError, ArityError) as e:
+                    err = e
+                done = self._groups[key] = (t, err, self.pos)
+            t, err, self.pos = done
+            if err is not None:
+                raise err
             return t
         self.fail(f"expected a term, found {tok.text!r}")
 

@@ -486,10 +486,19 @@ def subst_list(t: Term, values: list[Term]) -> Term:
 
 
 def well_scoped(t: Term, depth: int = 0) -> bool:
-    """Check every Var is bound by an enclosing binder or below depth."""
-    if isinstance(t, Var):
-        return 0 <= t.index < depth
-    return all(well_scoped(c, depth + extra) for c, extra in children(t))
+    """Check every Var is bound by an enclosing binder or below depth. An
+    explicit stack of (subterm, depth) pairs keeps deep terms off the
+    Python call stack."""
+    stack = [(t, depth)]
+    while stack:
+        s, d = stack.pop()
+        if type(s) is Var:
+            if not 0 <= s.index < d:
+                return False
+        elif type(s) not in _LEAVES:
+            for c, extra in children(s):
+                stack.append((c, d + extra))
+    return True
 
 
 def is_closed(t: Term) -> bool:
@@ -625,7 +634,10 @@ def has_interior_type_binder(stmt: Term) -> bool:
             return bad(t.body)
         return False
 
-    return bad(stmt)
+    try:
+        return bad(stmt)
+    finally:
+        del bad  # empties bad's own closure cell: no reference cycle is left
 
 
 # ---------------------------------------------------------------------------

@@ -361,7 +361,10 @@ def _match_candidates(body: Term, n: int) -> list[int]:
         for child, extra in children(t):
             walk(child, depth + extra)
 
-    walk(body, 0)
+    try:
+        walk(body, 0)
+    finally:
+        del walk  # empties walk's own closure cell: no reference cycle is left
     return sorted(found)
 
 
@@ -517,7 +520,10 @@ def collect_type_instances(env: GlobalEnv, t: Term,
             candidates.append((pos, s))
         return reach, head, nargs
 
-    walk(t)
+    try:
+        walk(t)
+    finally:
+        del walk  # empties walk's own closure cell: no reference cycle holds env
     candidates.sort(key=lambda c: c[0])
     if decided is None:
         decided = {}

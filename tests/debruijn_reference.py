@@ -1,8 +1,9 @@
 """Reference de Bruijn traversals: the hand-written versions of
 `transforms._shift_above`, `transforms._replace_binder`, `parser._unshift`
 and `conversion._reify_type`, kept as the oracles that their `rebind`-based
-versions are property-tested against, and the printer's per-question
-binder-use walk, the oracle of its one-pass free-index memo.
+versions are property-tested against, the printer's per-question
+binder-use walk, the oracle of its one-pass free-index memo, and the
+recursive `terms.well_scoped`, the oracle of its explicit-stack loop.
 
 Each walks the term with its own `Var` case and its own `map_subterms`
 (or `children`) recursion, so it shares none of `rebind` or of the memo;
@@ -96,3 +97,10 @@ def _uses_binder_at(t: Term, index: int) -> bool:
         return any(go(c, depth + extra) for c, extra in children(s))
 
     return go(t, 0)
+
+
+def well_scoped(t: Term, depth: int = 0) -> bool:
+    """Check every Var is bound by an enclosing binder or below depth."""
+    if isinstance(t, Var):
+        return 0 <= t.index < depth
+    return all(well_scoped(c, depth + extra) for c, extra in children(t))

@@ -1,0 +1,257 @@
+"""The truth oracle against its reference copy (tests/oracle_reference.py):
+the same random data from the same draws, the same verdicts and
+counterexamples, the same fuel, and values that eval_ground agrees with."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle_reference as ref
+from conftest import PRELUDE
+from folbridge import conversion
+from folbridge.conversion import (
+    DEFAULT_FUEL, Fuel, FuelExhausted, eval_ground, random_ground_term,
+    random_truth_check, typecheck,
+)
+from folbridge.parser import parse_problem, parse_term
+from folbridge.terms import (
+    Eq, FolbridgeError, Not, Pi, SortProp, SortType, TVar, make_pis, strip_pis,
+    subst_list,
+)
+from folbridge.transforms import (
+    ProofState, TransformError, eliminate_fix, eliminate_pattern_matching,
+    expand, get_def, interp_alg_types,
+)
+
+EXTRA = """\
+data tree = leaf | node (tree) (Int) (tree).
+data void_like = mk (void_like).
+def size : tree -> Int =
+  fix size/0 (t : tree) : Int :=
+    match t return Int with | leaf => 0 | node l _ r => size l + 1 + size r end.
+def mirror : tree -> tree =
+  fix mirror/0 (t : tree) : tree :=
+    match t return tree with | leaf => leaf | node l x r => node (mirror r) x (mirror l) end.
+"""
+
+ENV = parse_problem(PRELUDE.replace("goal ", EXTRA + "goal ")).env
+
+TYPES = [parse_term(s, ENV) for s in [
+    "Int", "Bool", "nat", "tree", "option Int", "option (list Bool)", "list Int",
+    "list (list Int)", "list (option nat)", "option (list (list Int))", "list tree",
+    "void_like", "option void_like", "list void_like",
+]]
+
+# Statements over the prelude and the tree functions. The function
+# equalities make _veq probe with random arguments, at type and object
+# domains; the false ones have counterexamples.
+HAND = [
+    "hd_error = hd_error",
+    "app Int = app Int",
+    "length = length",
+    "nlength (list Int) = nlength (list Int)",
+    "size = fun (t : tree) => size (mirror t)",
+    "mirror = fun (t : tree) => t",
+    "length Int = fun (l : list Int) => 0",
+    "app Bool = fun (l1 : list Bool) (l2 : list Bool) => app Bool l2 l1",
+    "forall (l : list (list Int)), length (list Int) (app (list Int) l l) = 2 * length (list Int) l",
+    "forall (t : tree), size (mirror t) = size t",
+    "forall (t : tree) (x : Int), size (node t x leaf) = size t",
+    "forall (A : Type) (x : A) (l : list A), search A x (cons A x l) = true",
+    "forall (A : Type) (l : list A), app A l (nil A) = l",
+    "forall (n : nat), n = O \\/ ~ (n = O)",
+    "forall (x : Int) (y : Int), x <= y = true -> y <= x = true",
+    "forall (v : void_like), length Int (nil Int) = 1",
+    "forall (o : option void_like), o = none void_like",
+    "forall (l : list Int), hd_error Int l = none Int",
+]
+
+
+def _corpus() -> list:
+    """The hand statements, every hypothesis the unfolding transformations
+    derive from the definitions, and statements over one and two rigid
+    type TVars."""
+    state = ProofState(ENV, [], parse_term("length Int (cons Int 1 (nil Int)) = 1", ENV))
+    for c in ["hd_error", "length", "nlength", "app", "search", "two", "bnot",
+              "size", "mirror"]:
+        state.add(get_def(state, c))
+    for fn in (expand, eliminate_fix, eliminate_pattern_matching):
+        for h in list(state.hypotheses):
+            try:
+                out = fn(state, h.name)
+            except TransformError:
+                continue
+            for new in out if isinstance(out, list) else [out]:
+                if not state.has_alpha(new.statement):
+                    state.add(new)
+    for new in interp_alg_types(state):
+        state.add(new)
+    stmts = [parse_term(s, ENV) for s in HAND] + [h.statement for h in state.hypotheses]
+    for text in ["forall (A : Type) (x : A) (l : list A), length A (cons A x l) = 1 + length A l",
+                 "forall (A : Type) (B : Type) (x : A) (y : B), "
+                 "length A (cons A x (nil A)) = length B (nil B)",
+                 # B occurs first, in the head of the addition.
+                 "forall (A : Type) (B : Type), length B (nil B) + length A (nil A) = 1"]:
+        poly = parse_term(text, ENV)
+        names = []
+        while isinstance(poly, Pi) and isinstance(poly.domain, SortType):
+            names.append(poly.binder)
+            poly = poly.codomain
+        # The leading type binders become rigid TVars, innermost first.
+        stmts.append(subst_list(poly, [TVar(n) for n in reversed(names)]))
+    return stmts
+
+
+def _variants(stmts: list) -> list:
+    """Each statement, the negation of its body under its prenex prefix,
+    and each equation with its right-hand side taken from another equation
+    whose binder prefix and type fit (kept when it typechecks)."""
+    out = list(stmts)
+    eqs = []
+    for s in stmts:
+        binders, body = strip_pis(s)
+        out.append(make_pis(binders, Not(body)))
+        if isinstance(body, Eq):
+            eqs.append((binders, body))
+    for i, (binders, body) in enumerate(eqs):
+        for other_binders, other in eqs[i + 1:] + eqs[:i]:
+            if len(other_binders) != len(binders) or other.rhs == body.rhs:
+                continue
+            cand = make_pis(binders, Eq(body.at_type, body.lhs, other.rhs))
+            try:
+                if isinstance(typecheck(ENV, [], cand), SortProp):
+                    out.append(cand)
+                    break
+            except FolbridgeError:
+                continue
+    return out
+
+
+STATEMENTS = _variants(_corpus())
+
+
+def _outcome(fn, *args):
+    """fn's result, or the class of the error it raises."""
+    try:
+        return fn(*args)
+    except FolbridgeError as e:
+        return type(e)
+
+
+def test_corpus_is_varied():
+    assert len(STATEMENTS) >= 120
+    cex = [random_truth_check(ENV, s, samples=3, seed=0) for s in STATEMENTS[:40]]
+    assert any(c is None for c in cex) and any(c is not None for c in cex)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(TYPES), st.integers(0, 14), st.integers(0, 10**6))
+def test_random_ground_term_matches_reference(ty, size, seed):
+    assert (_outcome(random_ground_term, ENV, ty, size, seed)
+            == _outcome(ref._random_value_term, ENV, ty, size, random.Random(seed)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(TYPES), st.integers(0, 14), st.integers(0, 10**6))
+def test_datum_draws_like_reference_and_evaluates_to_its_value(ty, size, seed):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    got = _outcome(conversion._random_datum, ENV, ty, size, rng)
+    want = _outcome(ref._random_value_term, ENV, ty, size, ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
+    if isinstance(want, type):
+        assert got is want
+        return
+    term, value = got
+    assert term == want
+    assert eval_ground(ENV, term) == value
+
+
+def test_type_alias_arguments_evaluate_like_eval_ground():
+    env = parse_problem(PRELUDE.replace("goal ", "def L : Type = list Int.\ngoal ")).env
+    ty = parse_term("option L", env)
+    for seed in range(20):
+        term, value = conversion._random_datum(env, ty, 4, random.Random(seed))
+        assert eval_ground(env, term) == value
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 2))
+def test_random_ground_type_matches_reference(seed, depth):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert (conversion.random_ground_type(ENV, rng, depth)
+            == ref.random_ground_type(ENV, ref_rng, depth))
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_truth_check_matches_reference(seed):
+    """Same verdict and the same counterexample instance on every statement."""
+    found = 0
+    for stmt in STATEMENTS:
+        got = _outcome(random_truth_check, ENV, stmt, 3, 6, seed)
+        want = _outcome(ref.random_truth_check, ENV, stmt, 3, 6, seed)
+        if isinstance(want, type) or want is None:
+            assert got == want, stmt
+            continue
+        found += 1
+        assert got is not None and got.instance == want.instance, stmt
+        assert got.statement is stmt
+    assert found >= 30
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(STATEMENTS), st.integers(0, 10**6), st.integers(1, 8))
+def test_truth_check_matches_reference_at_random_seeds(stmt, seed, size):
+    got = _outcome(random_truth_check, ENV, stmt, 2, size, seed)
+    want = _outcome(ref.random_truth_check, ENV, stmt, 2, size, seed)
+    if isinstance(want, type) or want is None:
+        assert got == want
+    else:
+        assert got.instance == want.instance
+
+
+def _lit(n: int) -> str:
+    return "".join(f"cons Int {i} (" for i in range(n)) + "nil Int" + ")" * n
+
+
+PROGRAM = f"length Int (app Int ({_lit(30)}) ({_lit(30)}))"
+
+
+def test_fuel_matches_reference():
+    t = parse_term(PROGRAM, ENV)
+    fuel, ref_fuel = Fuel(), Fuel()
+    assert eval_ground(ENV, t, fuel) == ref._eval(ENV, t, (), ref_fuel)
+    assert fuel.remaining == ref_fuel.remaining
+    used = DEFAULT_FUEL - fuel.remaining
+    assert used > 1000
+    for budget in (used, used - 1, used // 2, 1, 0):
+        runs = []
+        for fn in (lambda f: eval_ground(ENV, t, f), lambda f: ref._eval(ENV, t, (), f)):
+            try:
+                fn(Fuel(budget))
+                runs.append("done")
+            except FuelExhausted:
+                runs.append("exhausted")
+        assert runs[0] == runs[1] == ("done" if budget == used else "exhausted"), budget
+
+
+def test_constructor_tables_built_once_per_type(monkeypatch):
+    """Sizes are looked up while a type's table is built, not per draw."""
+    env = parse_problem(PRELUDE).env
+    calls = []
+    original = conversion.min_term_size
+
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(conversion, "min_term_size", counting)
+    ty = parse_term("list (list Int)", env)
+    random_ground_term(env, ty, 12, 0)
+    first = len(calls)
+    for seed in range(1, 20):
+        random_ground_term(env, ty, 12, seed)
+    assert 0 < first == len(calls)

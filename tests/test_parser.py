@@ -298,3 +298,88 @@ def test_tokenize_matches_reference(text):
 
 def test_tokenize_prelude_matches_reference():
     assert tokens_or_error(tokenize, PRELUDE) == tokens_or_error(reference_tokenize, PRELUDE)
+
+
+def _parse_atom_calls(monkeypatch, text: str) -> int:
+    calls = [0]
+    original = parser.Parser.parse_atom
+
+    def counting(self, bound):
+        calls[0] += 1
+        return original(self, bound)
+
+    monkeypatch.setattr(parser.Parser, "parse_atom", counting)
+    try:
+        parse_problem(f"goal {text}.")
+    except ParseError:
+        pass
+    finally:
+        monkeypatch.undo()
+    return calls[0]
+
+
+def test_nested_groups_parse_in_linear_time(monkeypatch):
+    """A parenthesized equation side is first tried as a proposition; the
+    groups inside it must not be parsed again from scratch when it turns
+    out to be an expression (4/16/67/862 calls at depth 1/4/10/40 when
+    they were), nor when it turns out to be malformed."""
+    def calls(depth):
+        return _parse_atom_calls(monkeypatch, "(" * depth + "1" + ")" * depth + " = 1")
+
+    def malformed_calls(depth):
+        text = "1 = 2"
+        for _ in range(depth):
+            text = f"({text}) = 1"  # a proposition inside an equation
+        return _parse_atom_calls(monkeypatch, text)
+
+    assert calls(40) <= 4.5 * calls(10)
+    assert malformed_calls(40) <= 4.5 * malformed_calls(10)
+    assert parse_term("((((((((((1)))))))))) = 1") == parse_term("1 = 1")
+    with pytest.raises(ParseError, match="expected '\\)', found '='"):
+        parse_term("((1 = 2) = 1) = 1")
+
+
+PRELUDE_ENV = parse_problem(PRELUDE).env
+
+
+class _Forgetful(dict):
+    """A group memo that never remembers: every group is parsed afresh."""
+
+    def get(self, key, default=None):
+        return default
+
+
+PROP_PIECES = st.sampled_from(
+    ["(", ")", "(", ")", "x", "1", "=", "<>", "->", "/\\", "\\/", "~", "+",
+     "true", "true_p", "forall (z : Int),", "cons Int 1", "nil Int", "length Int",
+     "(fun (a : Int) => a)", "<=", "||", "Int", "S", "O", "y"])
+
+
+def _parsed(text: str, env: GlobalEnv, forget: bool):
+    p = parser.Parser(text)
+    p.env = env  # parse_prop declares nothing, so the env can be shared
+    if forget:
+        p._groups = _Forgetful()
+    try:
+        t = p.parse_prop(["x", "y"])
+        return repr(t), p.pos
+    except (ParseError, ScopeError, ArityError) as e:
+        return type(e), str(e)
+
+
+NESTED_GROUPS = st.builds(
+    lambda depth, core, tail: "(" * depth + core + ")" * depth + tail,
+    st.integers(0, 6),
+    st.sampled_from(["x = y", "1", "x", "true_p", "cons Int 1 (nil Int)",
+                     "length Int (nil Int)", "x = 1 -> y = 2", "S x", "~ x = 1"]),
+    st.sampled_from(["", " = 1", " = x", " <> 2", " -> x = y", " /\\ true_p",
+                     " + 1 = 2", ")", " (x) = x"]))
+
+
+@given(st.one_of(st.lists(PROP_PIECES, min_size=1, max_size=16).map(" ".join),
+                 NESTED_GROUPS))
+@settings(deadline=None, max_examples=300)
+def test_group_memo_changes_no_outcome(text):
+    """With or without the group memo: the same term and end position, or
+    the same error class and message."""
+    assert _parsed(text, PRELUDE_ENV, False) == _parsed(text, PRELUDE_ENV, True)

@@ -16,7 +16,7 @@ from folbridge import conversion, parser, printer, transforms
 from folbridge.conversion import VInt, VType, infer
 from folbridge.terms import (
     App, Branch, Const, Eq, Exists, Fix, FolbridgeError, INT, Ind, IntLit, Lam,
-    Match, Pi, TYPE, Term, TrueP, Var, alpha_eq, alpha_key, is_closed, lift,
+    Match, Not, Pi, TYPE, Term, TrueP, Var, alpha_eq, alpha_key, is_closed, lift,
     subst, subst_list, subterms, well_scoped,
 )
 from named_calculus import from_named, named_subst, to_named
@@ -277,6 +277,27 @@ def test_uses_binder_at_matches_reference(t):
         for index in range(4):
             assert (state.uses_binder_at(s, index)
                     == reference._uses_binder_at(s, index)), (s, index)
+
+
+CLOSED_TERMS = st.integers(0, 2**32).map(lambda seed: random_term(random.Random(seed), 0, 12))
+
+
+@given(st.one_of(OPEN_TERMS, CLOSED_TERMS), st.integers(0, 4))
+@example(Var(-1), 1)
+@example(Lam("x", INT, Var(1)), 0)
+@settings(deadline=None, max_examples=200)
+def test_well_scoped_matches_reference(t, depth):
+    assert well_scoped(t, depth) == reference.well_scoped(t, depth)
+
+
+def test_well_scoped_deep_chain():
+    """10^4 nested App/Not nodes over one variable, built directly."""
+    t: Term = Var(0)
+    for i in range(10_000):
+        t = App(Const("f"), t) if i % 2 else Not(t)
+    assert well_scoped(t, 1)
+    assert not well_scoped(t, 0)
+    assert well_scoped(Lam("x", INT, t), 0)
 
 
 class TestSharing:

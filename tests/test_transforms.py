@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from folbridge import terms, transforms
 from folbridge.conversion import random_truth_check, typecheck
-from folbridge.parser import PrenexError, check_prenex, parse_term
+from conftest import PRELUDE
+from folbridge.parser import PrenexError, check_prenex, parse_problem, parse_term
 from folbridge.printer import print_term
 from folbridge.terms import (
     And, App, BOOL, Const, Ctor, Eq, Exists, INT, Ind, IntT, Not, Or, Pi,
@@ -577,3 +580,38 @@ class TestProofStateIndex:
             monomorphize(state, from_context=True)
         assert len(state.hypotheses) > 3 and keys
         assert len(keys) == len(set(keys))
+
+
+def test_preprocessing_leaves_no_garbage():
+    """A problem's state is freed by reference counting once it is dropped:
+    no recursive closure keeps it (and its environment) in a reference
+    cycle until the cyclic collector runs."""
+    text = PRELUDE.replace("goal true = true.",
+                           "goal forall (l : list Int), length Int (app Int l l) = 2 * length Int l.")
+    gc.collect()
+    gc.disable()
+    try:
+        problem = parse_problem(text)
+        state = ProofState(problem.env, [], problem.goal)
+        for c in ["hd_error", "length", "app", "search", "bnot"]:
+            state.add(get_def(state, c))
+        for fn in (expand, eliminate_fix, eliminate_pattern_matching):
+            for h in list(state.hypotheses):
+                try:
+                    out = fn(state, h.name)
+                except TransformError:
+                    continue
+                for new in out if isinstance(out, list) else [out]:
+                    if not state.has_alpha(new.statement):
+                        state.add(new)
+        for new in monomorphize(state) + interp_alg_types(state):
+            if not state.has_alpha(new.statement):
+                state.add(new)
+        assert len(state.hypotheses) > 20
+        for h in state.hypotheses:
+            print_term(h.statement, problem.env)
+            assert random_truth_check(problem.env, h.statement, samples=1) is None
+        del problem, state, h, out, new
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
