@@ -10,7 +10,9 @@ ground data and decides the rest with the evaluator. Random data is read
 off one constructor table per ground type, kept in GlobalEnv.memo (each
 constructor's instantiated argument types, their least sizes and the
 total), and the random arguments that probe function values are built as
-Values alongside their terms, not evaluated again.
+Values alongside their terms, not evaluated again. Functions over an empty
+domain are equal without a probe. The type of each closed binder domain or
+implication premise is computed once per environment (GlobalEnv.memo).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .terms import (
     BUILTIN_FUNCTIONS, FALSE, INT, PROP, TRUE, TYPE, And, App, Branch, Const,
     Ctor, Eq, Exists, FalseP, Fix, FolbridgeError, GlobalEnv, Ind, IntLit,
     IntT, Lam, Match, Not, Or, Pi, SortProp, SortType, TVar, Term, TrueP,
-    Var, alpha_eq, as_inductive_instance, builtin_type, children, ctor_arg_types,
+    Var, as_inductive_instance, builtin_type, children, ctor_arg_types,
     ctor_type, ind_type, lift, make_app, map_subterms, rebind, spine, subst,
     subst_list, well_scoped,
 )
@@ -78,6 +80,15 @@ def infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel | None = None) ->
 def typecheck(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel | None = None) -> Term:
     """Type of t in ctx (ctx[0] is the innermost binder's type)."""
     return infer(env, ctx, t, fuel)[1]
+
+
+def _closed_type_of(env: GlobalEnv, t: Term) -> Term:
+    """typecheck(env, [], t), computed once per environment and term; a
+    term whose typecheck raises is typechecked (and raises) on every call."""
+    ty = env.memo.get(("closed_type_of", t))
+    if ty is None:
+        ty = env.memo["closed_type_of", t] = typecheck(env, [], t)
+    return ty
 
 
 def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> tuple[Term, Term]:
@@ -295,7 +306,7 @@ def _builtin_step(env: GlobalEnv, name: str, args: list[Term], fuel: Fuel) -> Te
         a = normalize(env, [], args[1], fuel)
         b = normalize(env, [], args[2], fuel)
         if _is_ground_value(a) and _is_ground_value(b):
-            return _bool_term(alpha_eq(a, b))
+            return _bool_term(a == b)
         return None
     return None
 
@@ -374,12 +385,12 @@ def _norm(env: GlobalEnv, t: Term, fuel: Fuel) -> Term:
 
 def convertible(env: GlobalEnv, ctx: list[Term], t: Term, u: Term,
                 fuel: Fuel | None = None) -> bool:
-    """True iff t and u share a normal form up to alpha."""
+    """True iff t and u share a normal form up to alpha (term equality)."""
     if fuel is None:
         fuel = Fuel()
-    if alpha_eq(t, u):
+    if t == u:
         return True
-    return alpha_eq(_norm(env, t, fuel), _norm(env, u, fuel))
+    return _norm(env, t, fuel) == _norm(env, u, fuel)
 
 
 def beta_reduce(t: Term, fuel: Fuel | None = None) -> Term:
@@ -807,13 +818,16 @@ def _veq(env: GlobalEnv, a: Value, b: Value, at_type: Term, rng: random.Random,
                             for x, y in zip(a.args, b.args)))
         return False
     if isinstance(a, VType) and isinstance(b, VType):
-        return alpha_eq(a.type_term, b.type_term)
+        return a.type_term == b.type_term
     # Function-valued: probe at random arguments.
     if depth <= 0:
         raise EvalUnsupported("function comparison nesting too deep")
     at = at_type
     if not isinstance(at, Pi):
         raise EvalUnsupported("cannot compare non-data values without an arrow type")
+    table = None if isinstance(at.domain, SortType) else _ctor_table(env, at.domain)
+    if table is not None and table.least == _INF:
+        return True  # no argument to apply them to: equal vacuously
     for _ in range(probes):
         if isinstance(at.domain, SortType):
             garg = random_ground_type(env, rng)
@@ -854,7 +868,7 @@ def _eval_prop(env: GlobalEnv, t: Term, rng: random.Random, fuel: Fuel) -> bool:
         # Non-dependent Pi over Prop is implication; quantifiers must have
         # been instantiated by the caller. The codomain's binder is unused,
         # so substituting TrueP only drops its slot.
-        if not isinstance(typecheck(env, [], t.domain), SortProp):
+        if not isinstance(_closed_type_of(env, t.domain), SortProp):
             raise EvalUnsupported("residual quantifier in propositional evaluation")
         if not _eval_prop(env, t.domain, rng, fuel):
             return True
@@ -955,7 +969,7 @@ def random_truth_check(env: GlobalEnv, statement: Term, samples: int = 50,
             dom = subst_list(stmt.domain, insts[::-1]) if insts else stmt.domain
             if isinstance(dom, SortType):
                 inst = random_ground_type(env, rng)
-            elif isinstance(typecheck(env, [], dom), SortProp):
+            elif isinstance(_closed_type_of(env, dom), SortProp):
                 break  # implication: handled by eval_prop
             else:
                 try:

@@ -55,6 +55,21 @@ _TOKEN_RE = re.compile(
     r"|(?P<punct>" + "|".join(re.escape(p) for p in _PUNCT) + ")")
 
 
+# Infix operators of the expression level: symbol -> (builtin, precedence,
+# associativity). `||` and `&&` associate to the right, `+ - *` to the left,
+# and a comparison takes no comparison as its operand.
+_INFIX = {
+    "||": ("orb", 1, "right"),
+    "&&": ("andb", 2, "right"),
+    "<=": ("le", 3, None),
+    "<": ("lt", 3, None),
+    "+": ("add", 4, "left"),
+    "-": ("sub", 4, "left"),
+    "*": ("mul", 5, "left"),
+}
+_MAX_PREC = max(prec for _, prec, _ in _INFIX.values())
+
+
 @dataclass
 class Token:
     kind: str  # 'ident' | 'int' | 'punct' | 'kw' | 'eof'
@@ -160,53 +175,30 @@ class Parser:
             binders, bound2 = self.parse_binders(bound)
             self.eat(",")
             return make_pis(binders, self.parse_expr(bound2))
-        lhs = self.parse_orb(bound)
+        lhs = self.parse_infix(bound)
         if self.at("->"):
             self.next()
             rhs = self.parse_expr(bound)
             return Pi("_", lhs, lift(rhs, 1))
         return lhs
 
-    def parse_orb(self, bound: list[str]) -> Term:
-        lhs = self.parse_andb(bound)
-        if self.at("||"):
-            self.next()
-            rhs = self.parse_orb(bound)
-            return App(App(Const("orb"), lhs), rhs)
-        return lhs
-
-    def parse_andb(self, bound: list[str]) -> Term:
-        lhs = self.parse_cmp(bound)
-        if self.at("&&"):
-            self.next()
-            rhs = self.parse_andb(bound)
-            return App(App(Const("andb"), lhs), rhs)
-        return lhs
-
-    def parse_cmp(self, bound: list[str]) -> Term:
-        lhs = self.parse_add(bound)
-        for op, name in (("<=", "le"), ("<", "lt")):
-            if self.at(op):
-                self.next()
-                rhs = self.parse_add(bound)
-                return App(App(Const(name), lhs), rhs)
-        return lhs
-
-    def parse_add(self, bound: list[str]) -> Term:
-        lhs = self.parse_mul(bound)
-        while self.at("+") or self.at("-"):
-            name = "add" if self.next().text == "+" else "sub"
-            rhs = self.parse_mul(bound)
-            lhs = App(App(Const(name), lhs), rhs)
-        return lhs
-
-    def parse_mul(self, bound: list[str]) -> Term:
+    def parse_infix(self, bound: list[str], min_prec: int = 0) -> Term:
+        """The arrow-free expression level: applications joined by the
+        operators of _INFIX, by precedence climbing. After an operator of
+        precedence p the loop takes only lower precedences, or p again when
+        it is left associative, so comparisons do not chain."""
         lhs = self.parse_app(bound)
-        while self.at("*"):
+        limit = _MAX_PREC
+        while True:
+            tok = self.peek()
+            op = _INFIX.get(tok.text) if tok.kind == "punct" else None
+            if op is None or not min_prec <= op[1] <= limit:
+                return lhs
+            name, prec, assoc = op
             self.next()
-            rhs = self.parse_app(bound)
-            lhs = App(App(Const("mul"), lhs), rhs)
-        return lhs
+            rhs = self.parse_infix(bound, prec if assoc == "right" else prec + 1)
+            lhs = App(App(Const(name), lhs), rhs)
+            limit = prec if assoc == "left" else prec - 1
 
     def _at_atom_start(self) -> bool:
         tok = self.peek()
@@ -431,13 +423,13 @@ class Parser:
                 self.pos = save
         # Equation sides use the arrow-free expression level so that `->`
         # binds as implication: `t = u -> P` is `(t = u) -> P`.
-        lhs = self.parse_orb(bound)
+        lhs = self.parse_infix(bound)
         if self.at("="):
             self.next()
-            return Eq(None, lhs, self.parse_orb(bound))
+            return Eq(None, lhs, self.parse_infix(bound))
         if self.at("<>"):
             self.next()
-            return Not(Eq(None, lhs, self.parse_orb(bound)))
+            return Not(Eq(None, lhs, self.parse_infix(bound)))
         self.fail("expected '=' or '<>' to form an atomic proposition")
 
     # -- declarations ------------------------------------------------------------

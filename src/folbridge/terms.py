@@ -4,16 +4,16 @@ Terms double as types and Prop-level formulas (CIC style). Variables are
 de Bruijn indices; index 0 is the innermost binder. Every index rewrite
 (lift, subst, subst_list and the shifts of the other modules) is one call
 to rebind, which hands each free variable and its binder depth to a
-function. Binder name fields are printing hints only: alpha_eq ignores
-them, and alpha_key erases them, so that alpha-equal terms have equal (and
-equally hashed) keys.
+function. Binder name fields are printing hints only: they are excluded
+from `==` and `hash`, so term equality is alpha-equivalence and
+alpha-equal terms index the same set or dict entry. `repr` and the printer
+still show them; a test that pins exact names compares `repr`.
 
-The kernels (map_subterms and with it rebind, lift, subst and subst_list,
-and alpha_key) return the input node itself when none of its children
-changed, so a closed term survives lift and subst, and a binder-free term
-is its own key, without a copy. Terms are immutable, so this sharing is
-never observable: an `is` check on a result is only a fast path, and no
-code needs one for correctness.
+The kernels (map_subterms and with it rebind, lift, subst and subst_list)
+return the input node itself when none of its children changed, so a
+closed term survives lift and subst without a copy. Terms are immutable, so
+this sharing is never observable: an `is` check on a result is only a fast
+path, and no code needs one for correctness.
 """
 
 from __future__ import annotations
@@ -88,14 +88,14 @@ class SortProp(Term):
 @dataclass(frozen=True)
 class Pi(Term):
     """Dependent product; houses both forall and -> (non-dependent)."""
-    binder: str
+    binder: str = field(compare=False)
     domain: Term
     codomain: Term
 
 
 @dataclass(frozen=True)
 class Lam(Term):
-    binder: str
+    binder: str = field(compare=False)
     domain: Term
     body: Term
 
@@ -106,12 +106,13 @@ class App(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Branch:
     """Match branch: body lives under len(binders) extra binders.
 
     Constructor argument i (0-based, in declaration order) has de Bruijn
-    index len(binders)-1-i inside the body.
+    index len(binders)-1-i inside the body. Equality and hash see the
+    arity and the body, not the binder names.
     """
     binders: tuple[str, ...]
     body: Term
@@ -119,6 +120,14 @@ class Branch:
     @property
     def arity(self) -> int:
         return len(self.binders)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Branch:
+            return NotImplemented
+        return len(self.binders) == len(other.binders) and self.body == other.body
+
+    def __hash__(self) -> int:
+        return hash((len(self.binders), self.body))
 
 
 @dataclass(frozen=True)
@@ -137,7 +146,7 @@ class Fix(Term):
     """Structural fixpoint. body lives under one extra binder (the
     recursive self-reference); decreasing indexes the Pi-chain argument
     that must be constructor-headed before unfolding."""
-    binder: str
+    binder: str = field(compare=False)
     decreasing: int
     full_type: Term
     body: Term
@@ -182,7 +191,7 @@ class Not(Term):
 class Exists(Term):
     """Existential quantifier; only produced by the exhaustiveness axiom
     generator (off by default) and rejected by FOL extraction."""
-    binder: str
+    binder: str = field(compare=False)
     domain: Term
     body: Term
 
@@ -262,9 +271,13 @@ class GlobalEnv:
     unique across inductives, constructors, definitions and builtins."""
     inductives: dict[str, InductiveDecl] = field(default_factory=dict)
     definitions: dict[str, Definition] = field(default_factory=dict)
-    # Facts derived from the inductive declarations (constructor types and
-    # names, least inhabitant sizes), keyed by (function name, arguments) and
-    # filled on demand; declare_inductive clears it.
+    # Facts derived from the declarations (constructor types and names,
+    # least inhabitant sizes, the sorts of closed types), keyed by (function
+    # name, arguments) and filled on demand; declare_inductive clears it. A
+    # key holding a type is name-blind like every term: alpha-equal types
+    # share an entry, and the terms an entry holds (a constructor table's
+    # type arguments) keep the binder names of the type that filled it.
+    # Those names reach random data only, never a hypothesis.
     memo: dict[tuple, object] = field(default_factory=dict, init=False, repr=False,
                                       compare=False)
 
@@ -506,65 +519,8 @@ def is_closed(t: Term) -> bool:
 
 
 def alpha_eq(t: Term, u: Term) -> bool:
-    """Structural equality ignoring binder name hints."""
-    if t is u:
-        return True
-    if type(t) is not type(u):
-        return False
-    if isinstance(t, Var):
-        return t.index == u.index
-    if isinstance(t, Const):
-        return t.name == u.name
-    if isinstance(t, Ctor):
-        return t.inductive == u.inductive and t.ctor_index == u.ctor_index
-    if isinstance(t, Ind):
-        return t.inductive == u.inductive
-    if isinstance(t, TVar):
-        return t.name == u.name
-    if isinstance(t, IntLit):
-        return t.value == u.value
-    if isinstance(t, Fix) and t.decreasing != u.decreasing:
-        return False
-    if isinstance(t, Match):
-        if len(t.branches) != len(u.branches):
-            return False
-        if any(a.arity != b.arity for a, b in zip(t.branches, u.branches)):
-            return False
-    tc, uc = children(t), children(u)
-    if len(tc) != len(uc):
-        return False
-    return all(alpha_eq(a, b) for (a, _), (b, _) in zip(tc, uc))
-
-
-def alpha_key(t: Term) -> Term:
-    """t with every binder name hint erased: alpha_key(t) == alpha_key(u)
-    exactly when alpha_eq(t, u), so keys can index sets and dicts. A term
-    without binder names is its own key."""
-    if type(t) in _LEAVES or type(t) is Var:
-        return t
-    if isinstance(t, (Pi, Lam, Exists)):
-        body = t.codomain if isinstance(t, Pi) else t.body
-        a, b = alpha_key(t.domain), alpha_key(body)
-        if t.binder == "" and a is t.domain and b is body:
-            return t
-        return type(t)("", a, b)
-    if isinstance(t, Fix):
-        a, b = alpha_key(t.full_type), alpha_key(t.body)
-        if t.binder == "" and a is t.full_type and b is t.body:
-            return t
-        return Fix("", t.decreasing, a, b)
-    if isinstance(t, Match) and any(any(b.binders) for b in t.branches):
-        return Match(
-            alpha_key(t.scrutinee),
-            None if t.scrutinee_type is None else alpha_key(t.scrutinee_type),
-            alpha_key(t.return_type),
-            tuple(Branch(("",) * b.arity, alpha_key(b.body)) for b in t.branches),
-        )
-    return map_subterms(t, _key_child)
-
-
-def _key_child(s: Term, _depth: int) -> Term:
-    return alpha_key(s)
+    """Equality up to binder names, which `==` already ignores."""
+    return t == u
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from .conversion import beta_reduce, typecheck
 from .terms import (
     And, App, Const, Ctor, Eq, Exists, FalseP, Fix, FolbridgeError,
     GlobalEnv, Ind, IntLit, IntT, Lam, Match, Not, Or, Pi, SortProp,
-    SortType, TVar, Term, TrueP, Var, alpha_key,
+    SortType, TVar, Term, TrueP, Var,
     as_inductive_instance, builtin_type, children, ctor_arg_types,
     has_interior_type_binder, lift, make_app, make_pis, map_subterms, rebind,
     spine, strip_lams, strip_pis, subst, subst_list, INTERPRETED_TYPES,
@@ -140,41 +140,42 @@ class ProofState:
     """Named hypotheses plus goal; extended but never rewritten.
 
     The state indexes its hypotheses: each name with its first hypothesis,
-    and the alpha keys of their statements. It also remembers what it has
-    decided about types: the type instances of every statement it was asked
-    about, the algebraic instances of the goal and the hypotheses, and one
-    is-a-type decision per alpha key of a candidate subterm, which every
-    `collect_type_instances` call it makes consults and extends. The index
-    catches up lazily with `hypotheses`, so a list passed in prefilled or
-    extended by a plain `append` is indexed too; removing or replacing
-    hypotheses, or changing `env`, is not supported."""
+    and the set of their statements, which term equality (alpha-equivalence)
+    makes an alpha index. It also remembers what it has decided about types:
+    the type instances of every statement it was asked about, the algebraic
+    instances of the goal and the hypotheses, and one is-a-type decision per
+    candidate subterm up to alpha, which every `collect_type_instances` call
+    it makes consults and extends. The instances of a statement are kept by
+    identity, not by equality, because they carry the binder names of that
+    exact statement into printed hypotheses. The index catches up lazily
+    with `hypotheses`, so a list passed in prefilled or extended by a plain
+    `append` is indexed too; removing or replacing hypotheses, or changing
+    `env`, is not supported."""
     env: GlobalEnv
     hypotheses: list[Hypothesis] = field(default_factory=list)
     goal: Term = None
     _indexed: int = field(default=0, init=False, repr=False, compare=False)
     _by_name: dict[str, Hypothesis] = field(default_factory=dict, init=False, repr=False,
                                             compare=False)
-    _keys: set[Term] = field(default_factory=set, init=False, repr=False, compare=False)
-    _instances: dict[Term, tuple[Term, ...]] = field(
+    _statements: set[Term] = field(default_factory=set, init=False, repr=False,
+                                   compare=False)
+    # id(statement) -> (statement, its instances); holding the statement
+    # keeps its id from being reused.
+    _instances: dict[int, tuple[Term, tuple[Term, ...]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _is_type: dict[Term, bool] = field(default_factory=dict, init=False, repr=False,
                                        compare=False)
-    # The algebraic instances found so far, by alpha key in first occurrence
-    # order, and how many statements (the goal, then the hypotheses in
-    # order) they were collected from.
+    # The algebraic instances found so far, the first of each alpha class in
+    # occurrence order, and how many statements (the goal, then the
+    # hypotheses in order) they were collected from.
     _algebraic: dict[Term, Term] = field(default_factory=dict, init=False, repr=False,
                                          compare=False)
     _algebraic_seen: int = field(default=0, init=False, repr=False, compare=False)
-    # The statement `has_alpha` keyed last, and its key, which `_sync` reuses
-    # when that statement is committed next; `has_alpha` syncs before keying.
-    _last: tuple[Term, Term] = field(default=(None, None), init=False, repr=False,
-                                     compare=False)
 
     def _sync(self) -> None:
-        last, last_key = self._last
         for h in self.hypotheses[self._indexed:]:
             self._by_name.setdefault(h.name, h)
-            self._keys.add(last_key if h.statement is last else alpha_key(h.statement))
+            self._statements.add(h.statement)
         self._indexed = len(self.hypotheses)
 
     def find(self, name: str) -> Hypothesis:
@@ -184,10 +185,10 @@ class ProofState:
         except KeyError:
             raise TransformError(f"no hypothesis named {name!r}") from None
 
-    def statement_keys(self) -> set[Term]:
-        """The alpha keys of all hypothesis statements; do not mutate."""
+    def statements(self) -> set[Term]:
+        """The set of all hypothesis statements; do not mutate."""
         self._sync()
-        return self._keys
+        return self._statements
 
     def used_names(self) -> set[str]:
         """A new set of the hypothesis and environment names."""
@@ -195,10 +196,7 @@ class ProofState:
         return self._by_name.keys() | self.env.names()
 
     def has_alpha(self, statement: Term) -> bool:
-        keys = self.statement_keys()
-        key = alpha_key(statement)
-        self._last = (statement, key)
-        return key in keys
+        return statement in self.statements()
 
     def fresh_name(self, base: str) -> str:
         return fresh_name(base, self.used_names())
@@ -206,11 +204,11 @@ class ProofState:
     def type_instances(self, t: Term) -> tuple[Term, ...]:
         """`collect_type_instances(env, t)`, computed once per exact term:
         the instances keep the binder names of their occurrence in t."""
-        insts = self._instances.get(t)
-        if insts is None:
-            insts = self._instances[t] = tuple(
-                collect_type_instances(self.env, t, self._is_type))
-        return insts
+        hit = self._instances.get(id(t))
+        if hit is None:
+            hit = self._instances[id(t)] = (
+                t, tuple(collect_type_instances(self.env, t, self._is_type)))
+        return hit[1]
 
     def algebraic_instances(self) -> list[Term]:
         """Ground algebraic instances in goal and context, in first
@@ -223,7 +221,7 @@ class ProofState:
                     continue
                 if len(args) != len(self.env.inductive(head.inductive).params):
                     continue
-                self._algebraic.setdefault(alpha_key(cand), cand)
+                self._algebraic.setdefault(cand, cand)
         self._algebraic_seen = len(statements)
         return list(self._algebraic.values())
 
@@ -496,10 +494,10 @@ def collect_type_instances(env: GlobalEnv, t: Term,
     inductive applied to other than its parameter count, and a constant
     application that `_never_a_type` rules out. That filter is only a
     necessary condition. The candidates are taken in preorder; one
-    alpha-equal to a candidate already taken is skipped, and `typecheck`
-    makes the final decision on the rest. `decided` maps the alpha keys of
-    candidates to those decisions; it is consulted and extended, so callers
-    that share it typecheck each candidate once."""
+    alpha-equal (`==`) to a candidate already taken is skipped, and
+    `typecheck` makes the final decision on the rest. `decided` maps
+    candidates, up to alpha, to those decisions; it is consulted and
+    extended, so callers that share it typecheck each candidate once."""
     candidates: list[tuple[int, Term]] = []
     position = itertools.count()
 
@@ -530,17 +528,16 @@ def collect_type_instances(env: GlobalEnv, t: Term,
     out: list[Term] = []
     taken: set[Term] = set()
     for _pos, s in candidates:
-        key = alpha_key(s)
-        if key in taken:
+        if s in taken:
             continue
-        taken.add(key)
-        is_type = decided.get(key)
+        taken.add(s)
+        is_type = decided.get(s)
         if is_type is None:
             try:
                 is_type = isinstance(typecheck(env, [], s), SortType)
             except FolbridgeError:
                 is_type = False
-            decided[key] = is_type
+            decided[s] = is_type
         if is_type:
             out.append(s)
     return out
@@ -589,18 +586,18 @@ def monomorphize(state: ProofState, extra_lemmas: list[tuple[str, Term]] | None 
     leading binders); instances already present are skipped."""
     insts = list(state.type_instances(state.goal))
     if from_context:
-        by_key = {alpha_key(s): s for s in insts}
+        first = {s: s for s in insts}
         for h in state.hypotheses:
             for cand in state.type_instances(h.statement):
-                by_key.setdefault(alpha_key(cand), cand)
-        insts = list(by_key.values())
+                first.setdefault(cand, cand)
+        insts = list(first.values())
     if not insts:
         return []
     sources = [(h.name, h.statement) for h in state.hypotheses]
     for name, stmt in (extra_lemmas or []):
         if not any(n == name for n, _ in sources):
             sources.append((name, stmt))
-    existing = set(state.statement_keys())
+    existing = set(state.statements())
     used_names = state.used_names()
     out: list[Hypothesis] = []
     for src_name, stmt in sources:
@@ -612,10 +609,9 @@ def monomorphize(state: ProofState, extra_lemmas: list[tuple[str, Term]] | None 
             for ty in combo:
                 assert isinstance(inst_stmt, Pi)
                 inst_stmt = subst(inst_stmt.codomain, 0, ty)
-            key = alpha_key(inst_stmt)
-            if key in existing:
+            if inst_stmt in existing:
                 continue
-            existing.add(key)
+            existing.add(inst_stmt)
             name = fresh_name(
                 f"{src_name}_{'_'.join(type_slug(ty) for ty in combo)}", used_names)
             out.append(Hypothesis(name, inst_stmt,
@@ -699,14 +695,13 @@ def interp_alg_types(state: ProofState, include_exhaustiveness: bool = False) ->
     exhaustiveness disjunction) for every algebraic instance in the goal
     and context, excluding solver-interpreted types."""
     out: list[Hypothesis] = []
-    existing = set(state.statement_keys())
+    existing = set(state.statements())
     used = state.used_names()
 
     def emit(name: str, stmt: Term, just: Justification) -> None:
-        key = alpha_key(stmt)
-        if key in existing:
+        if stmt in existing:
             return
-        existing.add(key)
+        existing.add(stmt)
         out.append(Hypothesis(fresh_name(name, used), stmt, just))
 
     for inst in state.algebraic_instances():

@@ -12,12 +12,13 @@ from folbridge.conversion import (
     random_ground_term, random_ground_type, random_truth_check, typecheck,
     value_to_term, VCtor, VInt, VTRUE, VFALSE,
 )
+from conftest import PRELUDE
 from folbridge.parser import parse_problem, parse_term
 from folbridge.printer import print_term
 from folbridge.terms import (
-    App, BOOL, Branch, Const, Ctor, Eq, FALSE, GlobalEnv, Ind, IntLit,
-    IntT, Lam, Match, Pi, SortProp, SortType, TRUE, TYPE, Term, Var,
-    alpha_eq, make_app,
+    App, BOOL, Branch, Const, Ctor, Eq, FALSE, FolbridgeError, GlobalEnv, INT,
+    Ind, IntLit, IntT, Lam, Match, Pi, SortProp, SortType, TRUE, TYPE, Term,
+    Var, alpha_eq, make_app,
 )
 
 
@@ -247,3 +248,39 @@ class TestEvalProp:
         for s in truths:
             stmt = parse_term(s, env)
             assert random_truth_check(env, stmt, samples=40, seed=3) is None, s
+
+    def test_functions_over_an_empty_domain_are_equal(self):
+        p = parse_problem("data void_like = mk (void_like).\ngoal true = true.")
+        for text in ["(fun (v : void_like) => 1) = (fun (v : void_like) => 2)",
+                     "forall (x : Int), (fun (v : void_like) => x) = (fun (v : void_like) => 0)",
+                     "(fun (n : Int) (v : void_like) => n) = (fun (n : Int) (v : void_like) => 0)"]:
+            stmt = parse_term(text, p.env)
+            assert random_truth_check(p.env, stmt, samples=5) is None, text
+        # Inhabited domains are still probed.
+        for text in ["(fun (v : Bool) => 1) = (fun (v : Bool) => 2)",
+                     "(fun (v : Int) => v) = (fun (v : Int) => 0)"]:
+            differ = parse_term(text, p.env)
+            assert random_truth_check(p.env, differ, samples=5) is not None, text
+
+    def test_domains_typechecked_once(self, monkeypatch):
+        """The prenex domains and implication premises of a statement are
+        typechecked once per environment, not once per sample; one whose
+        typecheck raises raises on every sample."""
+        from folbridge import conversion
+        env = parse_problem(PRELUDE).env  # a memo no other test has filled
+        checked = []
+        original = conversion.typecheck
+
+        def recording(env_, ctx, t, *rest):
+            checked.append(t)
+            return original(env_, ctx, t, *rest)
+
+        monkeypatch.setattr(conversion, "typecheck", recording)
+        stmt = parse_term("forall (x : Int) (l : list Int) (n : nat), 1 = 1 -> "
+                          "length Int (cons Int x l) = 1 + length Int l", env)
+        assert random_truth_check(env, stmt, samples=30) is None
+        assert len(checked) == len(set(checked)) == 4
+        bad = Pi("x", Const("nosuch"), Eq(INT, IntLit(1), IntLit(1)))
+        for _ in range(2):
+            with pytest.raises(FolbridgeError, match="nosuch"):
+                random_truth_check(env, bad, samples=3)

@@ -130,6 +130,42 @@ class TestExpressions:
         want = parse_term("true || (false && true)", env)
         assert alpha_eq(t, want)
 
+    @pytest.mark.parametrize("text, want", [
+        ("x || y || z", ("orb", "x", ("orb", "y", "z"))),
+        ("x && y && z", ("andb", "x", ("andb", "y", "z"))),
+        ("x && y || z", ("orb", ("andb", "x", "y"), "z")),
+        ("1 - 2 - 3", ("sub", ("sub", 1, 2), 3)),
+        ("1 * 2 * 3 + 4", ("add", ("mul", ("mul", 1, 2), 3), 4)),
+        ("1 - 2 * 3 + 4", ("add", ("sub", 1, ("mul", 2, 3)), 4)),
+        ("1 + 2 < 3 && 4 <= 5 || x",
+         ("orb", ("andb", ("lt", ("add", 1, 2), 3), ("le", 4, 5)), "x")),
+        ("x && 1 < 2 || y && 3 <= 4",
+         ("orb", ("andb", "x", ("lt", 1, 2)), ("andb", "y", ("le", 3, 4)))),
+    ])
+    def test_infix_associativity(self, env, text, want):
+        def build(spec):
+            if isinstance(spec, int):
+                return IntLit(spec)
+            if isinstance(spec, str):
+                return Var(["x", "y", "z"].index(spec))
+            name, lhs, rhs = spec
+            return App(App(Const(name), build(lhs)), build(rhs))
+        assert parse_term(text, env, ["x", "y", "z"]) == build(want)
+
+    @pytest.mark.parametrize("text", [
+        "1 < 2 < 3", "1 <= 2 < 3", "true && 1 < 2 < 3", "1 < 2 + 3 <= 4"])
+    def test_comparison_does_not_chain(self, env, text):
+        with pytest.raises(ParseError, match="trailing input"):
+            parse_term(text, env)
+
+    def test_long_list_literal(self, env):
+        """Each element nests one group: four parser frames per element, so
+        200 elements stay below Python's default recursion limit."""
+        lit = "nil Int"
+        for i in range(200):
+            lit = f"cons Int {i} ({lit})"
+        assert isinstance(parse_term(f"{lit} = {lit}", env), Eq)
+
     def test_negative_literal(self, env):
         assert parse_term("(-5)", env) == IntLit(-5)
         t = parse_term("1 - 5", env)

@@ -1,6 +1,10 @@
 """Lifting/substitution against an independent named-variable oracle, the
-other `rebind`-based traversals against their hand-written originals, alpha
-keys against alpha_eq, and the kernels' sharing of unchanged nodes."""
+other `rebind`-based traversals against their hand-written originals, term
+equality and hashing against the recursive alpha-equivalence, and the
+kernels' sharing of unchanged nodes.
+
+Term equality ignores binder names, so a comparison that must also pin the
+names compares `repr`."""
 
 from __future__ import annotations
 
@@ -11,12 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import alpha_reference
 import debruijn_reference as reference
 from folbridge import conversion, parser, printer, transforms
 from folbridge.conversion import VInt, VType, infer
 from folbridge.terms import (
     App, Branch, Const, Eq, Exists, Fix, FolbridgeError, INT, Ind, IntLit, Lam,
-    Match, Not, Pi, TYPE, Term, TrueP, Var, alpha_eq, alpha_key, is_closed, lift,
+    Match, Not, Pi, TYPE, Term, TrueP, Var, alpha_eq, is_closed, lift,
     subst, subst_list, subterms, well_scoped,
 )
 from named_calculus import from_named, named_subst, to_named
@@ -59,7 +64,7 @@ class TestLift:
         rng = random.Random(7)
         for _ in range(200):
             t = random_term(rng, 3, 12)
-            assert lift(t, 0, 0) == t
+            assert repr(lift(t, 0, 0)) == repr(t)
 
     def test_lift_against_named_oracle(self):
         # Reading a named term back in a context padded with k fresh slots
@@ -108,7 +113,7 @@ class TestSubst:
             t = random_term(rng, 3, 12)
             u = random_term(rng, 3, 6)
             i = rng.randrange(3)
-            assert subst(lift(t, 1, i), i, u) == t
+            assert repr(subst(lift(t, 1, i), i, u)) == repr(t)
 
 
 class TestSubstList:
@@ -128,7 +133,7 @@ class TestSubstList:
             # sequential: substitute index 0 repeatedly (values are closed)
             for v in vals:
                 want = subst(want, 0, v)
-            assert got == want
+            assert repr(got) == repr(want)
 
 
 @given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=4))
@@ -209,13 +214,29 @@ def term_pairs(draw, depth: int = 3, renamed_only: bool | None = None):
 
 @given(term_pairs())
 @settings(deadline=None, max_examples=300)
-def test_alpha_key_agrees_with_alpha_eq(pair):
+def test_equality_is_alpha_equivalence(pair):
     t, u = pair
-    kt, ku = alpha_key(t), alpha_key(u)
-    assert (kt == ku) == alpha_eq(t, u)
-    if kt == ku:
-        assert hash(kt) == hash(ku)
-    assert alpha_eq(kt, t)
+    assert (t == u) == alpha_reference.alpha_eq(t, u)
+    assert (t != u) != (t == u)
+    assert alpha_eq(t, u) == (t == u)
+    if t == u:
+        assert hash(t) == hash(u)
+
+
+def test_equality_sees_arity_decreasing_and_holes():
+    renamed = (Pi("x", INT, Var(0)), Pi("y", INT, Var(0)))
+    assert renamed[0] == renamed[1] and repr(renamed[0]) != repr(renamed[1])
+    apart = [
+        (Match(Var(0), INT, INT, (Branch(("a",), IntLit(1)),)),
+         Match(Var(0), INT, INT, (Branch((), IntLit(1)),))),
+        (Fix("f", 0, INT, Var(0)), Fix("f", 1, INT, Var(0))),
+        (Eq(None, Var(0), Var(0)), Eq(INT, Var(0), Var(0))),
+        (Match(Var(0), None, INT, ()), Match(Var(0), INT, INT, ())),
+    ]
+    for t, u in apart:
+        assert not alpha_reference.alpha_eq(t, u)
+        assert t != u and u != t
+        assert len({t, u}) == 2
 
 
 # Open terms: every node kind with `None` holes, and the deeper random
@@ -240,22 +261,22 @@ def outcome(f, *args):
 @example(Var(0), 0, 1)
 @settings(deadline=None, max_examples=100)
 def test_shift_above_matches_reference(t, at, by):
-    assert (outcome(transforms._shift_above, t, at, by)
-            == outcome(reference._shift_above, t, at, by))
+    assert (repr(outcome(transforms._shift_above, t, at, by))
+            == repr(outcome(reference._shift_above, t, at, by)))
 
 
 @given(OPEN_TERMS, st.integers(0, 2), st.integers(0, 3), OPEN_TERMS)
 @settings(deadline=None, max_examples=100)
 def test_replace_binder_matches_reference(t, at, widen, replacement):
-    assert (transforms._replace_binder(t, at, widen, replacement)
-            == reference._replace_binder(t, at, widen, replacement))
+    assert (repr(transforms._replace_binder(t, at, widen, replacement))
+            == repr(reference._replace_binder(t, at, widen, replacement)))
 
 
 @given(OPEN_TERMS, st.integers(0, 3))
 @example(Lam("x", INT, Var(1)), 1)
 @settings(deadline=None, max_examples=100)
 def test_unshift_matches_reference(t, amount):
-    assert parser._unshift(t, amount) == reference._unshift(t, amount)
+    assert repr(parser._unshift(t, amount)) == repr(reference._unshift(t, amount))
 
 
 @given(OPEN_TERMS, st.lists(VALUES, max_size=3).map(tuple))
@@ -263,8 +284,8 @@ def test_unshift_matches_reference(t, amount):
 @example(Var(2), (VType(INT),))
 @settings(deadline=None, max_examples=100)
 def test_reify_type_matches_reference(t, venv):
-    assert (outcome(conversion._reify_type, t, venv)
-            == outcome(reference._reify_type, t, venv))
+    assert (repr(outcome(conversion._reify_type, t, venv))
+            == repr(outcome(reference._reify_type, t, venv)))
 
 
 @given(OPEN_TERMS)
@@ -319,11 +340,15 @@ class TestSharing:
             t = random_term(rng, 3, 12)
             assert lift(t, 2, 3) is t
 
-    @given(term_pairs())
+    @given(term_pairs(renamed_only=True))
     @settings(deadline=None, max_examples=200)
-    def test_binder_free_term_is_its_own_key(self, pair):
-        key = alpha_key(pair[0])
-        assert alpha_key(key) is key
+    def test_renamed_terms_share_entries(self, pair):
+        """A renamed term finds the set or dict entry of its original, as
+        is, with no copy of either: `setdefault` keeps the first term."""
+        t, u = pair
+        assert u in {t}
+        first = {t: t}
+        assert first.setdefault(u, u) is t and repr(first[u]) == repr(t)
 
     def test_elaborated_term_is_not_copied(self, prelude):
         env = prelude.env

@@ -499,28 +499,34 @@ class TestProofStateIndex:
         assert state.has_alpha(renamed)
         assert not state.has_alpha(other)
 
-    def test_committed_statement_keyed_once(self, env, monkeypatch):
+    def test_committed_statements_indexed_themselves(self, env):
+        """The index holds the committed statements, not copies of them, and
+        a renamed statement finds its alpha-equal one."""
         stmts = [parse_term(f"{i} = {i}", env) for i in range(5)]
+        stmts.append(parse_term("forall (n : nat), S n <> O", env))
         state = ProofState(env, [], parse_term("true = true", env))
-        calls = 0
-        alpha_key = transforms.alpha_key
-
-        def counting_key(t):
-            nonlocal calls
-            calls += 1
-            return alpha_key(t)
-
-        monkeypatch.setattr(transforms, "alpha_key", counting_key)
         for i, stmt in enumerate(stmts):
             assert not state.has_alpha(stmt)
             state.add(Hypothesis(f"h{i}", stmt, Given()))
-        assert len(state.statement_keys()) == len(stmts)
-        assert calls == len(stmts)
-        # A statement other than the one last asked about is keyed itself.
-        other = parse_term("forall (n : nat), S n <> O", env)
-        assert not state.has_alpha(parse_term("7 = 7", env))
-        state.add(Hypothesis("g", other, Given()))
+        indexed = state.statements()
+        assert len(indexed) == len(stmts)
+        assert {id(s) for s in indexed} == {id(s) for s in stmts}
         assert state.has_alpha(parse_term("forall (m : nat), S m <> O", env))
+        assert not state.has_alpha(parse_term("7 = 7", env))
+
+    def test_alpha_equal_statements_get_their_own_instances(self, env):
+        """Instances carry the binder names of the statement they come from,
+        so an alpha-equal statement with other names gets its own."""
+        text = "forall (f : forall (x : list Int), Int), f = f"
+        first = parse_term(text, env)
+        renamed = parse_term(text.replace("(x :", "(y :"), env)
+        assert first == renamed and repr(first) != repr(renamed)
+        state = mk_state(env, "true = true", [])
+        for stmt, name in ((first, "x"), (renamed, "y"), (first, "x")):
+            insts = state.type_instances(stmt)
+            arrows = [t for t in insts if isinstance(t, Pi)]
+            assert [t.binder for t in arrows] == [name], insts
+            assert repr(insts) == repr(tuple(collect_type_instances(env, stmt)))
 
     def test_instances_walked_once_per_statement(self, env, monkeypatch):
         state = mk_state(env, "forall (l : list Int), l = l",
@@ -570,7 +576,7 @@ class TestProofStateIndex:
         typecheck = transforms.typecheck
 
         def recording_typecheck(env_, ctx, t, *rest):
-            keys.append(terms.alpha_key(t))
+            keys.append(t)
             return typecheck(env_, ctx, t, *rest)
 
         monkeypatch.setattr(transforms, "typecheck", recording_typecheck)
