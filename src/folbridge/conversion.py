@@ -6,13 +6,17 @@ environment machine used as the semantic oracle. The two agree on closed
 ground terms and that agreement is itself property-tested.
 
 random_truth_check instantiates a statement's prenex binders with random
-ground data and decides the rest with the evaluator. Random data is read
-off one constructor table per ground type, kept in GlobalEnv.memo (each
+ground data and decides the rest with the evaluator. The instances are
+drawn as Values and bound in the evaluator's value environment: the body
+is evaluated as it stands, not rewritten with the instances' terms, and
+fuel counts only the statement's own nodes. Random data is read off one
+constructor table per ground type, kept in GlobalEnv.memo (each
 constructor's instantiated argument types, their least sizes and the
 total), and the random arguments that probe function values are built as
 Values alongside their terms, not evaluated again. Functions over an empty
 domain are equal without a probe. The type of each closed binder domain or
-implication premise is computed once per environment (GlobalEnv.memo).
+instantiated implication premise is computed once per environment
+(GlobalEnv.memo).
 """
 
 from __future__ import annotations
@@ -474,6 +478,10 @@ class VBuiltin(Value):
     collected: tuple[Value, ...]
 
 
+# The value of an implication's proof binder: reading it raises the error
+# that evaluating the proof term TrueP raises.
+_PROOF = Value()
+
 VTRUE = VCtor("Bool", 0, (), ())
 VFALSE = VCtor("Bool", 1, (), ())
 
@@ -504,7 +512,10 @@ def _eval(env: GlobalEnv, t: Term, venv: tuple[Value, ...], fuel: Fuel) -> Value
         f = _eval(env, t.head, venv, fuel)
         return _apply(env, f, _eval(env, t.arg, venv, fuel), fuel)
     if cls is Var:
-        return venv[t.index]
+        v = venv[t.index]
+        if v is _PROOF:
+            raise EvalError("not an object-level term: TrueP")
+        return v
     if cls is Match:
         v = _eval(env, t.scrutinee, venv, fuel)
         if type(v) is not VCtor:
@@ -805,9 +816,12 @@ class EvalUnsupported(FolbridgeError):
 
 
 def _veq(env: GlobalEnv, a: Value, b: Value, at_type: Term, rng: random.Random,
-         fuel: Fuel, probes: int = 6, depth: int = 3) -> bool:
+         fuel: Fuel, probes: int = 6, depth: int = 3,
+         venv: tuple[Value, ...] = ()) -> bool:
     """Semantic equality: structural on data, extensional sampling on
-    function values (sound for refutation, probabilistic for assent)."""
+    function values (sound for refutation, probabilistic for assent).
+    at_type may mention the type variables bound in venv; it is resolved
+    only when a and b are functions."""
     if isinstance(a, (VInt, VCtor)) and isinstance(b, (VInt, VCtor)):
         if isinstance(a, VInt) and isinstance(b, VInt):
             return a.value == b.value
@@ -822,7 +836,7 @@ def _veq(env: GlobalEnv, a: Value, b: Value, at_type: Term, rng: random.Random,
     # Function-valued: probe at random arguments.
     if depth <= 0:
         raise EvalUnsupported("function comparison nesting too deep")
-    at = at_type
+    at = _reify_type(at_type, venv) if venv and at_type is not None else at_type
     if not isinstance(at, Pi):
         raise EvalUnsupported("cannot compare non-data values without an arrow type")
     table = None if isinstance(at.domain, SortType) else _ctor_table(env, at.domain)
@@ -845,40 +859,51 @@ def _veq(env: GlobalEnv, a: Value, b: Value, at_type: Term, rng: random.Random,
 def eval_prop(env: GlobalEnv, t: Term, rng: random.Random | None = None,
               fuel: Fuel | None = None) -> bool:
     """Decide a closed quantifier-free proposition (implications allowed;
-    existentials only in the datatype-exhaustiveness shape)."""
+    existentials only in the datatype-exhaustiveness shape). Fuel counts
+    the evaluated nodes of t. random_truth_check runs the same evaluation on
+    a statement's body with the prenex instances bound as values in the
+    environment, so the instances' own nodes are never evaluated or
+    charged."""
     if rng is None:
         rng = random.Random(0)
     if fuel is None:
         fuel = Fuel()
-    return _eval_prop(env, t, rng, fuel)
+    return _eval_prop(env, t, (), (), rng, fuel)
 
 
-def _eval_prop(env: GlobalEnv, t: Term, rng: random.Random, fuel: Fuel) -> bool:
+def _eval_prop(env: GlobalEnv, t: Term, venv: tuple[Value, ...],
+               insts: tuple[Term, ...], rng: random.Random, fuel: Fuel) -> bool:
+    """eval_prop of t with its free variables bound in venv; insts holds
+    the closed term of each venv value, in the same order, and is read only
+    to instantiate an implication premise (to type it) or an existential."""
+    if isinstance(t, Eq):
+        va = _eval(env, t.lhs, venv, fuel)
+        vb = _eval(env, t.rhs, venv, fuel)
+        return _veq(env, va, vb, t.at_type, rng, fuel, venv=venv)
     if isinstance(t, TrueP):
         return True
     if isinstance(t, FalseP):
         return False
     if isinstance(t, And):
-        return _eval_prop(env, t.lhs, rng, fuel) and _eval_prop(env, t.rhs, rng, fuel)
+        return (_eval_prop(env, t.lhs, venv, insts, rng, fuel)
+                and _eval_prop(env, t.rhs, venv, insts, rng, fuel))
     if isinstance(t, Or):
-        return _eval_prop(env, t.lhs, rng, fuel) or _eval_prop(env, t.rhs, rng, fuel)
+        return (_eval_prop(env, t.lhs, venv, insts, rng, fuel)
+                or _eval_prop(env, t.rhs, venv, insts, rng, fuel))
     if isinstance(t, Not):
-        return not _eval_prop(env, t.body, rng, fuel)
+        return not _eval_prop(env, t.body, venv, insts, rng, fuel)
     if isinstance(t, Pi):
         # Non-dependent Pi over Prop is implication; quantifiers must have
-        # been instantiated by the caller. The codomain's binder is unused,
-        # so substituting TrueP only drops its slot.
-        if not isinstance(_closed_type_of(env, t.domain), SortProp):
+        # been instantiated by the caller. The codomain's binder is the
+        # premise's proof, bound to _PROOF, whose term is TrueP.
+        premise = subst_list(t.domain, insts) if insts else t.domain
+        if not isinstance(_closed_type_of(env, premise), SortProp):
             raise EvalUnsupported("residual quantifier in propositional evaluation")
-        if not _eval_prop(env, t.domain, rng, fuel):
+        if not _eval_prop(env, t.domain, venv, insts, rng, fuel):
             return True
-        return _eval_prop(env, subst(t.codomain, 0, TrueP()), rng, fuel)
-    if isinstance(t, Eq):
-        va = _eval(env, t.lhs, (), fuel)
-        vb = _eval(env, t.rhs, (), fuel)
-        return _veq(env, va, vb, t.at_type, rng, fuel)
+        return _eval_prop(env, t.codomain, (_PROOF,) + venv, (TrueP(),) + insts, rng, fuel)
     if isinstance(t, Exists):
-        return _eval_exists(env, t, rng, fuel)
+        return _eval_exists(env, subst_list(t, insts) if insts else t, rng, fuel)
     raise EvalUnsupported(f"cannot evaluate proposition {type(t).__name__}")
 
 
@@ -952,39 +977,43 @@ def random_truth_check(env: GlobalEnv, statement: Term, samples: int = 50,
     binders (types and objects) with random ground data and evaluate.
     Returns a counterexample on the first falsifying sample.
 
-    Each sample gets a fresh Fuel, which counts the evaluation of the
-    statement's terms; the random arguments that probe function values are
-    generated as values and are not charged."""
+    The instances are drawn as values and bound in the evaluator's value
+    environment; the statement's body is not rewritten, and the instances'
+    terms are substituted into it only to report a counterexample. Each
+    sample gets a fresh Fuel, which counts the evaluated nodes of the
+    statement's own terms only: neither the instance data nor the random
+    arguments that probe function values are charged."""
     rng = random.Random(seed)
     tvs = collect_tvars(statement)
     for _ in range(samples):
         stmt = statement
         if tvs:
             stmt = replace_tvars(stmt, {n: random_ground_type(env, rng) for n in tvs})
-        # insts[i] instantiates the i-th binder of the prenex prefix, so
-        # reversed(insts) lists Var(0), Var(1), ... under the binders taken.
+        # insts[i] instantiates the i-th binder of the prenex prefix and
+        # values[i] is its value, so reversed(values) is the environment of
+        # Var(0), Var(1), ... under the binders taken.
         insts: list[Term] = []
+        values: list[Value] = []
         ok = True
         while isinstance(stmt, Pi):
             dom = subst_list(stmt.domain, insts[::-1]) if insts else stmt.domain
             if isinstance(dom, SortType):
                 inst = random_ground_type(env, rng)
+                value: Value = VType(inst)
             elif isinstance(_closed_type_of(env, dom), SortProp):
                 break  # implication: handled by eval_prop
             else:
                 try:
-                    inst = _random_datum(env, dom, rng.randint(1, max(size, 1)), rng,
-                                         False)[0]
+                    inst, value = _random_datum(env, dom, rng.randint(1, max(size, 1)), rng)
                 except Uninhabited:
                     ok = False  # vacuously true: domain empty
                     break
             insts.append(inst)
+            values.append(value)
             stmt = stmt.codomain
         if not ok:
             continue
-        if insts:
-            stmt = subst_list(stmt, insts[::-1])
-        fuel = Fuel()
-        if not _eval_prop(env, stmt, rng, fuel):
-            return Counterexample(statement, stmt)
+        terms = tuple(reversed(insts))
+        if not _eval_prop(env, stmt, tuple(reversed(values)), terms, rng, Fuel()):
+            return Counterexample(statement, subst_list(stmt, terms) if terms else stmt)
     return None

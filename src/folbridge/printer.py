@@ -40,32 +40,11 @@ _INFIX_BUILTINS = {
 
 class _Namer:
     """The state of one print_term call: the names taken so far, and the
-    free de Bruijn indices of every subterm asked about."""
+    binders of the printed term whose variable occurs (_binders_used)."""
 
-    def __init__(self, used: set[str]):
+    def __init__(self, used: set[str], t: Term):
         self.used = set(used)
-        # id(subterm) -> (subterm, its free indices); holding the subterm
-        # keeps its id from being reused while the call runs.
-        self._free: dict[int, tuple[Term, frozenset[int]]] = {}
-
-    def uses_binder_at(self, t: Term, index: int) -> bool:
-        """Whether Var(index) occurs free in t."""
-        return index in self._free_indices(t)
-
-    def _free_indices(self, t: Term) -> frozenset[int]:
-        hit = self._free.get(id(t))
-        if hit is not None:
-            return hit[1]
-        if isinstance(t, Var):
-            free = frozenset((t.index,))
-        else:
-            free = _NO_INDICES
-            for c, extra in children(t):
-                below = self._free_indices(c)
-                if below:
-                    free = free.union(i - extra for i in below if i >= extra)
-        self._free[id(t)] = (t, free)
-        return free
+        self.occurs = _binders_used(t)
 
     def fresh(self, hint: str) -> str:
         base = hint if hint and hint != "_" else "x"
@@ -80,7 +59,37 @@ class _Namer:
         return name
 
 
-_NO_INDICES: frozenset[int] = frozenset()
+def _binders_used(t: Term) -> set:
+    """Keys of the binders in t whose variable occurs in their scope:
+    id(node) for a Pi, Lam, Exists or Fix, and (id(branch), j) for the j-th
+    binder of a match branch. One walk over t with an explicit stack; each
+    entry is a subterm, its binder depth d, and the keys of the binders it
+    is the first subterm under, which take keys[d - len(new):d]."""
+    occurs: set = set()
+    keys: list = []
+    todo: list = [(t, 0, ())]
+    while todo:
+        s, d, new = todo.pop()
+        if new:
+            keys[d - len(new):] = new
+        cls = type(s)
+        if cls is App:
+            todo.append((s.arg, d, ()))
+            todo.append((s.head, d, ()))
+        elif cls is Var:
+            if s.index < d:
+                occurs.add(keys[d - 1 - s.index])
+        elif cls is Match:
+            for c in (s.scrutinee, s.scrutinee_type, s.return_type):
+                if c is not None:
+                    todo.append((c, d, ()))
+            for br in s.branches:
+                todo.append((br.body, d + br.arity,
+                             tuple((id(br), j) for j in range(br.arity))))
+        else:
+            for c, extra in children(s):
+                todo.append((c, d + extra, (id(s),) if extra else ()))
+    return occurs
 
 
 def print_term(t: Term, env: GlobalEnv | None = None,
@@ -88,7 +97,7 @@ def print_term(t: Term, env: GlobalEnv | None = None,
     """Render t; context_names[i] names Var(i) (innermost first)."""
     env = env or GlobalEnv()
     names = list(context_names or [])
-    namer = _Namer(env.names() | set(names))
+    namer = _Namer(env.names() | set(names), t)
     return _pp(t, env, names, namer, L_BINDER)
 
 
@@ -97,6 +106,24 @@ def _wrap(s: str, level: int, want: int) -> str:
 
 
 def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> str:
+    # Applications first: they are the most frequent node.
+    if isinstance(t, App):
+        head, args = spine(t)
+        if isinstance(head, Const) and head.name in _INFIX_BUILTINS and len(args) == 2:
+            sym, lvl, assoc = _INFIX_BUILTINS[head.name]
+            if assoc == 0:  # left associative
+                lhs = _pp(args[0], env, names, namer, lvl)
+                rhs = _pp(args[1], env, names, namer, lvl + 1)
+            elif assoc == 1:  # right associative
+                lhs = _pp(args[0], env, names, namer, lvl + 1)
+                rhs = _pp(args[1], env, names, namer, lvl)
+            else:  # non-associative comparisons
+                lhs = _pp(args[0], env, names, namer, lvl + 1)
+                rhs = _pp(args[1], env, names, namer, lvl + 1)
+            return _wrap(f"{lhs} {sym} {rhs}", lvl, want)
+        parts = [_pp(head, env, names, namer, L_ATOM)]
+        parts.extend(_pp(a, env, names, namer, L_ATOM) for a in args)
+        return _wrap(" ".join(parts), L_APP, want)
     if isinstance(t, Var):
         return names[t.index]
     if isinstance(t, Const):
@@ -120,7 +147,7 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
     if isinstance(t, FalseP):
         return "false_p"
     if isinstance(t, Pi):
-        if namer.uses_binder_at(t.codomain, 0):
+        if id(t) in namer.occurs:
             groups, body, names2 = _collect_binders(t, env, names, namer, Pi)
             s = f"forall {groups}, {_pp(body, env, names2, namer, L_BINDER)}"
             return _wrap(s, L_BINDER, want)
@@ -162,7 +189,7 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
             cname = env.inductive(inst).ctors[k].name
             bnames = []
             for j, hint in enumerate(br.binders):
-                used = namer.uses_binder_at(br.body, br.arity - 1 - j)
+                used = (id(br), j) in namer.occurs
                 bnames.append(namer.fresh(hint) if used or (hint and hint != "_") else "_")
             body_names = list(reversed(bnames)) + names
             body = _pp(br.body, env, body_names, namer, L_BINDER)
@@ -189,23 +216,6 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
              f"{_pp(rty, env, lam_names + names, namer, L_BINDER)} := "
              f"{_pp(body, env, lam_names + [self_name] + names, namer, L_BINDER)}")
         return _wrap(s, L_BINDER, want)
-    if isinstance(t, App):
-        head, args = spine(t)
-        if isinstance(head, Const) and head.name in _INFIX_BUILTINS and len(args) == 2:
-            sym, lvl, assoc = _INFIX_BUILTINS[head.name]
-            if assoc == 0:  # left associative
-                lhs = _pp(args[0], env, names, namer, lvl)
-                rhs = _pp(args[1], env, names, namer, lvl + 1)
-            elif assoc == 1:  # right associative
-                lhs = _pp(args[0], env, names, namer, lvl + 1)
-                rhs = _pp(args[1], env, names, namer, lvl)
-            else:  # non-associative comparisons
-                lhs = _pp(args[0], env, names, namer, lvl + 1)
-                rhs = _pp(args[1], env, names, namer, lvl + 1)
-            return _wrap(f"{lhs} {sym} {rhs}", lvl, want)
-        parts = [_pp(head, env, names, namer, L_ATOM)]
-        parts.extend(_pp(a, env, names, namer, L_ATOM) for a in args)
-        return _wrap(" ".join(parts), L_APP, want)
     raise ValueError(f"cannot print {t!r}")
 
 
@@ -215,10 +225,11 @@ def _collect_binders(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, c
     cur = t
     names2 = list(names)
     while isinstance(cur, cls):
-        if cls is Pi and not namer.uses_binder_at(cur.codomain, 0):
+        used = id(cur) in namer.occurs
+        if cls is Pi and not used:
             break
         body = cur.codomain if cls is Pi else cur.body
-        nm = namer.fresh(cur.binder) if (namer.uses_binder_at(body, 0) or (cur.binder and cur.binder != "_")) else "_"
+        nm = namer.fresh(cur.binder) if (used or (cur.binder and cur.binder != "_")) else "_"
         groups.append(f"({nm} : {_pp(cur.domain, env, names2, namer, L_BINDER)})")
         names2 = [nm] + names2
         cur = body

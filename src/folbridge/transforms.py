@@ -346,23 +346,18 @@ def eliminate_fix(state: ProofState, hyp_name: str) -> Hypothesis:
 
 def _match_candidates(body: Term, n: int) -> list[int]:
     """Telescope positions (outside-based) of bound variables that are
-    scrutinees of a match in the body."""
-    found: list[int] = []
-
-    def walk(t: Term, depth: int) -> None:
-        if isinstance(t, Match) and isinstance(t.scrutinee, Var):
+    scrutinees of a match in the body. One loop over (subterm, depth)
+    pairs, as in terms.well_scoped."""
+    found: set[int] = set()
+    stack = [(body, 0)]
+    while stack:
+        t, depth = stack.pop()
+        if type(t) is Match and type(t.scrutinee) is Var:
             idx = t.scrutinee.index - depth
             if idx >= 0:
-                pos = n - 1 - idx
-                if pos not in found:
-                    found.append(pos)
+                found.add(n - 1 - idx)
         for child, extra in children(t):
-            walk(child, depth + extra)
-
-    try:
-        walk(body, 0)
-    finally:
-        del walk  # empties walk's own closure cell: no reference cycle is left
+            stack.append((child, depth + extra))
     return sorted(found)
 
 

@@ -1,12 +1,13 @@
 """Reference de Bruijn traversals: the hand-written versions of
 `transforms._shift_above`, `transforms._replace_binder`, `parser._unshift`
 and `conversion._reify_type`, kept as the oracles that their `rebind`-based
-versions are property-tested against, the printer's per-question
-binder-use walk, the oracle of its one-pass free-index memo, and the
-recursive `terms.well_scoped`, the oracle of its explicit-stack loop.
+versions are property-tested against; the printer's per-question
+binder-use walk, the oracle of its one-walk binder marks; and the
+recursive `terms.well_scoped` and `transforms._match_candidates`, the
+oracles of their explicit-stack loops.
 
 Each walks the term with its own `Var` case and its own `map_subterms`
-(or `children`) recursion, so it shares none of `rebind` or of the memo;
+(or `children`) recursion, so it shares none of `rebind` or of the loops;
 `map_subterms`, `children`, and `lift` where a replacement is lifted, are
 common to both. `lift` itself is checked against the named-variable
 calculus in `tests/named_calculus.py`.
@@ -15,7 +16,7 @@ calculus in `tests/named_calculus.py`.
 from __future__ import annotations
 
 from folbridge.conversion import EvalError, Value, VType
-from folbridge.terms import Term, Var, children, lift, map_subterms
+from folbridge.terms import Match, Term, Var, children, lift, map_subterms
 from folbridge.transforms import TransformError
 
 
@@ -104,3 +105,22 @@ def well_scoped(t: Term, depth: int = 0) -> bool:
     if isinstance(t, Var):
         return 0 <= t.index < depth
     return all(well_scoped(c, depth + extra) for c, extra in children(t))
+
+
+def _match_candidates(body: Term, n: int) -> list[int]:
+    """Telescope positions (outside-based) of bound variables that are
+    scrutinees of a match in the body."""
+    found: list[int] = []
+
+    def walk(t: Term, depth: int) -> None:
+        if isinstance(t, Match) and isinstance(t.scrutinee, Var):
+            idx = t.scrutinee.index - depth
+            if idx >= 0:
+                pos = n - 1 - idx
+                if pos not in found:
+                    found.append(pos)
+        for child, extra in children(t):
+            walk(child, depth + extra)
+
+    walk(body, 0)
+    return sorted(found)

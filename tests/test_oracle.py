@@ -67,6 +67,12 @@ HAND = [
     "forall (v : void_like), length Int (nil Int) = 1",
     "forall (o : option void_like), o = none void_like",
     "forall (l : list Int), hd_error Int l = none Int",
+    # Function equations whose arrow type is read off a type instance.
+    "forall (A : Type) (l : list A), app A l = app A l",
+    "forall (A : Type) (l : list A), app A l = fun (m : list A) => l",
+    # Implications whose premise mentions object instances of type A.
+    "forall (A : Type) (x : A) (l : list A), l = nil A -> search A x l = false",
+    "forall (A : Type) (x : A) (l : list A), search A x (cons A x l) = true -> l = nil A",
 ]
 
 
@@ -211,6 +217,26 @@ def test_truth_check_matches_reference_at_random_seeds(stmt, seed, size):
         assert got == want
     else:
         assert got.instance == want.instance
+
+
+def test_passing_sample_instantiates_nothing(monkeypatch):
+    """The instances of a true prenex statement are bound as values: the
+    binder domains are instantiated to draw from, the body never is."""
+    stmt = parse_term(
+        "forall (A : Type) (x : A) (l : list A), search A x (cons A x l) = true", ENV)
+    binders, _ = strip_pis(stmt)
+    domains = [dom for _, dom in binders]
+    substituted = []
+    original = conversion.subst_list
+
+    def recording(t, values):
+        substituted.append(t)
+        return original(t, values)
+
+    monkeypatch.setattr(conversion, "subst_list", recording)
+    assert random_truth_check(ENV, stmt, samples=20, seed=0) is None
+    assert substituted
+    assert all(any(t is dom for dom in domains) for t in substituted)
 
 
 def _lit(n: int) -> str:

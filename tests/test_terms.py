@@ -291,13 +291,21 @@ def test_reify_type_matches_reference(t, venv):
 @given(OPEN_TERMS)
 @settings(deadline=None, max_examples=100)
 def test_uses_binder_at_matches_reference(t):
-    # One printer state answers every question about every subterm, as one
-    # print_term call does.
-    state = printer._Namer(set())
+    # One walk marks every binder of the printed term, as one print_term
+    # call does; each mark is the reference's answer about its scope.
+    occurs = printer._binders_used(t)
+    marks = []
     for s in subterms(t):
-        for index in range(4):
-            assert (state.uses_binder_at(s, index)
-                    == reference._uses_binder_at(s, index)), (s, index)
+        if isinstance(s, (Pi, Lam, Exists, Fix)):
+            scope = s.codomain if isinstance(s, Pi) else s.body
+            marks.append((id(s) in occurs, reference._uses_binder_at(scope, 0), s))
+        elif isinstance(s, Match):
+            for br in s.branches:
+                for j in range(br.arity):
+                    marks.append(((id(br), j) in occurs,
+                                  reference._uses_binder_at(br.body, br.arity - 1 - j), s))
+    for got, want, s in marks:
+        assert got == want, s
 
 
 CLOSED_TERMS = st.integers(0, 2**32).map(lambda seed: random_term(random.Random(seed), 0, 12))
@@ -309,6 +317,20 @@ CLOSED_TERMS = st.integers(0, 2**32).map(lambda seed: random_term(random.Random(
 @settings(deadline=None, max_examples=200)
 def test_well_scoped_matches_reference(t, depth):
     assert well_scoped(t, depth) == reference.well_scoped(t, depth)
+
+
+# Open terms under three Pi binders: closed, with matches on bound
+# variables.
+CLOSED_MATCH_TERMS = term_pairs(renamed_only=True).map(
+    lambda pair: Pi("a", INT, Pi("b", INT, Pi("c", INT, pair[0]))))
+
+
+@given(st.one_of(OPEN_TERMS, CLOSED_TERMS, CLOSED_MATCH_TERMS), st.integers(0, 4))
+@example(Match(Var(1), None, INT, (Branch(("x",), Match(Var(0), INT, INT, ())),)), 3)
+@settings(deadline=None, max_examples=200)
+def test_match_candidates_matches_reference(t, n):
+    assert (transforms._match_candidates(t, n)
+            == reference._match_candidates(t, n))
 
 
 def test_well_scoped_deep_chain():
