@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .terms import (
     BUILTIN_FUNCTIONS, FALSE, INT, PROP, TRUE, TYPE, And, App, Branch, Const,
@@ -380,7 +381,7 @@ def normalize(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel | None = None
 def _norm(env: GlobalEnv, t: Term, fuel: Fuel) -> Term:
     t = whnf(env, t, fuel)
     t2 = map_subterms(t, lambda s, _extra: _norm(env, s, fuel))
-    if t2 != t:
+    if t2 is not t:
         t3 = whnf(env, t2, fuel)
         if t3 != t2:
             return _norm(env, t3, fuel)
@@ -428,54 +429,93 @@ def beta_reduce(t: Term, fuel: Fuel | None = None) -> Term:
 # Ground evaluation (environment machine)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Value:
-    pass
+    """Base of the evaluator's values: slotted, immutable by convention,
+    compared field by field with `==` (the fields the class's `_key`
+    reads) and not hashable."""
+    __slots__ = ()
+    # The field-less base (the proof binder's value) compares by class.
+    _key = attrgetter("__class__")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
 class VInt(Value):
-    value: int
+    __slots__ = ("value",)
+    _key = attrgetter("value")
+
+    def __init__(self, value: int) -> None:
+        self.value = value
 
 
-@dataclass(frozen=True)
 class VCtor(Value):
-    inductive: str
-    ctor_index: int
-    type_args: tuple[Term, ...]
-    args: tuple[Value, ...]
+    __slots__ = ("inductive", "ctor_index", "type_args", "args")
+    _key = attrgetter("inductive", "ctor_index", "type_args", "args")
+
+    def __init__(self, inductive: str, ctor_index: int,
+                 type_args: tuple[Term, ...], args: tuple[Value, ...]) -> None:
+        self.inductive = inductive
+        self.ctor_index = ctor_index
+        self.type_args = type_args
+        self.args = args
 
 
-@dataclass(frozen=True)
 class VType(Value):
     """A type used as an argument; payload is a closed type term."""
-    type_term: Term
+    __slots__ = ("type_term",)
+    _key = attrgetter("type_term")
+
+    def __init__(self, type_term: Term) -> None:
+        self.type_term = type_term
 
 
-@dataclass(frozen=True)
 class VClosure(Value):
-    env_values: tuple[Value, ...]
-    term: Term  # Lam
+    __slots__ = ("env_values", "term")
+    _key = attrgetter("env_values", "term")
+
+    def __init__(self, env_values: tuple[Value, ...], term: Term) -> None:
+        self.env_values = env_values
+        self.term = term  # Lam
 
 
-@dataclass(frozen=True)
 class VFix(Value):
-    env_values: tuple[Value, ...]
-    term: Term  # Fix
-    args: tuple[Value, ...]
+    __slots__ = ("env_values", "term", "args")
+    _key = attrgetter("env_values", "term", "args")
+
+    def __init__(self, env_values: tuple[Value, ...], term: Term,
+                 args: tuple[Value, ...]) -> None:
+        self.env_values = env_values
+        self.term = term  # Fix
+        self.args = args
 
 
-@dataclass(frozen=True)
 class VCtorPartial(Value):
-    inductive: str
-    ctor_index: int
-    collected: tuple[Value, ...]
+    __slots__ = ("inductive", "ctor_index", "collected")
+    _key = attrgetter("inductive", "ctor_index", "collected")
+
+    def __init__(self, inductive: str, ctor_index: int,
+                 collected: tuple[Value, ...]) -> None:
+        self.inductive = inductive
+        self.ctor_index = ctor_index
+        self.collected = collected
 
 
-@dataclass(frozen=True)
 class VBuiltin(Value):
-    name: str
-    collected: tuple[Value, ...]
+    __slots__ = ("name", "collected")
+    _key = attrgetter("name", "collected")
+
+    def __init__(self, name: str, collected: tuple[Value, ...]) -> None:
+        self.name = name
+        self.collected = collected
 
 
 # The value of an implication's proof binder: reading it raises the error

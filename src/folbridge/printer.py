@@ -106,10 +106,11 @@ def _wrap(s: str, level: int, want: int) -> str:
 
 
 def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> str:
-    # Applications first: they are the most frequent node.
-    if isinstance(t, App):
+    # Dispatch is on the exact node class, most frequent first.
+    cls = type(t)
+    if cls is App:
         head, args = spine(t)
-        if isinstance(head, Const) and head.name in _INFIX_BUILTINS and len(args) == 2:
+        if type(head) is Const and head.name in _INFIX_BUILTINS and len(args) == 2:
             sym, lvl, assoc = _INFIX_BUILTINS[head.name]
             if assoc == 0:  # left associative
                 lhs = _pp(args[0], env, names, namer, lvl)
@@ -124,29 +125,29 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
         parts = [_pp(head, env, names, namer, L_ATOM)]
         parts.extend(_pp(a, env, names, namer, L_ATOM) for a in args)
         return _wrap(" ".join(parts), L_APP, want)
-    if isinstance(t, Var):
+    if cls is Var:
         return names[t.index]
-    if isinstance(t, Const):
+    if cls is Const:
         return t.name
-    if isinstance(t, Ctor):
+    if cls is Ctor:
         return env.inductive(t.inductive).ctors[t.ctor_index].name
-    if isinstance(t, Ind):
+    if cls is Ind:
         return t.inductive
-    if isinstance(t, TVar):
+    if cls is TVar:
         return t.name
-    if isinstance(t, IntT):
+    if cls is IntT:
         return "Int"
-    if isinstance(t, SortType):
+    if cls is SortType:
         return "Type"
-    if isinstance(t, SortProp):
+    if cls is SortProp:
         return "Prop"
-    if isinstance(t, IntLit):
+    if cls is IntLit:
         return f"({t.value})" if t.value < 0 else str(t.value)
-    if isinstance(t, TrueP):
+    if cls is TrueP:
         return "true_p"
-    if isinstance(t, FalseP):
+    if cls is FalseP:
         return "false_p"
-    if isinstance(t, Pi):
+    if cls is Pi:
         if id(t) in namer.occurs:
             groups, body, names2 = _collect_binders(t, env, names, namer, Pi)
             s = f"forall {groups}, {_pp(body, env, names2, namer, L_BINDER)}"
@@ -155,32 +156,32 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
         # The binder is unused, so its placeholder name is never printed.
         cod = _pp(t.codomain, env, ["_"] + names, namer, L_IMP)
         return _wrap(f"{dom} -> {cod}", L_IMP, want)
-    if isinstance(t, Exists):
+    if cls is Exists:
         groups, body, names2 = _collect_binders(t, env, names, namer, Exists)
         s = f"exists {groups}, {_pp(body, env, names2, namer, L_BINDER)}"
         return _wrap(s, L_BINDER, want)
-    if isinstance(t, Lam):
+    if cls is Lam:
         groups, body, names2 = _collect_binders(t, env, names, namer, Lam)
         s = f"fun {groups} => {_pp(body, env, names2, namer, L_BINDER)}"
         return _wrap(s, L_BINDER, want)
-    if isinstance(t, Or):
+    if cls is Or:
         s = f"{_pp(t.lhs, env, names, namer, L_OR + 1)} \\/ {_pp(t.rhs, env, names, namer, L_OR)}"
         return _wrap(s, L_OR, want)
-    if isinstance(t, And):
+    if cls is And:
         s = f"{_pp(t.lhs, env, names, namer, L_AND + 1)} /\\ {_pp(t.rhs, env, names, namer, L_AND)}"
         return _wrap(s, L_AND, want)
-    if isinstance(t, Not):
-        if isinstance(t.body, Eq):
+    if cls is Not:
+        if type(t.body) is Eq:
             e = t.body
             s = (f"{_pp(e.lhs, env, names, namer, L_ORB)} <> "
                  f"{_pp(e.rhs, env, names, namer, L_ORB)}")
             return _wrap(s, L_EQ, want)
         return _wrap(f"~ {_pp(t.body, env, names, namer, L_NOT)}", L_NOT, want)
-    if isinstance(t, Eq):
+    if cls is Eq:
         s = (f"{_pp(t.lhs, env, names, namer, L_ORB)} = "
              f"{_pp(t.rhs, env, names, namer, L_ORB)}")
         return _wrap(s, L_EQ, want)
-    if isinstance(t, Match):
+    if cls is Match:
         scrut = _pp(t.scrutinee, env, names, namer, L_BINDER)
         rty = _pp(t.return_type, env, names, namer, L_BINDER)
         inst = _match_inductive(t, env)
@@ -196,7 +197,7 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
             pat = " ".join([cname] + bnames)
             arms.append(f"| {pat} => {body}")
         return f"match {scrut} return {rty} with {' '.join(arms)} end"
-    if isinstance(t, Fix):
+    if cls is Fix:
         self_name = namer.fresh(t.binder)
         lam_binders = []
         lam_names: list[str] = []  # innermost first

@@ -9,16 +9,23 @@ from `==` and `hash`, so term equality is alpha-equivalence and
 alpha-equal terms index the same set or dict entry. `repr` and the printer
 still show them; a test that pins exact names compares `repr`.
 
+Each node computes its hash and its reach (how far above it its free
+variables point) once, from its children, when it is built. Nodes are
+immutable by convention: nothing assigns a field after `__init__`, because
+those cached facts are computed from the fields.
+
 The kernels (map_subterms and with it rebind, lift, subst and subst_list)
-return the input node itself when none of its children changed, so a
-closed term survives lift and subst without a copy. Terms are immutable, so
-this sharing is never observable: an `is` check on a result is only a fast
-path, and no code needs one for correctness.
+return the input node itself when none of its children changed, and rebind
+does not enter a subterm whose reach stays below the binder depth, so a
+closed term survives lift and subst without a copy or a walk. Terms are
+immutable, so this sharing is never observable: an `is` check on a result
+is only a fast path, and no code needs one for correctness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator
 
 
@@ -30,83 +37,158 @@ class ScopeError(FolbridgeError):
     pass
 
 
-@dataclass(frozen=True)
 class Term:
-    pass
+    """Base of the term nodes.
+
+    Each node computes two facts from its children once, when it is built:
+    `_hash`, which ignores binder names, and `_reach`, how many binders
+    above the node its free variables reach (Var(i) reaches i + 1, a child
+    under k binders of the node counts k less, and a None hole counts 0).
+    `==` is True on identity, False at once when the hashes differ, and
+    otherwise compares the fields that the class's `_key` reads.
+    """
+    __slots__ = ("_hash", "_reach")
+    # The fields `==` compares, binder names excluded. A class without
+    # fields compares by its class and hash alone.
+    _key = attrgetter("_hash")
+
+    def __init__(self) -> None:  # the field-less leaves: IntT, the sorts, TrueP, FalseP
+        self._hash = hash(type(self))
+        self._reach = 0
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
+def _hole_hash(t: Term | None) -> int:
+    return 0 if t is None else t._hash
+
+
+def _hole_reach(t: Term | None) -> int:
+    return 0 if t is None else t._reach
+
+
 class Var(Term):
     """Bound variable, de Bruijn index (0 = innermost binder)."""
-    index: int
+    __slots__ = ("index",)
+    _key = attrgetter("index")
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self._hash = hash((Var, index))
+        self._reach = index + 1 if index >= 0 else 0
 
 
-@dataclass(frozen=True)
 class Const(Term):
     """Reference to a global definition or builtin function."""
-    name: str
+    __slots__ = ("name",)
+    _key = attrgetter("name")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._hash = hash((Const, name))
+        self._reach = 0
 
 
-@dataclass(frozen=True)
 class Ctor(Term):
     """Constructor of an inductive type, by declaration position."""
-    inductive: str
-    ctor_index: int
+    __slots__ = ("inductive", "ctor_index")
+    _key = attrgetter("inductive", "ctor_index")
+
+    def __init__(self, inductive: str, ctor_index: int) -> None:
+        self.inductive = inductive
+        self.ctor_index = ctor_index
+        self._hash = hash((Ctor, inductive, ctor_index))
+        self._reach = 0
 
 
-@dataclass(frozen=True)
 class Ind(Term):
     """An inductive type constructor itself (e.g. list)."""
-    inductive: str
+    __slots__ = ("inductive",)
+    _key = attrgetter("inductive")
+
+    def __init__(self, inductive: str) -> None:
+        self.inductive = inductive
+        self._hash = hash((Ind, inductive))
+        self._reach = 0
 
 
-@dataclass(frozen=True)
 class TVar(Term):
     """Rigid type symbol: a section-style type variable fixed by the goal.
 
     Stands for one of the goal's leading type binders once it is
     stripped; closed (no de Bruijn index) and never bound.
     """
-    name: str
+    __slots__ = ("name",)
+    _key = attrgetter("name")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._hash = hash((TVar, name))
+        self._reach = 0
 
 
-@dataclass(frozen=True)
 class IntT(Term):
     """The builtin integer type."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class SortType(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class SortProp(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Pi(Term):
     """Dependent product; houses both forall and -> (non-dependent)."""
-    binder: str = field(compare=False)
-    domain: Term
-    codomain: Term
+    __slots__ = ("binder", "domain", "codomain")
+    _key = attrgetter("domain", "codomain")
+
+    def __init__(self, binder: str, domain: Term, codomain: Term) -> None:
+        self.binder = binder
+        self.domain = domain
+        self.codomain = codomain
+        self._hash = hash((Pi, domain._hash, codomain._hash))
+        self._reach = max(domain._reach, codomain._reach - 1)
 
 
-@dataclass(frozen=True)
 class Lam(Term):
-    binder: str = field(compare=False)
-    domain: Term
-    body: Term
+    __slots__ = ("binder", "domain", "body")
+    _key = attrgetter("domain", "body")
+
+    def __init__(self, binder: str, domain: Term, body: Term) -> None:
+        self.binder = binder
+        self.domain = domain
+        self.body = body
+        self._hash = hash((Lam, domain._hash, body._hash))
+        self._reach = max(domain._reach, body._reach - 1)
 
 
-@dataclass(frozen=True)
 class App(Term):
-    head: Term
-    arg: Term
+    __slots__ = ("head", "arg")
+    _key = attrgetter("head", "arg")
+
+    def __init__(self, head: Term, arg: Term) -> None:
+        self.head = head
+        self.arg = arg
+        self._hash = hash((App, head._hash, arg._hash))
+        r, s = head._reach, arg._reach
+        self._reach = r if r > s else s
 
 
-@dataclass(frozen=True, eq=False)
 class Branch:
     """Match branch: body lives under len(binders) extra binders.
 
@@ -114,91 +196,140 @@ class Branch:
     index len(binders)-1-i inside the body. Equality and hash see the
     arity and the body, not the binder names.
     """
-    binders: tuple[str, ...]
-    body: Term
+    __slots__ = ("binders", "body", "arity", "_hash")
 
-    @property
-    def arity(self) -> int:
-        return len(self.binders)
+    def __init__(self, binders: tuple[str, ...], body: Term) -> None:
+        self.binders = binders
+        self.body = body
+        self.arity = len(binders)
+        self._hash = hash((self.arity, body._hash))
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if other.__class__ is not Branch:
             return NotImplemented
-        return len(self.binders) == len(other.binders) and self.body == other.body
+        return (self._hash == other._hash and self.arity == other.arity
+                and self.body == other.body)
 
     def __hash__(self) -> int:
-        return hash((len(self.binders), self.body))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Branch(binders={self.binders!r}, body={self.body!r})"
 
 
-@dataclass(frozen=True)
 class Match(Term):
     """Non-dependent pattern matching, one branch per constructor in
     declaration order. scrutinee_type/return_type are explicit; the parser
     fills scrutinee_type by synthesis."""
-    scrutinee: Term
-    scrutinee_type: Term
-    return_type: Term
-    branches: tuple[Branch, ...]
+    __slots__ = ("scrutinee", "scrutinee_type", "return_type", "branches")
+    _key = attrgetter("scrutinee", "scrutinee_type", "return_type", "branches")
+
+    def __init__(self, scrutinee: Term, scrutinee_type: Term | None,
+                 return_type: Term, branches: tuple[Branch, ...]) -> None:
+        self.scrutinee = scrutinee
+        self.scrutinee_type = scrutinee_type
+        self.return_type = return_type
+        self.branches = branches
+        self._hash = hash((Match, scrutinee._hash, _hole_hash(scrutinee_type),
+                           return_type._hash, *[b._hash for b in branches]))
+        self._reach = max(scrutinee._reach, _hole_reach(scrutinee_type),
+                          return_type._reach,
+                          *[b.body._reach - b.arity for b in branches])
 
 
-@dataclass(frozen=True)
 class Fix(Term):
     """Structural fixpoint. body lives under one extra binder (the
     recursive self-reference); decreasing indexes the Pi-chain argument
     that must be constructor-headed before unfolding."""
-    binder: str = field(compare=False)
-    decreasing: int
-    full_type: Term
-    body: Term
+    __slots__ = ("binder", "decreasing", "full_type", "body")
+    _key = attrgetter("decreasing", "full_type", "body")
+
+    def __init__(self, binder: str, decreasing: int, full_type: Term, body: Term) -> None:
+        self.binder = binder
+        self.decreasing = decreasing
+        self.full_type = full_type
+        self.body = body
+        self._hash = hash((Fix, decreasing, full_type._hash, body._hash))
+        self._reach = max(full_type._reach, body._reach - 1)
 
 
-@dataclass(frozen=True)
 class Eq(Term):
     """Prop-level equality at an explicit type."""
-    at_type: Term
-    lhs: Term
-    rhs: Term
+    __slots__ = ("at_type", "lhs", "rhs")
+    _key = attrgetter("at_type", "lhs", "rhs")
+
+    def __init__(self, at_type: Term | None, lhs: Term, rhs: Term) -> None:
+        self.at_type = at_type
+        self.lhs = lhs
+        self.rhs = rhs
+        self._hash = hash((Eq, _hole_hash(at_type), lhs._hash, rhs._hash))
+        self._reach = max(_hole_reach(at_type), lhs._reach, rhs._reach)
 
 
-@dataclass(frozen=True)
 class TrueP(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FalseP(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class And(Term):
-    lhs: Term
-    rhs: Term
+    __slots__ = ("lhs", "rhs")
+    _key = attrgetter("lhs", "rhs")
+
+    def __init__(self, lhs: Term, rhs: Term) -> None:
+        self.lhs = lhs
+        self.rhs = rhs
+        self._hash = hash((And, lhs._hash, rhs._hash))
+        self._reach = max(lhs._reach, rhs._reach)
 
 
-@dataclass(frozen=True)
 class Or(Term):
-    lhs: Term
-    rhs: Term
+    __slots__ = ("lhs", "rhs")
+    _key = attrgetter("lhs", "rhs")
+
+    def __init__(self, lhs: Term, rhs: Term) -> None:
+        self.lhs = lhs
+        self.rhs = rhs
+        self._hash = hash((Or, lhs._hash, rhs._hash))
+        self._reach = max(lhs._reach, rhs._reach)
 
 
-@dataclass(frozen=True)
 class Not(Term):
-    body: Term
+    __slots__ = ("body",)
+    _key = attrgetter("body")
+
+    def __init__(self, body: Term) -> None:
+        self.body = body
+        self._hash = hash((Not, body._hash))
+        self._reach = body._reach
 
 
-@dataclass(frozen=True)
 class Exists(Term):
     """Existential quantifier; only produced by the exhaustiveness axiom
     generator (off by default) and rejected by FOL extraction."""
-    binder: str = field(compare=False)
-    domain: Term
-    body: Term
+    __slots__ = ("binder", "domain", "body")
+    _key = attrgetter("domain", "body")
+
+    def __init__(self, binder: str, domain: Term, body: Term) -> None:
+        self.binder = binder
+        self.domain = domain
+        self.body = body
+        self._hash = hash((Exists, domain._hash, body._hash))
+        self._reach = max(domain._reach, body._reach - 1)
 
 
-@dataclass(frozen=True)
 class IntLit(Term):
-    value: int
+    __slots__ = ("value",)
+    _key = attrgetter("value")
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+        self._hash = hash((IntLit, value))
+        self._reach = 0
 
 
 TYPE = SortType()
@@ -369,16 +500,18 @@ _LEAVES = frozenset({Const, Ctor, Ind, TVar, IntT, SortType, SortProp,
 
 
 def children(t: Term) -> tuple[tuple[Term, int], ...]:
-    """Immediate subterms with the number of binders crossed to reach each."""
-    if type(t) in _LEAVES or type(t) is Var:
-        return ()
-    if isinstance(t, Pi):
-        return ((t.domain, 0), (t.codomain, 1))
-    if isinstance(t, Lam):
-        return ((t.domain, 0), (t.body, 1))
-    if isinstance(t, App):
+    """Immediate subterms with the number of binders crossed to reach each.
+    Dispatch is on the exact node class, the most frequent first."""
+    cls = type(t)
+    if cls is App:
         return ((t.head, 0), (t.arg, 0))
-    if isinstance(t, Match):
+    if cls in _LEAVES or cls is Var:
+        return ()
+    if cls is Pi:
+        return ((t.domain, 0), (t.codomain, 1))
+    if cls is Lam:
+        return ((t.domain, 0), (t.body, 1))
+    if cls is Match:
         # scrutinee_type is None on unelaborated parser output.
         out = [(t.scrutinee, 0)]
         if t.scrutinee_type is not None:
@@ -386,17 +519,17 @@ def children(t: Term) -> tuple[tuple[Term, int], ...]:
         out.append((t.return_type, 0))
         out.extend((b.body, b.arity) for b in t.branches)
         return tuple(out)
-    if isinstance(t, Fix):
+    if cls is Fix:
         return ((t.full_type, 0), (t.body, 1))
-    if isinstance(t, Eq):
+    if cls is Eq:
         if t.at_type is None:
             return ((t.lhs, 0), (t.rhs, 0))
         return ((t.at_type, 0), (t.lhs, 0), (t.rhs, 0))
-    if isinstance(t, (And, Or)):
+    if cls is And or cls is Or:
         return ((t.lhs, 0), (t.rhs, 0))
-    if isinstance(t, Not):
+    if cls is Not:
         return ((t.body, 0),)
-    if isinstance(t, Exists):
+    if cls is Exists:
         return ((t.domain, 0), (t.body, 1))
     return ()
 
@@ -415,17 +548,19 @@ def subterms(t: Term) -> Iterator[Term]:
 def map_subterms(t: Term, f, depth: int = 0) -> Term:
     """Rebuild t with f applied to every immediate child; f(child, depth)
     receives the binder depth of the child. Returns t itself when f returns
-    every child unchanged (by identity)."""
-    if isinstance(t, Pi):
-        a, b = f(t.domain, depth), f(t.codomain, depth + 1)
-        return t if a is t.domain and b is t.codomain else Pi(t.binder, a, b)
-    if isinstance(t, Lam):
-        a, b = f(t.domain, depth), f(t.body, depth + 1)
-        return t if a is t.domain and b is t.body else Lam(t.binder, a, b)
-    if isinstance(t, App):
+    every child unchanged (by identity). Dispatch is on the exact node
+    class, the most frequent first."""
+    cls = type(t)
+    if cls is App:
         a, b = f(t.head, depth), f(t.arg, depth)
         return t if a is t.head and b is t.arg else App(a, b)
-    if isinstance(t, Match):
+    if cls is Pi:
+        a, b = f(t.domain, depth), f(t.codomain, depth + 1)
+        return t if a is t.domain and b is t.codomain else Pi(t.binder, a, b)
+    if cls is Lam:
+        a, b = f(t.domain, depth), f(t.body, depth + 1)
+        return t if a is t.domain and b is t.body else Lam(t.binder, a, b)
+    if cls is Match:
         scrut = f(t.scrutinee, depth)
         sty = None if t.scrutinee_type is None else f(t.scrutinee_type, depth)
         rty = f(t.return_type, depth)
@@ -436,20 +571,20 @@ def map_subterms(t: Term, f, depth: int = 0) -> Term:
         return Match(scrut, sty, rty, tuple(
             b if new is b.body else Branch(b.binders, new)
             for new, b in zip(bodies, t.branches)))
-    if isinstance(t, Fix):
+    if cls is Fix:
         a, b = f(t.full_type, depth), f(t.body, depth + 1)
         return t if a is t.full_type and b is t.body else Fix(t.binder, t.decreasing, a, b)
-    if isinstance(t, Eq):
+    if cls is Eq:
         at = None if t.at_type is None else f(t.at_type, depth)
         a, b = f(t.lhs, depth), f(t.rhs, depth)
         return t if at is t.at_type and a is t.lhs and b is t.rhs else Eq(at, a, b)
-    if isinstance(t, (And, Or)):
+    if cls is And or cls is Or:
         a, b = f(t.lhs, depth), f(t.rhs, depth)
-        return t if a is t.lhs and b is t.rhs else type(t)(a, b)
-    if isinstance(t, Not):
+        return t if a is t.lhs and b is t.rhs else cls(a, b)
+    if cls is Not:
         a = f(t.body, depth)
         return t if a is t.body else Not(a)
-    if isinstance(t, Exists):
+    if cls is Exists:
         a, b = f(t.domain, depth), f(t.body, depth + 1)
         return t if a is t.domain and b is t.body else Exists(t.binder, a, b)
     return t
@@ -462,12 +597,13 @@ def map_subterms(t: Term, f, depth: int = 0) -> Term:
 def rebind(t: Term, on_free, depth: int = 0) -> Term:
     """Rebuild t with its free variables replaced: a Var(i) under d binders
     (d counted from depth) with i >= d becomes on_free(i - d, d). Every
-    de Bruijn index rewrite goes through this one traversal."""
+    de Bruijn index rewrite goes through this one traversal. A subterm
+    whose `_reach` is at most d is returned as it is, without a walk."""
     def go(s: Term, d: int) -> Term:
-        if isinstance(s, Var):
-            return s if s.index < d else on_free(s.index - d, d)
-        if type(s) in _LEAVES:
-            return s
+        if s._reach <= d:
+            return s  # no free variable: nothing to rewrite below s
+        if type(s) is Var:
+            return on_free(s.index - d, d)
         return map_subterms(s, go, d)
     try:
         return go(t, depth)
@@ -515,7 +651,7 @@ def well_scoped(t: Term, depth: int = 0) -> bool:
 
 
 def is_closed(t: Term) -> bool:
-    return well_scoped(t, 0)
+    return t._reach == 0
 
 
 def alpha_eq(t: Term, u: Term) -> bool:

@@ -376,7 +376,7 @@ def iota_reduce(env: GlobalEnv, t: Term, rounds: int = 64) -> Term:
     no delta or fix unfolding."""
     for _ in range(rounds):
         t2 = _iota_once(env, t)
-        if t2 == t:
+        if t2 is t:
             return t
         t = t2
     raise TransformError("iota reduction did not converge")
@@ -496,22 +496,19 @@ def collect_type_instances(env: GlobalEnv, t: Term,
     candidates: list[tuple[int, Term]] = []
     position = itertools.count()
 
-    def walk(s: Term) -> tuple[int, Term, int]:
-        """Return how many binders above s its free variables reach, the
-        head of its spine (of its final codomain's, for a product) and the
-        number of arguments applied to that head."""
+    def walk(s: Term) -> tuple[Term, int]:
+        """Return the head of s's spine (of its final codomain's, for a
+        product) and the number of arguments applied to that head."""
         pos = next(position)
-        if isinstance(s, Var):
-            return s.index + 1, s, 0
-        reach, head, nargs = 0, s, 0
-        for c, extra in children(s):
-            c_reach, c_head, c_nargs = walk(c)
-            reach = max(reach, c_reach - extra)
-            if (isinstance(s, App) and c is s.head) or (isinstance(s, Pi) and c is s.codomain):
-                head, nargs = c_head, c_nargs + isinstance(s, App)
-        if reach == 0 and not isinstance(s, (Lam, Fix)) and _maybe_a_type(env, s, head, nargs):
+        head, nargs = s, 0
+        cls = type(s)
+        for c, _extra in children(s):
+            c_head, c_nargs = walk(c)
+            if (cls is App and c is s.head) or (cls is Pi and c is s.codomain):
+                head, nargs = c_head, c_nargs + (cls is App)
+        if s._reach == 0 and cls is not Lam and cls is not Fix and _maybe_a_type(env, s, head, nargs):
             candidates.append((pos, s))
-        return reach, head, nargs
+        return head, nargs
 
     try:
         walk(t)

@@ -3,8 +3,8 @@ binder names left term equality, kept verbatim as the oracle that `==` and
 `hash` on terms are property-tested against.
 
 It compares each node kind's own fields by hand and recurses through
-`children`, so it shares nothing with the dataclass-generated `__eq__` it
-checks.
+`children`, so it shares nothing with the cached hashes and the per-class
+`_key` fields that `==` on terms reads.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 `transforms._shift_above`, `transforms._replace_binder`, `parser._unshift`
 and `conversion._reify_type`, kept as the oracles that their `rebind`-based
 versions are property-tested against; the printer's per-question
-binder-use walk, the oracle of its one-walk binder marks; and the
+binder-use walk, the oracle of its one-walk binder marks; the
 recursive `terms.well_scoped` and `transforms._match_candidates`, the
-oracles of their explicit-stack loops.
+oracles of their explicit-stack loops; and `reach`, the oracle of the
+`_reach` that every node computes from its children when it is built.
 
 Each walks the term with its own `Var` case and its own `map_subterms`
 (or `children`) recursion, so it shares none of `rebind` or of the loops;
@@ -124,3 +125,11 @@ def _match_candidates(body: Term, n: int) -> list[int]:
 
     walk(body, 0)
     return sorted(found)
+
+
+def reach(t: Term) -> int:
+    """How many binders above t its free variables reach: Var(i) reaches
+    i + 1, and a child under k binders of its parent counts k less."""
+    if isinstance(t, Var):
+        return max(t.index + 1, 0)
+    return max([0] + [reach(c) - extra for c, extra in children(t)])

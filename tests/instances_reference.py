@@ -2,10 +2,10 @@
 as the oracle that the one-pass version in folbridge.transforms is
 property-tested against.
 
-It walks every subterm with `subterms`, asks `is_closed` of each and
-typechecks every closed one, so it shares none of the walk or the head
-filter of the version it checks; `children`, `typecheck` and `alpha_eq`
-are common to both.
+It walks every subterm with `subterms`, asks `well_scoped` of each (a
+walk, not the `_reach` that each node caches) and typechecks every closed
+one, so it shares none of the walk or the head filter of the version it
+checks; `children`, `typecheck` and `alpha_eq` are common to both.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from folbridge.conversion import typecheck
 from folbridge.terms import (
     FolbridgeError, GlobalEnv, SortProp, SortType, Term, alpha_eq, children,
-    is_closed, subterms,
+    subterms, well_scoped,
 )
 
 
@@ -24,7 +24,7 @@ def collect_type_instances(env: GlobalEnv, t: Term) -> list[Term]:
     for s in subterms(t):
         if isinstance(s, (SortType, SortProp)):
             continue
-        if not is_closed(s):
+        if not well_scoped(s, 0):
             continue
         if any(c is None for c, _ in children(s)):
             continue

@@ -1,7 +1,8 @@
 """Lifting/substitution against an independent named-variable oracle, the
 other `rebind`-based traversals against their hand-written originals, term
-equality and hashing against the recursive alpha-equivalence, and the
-kernels' sharing of unchanged nodes.
+equality and hashing against the recursive alpha-equivalence, each node's
+cached reach against a recursive reference, the kernels' sharing of
+unchanged nodes, and the slotted node classes.
 
 Term equality ignores binder names, so a comparison that must also pin the
 names compares `repr`."""
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,10 +19,10 @@ from hypothesis import strategies as st
 
 import alpha_reference
 import debruijn_reference as reference
-from folbridge import conversion, parser, printer, transforms
-from folbridge.conversion import VInt, VType, infer
+from folbridge import conversion, parser, printer, terms, transforms
+from folbridge.conversion import Value, VInt, VType, infer
 from folbridge.terms import (
-    App, Branch, Const, Eq, Exists, Fix, FolbridgeError, INT, Ind, IntLit, Lam,
+    App, Branch, Const, Ctor, Eq, Exists, Fix, FolbridgeError, INT, Ind, IntLit, Lam,
     Match, Not, Pi, TYPE, Term, TrueP, Var, alpha_eq, is_closed, lift,
     subst, subst_list, subterms, well_scoped,
 )
@@ -331,6 +333,78 @@ CLOSED_MATCH_TERMS = term_pairs(renamed_only=True).map(
 def test_match_candidates_matches_reference(t, n):
     assert (transforms._match_candidates(t, n)
             == reference._match_candidates(t, n))
+
+
+@given(st.one_of(OPEN_TERMS, CLOSED_TERMS, CLOSED_MATCH_TERMS))
+@example(Match(Var(2), None, INT, (Branch(("x", "y"), Var(3)),)))
+@example(Eq(None, Var(0), Lam("x", INT, Var(1))))
+@settings(deadline=None, max_examples=200)
+def test_reach_matches_reference(t):
+    for s in subterms(t):
+        assert s._reach == reference.reach(s), s
+    assert is_closed(t) == well_scoped(t, 0)
+
+
+def test_closed_terms_are_not_walked(monkeypatch):
+    """lift, subst and subst_list return a closed term, and lift an open one
+    whose free variables stay below the cutoff, without visiting a
+    subterm."""
+    calls = []
+    real = terms.map_subterms
+    monkeypatch.setattr(terms, "map_subterms",
+                        lambda *args: calls.append(args) or real(*args))
+    rng = random.Random(17)
+    for _ in range(200):
+        t = random_term(rng, 0, 12)
+        assert lift(t, 2) is t
+        assert subst(t, 0, Const("c")) is t
+        assert subst_list(t, [Const("c"), INT]) is t
+        u = random_term(rng, 3, 12)
+        assert lift(u, 2, 3) is u
+    assert calls == []
+    # An open term is walked.
+    assert subst(App(Var(0), Const("c")), 0, Const("d")) == App(Const("d"), Const("c"))
+    assert len(calls) == 1
+
+
+def _cons_chain(n: int, innermost: int) -> Term:
+    """`cons Int i (...)` nested n deep over `nil Int`; the innermost
+    element is `innermost`."""
+    t = App(Ctor("list", 0), INT)
+    for i in range(n):
+        t = App(App(App(Ctor("list", 1), INT), IntLit(innermost if i == 0 else i)), t)
+    return t
+
+
+def test_deep_chains_hash_and_compare_at_the_default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        a, b = _cons_chain(10_000, 0), _cons_chain(10_000, 1)
+        assert hash(a) == hash(_cons_chain(10_000, 0))
+        assert a != b and not a == b
+        assert b not in {a}
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _classes(base: type) -> list[type]:
+    out = [base]
+    for sub in base.__subclasses__():
+        out += _classes(sub)
+    return out
+
+
+def test_nodes_and_values_have_no_instance_dict(prelude):
+    for cls in [Branch, *_classes(Term), *_classes(Value)]:
+        for k in cls.__mro__[:-1]:
+            assert "__slots__" in vars(k), (cls, k)
+    env = prelude.env
+    nodes = [s for d in env.definitions.values() for s in subterms(d.body)]
+    values = [conversion.eval_ground(env, parser.parse_term(text, env)) for text in (
+        "app Int (cons Int 1 (nil Int)) (nil Int)", "length Int", "2 + 3", "search Int 1")]
+    for obj in nodes + values:
+        assert not hasattr(obj, "__dict__"), obj
 
 
 def test_well_scoped_deep_chain():
