@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .terms import (
-    BUILTIN_FUNCTIONS, FALSE, INT, PROP, TRUE, TYPE, And, App, Branch, Const,
+    BUILTIN_FUNCTIONS, FALSE, INT, PROP, TRUE, TYPE, And, App, Const,
     Ctor, Eq, Exists, FalseP, Fix, FolbridgeError, GlobalEnv, Ind, IntLit,
     IntT, Lam, Match, Not, Or, Pi, SortProp, SortType, TVar, Term, TrueP,
     Var, as_inductive_instance, builtin_type, children, ctor_arg_types,
@@ -66,25 +66,28 @@ class Fuel:
 
 
 # ---------------------------------------------------------------------------
-# Typechecking (with hole filling for parser output)
+# Typechecking
 # ---------------------------------------------------------------------------
 
-def _is_sort(t: Term) -> bool:
-    return isinstance(t, (SortType, SortProp))
+_SORTS = (SortType, SortProp)
+
+# Closed leaves whose type is Type. Flat universes: both sorts live in Type
+# (no hierarchy).
+_TYPE_TYPED = frozenset({TVar, IntT, SortType, SortProp})
 
 
 def infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel | None = None) -> tuple[Term, Term]:
-    """Return (elaborated term, type). Fills the parser's holes: Match
-    scrutinee types and Eq at_types left as None. A node whose subterms
-    need no elaboration is returned itself, not copied."""
-    if fuel is None:
-        fuel = Fuel()
-    return _infer(env, ctx, t, fuel)
+    """(t, type of t): the typing judgement as a pair. Typing never
+    rebuilds a term, so the first component is t itself."""
+    return t, typecheck(env, ctx, t, fuel)
 
 
 def typecheck(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel | None = None) -> Term:
-    """Type of t in ctx (ctx[0] is the innermost binder's type)."""
-    return infer(env, ctx, t, fuel)[1]
+    """Type of t in ctx (ctx[0] is the innermost binder's type); raises
+    TypingError when t is ill-typed."""
+    if fuel is None:
+        fuel = Fuel()
+    return _infer(env, ctx, t, fuel)
 
 
 def _closed_type_of(env: GlobalEnv, t: Term) -> Term:
@@ -96,157 +99,118 @@ def _closed_type_of(env: GlobalEnv, t: Term) -> Term:
     return ty
 
 
-def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> tuple[Term, Term]:
-    # Applications first: they are the most frequent node.
-    if isinstance(t, App):
-        head, hty = _infer(env, ctx, t.head, fuel)
-        if not isinstance(hty, Pi):  # a product is its own whnf
+def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
+    # Dispatch is on the exact node class, the most frequent first.
+    cls = type(t)
+    if cls is App:
+        hty = _infer(env, ctx, t.head, fuel)
+        if type(hty) is not Pi:  # a product is its own whnf
             hty = whnf(env, hty, fuel)
-        if not isinstance(hty, Pi):
-            raise TypingError("application head is not a function")
-        arg, aty = _infer(env, ctx, t.arg, fuel)
+            if type(hty) is not Pi:
+                raise TypingError("application head is not a function")
+        aty = _infer(env, ctx, t.arg, fuel)
         if not convertible(env, ctx, aty, hty.domain, fuel):
             raise TypingError(
                 f"argument type mismatch: expected {hty.domain}, found {aty}")
-        if not (head is t.head and arg is t.arg):
-            t = App(head, arg)
-        return t, subst(hty.codomain, 0, arg)
-    if isinstance(t, Var):
+        return subst(hty.codomain, 0, t.arg)
+    if cls is Var:
         if not 0 <= t.index < len(ctx):
             raise TypingError(f"unbound variable index {t.index}")
-        return t, lift(ctx[t.index], t.index + 1)
-    if isinstance(t, Const):
+        return lift(ctx[t.index], t.index + 1)
+    if cls is Const:
         b = builtin_type(t.name)
-        if b is not None:
-            return t, b
-        return t, env.definition(t.name).type
-    if isinstance(t, Ctor):
-        return t, ctor_type(env, t.inductive, t.ctor_index)
-    if isinstance(t, Ind):
-        return t, ind_type(env.inductive(t.inductive))
-    if isinstance(t, (TVar, IntT, SortType, SortProp)):
-        # Flat universes: both sorts live in Type (no hierarchy).
-        return t, TYPE
-    if isinstance(t, IntLit):
-        return t, INT
-    if isinstance(t, Pi):
-        dom, dsort = _infer(env, ctx, t.domain, fuel)
-        if not _is_sort(dsort):
+        return b if b is not None else env.definition(t.name).type
+    if cls is Ctor:
+        return ctor_type(env, t.inductive, t.ctor_index)
+    if cls is Ind:
+        return ind_type(env.inductive(t.inductive))
+    if cls is IntLit:
+        return INT
+    if cls in _TYPE_TYPED:
+        return TYPE
+    if cls is Pi:
+        if type(_infer(env, ctx, t.domain, fuel)) not in _SORTS:
             raise TypingError("binder domain is not a type or proposition")
-        cod, csort = _infer(env, [dom] + ctx, t.codomain, fuel)
-        if not _is_sort(csort):
+        csort = _infer(env, [t.domain] + ctx, t.codomain, fuel)
+        if type(csort) not in _SORTS:
             raise TypingError("product codomain is not a type or proposition")
-        if dom is t.domain and cod is t.codomain:
-            return t, csort
-        return Pi(t.binder, dom, cod), csort
-    if isinstance(t, Lam):
-        dom, dsort = _infer(env, ctx, t.domain, fuel)
-        if not _is_sort(dsort):
+        return csort
+    if cls is Lam:
+        if type(_infer(env, ctx, t.domain, fuel)) not in _SORTS:
             raise TypingError("lambda domain is not a type")
-        body, bty = _infer(env, [dom] + ctx, t.body, fuel)
-        if not (dom is t.domain and body is t.body):
-            t = Lam(t.binder, dom, body)
-        return t, Pi(t.binder, dom, bty)
-    if isinstance(t, Match):
-        scrut, sty = _infer(env, ctx, t.scrutinee, fuel)
-        if t.scrutinee_type is not None and not convertible(env, ctx, t.scrutinee_type, sty, fuel):
-            raise TypingError("scrutinee type annotation mismatch")
-        inst = as_inductive_instance(whnf(env, sty, fuel))
-        if inst is None:
-            raise TypingError("match scrutinee is not of an inductive type")
-        ind_name, type_args = inst
-        decl = env.inductive(ind_name)
+        return Pi(t.binder, t.domain, _infer(env, [t.domain] + ctx, t.body, fuel))
+    if cls is Match:
+        inst = as_inductive_instance(whnf(env, _infer(env, ctx, t.scrutinee, fuel), fuel))
+        if inst is None or inst[0] != t.inductive:
+            raise TypingError(f"match scrutinee is not of type {t.inductive}")
+        type_args = inst[1]
+        decl = env.inductive(t.inductive)
         if len(type_args) != len(decl.params):
-            raise TypingError(f"{ind_name} applied to wrong number of type arguments")
+            raise TypingError(f"{t.inductive} applied to wrong number of type arguments")
         if len(t.branches) != len(decl.ctors):
             raise TypingError(
-                f"match on {ind_name} needs {len(decl.ctors)} branches, "
+                f"match on {t.inductive} needs {len(decl.ctors)} branches, "
                 f"found {len(t.branches)}")
-        rty, rsort = _infer(env, ctx, t.return_type, fuel)
-        if not _is_sort(rsort):
+        rty = t.return_type
+        if type(_infer(env, ctx, rty, fuel)) not in _SORTS:
             raise TypingError("match return annotation is not a type")
-        new_branches = []
         for k, (br, cd) in enumerate(zip(t.branches, decl.ctors)):
             if br.arity != len(cd.arg_types):
                 raise TypingError(
                     f"branch for {cd.name} binds {br.arity} arguments, "
                     f"constructor has {len(cd.arg_types)}")
-            arg_tys = ctor_arg_types(env, ind_name, k, type_args)
             # ctx extension: first ctor arg is outermost.
             bctx = ctx
-            for j, at in enumerate(arg_tys):
+            for j, at in enumerate(ctor_arg_types(env, t.inductive, k, type_args)):
                 bctx = [lift(at, j)] + bctx
-            body, bty = _infer(env, bctx, br.body, fuel)
+            bty = _infer(env, bctx, br.body, fuel)
             if not convertible(env, bctx, bty, lift(rty, br.arity), fuel):
                 raise TypingError(f"branch for {cd.name} has type {bty}, expected {rty}")
-            new_branches.append(br if body is br.body else Branch(br.binders, body))
-        sty_n = whnf(env, sty, fuel)
-        if sty_n == t.scrutinee_type:
-            sty_n = t.scrutinee_type
-        if (scrut is t.scrutinee and sty_n is t.scrutinee_type and rty is t.return_type
-                and all(new is br for new, br in zip(new_branches, t.branches))):
-            return t, rty
-        return Match(scrut, sty_n, rty, tuple(new_branches)), rty
-    if isinstance(t, Fix):
-        fty, fsort = _infer(env, ctx, t.full_type, fuel)
-        if not _is_sort(fsort):
+        return rty
+    if cls is Fix:
+        fty = t.full_type
+        if type(_infer(env, ctx, fty, fuel)) not in _SORTS:
             raise TypingError("fixpoint type annotation is not a type")
         binders = []
         walk = fty
-        while isinstance(walk, Pi):
+        while type(walk) is Pi:
             binders.append(walk.domain)
             walk = walk.codomain
         if not 0 <= t.decreasing < len(binders):
             raise TypingError("fixpoint decreasing index out of range")
-        darg = binders[t.decreasing]
-        if as_inductive_instance(whnf(env, darg, fuel)) is None:
+        if as_inductive_instance(whnf(env, binders[t.decreasing], fuel)) is None:
             raise TypingError("fixpoint decreasing argument is not of an inductive type")
-        body, bty = _infer(env, [fty] + ctx, t.body, fuel)
-        if not convertible(env, [fty] + ctx, bty, lift(fty, 1), fuel):
+        fctx = [fty] + ctx
+        if not convertible(env, fctx, _infer(env, fctx, t.body, fuel), lift(fty, 1), fuel):
             raise TypingError("fixpoint body type differs from its annotation")
-        if fty is t.full_type and body is t.body:
-            return t, fty
-        return Fix(t.binder, t.decreasing, fty, body), fty
-    if isinstance(t, Eq):
-        lhs, lty = _infer(env, ctx, t.lhs, fuel)
-        rhs, rty = _infer(env, ctx, t.rhs, fuel)
-        if t.at_type is not None:
-            at, asort = _infer(env, ctx, t.at_type, fuel)
-            if not _is_sort(asort):
-                raise TypingError("equality annotation is not a type")
-        else:
-            at = lty
+        return fty
+    if cls is Eq:
+        lty = _infer(env, ctx, t.lhs, fuel)
+        rty = _infer(env, ctx, t.rhs, fuel)
+        at = t.at_type
+        if type(_infer(env, ctx, at, fuel)) not in _SORTS:
+            raise TypingError("equality annotation is not a type")
         if not convertible(env, ctx, lty, at, fuel) or not convertible(env, ctx, rty, at, fuel):
             raise TypingError(
                 f"equality sides disagree: {lty} vs {rty} at {at}")
-        if at is t.at_type and lhs is t.lhs and rhs is t.rhs:
-            return t, PROP
-        return Eq(at, lhs, rhs), PROP
-    if isinstance(t, (TrueP, FalseP)):
-        return t, PROP
-    if isinstance(t, (And, Or)):
-        lhs, ls = _infer(env, ctx, t.lhs, fuel)
-        rhs, rs = _infer(env, ctx, t.rhs, fuel)
-        if not isinstance(ls, SortProp) or not isinstance(rs, SortProp):
+        return PROP
+    if cls is TrueP or cls is FalseP:
+        return PROP
+    if cls is And or cls is Or:
+        ls, rs = _infer(env, ctx, t.lhs, fuel), _infer(env, ctx, t.rhs, fuel)
+        if type(ls) is not SortProp or type(rs) is not SortProp:
             raise TypingError("connective applied to non-propositions")
-        if lhs is t.lhs and rhs is t.rhs:
-            return t, PROP
-        return type(t)(lhs, rhs), PROP
-    if isinstance(t, Not):
-        body, bs = _infer(env, ctx, t.body, fuel)
-        if not isinstance(bs, SortProp):
+        return PROP
+    if cls is Not:
+        if type(_infer(env, ctx, t.body, fuel)) is not SortProp:
             raise TypingError("negation applied to a non-proposition")
-        return (t if body is t.body else Not(body)), PROP
-    if isinstance(t, Exists):
-        dom, dsort = _infer(env, ctx, t.domain, fuel)
-        if not isinstance(dsort, SortType):
+        return PROP
+    if cls is Exists:
+        if type(_infer(env, ctx, t.domain, fuel)) is not SortType:
             raise TypingError("existential domain is not a type")
-        body, bs = _infer(env, [dom] + ctx, t.body, fuel)
-        if not isinstance(bs, SortProp):
+        if type(_infer(env, [t.domain] + ctx, t.body, fuel)) is not SortProp:
             raise TypingError("existential body is not a proposition")
-        if dom is t.domain and body is t.body:
-            return t, PROP
-        return Exists(t.binder, dom, body), PROP
+        return PROP
     raise TypingError(f"cannot type {t!r}")
 
 
@@ -351,7 +315,7 @@ def whnf(env: GlobalEnv, t: Term, fuel: Fuel) -> Term:
                 t = make_app(body, args)
                 continue
             if scrut is not head.scrutinee:
-                t = make_app(Match(scrut, head.scrutinee_type, head.return_type, head.branches), args)
+                t = make_app(Match(scrut, head.inductive, head.return_type, head.branches), args)
             return t
         if isinstance(head, Fix) and len(args) > head.decreasing:
             dec = whnf(env, args[head.decreasing], fuel)

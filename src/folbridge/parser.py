@@ -3,8 +3,11 @@
 Declarations end with `.`; the statement language separates props
 (forall/connectives/equations) from object expressions. All type
 applications are explicit; there is no implicit-argument inference.
-Parsed statements are elaborated immediately (filling Match scrutinee
-types and Eq annotations) and rejected unless they typecheck at Prop.
+Every node is built complete: a match names the inductive of its first
+arm's constructor, and an equation is typed as it is built and carries the
+type of its left side. A statement is built from equations, quantifiers
+over checked domains and connectives, so it is a proposition once parsed;
+a definition's type and body are typechecked against each other.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .conversion import TypingError, convertible, infer
 from .terms import (
     And, App, Branch, Const, Ctor, CtorDecl, Definition, Eq, Exists,
     FalseP, Fix, FolbridgeError, GlobalEnv, Ind, InductiveDecl, IntLit,
-    INT, Match, Not, Or, Pi, Problem, ScopeError, SortProp, TYPE, Term,
+    INT, Match, Not, Or, Pi, Problem, ScopeError, SortProp, SortType, TYPE, Term,
     TrueP, Var, builtin_type, has_interior_type_binder, lift, make_lams,
     make_pis, rebind,
 )
@@ -333,7 +336,7 @@ class Parser:
         missing = [decl.ctors[i].name for i, b in enumerate(slots) if b is None]
         if missing:
             raise ArityError(f"match on {ind_name} is missing branches for: {', '.join(missing)}")
-        return Match(scrut, None, rty, tuple(slots))  # scrutinee_type filled by elaboration
+        return Match(scrut, ind_name, rty, tuple(slots))
 
     def parse_fix(self, bound: list[str]) -> Term:
         self.eat("fix")
@@ -357,51 +360,73 @@ class Parser:
 
     # -- propositions ----------------------------------------------------------
 
-    def parse_prop(self, bound: list[str]) -> Term:
-        if self.at("forall"):
-            self.next()
+    def parse_prop(self, bound: list[str], ctx: list[Term]) -> Term:
+        """A proposition; ctx[i] is the type of the variable bound[i] names.
+        Each equation is typed as it is built, and each quantifier domain
+        is checked to be a type once the quantifier's body is parsed."""
+        if self.at("forall") or self.at("exists"):
+            quantifier = Pi if self.next().text == "forall" else Exists
             binders, bound2 = self.parse_binders(bound)
             self.eat(",")
-            return make_pis(binders, self.parse_prop(bound2))
-        if self.at("exists"):
-            self.next()
-            binders, bound2 = self.parse_binders(bound)
-            self.eat(",")
-            body = self.parse_prop(bound2)
+            ctxs = [ctx]
+            for _, dom in binders:
+                ctxs.append([dom] + ctxs[-1])
+            body = self.parse_prop(bound2, ctxs.pop())
+            for (_, dom), dctx in zip(binders, ctxs):
+                self.check_domain(quantifier, dctx, dom)
             for nm, dom in reversed(binders):
-                body = Exists(nm, dom, body)
+                body = quantifier(nm, dom, body)
             return body
-        return self.parse_prop_imp(bound)
+        return self.parse_prop_imp(bound, ctx)
 
-    def parse_prop_imp(self, bound: list[str]) -> Term:
-        lhs = self.parse_prop_or(bound)
+    # Every typing judgement of the parser goes through `infer`, so a
+    # wrapper of `parser.infer` times all of them.
+
+    def check_domain(self, quantifier: type, ctx: list[Term], dom: Term) -> None:
+        sort = infer(self.env, ctx, dom)[1]
+        if quantifier is Exists and not isinstance(sort, SortType):
+            raise TypingError("existential domain is not a type")
+        if not isinstance(sort, (SortType, SortProp)):
+            raise TypingError("binder domain is not a type or proposition")
+
+    def equation(self, ctx: list[Term], lhs: Term, rhs: Term) -> Eq:
+        """The equation lhs = rhs at the type of lhs. Each side is typed
+        once, and the type of rhs must convert to that of lhs."""
+        lty = infer(self.env, ctx, lhs)[1]
+        rty = infer(self.env, ctx, rhs)[1]
+        if not convertible(self.env, ctx, rty, lty):
+            raise TypingError(f"equality sides disagree: {lty} vs {rty}")
+        return Eq(lty, lhs, rhs)
+
+    def parse_prop_imp(self, bound: list[str], ctx: list[Term]) -> Term:
+        lhs = self.parse_prop_or(bound, ctx)
         if self.at("->"):
             self.next()
-            rhs = self.parse_prop_imp(bound)
+            rhs = self.parse_prop_imp(bound, ctx)
             return Pi("_", lhs, lift(rhs, 1))
         return lhs
 
-    def parse_prop_or(self, bound: list[str]) -> Term:
-        lhs = self.parse_prop_and(bound)
+    def parse_prop_or(self, bound: list[str], ctx: list[Term]) -> Term:
+        lhs = self.parse_prop_and(bound, ctx)
         if self.at("\\/"):
             self.next()
-            return Or(lhs, self.parse_prop_or(bound))
+            return Or(lhs, self.parse_prop_or(bound, ctx))
         return lhs
 
-    def parse_prop_and(self, bound: list[str]) -> Term:
-        lhs = self.parse_prop_not(bound)
+    def parse_prop_and(self, bound: list[str], ctx: list[Term]) -> Term:
+        lhs = self.parse_prop_not(bound, ctx)
         if self.at("/\\"):
             self.next()
-            return And(lhs, self.parse_prop_and(bound))
+            return And(lhs, self.parse_prop_and(bound, ctx))
         return lhs
 
-    def parse_prop_not(self, bound: list[str]) -> Term:
+    def parse_prop_not(self, bound: list[str], ctx: list[Term]) -> Term:
         if self.at("~"):
             self.next()
-            return Not(self.parse_prop_not(bound))
-        return self.parse_prop_atom(bound)
+            return Not(self.parse_prop_not(bound, ctx))
+        return self.parse_prop_atom(bound, ctx)
 
-    def parse_prop_atom(self, bound: list[str]) -> Term:
+    def parse_prop_atom(self, bound: list[str], ctx: list[Term]) -> Term:
         if self.at("true_p"):
             self.next()
             return TrueP()
@@ -409,12 +434,12 @@ class Parser:
             self.next()
             return FalseP()
         if self.at("forall") or self.at("exists"):
-            return self.parse_prop(bound)
+            return self.parse_prop(bound, ctx)
         if self.at("("):
             save = self.pos
             self.next()
             try:
-                inner = self.parse_prop(bound)
+                inner = self.parse_prop(bound, ctx)
                 self.eat(")")
                 if self.at("=") or self.at("<>"):
                     self.fail("propositions cannot appear inside equations")
@@ -426,10 +451,10 @@ class Parser:
         lhs = self.parse_infix(bound)
         if self.at("="):
             self.next()
-            return Eq(None, lhs, self.parse_infix(bound))
+            return self.equation(ctx, lhs, self.parse_infix(bound))
         if self.at("<>"):
             self.next()
-            return Not(Eq(None, lhs, self.parse_infix(bound)))
+            return Not(self.equation(ctx, lhs, self.parse_infix(bound)))
         self.fail("expected '=' or '<>' to form an atomic proposition")
 
     # -- declarations ------------------------------------------------------------
@@ -478,24 +503,21 @@ class Parser:
         full_type = make_pis(binders, rty)
         full_body = make_lams(binders, body)
         try:
-            ety, _sort = infer(self.env, [], full_type)
-            ebody, bty = infer(self.env, [], full_body)
+            infer(self.env, [], full_type)
+            bty = infer(self.env, [], full_body)[1]
         except TypingError as e:
             raise TypingError(f"in definition {name}: {e}") from None
-        if not convertible(self.env, [], bty, ety):
-            raise TypingError(f"definition {name}: body has type {bty}, declared {ety}")
-        check_prenex(ety, what=f"definition {name}")
-        self.env.declare_definition(Definition(name, ety, ebody))
+        if not convertible(self.env, [], bty, full_type):
+            raise TypingError(f"definition {name}: body has type {bty}, declared {full_type}")
+        check_prenex(full_type, what=f"definition {name}")
+        self.env.declare_definition(Definition(name, full_type, full_body))
 
     def parse_statement(self, what: str) -> Term:
-        raw = self.parse_prop([])
-        self.eat(".")
         try:
-            stmt, sort = infer(self.env, [], raw)
+            stmt = self.parse_prop([], [])
         except TypingError as e:
             raise TypingError(f"in {what}: {e}") from None
-        if not isinstance(sort, SortProp):
-            raise TypingError(f"{what} is not a proposition")
+        self.eat(".")
         check_prenex(stmt, what=what)
         return stmt
 
@@ -566,14 +588,17 @@ def parse_problem(text: str) -> Problem:
 
 def parse_term(text: str, env: GlobalEnv | None = None,
                bound: list[str] | None = None) -> Term:
-    """Parse a standalone proposition or expression. Closed inputs are
-    elaborated (annotations filled); open inputs are returned raw."""
+    """Parse a standalone proposition or expression over the names in
+    `bound` (innermost first). A proposition is typechecked as it is
+    parsed, in a context that gives those names no types, so an open
+    equation raises TypingError. A closed expression is typechecked; an
+    open one is returned unchecked."""
     p = Parser(text)
     p.env = env if env is not None else GlobalEnv()
     bound = bound or []
     save = p.pos
     try:
-        t = p.parse_prop(bound)
+        t = p.parse_prop(bound, [])
         if p.peek().kind != "eof":
             raise ParseError("trailing input")
     except (ParseError, ScopeError, ArityError):
@@ -581,6 +606,6 @@ def parse_term(text: str, env: GlobalEnv | None = None,
         t = p.parse_expr(bound)
         if p.peek().kind != "eof":
             p.fail("trailing input")
-    if not bound:
-        t, _ = infer(p.env, [], t)
+        if not bound:
+            infer(p.env, [], t)
     return t

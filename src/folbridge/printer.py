@@ -8,7 +8,7 @@ from __future__ import annotations
 from .terms import (
     And, App, Const, Ctor, Eq, Exists, FalseP, Fix, GlobalEnv, Ind,
     IntLit, IntT, Lam, Match, Not, Or, Pi, Problem, SortProp, SortType,
-    TVar, Term, TrueP, Var, as_inductive_instance, children, spine,
+    TVar, Term, TrueP, Var, children, spine,
 )
 
 # Levels, loosest to tightest. A node prints parens when its own level is
@@ -80,9 +80,8 @@ def _binders_used(t: Term) -> set:
             if s.index < d:
                 occurs.add(keys[d - 1 - s.index])
         elif cls is Match:
-            for c in (s.scrutinee, s.scrutinee_type, s.return_type):
-                if c is not None:
-                    todo.append((c, d, ()))
+            todo.append((s.scrutinee, d, ()))
+            todo.append((s.return_type, d, ()))
             for br in s.branches:
                 todo.append((br.body, d + br.arity,
                              tuple((id(br), j) for j in range(br.arity))))
@@ -184,10 +183,10 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
     if cls is Match:
         scrut = _pp(t.scrutinee, env, names, namer, L_BINDER)
         rty = _pp(t.return_type, env, names, namer, L_BINDER)
-        inst = _match_inductive(t, env)
+        ctors = env.inductive(t.inductive).ctors
         arms = []
         for k, br in enumerate(t.branches):
-            cname = env.inductive(inst).ctors[k].name
+            cname = ctors[k].name
             bnames = []
             for j, hint in enumerate(br.binders):
                 used = (id(br), j) in namer.occurs
@@ -235,18 +234,6 @@ def _collect_binders(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, c
         names2 = [nm] + names2
         cur = body
     return " ".join(groups), cur, names2
-
-
-def _match_inductive(t: Match, env: GlobalEnv) -> str:
-    inst = as_inductive_instance(t.scrutinee_type) if t.scrutinee_type is not None else None
-    if inst is not None:
-        return inst[0]
-    # Fall back to matching the branch count against declarations.
-    for decl in env.inductives.values():
-        if len(decl.ctors) == len(t.branches) and all(
-                len(c.arg_types) == b.arity for c, b in zip(decl.ctors, t.branches)):
-            return decl.name
-    raise ValueError("cannot determine the inductive of a match")
 
 
 # ---------------------------------------------------------------------------

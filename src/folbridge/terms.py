@@ -42,8 +42,9 @@ class Term:
 
     Each node computes two facts from its children once, when it is built:
     `_hash`, which ignores binder names, and `_reach`, how many binders
-    above the node its free variables reach (Var(i) reaches i + 1, a child
-    under k binders of the node counts k less, and a None hole counts 0).
+    above the node its free variables reach (Var(i) reaches i + 1, and a
+    child under k binders of the node counts k less). No field of a node is
+    ever None.
     `==` is True on identity, False at once when the hashes differ, and
     otherwise compares the fields that the class's `_key` reads.
     """
@@ -69,14 +70,6 @@ class Term:
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
         return f"{type(self).__name__}({fields})"
-
-
-def _hole_hash(t: Term | None) -> int:
-    return 0 if t is None else t._hash
-
-
-def _hole_reach(t: Term | None) -> int:
-    return 0 if t is None else t._reach
 
 
 class Var(Term):
@@ -220,22 +213,21 @@ class Branch:
 
 
 class Match(Term):
-    """Non-dependent pattern matching, one branch per constructor in
-    declaration order. scrutinee_type/return_type are explicit; the parser
-    fills scrutinee_type by synthesis."""
-    __slots__ = ("scrutinee", "scrutinee_type", "return_type", "branches")
-    _key = attrgetter("scrutinee", "scrutinee_type", "return_type", "branches")
+    """Non-dependent pattern matching on a value of the named inductive,
+    one branch per constructor in declaration order; the return type is
+    explicit."""
+    __slots__ = ("scrutinee", "inductive", "return_type", "branches")
+    _key = attrgetter("scrutinee", "inductive", "return_type", "branches")
 
-    def __init__(self, scrutinee: Term, scrutinee_type: Term | None,
-                 return_type: Term, branches: tuple[Branch, ...]) -> None:
+    def __init__(self, scrutinee: Term, inductive: str, return_type: Term,
+                 branches: tuple[Branch, ...]) -> None:
         self.scrutinee = scrutinee
-        self.scrutinee_type = scrutinee_type
+        self.inductive = inductive
         self.return_type = return_type
         self.branches = branches
-        self._hash = hash((Match, scrutinee._hash, _hole_hash(scrutinee_type),
-                           return_type._hash, *[b._hash for b in branches]))
-        self._reach = max(scrutinee._reach, _hole_reach(scrutinee_type),
-                          return_type._reach,
+        self._hash = hash((Match, scrutinee._hash, inductive, return_type._hash,
+                           *[b._hash for b in branches]))
+        self._reach = max(scrutinee._reach, return_type._reach,
                           *[b.body._reach - b.arity for b in branches])
 
 
@@ -260,12 +252,12 @@ class Eq(Term):
     __slots__ = ("at_type", "lhs", "rhs")
     _key = attrgetter("at_type", "lhs", "rhs")
 
-    def __init__(self, at_type: Term | None, lhs: Term, rhs: Term) -> None:
+    def __init__(self, at_type: Term, lhs: Term, rhs: Term) -> None:
         self.at_type = at_type
         self.lhs = lhs
         self.rhs = rhs
-        self._hash = hash((Eq, _hole_hash(at_type), lhs._hash, rhs._hash))
-        self._reach = max(_hole_reach(at_type), lhs._reach, rhs._reach)
+        self._hash = hash((Eq, at_type._hash, lhs._hash, rhs._hash))
+        self._reach = max(at_type._reach, lhs._reach, rhs._reach)
 
 
 class TrueP(Term):
@@ -309,8 +301,8 @@ class Not(Term):
 
 
 class Exists(Term):
-    """Existential quantifier; only produced by the exhaustiveness axiom
-    generator (off by default) and rejected by FOL extraction."""
+    """Existential quantifier: written `exists` in statements, and produced
+    by the exhaustiveness axiom generator (off by default)."""
     __slots__ = ("binder", "domain", "body")
     _key = attrgetter("domain", "body")
 
@@ -512,18 +504,11 @@ def children(t: Term) -> tuple[tuple[Term, int], ...]:
     if cls is Lam:
         return ((t.domain, 0), (t.body, 1))
     if cls is Match:
-        # scrutinee_type is None on unelaborated parser output.
-        out = [(t.scrutinee, 0)]
-        if t.scrutinee_type is not None:
-            out.append((t.scrutinee_type, 0))
-        out.append((t.return_type, 0))
-        out.extend((b.body, b.arity) for b in t.branches)
-        return tuple(out)
+        return ((t.scrutinee, 0), (t.return_type, 0),
+                *[(b.body, b.arity) for b in t.branches])
     if cls is Fix:
         return ((t.full_type, 0), (t.body, 1))
     if cls is Eq:
-        if t.at_type is None:
-            return ((t.lhs, 0), (t.rhs, 0))
         return ((t.at_type, 0), (t.lhs, 0), (t.rhs, 0))
     if cls is And or cls is Or:
         return ((t.lhs, 0), (t.rhs, 0))
@@ -561,22 +546,19 @@ def map_subterms(t: Term, f, depth: int = 0) -> Term:
         a, b = f(t.domain, depth), f(t.body, depth + 1)
         return t if a is t.domain and b is t.body else Lam(t.binder, a, b)
     if cls is Match:
-        scrut = f(t.scrutinee, depth)
-        sty = None if t.scrutinee_type is None else f(t.scrutinee_type, depth)
-        rty = f(t.return_type, depth)
+        scrut, rty = f(t.scrutinee, depth), f(t.return_type, depth)
         bodies = [f(b.body, depth + b.arity) for b in t.branches]
-        if (scrut is t.scrutinee and sty is t.scrutinee_type and rty is t.return_type
+        if (scrut is t.scrutinee and rty is t.return_type
                 and all(new is b.body for new, b in zip(bodies, t.branches))):
             return t
-        return Match(scrut, sty, rty, tuple(
+        return Match(scrut, t.inductive, rty, tuple(
             b if new is b.body else Branch(b.binders, new)
             for new, b in zip(bodies, t.branches)))
     if cls is Fix:
         a, b = f(t.full_type, depth), f(t.body, depth + 1)
         return t if a is t.full_type and b is t.body else Fix(t.binder, t.decreasing, a, b)
     if cls is Eq:
-        at = None if t.at_type is None else f(t.at_type, depth)
-        a, b = f(t.lhs, depth), f(t.rhs, depth)
+        at, a, b = f(t.at_type, depth), f(t.lhs, depth), f(t.rhs, depth)
         return t if at is t.at_type and a is t.lhs and b is t.rhs else Eq(at, a, b)
     if cls is And or cls is Or:
         a, b = f(t.lhs, depth), f(t.rhs, depth)

@@ -35,7 +35,7 @@ def alpha_eq(t: Term, u: Term) -> bool:
     if isinstance(t, Fix) and t.decreasing != u.decreasing:
         return False
     if isinstance(t, Match):
-        if len(t.branches) != len(u.branches):
+        if t.inductive != u.inductive or len(t.branches) != len(u.branches):
             return False
         if any(a.arity != b.arity for a, b in zip(t.branches, u.branches)):
             return False

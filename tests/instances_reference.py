@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from folbridge.conversion import typecheck
 from folbridge.terms import (
-    FolbridgeError, GlobalEnv, SortProp, SortType, Term, alpha_eq, children,
-    subterms, well_scoped,
+    FolbridgeError, GlobalEnv, SortProp, SortType, Term, alpha_eq, subterms,
+    well_scoped,
 )
 
 
@@ -25,8 +25,6 @@ def collect_type_instances(env: GlobalEnv, t: Term) -> list[Term]:
         if isinstance(s, (SortType, SortProp)):
             continue
         if not well_scoped(s, 0):
-            continue
-        if any(c is None for c, _ in children(s)):
             continue
         try:
             ty = typecheck(env, [], s)

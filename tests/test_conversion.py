@@ -33,7 +33,7 @@ class TestTypecheck:
     def test_match_missing_branch_rejected(self, env):
         bad = Match(
             make_app(Ctor("list", 0), [IntT()]),
-            None, IntT(),
+            "list", IntT(),
             (Branch((), IntLit(0)),),  # cons branch missing
         )
         with pytest.raises(TypingError):
@@ -51,7 +51,9 @@ class TestTypecheck:
 
     def test_eq_requires_same_type(self, env):
         with pytest.raises(TypingError):
-            typecheck(env, [], Eq(None, TRUE, IntLit(1)))
+            parse_term("true = 1", env)
+        with pytest.raises(TypingError):
+            typecheck(env, [], Eq(BOOL, TRUE, IntLit(1)))
 
 
 class TestNormalize:
@@ -275,9 +277,9 @@ class TestEvalProp:
             checked.append(t)
             return original(env_, ctx, t, *rest)
 
-        monkeypatch.setattr(conversion, "typecheck", recording)
         stmt = parse_term("forall (x : Int) (l : list Int) (n : nat), 1 = 1 -> "
                           "length Int (cons Int x l) = 1 + length Int l", env)
+        monkeypatch.setattr(conversion, "typecheck", recording)
         assert random_truth_check(env, stmt, samples=30) is None
         assert len(checked) == len(set(checked)) == 4
         bad = Pi("x", Const("nosuch"), Eq(INT, IntLit(1), IntLit(1)))

@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PRELUDE
-from folbridge.conversion import infer, typecheck
+from folbridge.conversion import TypingError, infer, typecheck
 from folbridge.parser import (
     ArityError, ParseError, PrenexError, parse_problem, parse_term, tokenize,
 )
 from folbridge import parser
 from folbridge.printer import print_problem, print_term
 from folbridge.terms import (
-    App, BOOL, Const, Ctor, Eq, FALSE, GlobalEnv, Ind, IntLit, IntT, Not,
+    App, BOOL, Const, Ctor, Eq, FALSE, GlobalEnv, INT, Ind, IntLit, IntT, Not,
     Pi, ScopeError, SortProp, TRUE, Var, alpha_eq,
 )
 
@@ -113,6 +113,35 @@ class TestParseErrors:
         with pytest.raises(ScopeError):
             parse_problem("data a = mk.\ndata a = mk2.\ngoal true = true.")
 
+    def test_match_on_another_inductive_rejected(self):
+        """Arms written with nat's constructors on an option scrutinee:
+        the match names nat, so it is rejected, not read as a match on
+        option whose branches have the same shape."""
+        src = ("data option (A) = none | some (A).\n"
+               "data nat = O | S (nat).\n"
+               "def f : option nat -> nat = fun (o : option nat) =>"
+               " match o return nat with | O => O | S p => p end.\n"
+               "goal true = true.\n")
+        with pytest.raises(TypingError, match="not of type nat"):
+            parse_problem(src)
+
+    @pytest.mark.parametrize("src, prefix", [
+        ("hyp h : forall (x : Int), x = true.\ngoal true = true.", "in hypothesis h: "),
+        ("goal forall (x : Int), x = 1 -> x = true.", "in goal: "),
+        ("goal forall (x : 1), true = true.", "in goal: "),
+    ])
+    def test_statement_typing_error_names_the_statement(self, src, prefix):
+        with pytest.raises(TypingError) as err:
+            parse_problem(src)
+        assert str(err.value).startswith(prefix)
+
+    def test_open_equation_raises(self, env):
+        with pytest.raises(TypingError):
+            parse_term("x = 1", env, bound=["x"])
+        with pytest.raises(TypingError):
+            parse_term("forall (y : Int), y = x", env, bound=["x"])
+        assert parse_term("x + 1", env, bound=["x"]) == App(App(Const("add"), Var(0)), IntLit(1))
+
 
 class TestExpressions:
     def test_operator_precedence(self, env):
@@ -191,7 +220,6 @@ class TestExpressions:
 
     def test_implicit_error(self, env):
         # all type applications are explicit; missing one is a type error
-        from folbridge.conversion import TypingError
         with pytest.raises(TypingError):
             parse_term("cons 1 (nil Int)", env)
 
@@ -397,9 +425,9 @@ def _parsed(text: str, env: GlobalEnv, forget: bool):
     if forget:
         p._groups = _Forgetful()
     try:
-        t = p.parse_prop(["x", "y"])
+        t = p.parse_prop(["x", "y"], [INT, INT])
         return repr(t), p.pos
-    except (ParseError, ScopeError, ArityError) as e:
+    except (ParseError, ScopeError, ArityError, TypingError) as e:
         return type(e), str(e)
 
 

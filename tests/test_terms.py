@@ -160,13 +160,15 @@ def test_well_scoped_preserved():
 LEAVES = st.sampled_from(
     (Var(0), Var(1), Const("c"), IntLit(0), INT, TYPE, TrueP()))
 NAMES = st.sampled_from(("x", "y", "_"))
+INDUCTIVES = st.sampled_from(("list", "nat"))
 
 
 @st.composite
 def term_pairs(draw, depth: int = 3, renamed_only: bool | None = None):
     """Two terms of one shape whose binder names are drawn apart. Unless
-    `renamed_only`, each leaf, `Fix.decreasing`, branch arity and `None`
-    hole of the second term may also be drawn apart from the first."""
+    `renamed_only`, each leaf, `Fix.decreasing`, branch arity and
+    `Match.inductive` of the second term may also be drawn apart from the
+    first."""
     if renamed_only is None:
         renamed_only = draw(st.booleans())
 
@@ -196,13 +198,11 @@ def term_pairs(draw, depth: int = 3, renamed_only: bool | None = None):
     if kind == "app":
         (h1, h2), (a1, a2) = sub(), sub()
         return App(h1, a1), App(h2, a2)
-    (a1, a2), (l1, l2), (r1, r2) = sub(), sub(), sub()
-    hole = draw(st.booleans())
-    hole2 = apart(hole, st.booleans())
-    a1 = None if hole else a1
-    a2 = None if hole2 else a2
+    (l1, l2), (r1, r2) = sub(), sub()
     if kind == "eq":
+        a1, a2 = sub()
         return Eq(a1, l1, r1), Eq(a2, l2, r2)
+    inductive = draw(INDUCTIVES)
     branches1, branches2 = [], []
     for _ in range(draw(st.integers(1, 2))):
         arity = draw(st.integers(0, 2))
@@ -210,8 +210,8 @@ def term_pairs(draw, depth: int = 3, renamed_only: bool | None = None):
         b1, b2 = sub()
         branches1.append(Branch(tuple(draw(NAMES) for _ in range(arity)), b1))
         branches2.append(Branch(tuple(draw(NAMES) for _ in range(arity2)), b2))
-    return (Match(l1, a1, r1, tuple(branches1)),
-            Match(l2, a2, r2, tuple(branches2)))
+    return (Match(l1, inductive, r1, tuple(branches1)),
+            Match(l2, apart(inductive, INDUCTIVES), r2, tuple(branches2)))
 
 
 @given(term_pairs())
@@ -225,15 +225,15 @@ def test_equality_is_alpha_equivalence(pair):
         assert hash(t) == hash(u)
 
 
-def test_equality_sees_arity_decreasing_and_holes():
+def test_equality_sees_arity_decreasing_and_inductive():
     renamed = (Pi("x", INT, Var(0)), Pi("y", INT, Var(0)))
     assert renamed[0] == renamed[1] and repr(renamed[0]) != repr(renamed[1])
     apart = [
-        (Match(Var(0), INT, INT, (Branch(("a",), IntLit(1)),)),
-         Match(Var(0), INT, INT, (Branch((), IntLit(1)),))),
+        (Match(Var(0), "nat", INT, (Branch(("a",), IntLit(1)),)),
+         Match(Var(0), "nat", INT, (Branch((), IntLit(1)),))),
         (Fix("f", 0, INT, Var(0)), Fix("f", 1, INT, Var(0))),
-        (Eq(None, Var(0), Var(0)), Eq(INT, Var(0), Var(0))),
-        (Match(Var(0), None, INT, ()), Match(Var(0), INT, INT, ())),
+        (Match(Var(0), "Bool", INT, (Branch((), IntLit(1)), Branch((), IntLit(0)))),
+         Match(Var(0), "nat", INT, (Branch((), IntLit(1)), Branch((), IntLit(0))))),
     ]
     for t, u in apart:
         assert not alpha_reference.alpha_eq(t, u)
@@ -241,8 +241,8 @@ def test_equality_sees_arity_decreasing_and_holes():
         assert len({t, u}) == 2
 
 
-# Open terms: every node kind with `None` holes, and the deeper random
-# skeletons with three free variables.
+# Open terms: every node kind, and deeper random skeletons with three free
+# variables.
 OPEN_TERMS = st.one_of(
     term_pairs(renamed_only=True).map(lambda pair: pair[0]),
     st.integers(0, 2**32).map(lambda seed: random_term(random.Random(seed), 3, 12)))
@@ -328,7 +328,7 @@ CLOSED_MATCH_TERMS = term_pairs(renamed_only=True).map(
 
 
 @given(st.one_of(OPEN_TERMS, CLOSED_TERMS, CLOSED_MATCH_TERMS), st.integers(0, 4))
-@example(Match(Var(1), None, INT, (Branch(("x",), Match(Var(0), INT, INT, ())),)), 3)
+@example(Match(Var(1), "nat", INT, (Branch(("x",), Match(Var(0), "nat", INT, ())),)), 3)
 @settings(deadline=None, max_examples=200)
 def test_match_candidates_matches_reference(t, n):
     assert (transforms._match_candidates(t, n)
@@ -336,8 +336,8 @@ def test_match_candidates_matches_reference(t, n):
 
 
 @given(st.one_of(OPEN_TERMS, CLOSED_TERMS, CLOSED_MATCH_TERMS))
-@example(Match(Var(2), None, INT, (Branch(("x", "y"), Var(3)),)))
-@example(Eq(None, Var(0), Lam("x", INT, Var(1))))
+@example(Match(Var(2), "list", INT, (Branch(("x", "y"), Var(3)),)))
+@example(Eq(Var(1), Var(0), Lam("x", INT, Var(1))))
 @settings(deadline=None, max_examples=200)
 def test_reach_matches_reference(t):
     for s in subterms(t):
@@ -456,12 +456,6 @@ class TestSharing:
             " /\\ hd_error A (app A l (nil A)) = hd_error A l", env))
         for t in terms:
             assert infer(env, [], t)[0] is t, t
-
-    def test_holes_are_filled(self, env):
-        raw = Match(parser.parse_term("true", env), None, INT,
-                    (Branch((), IntLit(1)), Branch((), IntLit(0))))
-        t = infer(env, [], Eq(None, raw, IntLit(1)))[0]
-        assert t.at_type == INT and t.lhs.scrutinee_type == Ind("Bool")
 
 
 def test_kernels_leave_no_garbage():
