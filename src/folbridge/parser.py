@@ -1,13 +1,22 @@
 """Line-oriented parser for .fol problem files.
 
-Declarations end with `.`; the statement language separates props
-(forall/connectives/equations) from object expressions. All type
-applications are explicit; there is no implicit-argument inference.
-Every node is built complete: a match names the inductive of its first
-arm's constructor, and an equation is typed as it is built and carries the
-type of its left side. A statement is built from equations, quantifiers
-over checked domains and connectives, so it is a proposition once parsed;
-a definition's type and body are typechecked against each other.
+Declarations end with `.`. Propositions and expressions share one grammar,
+as they share one syntax in CIC: `forall` is a product for both, and `->`
+is both a function type and an implication. `Parser.parse` is one
+precedence-climbing loop over the binary operators of `printer.OPERATORS`,
+the table the printer parenthesizes by. A position whose `ctx` is None is
+an expression position, where `=`, `<>`, `/\\`, `\\/` and `~` end the
+term. Elsewhere the term may be a proposition, which its node tells: under
+its leading products it is headed by one of `terms.PROP_HEADS`. No term
+is parsed twice: the parser never backtracks over a parsed term.
+
+All type applications are explicit; there is no implicit-argument
+inference. Every node is built complete: a match names the inductive of its
+first arm's constructor, and an equation is typed as it is built and
+carries the type of its left side. A quantifier's domains are checked to be
+types once its body turns out to be a proposition, so a statement is a
+proposition once parsed; a definition's type and body are typechecked
+against each other.
 """
 
 from __future__ import annotations
@@ -16,12 +25,15 @@ import re
 from dataclasses import dataclass
 
 from .conversion import TypingError, convertible, infer
+from .printer import (
+    L_AND, L_ATOM, L_BINDER, L_EQ, L_IMP, L_NOT, L_OR, OPERATORS, print_term,
+)
 from .terms import (
     And, App, Branch, Const, Ctor, CtorDecl, Definition, Eq, Exists,
     FalseP, Fix, FolbridgeError, GlobalEnv, Ind, InductiveDecl, IntLit,
-    INT, Match, Not, Or, Pi, Problem, ScopeError, SortProp, SortType, TYPE, Term,
-    TrueP, Var, builtin_type, has_interior_type_binder, lift, make_lams,
-    make_pis, rebind,
+    INT, Match, Not, Or, Pi, PROP_HEADS, Problem, ScopeError, SortProp, SortType,
+    TYPE, Term, TrueP, Var, builtin_type, has_interior_type_binder, lift,
+    make_lams, make_pis, rebind,
 )
 
 
@@ -58,19 +70,18 @@ _TOKEN_RE = re.compile(
     r"|(?P<punct>" + "|".join(re.escape(p) for p in _PUNCT) + ")")
 
 
-# Infix operators of the expression level: symbol -> (builtin, precedence,
-# associativity). `||` and `&&` associate to the right, `+ - *` to the left,
-# and a comparison takes no comparison as its operand.
-_INFIX = {
-    "||": ("orb", 1, "right"),
-    "&&": ("andb", 2, "right"),
-    "<=": ("le", 3, None),
-    "<": ("lt", 3, None),
-    "+": ("add", 4, "left"),
-    "-": ("sub", 4, "left"),
-    "*": ("mul", 5, "left"),
-}
-_MAX_PREC = max(prec for _, prec, _ in _INFIX.values())
+# Binary operators: symbol -> (level, associativity, builtin or None).
+_BINARY = {sym: (level, assoc, builtin) for sym, level, assoc, builtin in OPERATORS}
+_CONNECTIVES = {L_AND: And, L_OR: Or}
+
+
+def _is_prop(t: Term) -> bool:
+    """A parsed term is a proposition when its node says so: under its
+    leading products it is an equation, a connective, an exists or
+    true_p/false_p. An expression never has one of those below a product."""
+    while type(t) is Pi:
+        t = t.codomain
+    return type(t) in PROP_HEADS
 
 
 @dataclass
@@ -113,9 +124,6 @@ class Parser:
         self.pos = 0
         self.env = GlobalEnv()
         self.pending_inductive: str | None = None
-        # Parenthesized groups parsed so far: (position, bound names) ->
-        # (term, error, position after the group).
-        self._groups: dict[tuple[int, tuple[str, ...]], tuple] = {}
 
     # -- token plumbing ------------------------------------------------------
 
@@ -170,38 +178,94 @@ class Parser:
         tok = self.peek()
         raise ScopeError(f"{tok.line}:{tok.col}: unknown identifier {name!r}")
 
-    # -- expressions (terms and types share the atom level) -------------------
+    # -- terms: propositions, expressions and types ---------------------------
 
-    def parse_expr(self, bound: list[str]) -> Term:
-        if self.at("forall"):
+    def parse(self, bound: list[str], ctx: list[Term] | None = None,
+              min_level: int = L_BINDER) -> Term:
+        """A term whose binary operators have level min_level or tighter,
+        by precedence climbing. In an expression position ctx is None.
+        Otherwise ctx[i] is the type of the variable bound[i] names, the
+        term may be a proposition, and only the first atom of an
+        application may be one, which is then the whole application. After
+        an operator of level p the loop takes only looser operators, or p
+        again when it is left associative, so comparisons and equations do
+        not chain. A quantifier takes the rest of the term; in an
+        expression position `forall` starts only a whole term or the
+        codomain of an arrow."""
+        tok = self.peek()
+        if tok.kind == "kw" and (tok.text == "forall" and (ctx is not None or min_level <= L_IMP)
+                                 or tok.text == "exists" and ctx is not None):
+            return self.parse_quantifier(bound, ctx)
+        if ctx is not None and self.at("~"):
             self.next()
-            binders, bound2 = self.parse_binders(bound)
-            self.eat(",")
-            return make_pis(binders, self.parse_expr(bound2))
-        lhs = self.parse_infix(bound)
-        if self.at("->"):
+            lhs = Not(self.proposition(bound, ctx, L_NOT))
+        elif self.at("-") and self.peek(1).kind == "int":
+            # A leading minus immediately before a literal is a negative literal.
             self.next()
-            rhs = self.parse_expr(bound)
-            return Pi("_", lhs, lift(rhs, 1))
-        return lhs
-
-    def parse_infix(self, bound: list[str], min_prec: int = 0) -> Term:
-        """The arrow-free expression level: applications joined by the
-        operators of _INFIX, by precedence climbing. After an operator of
-        precedence p the loop takes only lower precedences, or p again when
-        it is left associative, so comparisons do not chain."""
-        lhs = self.parse_app(bound)
-        limit = _MAX_PREC
+            lhs = IntLit(-int(self.next().text))
+        else:
+            lhs = self.parse_atom(bound, ctx)
+            if ctx is None or not _is_prop(lhs):
+                while self._at_atom_start():
+                    lhs = App(lhs, self.parse_atom(bound))
+        limit = L_ATOM
         while True:
             tok = self.peek()
-            op = _INFIX.get(tok.text) if tok.kind == "punct" else None
-            if op is None or not min_prec <= op[1] <= limit:
+            op = _BINARY.get(tok.text) if tok.kind == "punct" else None
+            if op is None or not min_level <= op[0] <= limit:
                 return lhs
-            name, prec, assoc = op
+            level, assoc, builtin = op
+            # The builtins, = and <> join expressions, /\ and \/ join
+            # propositions, and -> is a function type or an implication. An
+            # expression position ends at the proposition operators.
+            if ctx is None and builtin is None and level != L_IMP:
+                return lhs
+            prop = ctx is not None and _is_prop(lhs)
+            if level != L_IMP and prop != (level in _CONNECTIVES):
+                return lhs
             self.next()
-            rhs = self.parse_infix(bound, prec if assoc == "right" else prec + 1)
-            lhs = App(App(Const(name), lhs), rhs)
-            limit = prec if assoc == "left" else prec - 1
+            right = level if assoc == "right" else level + 1
+            if prop:
+                rhs = self.proposition(bound, ctx, right)
+            else:
+                rhs = self.parse(bound, None, right)
+            if builtin is not None:
+                lhs = App(App(Const(builtin), lhs), rhs)
+            elif level == L_EQ:
+                eq = self.equation(bound, ctx, lhs, rhs)
+                lhs = eq if tok.text == "=" else Not(eq)
+            elif level == L_IMP:
+                lhs = Pi("_", lhs, lift(rhs, 1))
+            else:
+                lhs = _CONNECTIVES[level](lhs, rhs)
+            limit = level if assoc == "left" else level - 1
+
+    def proposition(self, bound: list[str], ctx: list[Term],
+                    min_level: int = L_BINDER) -> Term:
+        """A term in a proposition position that must be a proposition."""
+        t = self.parse(bound, ctx, min_level)
+        if not _is_prop(t):
+            self.fail("expected '=' or '<>' to form an atomic proposition")
+        return t
+
+    def parse_quantifier(self, bound: list[str], ctx: list[Term] | None) -> Term:
+        """`forall` or `exists`, binders, `,` and the body. Outside an
+        expression position each domain is checked to be a type once the
+        body turns out to be a proposition; an `exists` needs one."""
+        quantifier = Pi if self.next().text == "forall" else Exists
+        binders, bound2 = self.parse_binders(bound)
+        self.eat(",")
+        ctxs = [ctx]
+        if ctx is not None:
+            for _, dom in binders:
+                ctxs.append([dom] + ctxs[-1])
+        body = (self.proposition if quantifier is Exists else self.parse)(bound2, ctxs.pop())
+        if ctx is not None and _is_prop(body):
+            for (_, dom), dctx in zip(binders, ctxs):
+                self.check_domain(quantifier, dctx, dom)
+        for nm, dom in reversed(binders):
+            body = quantifier(nm, dom, body)
+        return body
 
     def _at_atom_start(self) -> bool:
         tok = self.peek()
@@ -211,17 +275,7 @@ class Parser:
             return True
         return tok.kind == "punct" and tok.text == "("
 
-    def parse_app(self, bound: list[str]) -> Term:
-        # A leading minus immediately before a literal is a negative literal.
-        if self.at("-") and self.peek(1).kind == "int":
-            self.next()
-            return IntLit(-int(self.next().text))
-        head = self.parse_atom(bound)
-        while self._at_atom_start():
-            head = App(head, self.parse_atom(bound))
-        return head
-
-    def parse_atom(self, bound: list[str]) -> Term:
+    def parse_atom(self, bound: list[str], ctx: list[Term] | None = None) -> Term:
         tok = self.peek()
         if tok.kind == "int":
             self.next()
@@ -239,25 +293,13 @@ class Parser:
                 return self.parse_match(bound)
             if tok.text == "fix":
                 return self.parse_fix(bound)
+            if ctx is not None and tok.text in ("true_p", "false_p"):
+                self.next()
+                return TrueP() if tok.text == "true_p" else FalseP()
         if self.at("("):
-            # A proposition atom that turns out to be an expression is parsed
-            # again as one (parse_prop_atom), so each group's outcome is kept
-            # by position and scope: parsing it again is a lookup, and nested
-            # groups cost linear time, not quadratic.
-            key = (self.pos, tuple(bound))
-            done = self._groups.get(key)
-            if done is None:
-                t = err = None
-                try:
-                    self.next()
-                    t = self.parse_expr(bound)
-                    self.eat(")")
-                except (ParseError, ScopeError, ArityError) as e:
-                    err = e
-                done = self._groups[key] = (t, err, self.pos)
-            t, err, self.pos = done
-            if err is not None:
-                raise err
+            self.next()
+            t = self.parse(bound, ctx)
+            self.eat(")")
             return t
         self.fail(f"expected a term, found {tok.text!r}")
 
@@ -275,7 +317,7 @@ class Parser:
                 self.pos = save
                 break
             self.eat(":")
-            ty = self.parse_expr(bound)
+            ty = self.parse(bound)
             self.eat(")")
             for nm in names:
                 binders.append((nm, ty))
@@ -289,14 +331,14 @@ class Parser:
         self.eat("fun")
         binders, bound2 = self.parse_binders(bound)
         self.eat("=>")
-        body = self.parse_expr(bound2)
+        body = self.parse(bound2)
         return make_lams(binders, body)
 
     def parse_match(self, bound: list[str]) -> Term:
         self.eat("match")
-        scrut = self.parse_expr(bound)
+        scrut = self.parse(bound)
         self.eat("return")
-        rty = self.parse_expr(bound)
+        rty = self.parse(bound)
         self.eat("with")
         arms: list[tuple[str, list[str], Term, Token]] = []
         while self.at("|"):
@@ -308,7 +350,7 @@ class Parser:
                 binder_names.append(self.next().text)
             self.eat("=>")
             body_bound = list(reversed(binder_names)) + bound
-            body = self.parse_expr(body_bound)
+            body = self.parse(body_bound)
             arms.append((cname, binder_names, body, ctok))
         self.eat("end")
         if not arms:
@@ -348,9 +390,9 @@ class Parser:
         dec = int(self.next().text)
         binders, bound2 = self.parse_binders([name] + bound)
         self.eat(":")
-        rty = self.parse_expr(bound2)
+        rty = self.parse(bound2)
         self.eat(":=")
-        body = self.parse_expr(bound2)
+        body = self.parse(bound2)
         full_type = make_pis(binders, rty)
         # full_type must not mention the fix self-binder.
         full_type_outer = _unshift(full_type, 1)
@@ -358,27 +400,7 @@ class Parser:
             self.fail("fixpoint annotation may not mention the fixpoint itself")
         return Fix(name, dec, full_type_outer, make_lams(binders, body))
 
-    # -- propositions ----------------------------------------------------------
-
-    def parse_prop(self, bound: list[str], ctx: list[Term]) -> Term:
-        """A proposition; ctx[i] is the type of the variable bound[i] names.
-        Each equation is typed as it is built, and each quantifier domain
-        is checked to be a type once the quantifier's body is parsed."""
-        if self.at("forall") or self.at("exists"):
-            quantifier = Pi if self.next().text == "forall" else Exists
-            binders, bound2 = self.parse_binders(bound)
-            self.eat(",")
-            ctxs = [ctx]
-            for _, dom in binders:
-                ctxs.append([dom] + ctxs[-1])
-            body = self.parse_prop(bound2, ctxs.pop())
-            for (_, dom), dctx in zip(binders, ctxs):
-                self.check_domain(quantifier, dctx, dom)
-            for nm, dom in reversed(binders):
-                body = quantifier(nm, dom, body)
-            return body
-        return self.parse_prop_imp(bound, ctx)
-
+    # -- typing judgements ----------------------------------------------------
     # Every typing judgement of the parser goes through `infer`, so a
     # wrapper of `parser.infer` times all of them.
 
@@ -389,73 +411,15 @@ class Parser:
         if not isinstance(sort, (SortType, SortProp)):
             raise TypingError("binder domain is not a type or proposition")
 
-    def equation(self, ctx: list[Term], lhs: Term, rhs: Term) -> Eq:
+    def equation(self, bound: list[str], ctx: list[Term], lhs: Term, rhs: Term) -> Eq:
         """The equation lhs = rhs at the type of lhs. Each side is typed
         once, and the type of rhs must convert to that of lhs."""
         lty = infer(self.env, ctx, lhs)[1]
         rty = infer(self.env, ctx, rhs)[1]
         if not convertible(self.env, ctx, rty, lty):
-            raise TypingError(f"equality sides disagree: {lty} vs {rty}")
+            raise TypingError(f"equality sides disagree: {print_term(lty, self.env, bound)}"
+                              f" vs {print_term(rty, self.env, bound)}")
         return Eq(lty, lhs, rhs)
-
-    def parse_prop_imp(self, bound: list[str], ctx: list[Term]) -> Term:
-        lhs = self.parse_prop_or(bound, ctx)
-        if self.at("->"):
-            self.next()
-            rhs = self.parse_prop_imp(bound, ctx)
-            return Pi("_", lhs, lift(rhs, 1))
-        return lhs
-
-    def parse_prop_or(self, bound: list[str], ctx: list[Term]) -> Term:
-        lhs = self.parse_prop_and(bound, ctx)
-        if self.at("\\/"):
-            self.next()
-            return Or(lhs, self.parse_prop_or(bound, ctx))
-        return lhs
-
-    def parse_prop_and(self, bound: list[str], ctx: list[Term]) -> Term:
-        lhs = self.parse_prop_not(bound, ctx)
-        if self.at("/\\"):
-            self.next()
-            return And(lhs, self.parse_prop_and(bound, ctx))
-        return lhs
-
-    def parse_prop_not(self, bound: list[str], ctx: list[Term]) -> Term:
-        if self.at("~"):
-            self.next()
-            return Not(self.parse_prop_not(bound, ctx))
-        return self.parse_prop_atom(bound, ctx)
-
-    def parse_prop_atom(self, bound: list[str], ctx: list[Term]) -> Term:
-        if self.at("true_p"):
-            self.next()
-            return TrueP()
-        if self.at("false_p"):
-            self.next()
-            return FalseP()
-        if self.at("forall") or self.at("exists"):
-            return self.parse_prop(bound, ctx)
-        if self.at("("):
-            save = self.pos
-            self.next()
-            try:
-                inner = self.parse_prop(bound, ctx)
-                self.eat(")")
-                if self.at("=") or self.at("<>"):
-                    self.fail("propositions cannot appear inside equations")
-                return inner
-            except (ParseError, ScopeError, ArityError):
-                self.pos = save
-        # Equation sides use the arrow-free expression level so that `->`
-        # binds as implication: `t = u -> P` is `(t = u) -> P`.
-        lhs = self.parse_infix(bound)
-        if self.at("="):
-            self.next()
-            return self.equation(ctx, lhs, self.parse_infix(bound))
-        if self.at("<>"):
-            self.next()
-            return Not(self.equation(ctx, lhs, self.parse_infix(bound)))
-        self.fail("expected '=' or '<>' to form an atomic proposition")
 
     # -- declarations ------------------------------------------------------------
 
@@ -477,7 +441,7 @@ class Parser:
             arg_types: list[Term] = []
             while self.at("("):
                 self.next()
-                arg_types.append(self.parse_expr(param_bound))
+                arg_types.append(self.parse(param_bound))
                 self.eat(")")
             ctors.append(CtorDecl(cname, tuple(arg_types)))
             if self.at("|"):
@@ -496,9 +460,9 @@ class Parser:
         if self.at("(") :
             binders, bound = self.parse_binders([])
         self.eat(":")
-        rty = self.parse_expr(bound)
+        rty = self.parse(bound)
         self.eat("=")
-        body = self.parse_expr(bound)
+        body = self.parse(bound)
         self.eat(".")
         full_type = make_pis(binders, rty)
         full_body = make_lams(binders, body)
@@ -508,13 +472,14 @@ class Parser:
         except TypingError as e:
             raise TypingError(f"in definition {name}: {e}") from None
         if not convertible(self.env, [], bty, full_type):
-            raise TypingError(f"definition {name}: body has type {bty}, declared {full_type}")
+            raise TypingError(f"definition {name}: body has type {print_term(bty, self.env)},"
+                              f" declared {print_term(full_type, self.env)}")
         check_prenex(full_type, what=f"definition {name}")
         self.env.declare_definition(Definition(name, full_type, full_body))
 
     def parse_statement(self, what: str) -> Term:
         try:
-            stmt = self.parse_prop([], [])
+            stmt = self.proposition([], [])
         except TypingError as e:
             raise TypingError(f"in {what}: {e}") from None
         self.eat(".")
@@ -596,16 +561,9 @@ def parse_term(text: str, env: GlobalEnv | None = None,
     p = Parser(text)
     p.env = env if env is not None else GlobalEnv()
     bound = bound or []
-    save = p.pos
-    try:
-        t = p.parse_prop(bound, [])
-        if p.peek().kind != "eof":
-            raise ParseError("trailing input")
-    except (ParseError, ScopeError, ArityError):
-        p.pos = save
-        t = p.parse_expr(bound)
-        if p.peek().kind != "eof":
-            p.fail("trailing input")
-        if not bound:
-            infer(p.env, [], t)
+    t = p.parse(bound, [])
+    if p.peek().kind != "eof":
+        p.fail("trailing input")
+    if not bound and not _is_prop(t):
+        infer(p.env, [], t)
     return t

@@ -1,7 +1,8 @@
 """Pretty-printer: deterministic concrete syntax that reparses to an
 alpha-equal term. Parenthesization follows the precedence-level trick:
 each position states the loosest level it tolerates and anything looser
-gets wrapped."""
+gets wrapped. The levels and `OPERATORS`, the table of binary operators,
+are shared with the parser, which climbs the same levels."""
 
 from __future__ import annotations
 
@@ -27,15 +28,24 @@ L_MUL = 10
 L_APP = 11
 L_ATOM = 12
 
-_INFIX_BUILTINS = {
-    "orb": ("||", L_ORB, 1),
-    "andb": ("&&", L_ANDB, 1),
-    "le": ("<=", L_CMP, None),
-    "lt": ("<", L_CMP, None),
-    "add": ("+", L_ADD, 0),
-    "sub": ("-", L_ADD, 0),
-    "mul": ("*", L_MUL, 0),
-}
+# The binary operators, loosest first: (symbol, level, associativity,
+# builtin constant or None). The parser reads the same table.
+OPERATORS = (
+    ("->", L_IMP, "right", None),
+    ("\\/", L_OR, "right", None),
+    ("/\\", L_AND, "right", None),
+    ("=", L_EQ, None, None),
+    ("<>", L_EQ, None, None),
+    ("||", L_ORB, "right", "orb"),
+    ("&&", L_ANDB, "right", "andb"),
+    ("<=", L_CMP, None, "le"),
+    ("<", L_CMP, None, "lt"),
+    ("+", L_ADD, "left", "add"),
+    ("-", L_ADD, "left", "sub"),
+    ("*", L_MUL, "left", "mul"),
+)
+
+_INFIX_BUILTINS = {builtin: (sym, lvl, assoc) for sym, lvl, assoc, builtin in OPERATORS if builtin}
 
 
 class _Namer:
@@ -110,16 +120,10 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
     if cls is App:
         head, args = spine(t)
         if type(head) is Const and head.name in _INFIX_BUILTINS and len(args) == 2:
+            # An operand may be at the operator's level on the side it associates to.
             sym, lvl, assoc = _INFIX_BUILTINS[head.name]
-            if assoc == 0:  # left associative
-                lhs = _pp(args[0], env, names, namer, lvl)
-                rhs = _pp(args[1], env, names, namer, lvl + 1)
-            elif assoc == 1:  # right associative
-                lhs = _pp(args[0], env, names, namer, lvl + 1)
-                rhs = _pp(args[1], env, names, namer, lvl)
-            else:  # non-associative comparisons
-                lhs = _pp(args[0], env, names, namer, lvl + 1)
-                rhs = _pp(args[1], env, names, namer, lvl + 1)
+            lhs = _pp(args[0], env, names, namer, lvl + (assoc != "left"))
+            rhs = _pp(args[1], env, names, namer, lvl + (assoc != "right"))
             return _wrap(f"{lhs} {sym} {rhs}", lvl, want)
         parts = [_pp(head, env, names, namer, L_ATOM)]
         parts.extend(_pp(a, env, names, namer, L_ATOM) for a in args)

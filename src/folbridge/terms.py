@@ -324,6 +324,10 @@ class IntLit(Term):
         self._reach = 0
 
 
+# The node classes that head a proposition, under its leading products: a
+# product whose final codomain is one of them has sort Prop, or is ill-typed.
+PROP_HEADS = frozenset({Eq, And, Or, Not, Exists, TrueP, FalseP})
+
 TYPE = SortType()
 PROP = SortProp()
 INT = IntT()
@@ -421,12 +425,6 @@ class GlobalEnv:
             return self.definitions[name]
         except KeyError:
             raise ScopeError(f"unknown constant: {name}") from None
-
-    def ctor_decl(self, ind: str, index: int) -> CtorDecl:
-        decl = self.inductive(ind)
-        if not 0 <= index < len(decl.ctors):
-            raise ScopeError(f"{ind} has no constructor #{index}")
-        return decl.ctors[index]
 
     def find_ctor(self, name: str) -> tuple[str, int] | None:
         ctors = self.memo.get(("find_ctor",))

@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 
 from .conversion import beta_reduce, typecheck
 from .terms import (
-    And, App, Const, Ctor, Eq, Exists, FalseP, Fix, FolbridgeError,
+    And, App, Const, Ctor, Eq, Exists, Fix, FolbridgeError,
     GlobalEnv, Ind, IntLit, IntT, Lam, Match, Not, Or, Pi, SortProp,
-    SortType, TVar, Term, TrueP, Var,
+    SortType, TVar, Term, Var,
     as_inductive_instance, builtin_type, children, ctor_arg_types,
     has_interior_type_binder, lift, make_app, make_pis, map_subterms, rebind,
-    spine, strip_lams, strip_pis, subst, subst_list, INTERPRETED_TYPES,
+    spine, strip_lams, strip_pis, subst, subst_list, INTERPRETED_TYPES, PROP_HEADS,
 )
 # Not called here; bench/tracer.py wraps the kernels at this module's
 # bindings, so the name must resolve in it.
@@ -448,15 +448,11 @@ def _replace_binder(t: Term, at: int, widen: int, replacement: Term) -> Term:
 # Monomorphization
 # ---------------------------------------------------------------------------
 
-# Heads of propositions: a product whose final codomain has one of these
-# spine heads has sort Prop, or is ill-typed.
-_PROP_HEADS = (Eq, And, Or, Not, Exists, TrueP, FalseP)
-
 # Spine heads of subterms that are never type instances. `_infer` types
 # none of the others as SortType: a constructor's type is `I params` or a
 # product, and an application of any of them is ill-typed. The sorts do have
 # sort Type, but are not instances.
-_NEVER_TYPE_HEADS = (Ctor, IntLit, SortType, SortProp) + _PROP_HEADS
+_NEVER_TYPE_HEADS = frozenset({Ctor, IntLit, SortType, SortProp}) | PROP_HEADS
 
 
 def _never_a_type(env: GlobalEnv, name: str, nargs: int) -> bool:
@@ -538,13 +534,14 @@ def collect_type_instances(env: GlobalEnv, t: Term,
 def _maybe_a_type(env: GlobalEnv, s: Term, head: Term, nargs: int) -> bool:
     """False when the closed term s, whose (final codomain's) spine head is
     `head` with `nargs` arguments, cannot have sort Type."""
-    if isinstance(s, Pi):
-        return not isinstance(head, _PROP_HEADS)
-    if isinstance(head, _NEVER_TYPE_HEADS):
+    cls = type(head)
+    if type(s) is Pi:
+        return cls not in PROP_HEADS
+    if cls in _NEVER_TYPE_HEADS:
         return False
-    if isinstance(head, Const):
+    if cls is Const:
         return not _never_a_type(env, head.name, nargs)
-    if isinstance(head, Ind) and head.inductive in env.inductives:
+    if cls is Ind and head.inductive in env.inductives:
         return nargs == len(env.inductives[head.inductive].params)
     return True
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PRELUDE
@@ -14,9 +14,10 @@ from folbridge.parser import (
     ArityError, ParseError, PrenexError, parse_problem, parse_term, tokenize,
 )
 from folbridge import parser
+import parser_reference
 from folbridge.printer import print_problem, print_term
 from folbridge.terms import (
-    App, BOOL, Const, Ctor, Eq, FALSE, GlobalEnv, INT, Ind, IntLit, IntT, Not,
+    App, BOOL, Const, Ctor, Eq, FALSE, FolbridgeError, Ind, IntLit, IntT, Not,
     Pi, ScopeError, SortProp, TRUE, Var, alpha_eq,
 )
 
@@ -135,6 +136,28 @@ class TestParseErrors:
             parse_problem(src)
         assert str(err.value).startswith(prefix)
 
+    @pytest.mark.parametrize("side, error, message", [
+        ("q", ScopeError, "unknown identifier 'q'"),
+        ("match O return nat with | O => O end", ArityError, "missing branches for: S"),
+    ])
+    def test_error_inside_parenthesized_proposition(self, side, error, message):
+        """An error inside a parenthesized proposition surfaces as itself,
+        not as the ParseError of reading the group as an expression."""
+        with pytest.raises(error, match=message):
+            parse_problem(f"data nat = O | S (nat).\ngoal (O = {side}) /\\ O = O.")
+
+    @pytest.mark.parametrize("src, message", [
+        ("goal O = S.", "in goal: equality sides disagree: nat vs nat -> nat"),
+        ("def f : nat = S.\ngoal O = O.", "definition f: body has type nat -> nat, declared nat"),
+        ("data list (A) = nil | cons (A) (list A).\n"
+         "goal forall (A : Type) (l : list A), l = nil.",
+         "in goal: equality sides disagree: list A vs forall (A0 : Type), list A0"),
+    ])
+    def test_typing_error_prints_types(self, src, message):
+        with pytest.raises(TypingError) as err:
+            parse_problem(f"data nat = O | S (nat).\n{src}")
+        assert str(err.value) == message
+
     def test_open_equation_raises(self, env):
         with pytest.raises(TypingError):
             parse_term("x = 1", env, bound=["x"])
@@ -188,10 +211,11 @@ class TestExpressions:
             parse_term(text, env)
 
     def test_long_list_literal(self, env):
-        """Each element nests one group: four parser frames per element, so
-        200 elements stay below Python's default recursion limit."""
+        """Each element nests one group: two parser frames per element
+        (`parse` and `parse_atom`), so 300 elements stay below Python's
+        default recursion limit."""
         lit = "nil Int"
-        for i in range(200):
+        for i in range(300):
             lit = f"cons Int {i} ({lit})"
         assert isinstance(parse_term(f"{lit} = {lit}", env), Eq)
 
@@ -268,6 +292,16 @@ class TestRoundTrip:
             printed = print_term(t, env)
             t2 = parse_term(printed, env)
             assert alpha_eq(t, t2), (s, printed)
+
+    @pytest.mark.parametrize("text", [
+        "1 - 2 - 3", "1 - (2 - 3)", "(true || false) || true", "true || false || true",
+        "true && (false || true)", "(1 + 2) * 3 < 4", "1 = 1 -> 2 = 2 -> 1 = 2",
+        "(1 = 1 -> 2 = 2) -> 1 = 2", "(true_p \\/ false_p) /\\ true_p",
+        "(Int -> Int) -> Int", "~ (1 = 1 /\\ true_p)"])
+    def test_operators_print_as_written(self, env, text):
+        """Each operator's operands are wrapped exactly when its level and
+        associativity in OPERATORS require it."""
+        assert print_term(parse_term(text, env), env) == text
 
     def test_random_ground_roundtrip(self, env):
         from folbridge.conversion import random_ground_term
@@ -368,9 +402,9 @@ def _parse_atom_calls(monkeypatch, text: str) -> int:
     calls = [0]
     original = parser.Parser.parse_atom
 
-    def counting(self, bound):
+    def counting(self, *args):
         calls[0] += 1
-        return original(self, bound)
+        return original(self, *args)
 
     monkeypatch.setattr(parser.Parser, "parse_atom", counting)
     try:
@@ -383,10 +417,10 @@ def _parse_atom_calls(monkeypatch, text: str) -> int:
 
 
 def test_nested_groups_parse_in_linear_time(monkeypatch):
-    """A parenthesized equation side is first tried as a proposition; the
-    groups inside it must not be parsed again from scratch when it turns
-    out to be an expression (4/16/67/862 calls at depth 1/4/10/40 when
-    they were), nor when it turns out to be malformed."""
+    """Nested groups cost linear time: no group is parsed twice, whether
+    it turns out to be an expression or malformed (a parser that tried an
+    equation side as a proposition first and parsed it again from scratch
+    made 4/16/67/862 calls at depth 1/4/10/40)."""
     def calls(depth):
         return _parse_atom_calls(monkeypatch, "(" * depth + "1" + ")" * depth + " = 1")
 
@@ -406,30 +440,11 @@ def test_nested_groups_parse_in_linear_time(monkeypatch):
 PRELUDE_ENV = parse_problem(PRELUDE).env
 
 
-class _Forgetful(dict):
-    """A group memo that never remembers: every group is parsed afresh."""
-
-    def get(self, key, default=None):
-        return default
-
-
 PROP_PIECES = st.sampled_from(
     ["(", ")", "(", ")", "x", "1", "=", "<>", "->", "/\\", "\\/", "~", "+",
      "true", "true_p", "forall (z : Int),", "cons Int 1", "nil Int", "length Int",
-     "(fun (a : Int) => a)", "<=", "||", "Int", "S", "O", "y"])
-
-
-def _parsed(text: str, env: GlobalEnv, forget: bool):
-    p = parser.Parser(text)
-    p.env = env  # parse_prop declares nothing, so the env can be shared
-    if forget:
-        p._groups = _Forgetful()
-    try:
-        t = p.parse_prop(["x", "y"], [INT, INT])
-        return repr(t), p.pos
-    except (ParseError, ScopeError, ArityError, TypingError) as e:
-        return type(e), str(e)
-
+     "(fun (a : Int) => a)", "<=", "||", "Int", "S", "O", "y", "exists (w : Int),",
+     "false_p", "-", "*"])
 
 NESTED_GROUPS = st.builds(
     lambda depth, core, tail: "(" * depth + core + ")" * depth + tail,
@@ -440,10 +455,48 @@ NESTED_GROUPS = st.builds(
                      " + 1 = 2", ")", " (x) = x"]))
 
 
+def _outcome(parse):
+    """("ok", repr of the term, end position) or ("error", the exception)."""
+    try:
+        t, pos = parse()
+    except Exception as e:  # the caller tells FolbridgeError from the rest
+        return "error", e
+    return "ok", repr(t), pos
+
+
+def _goal(module, text):
+    p = module.Parser(f"forall (x y : Int), {text}.")
+    p.env = PRELUDE_ENV  # a statement declares nothing, so the env can be shared
+    return p.parse_statement("goal"), p.pos
+
+
+def _term(module, text, bound):
+    return module.parse_term(text, PRELUDE_ENV, bound), None
+
+
+def _expression(module, text):
+    p = module.Parser(text)
+    p.env = PRELUDE_ENV
+    parse = p.parse if module is parser else p.parse_expr
+    return parse(["x", "y"]), p.pos
+
+
 @given(st.one_of(st.lists(PROP_PIECES, min_size=1, max_size=16).map(" ".join),
                  NESTED_GROUPS))
-@settings(deadline=None, max_examples=300)
-def test_group_memo_changes_no_outcome(text):
-    """With or without the group memo: the same term and end position, or
-    the same error class and message."""
-    assert _parsed(text, PRELUDE_ENV, False) == _parsed(text, PRELUDE_ENV, True)
+@example("1 + forall (z : Int), Int")
+@example("exists (w : Int), x")
+@settings(deadline=None, max_examples=1000, derandomize=True)
+def test_parser_matches_reference(text):
+    """The one-loop parser against the two-grammar one it replaced, as a
+    statement under `forall (x y : Int),`, through parse_term, open and
+    closed, and in an expression position, where input may follow the
+    term: when either accepts, both give the same term and end position;
+    when the reference rejects, the parser raises a FolbridgeError."""
+    for entry, args in [(_goal, ()), (_term, (["x", "y"],)), (_term, (None,)),
+                        (_expression, ())]:
+        new = _outcome(lambda: entry(parser, text, *args))
+        ref = _outcome(lambda: entry(parser_reference, text, *args))
+        if "ok" in (new[0], ref[0]):
+            assert new == ref, (entry.__name__, args)
+        else:
+            assert isinstance(new[1], FolbridgeError), (entry.__name__, args, new[1])

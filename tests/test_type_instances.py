@@ -278,5 +278,6 @@ def test_ruled_out_shapes_are_not_typechecked(flat_env, monkeypatch):
         codomain_head = spine(strip_pis(t)[1])[0]
         assert not (isinstance(t, Pi) and isinstance(codomain_head, PROP_HEADS)), t
         head, args = spine(t)
+        assert not isinstance(head, PROP_HEADS), t
         if isinstance(head, Ind) and head.inductive in flat_env.inductives:
             assert len(args) == len(flat_env.inductives[head.inductive].params), t
