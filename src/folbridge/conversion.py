@@ -14,9 +14,14 @@ constructor table per ground type, kept in GlobalEnv.memo (each
 constructor's instantiated argument types, their least sizes and the
 total), and the random arguments that probe function values are built as
 Values alongside their terms, not evaluated again. Functions over an empty
-domain are equal without a probe. The type of each closed binder domain or
-instantiated implication premise is computed once per environment
-(GlobalEnv.memo).
+domain are equal without a probe, and so are structurally equal function
+values (the same closure, fixpoint or partial application over equal
+captured values), which is how the hypothesis `c = body` of a definition
+is decided: by reflexivity, as the paper's Coq proof does. Such a
+comparison draws no random argument, so the draws that follow it in the
+same call differ from those of an oracle that probes every function. The
+type of each closed binder domain or instantiated implication premise is
+computed once per environment (GlobalEnv.memo).
 """
 
 from __future__ import annotations
@@ -395,18 +400,16 @@ def beta_reduce(t: Term, fuel: Fuel | None = None) -> Term:
 
 class Value:
     """Base of the evaluator's values: slotted, immutable by convention,
-    compared field by field with `==` (the fields the class's `_key`
-    reads) and not hashable."""
+    compared by `_same_value` (the fields the class's `_key` reads) and
+    not hashable."""
     __slots__ = ()
     # The field-less base (the proof binder's value) compares by class.
     _key = attrgetter("__class__")
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
+        if not isinstance(other, Value):
             return NotImplemented
-        return self._key(self) == other._key(other)
+        return _same_value(self, other)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
@@ -492,6 +495,31 @@ VFALSE = VCtor("Bool", 1, (), ())
 
 def _vbool(b: bool) -> Value:
     return VTRUE if b else VFALSE
+
+
+def _same_value(a: Value, b: Value) -> bool:
+    """Structural equality of two values: the same class and equal `_key`
+    fields, where tuples compare element by element, nested values
+    (constructor arguments, captured environments, collected arguments)
+    the same way, and terms with `==` (alpha-equivalence). The walk keeps
+    its own stack, so it adds no Python recursion however deep the values."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        cls = x.__class__
+        if cls is not y.__class__:
+            return False
+        if cls is tuple:
+            if len(x) != len(y):
+                return False
+            stack.extend(zip(x, y))
+        elif isinstance(x, Value):
+            stack.append((x._key(x), y._key(y)))
+        elif x != y:
+            return False
+    return True
 
 
 _BUILTIN_ARITY = {"add": 2, "sub": 2, "mul": 2, "le": 2, "lt": 2,
@@ -824,8 +852,11 @@ def _veq(env: GlobalEnv, a: Value, b: Value, at_type: Term, rng: random.Random,
          venv: tuple[Value, ...] = ()) -> bool:
     """Semantic equality: structural on data, extensional sampling on
     function values (sound for refutation, probabilistic for assent).
-    at_type may mention the type variables bound in venv; it is resolved
-    only when a and b are functions."""
+    Function values that are structurally equal (_same_value) are equal
+    without a probe and draw no random argument: the hypothesis `c = body`
+    of a definition c compares two equal closures, which Coq proves by
+    `reflexivity`. at_type may mention the type variables bound in venv;
+    it is resolved only when a and b are functions that differ."""
     if isinstance(a, (VInt, VCtor)) and isinstance(b, (VInt, VCtor)):
         if isinstance(a, VInt) and isinstance(b, VInt):
             return a.value == b.value
@@ -837,7 +868,10 @@ def _veq(env: GlobalEnv, a: Value, b: Value, at_type: Term, rng: random.Random,
         return False
     if isinstance(a, VType) and isinstance(b, VType):
         return a.type_term == b.type_term
-    # Function-valued: probe at random arguments.
+    # Function-valued: equal values need no probe, since _eval and _apply
+    # are deterministic; values that differ are probed at random arguments.
+    if _same_value(a, b):
+        return True
     if depth <= 0:
         raise EvalUnsupported("function comparison nesting too deep")
     at = _reify_type(at_type, venv) if venv and at_type is not None else at_type
@@ -986,7 +1020,13 @@ def random_truth_check(env: GlobalEnv, statement: Term, samples: int = 50,
     terms are substituted into it only to report a counterexample. Each
     sample gets a fresh Fuel, which counts the evaluated nodes of the
     statement's own terms only: neither the instance data nor the random
-    arguments that probe function values are charged."""
+    arguments that probe function values are charged.
+
+    Equal function values are equal without a probe (see _veq), so a
+    definition's hypothesis `c = body` costs one evaluation of each side
+    per sample and draws nothing. Because such a comparison consumes no
+    random draws, the draws after it in the same call, and so the
+    instances of later samples, differ from an oracle that probes it."""
     rng = random.Random(seed)
     tvs = collect_tvars(statement)
     for _ in range(samples):

@@ -159,7 +159,9 @@ class Parser:
 
     # -- name resolution -----------------------------------------------------
 
-    def resolve(self, name: str, bound: list[str]) -> Term:
+    def resolve(self, tok: Token, bound: list[str]) -> Term:
+        """The term the identifier token tok names under bound."""
+        name = tok.text
         if name in bound:
             return Var(bound.index(name))
         if name == "Int":
@@ -175,7 +177,6 @@ class Parser:
             return Ind(name)
         if self.pending_inductive == name:
             return Ind(name)
-        tok = self.peek()
         raise ScopeError(f"{tok.line}:{tok.col}: unknown identifier {name!r}")
 
     # -- terms: propositions, expressions and types ---------------------------
@@ -282,7 +283,7 @@ class Parser:
             return IntLit(int(tok.text))
         if tok.kind == "ident":
             self.next()
-            return self.resolve(tok.text, bound)
+            return self.resolve(tok, bound)
         if tok.kind == "kw":
             if tok.text == "Type":
                 self.next()
@@ -335,7 +336,7 @@ class Parser:
         return make_lams(binders, body)
 
     def parse_match(self, bound: list[str]) -> Term:
-        self.eat("match")
+        mtok = self.eat("match")
         scrut = self.parse(bound)
         self.eat("return")
         rty = self.parse(bound)
@@ -355,9 +356,10 @@ class Parser:
         self.eat("end")
         if not arms:
             self.fail("match needs at least one branch")
-        hit = self.env.find_ctor(arms[0][0])
+        first, _, _, ftok = arms[0]
+        hit = self.env.find_ctor(first)
         if hit is None:
-            raise ScopeError(f"unknown constructor {arms[0][0]!r}")
+            raise ScopeError(f"{ftok.line}:{ftok.col}: unknown constructor {first!r}")
         ind_name = hit[0]
         decl = self.env.inductive(ind_name)
         by_name = {c.name: i for i, c in enumerate(decl.ctors)}
@@ -368,7 +370,8 @@ class Parser:
                     f"{ctok.line}:{ctok.col}: {cname!r} is not a constructor of {ind_name}")
             k = by_name[cname]
             if slots[k] is not None:
-                raise ArityError(f"duplicate branch for constructor {cname}")
+                raise ArityError(
+                    f"{ctok.line}:{ctok.col}: duplicate branch for constructor {cname}")
             want = len(decl.ctors[k].arg_types)
             if len(binder_names) != want:
                 raise ArityError(
@@ -377,7 +380,8 @@ class Parser:
             slots[k] = Branch(tuple(binder_names), body)
         missing = [decl.ctors[i].name for i, b in enumerate(slots) if b is None]
         if missing:
-            raise ArityError(f"match on {ind_name} is missing branches for: {', '.join(missing)}")
+            raise ArityError(f"{mtok.line}:{mtok.col}: match on {ind_name} is missing "
+                             f"branches for: {', '.join(missing)}")
         return Match(scrut, ind_name, rty, tuple(slots))
 
     def parse_fix(self, bound: list[str]) -> Term:

@@ -1,10 +1,15 @@
 """The truth oracle against its reference copy (tests/oracle_reference.py):
 the same random data from the same draws, the same verdicts and
-counterexamples, the same fuel, and values that eval_ground agrees with."""
+counterexamples, the same fuel, and values that eval_ground agrees with.
+
+The one intended difference: equal function values are equal without a
+probe, where the reference probes them at random arguments (and gives up
+beyond three nested arrows). The tests at the end pin that down."""
 
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,13 +18,13 @@ import oracle_reference as ref
 from conftest import PRELUDE
 from folbridge import conversion
 from folbridge.conversion import (
-    DEFAULT_FUEL, Fuel, FuelExhausted, eval_ground, random_ground_term,
-    random_truth_check, typecheck,
+    DEFAULT_FUEL, EvalUnsupported, Fuel, FuelExhausted, VClosure, VCtor, VInt,
+    eval_ground, random_ground_term, random_truth_check, typecheck,
 )
 from folbridge.parser import parse_problem, parse_term
 from folbridge.terms import (
-    Eq, FolbridgeError, Not, Pi, SortProp, SortType, TVar, make_pis, strip_pis,
-    subst_list,
+    INT, App, Const, Ctor, Eq, FolbridgeError, Ind, IntLit, Not, Pi, SortProp,
+    SortType, TVar, make_app, make_pis, strip_pis, subst_list,
 )
 from folbridge.transforms import (
     ProofState, TransformError, eliminate_fix, eliminate_pattern_matching,
@@ -281,3 +286,142 @@ def test_constructor_tables_built_once_per_type(monkeypatch):
     for seed in range(1, 20):
         random_ground_term(env, ty, 12, seed)
     assert 0 < first == len(calls)
+
+
+# ---------------------------------------------------------------------------
+# Equal function values are equal without a probe
+# ---------------------------------------------------------------------------
+
+def _definition_statement(env, name: str):
+    """The get_def hypothesis `name = body`."""
+    state = ProofState(env, [], parse_term("true = true", env))
+    return get_def(state, name).statement
+
+
+def _count_draws(monkeypatch) -> list[str]:
+    """The names of the random generators called from now on, one entry
+    per call."""
+    calls: list[str] = []
+    for name in ("_random_datum", "random_ground_type"):
+        original = getattr(conversion, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(conversion, name, counting)
+    return calls
+
+
+def test_definition_hypotheses_are_decided_without_probes(monkeypatch):
+    """`c = body` compares two equal closures: true, with no random
+    argument drawn, as Coq's `reflexivity` proves it."""
+    draws = _count_draws(monkeypatch)
+    assert len(ENV.definitions) == 9
+    for name in ENV.definitions:
+        assert random_truth_check(ENV, _definition_statement(ENV, name)) is None, name
+    assert draws == []
+
+
+@pytest.mark.parametrize("text, probes", [
+    ("length = fun (A : Type) => fix length/0 (l : list A) : Int :="
+     " match l return Int with | nil => 0 | cons _ l' => 2 + length l' end", True),
+    ("app = fun (A : Type) (l1 : list A) (l2 : list A) => app A l2 l1", True),
+    ("bnot = fun (b : Bool) => b", True),
+    ("size = fix size/0 (t : tree) : Int :="
+     " match t return Int with | leaf => 0 | node l _ r => size l + size r end", True),
+    ("two = 3", False),
+])
+def test_corrupted_definitions_are_still_refuted(monkeypatch, text, probes):
+    """A wrong definition hypothesis compares closures that differ, so it
+    is probed as before and refuted."""
+    draws = _count_draws(monkeypatch)
+    assert random_truth_check(ENV, parse_term(text, ENV), samples=3) is not None
+    assert bool(draws) == probes
+
+
+def test_equal_closures_beyond_probe_depth_diverge_from_reference():
+    """The one intended divergence from the reference: a definition of four
+    arguments nests function comparisons deeper than the reference probes,
+    so it gives up; its closures are equal, so the oracle decides it."""
+    env = parse_problem(PRELUDE.replace("goal ", (
+        "def f4 : Int -> Int -> Int -> Int -> Int =\n"
+        "  fun (a : Int) (b : Int) (c : Int) (d : Int) => a + b * c - d.\ngoal "))).env
+    stmt = _definition_statement(env, "f4")
+    with pytest.raises(EvalUnsupported, match="function comparison nesting too deep"):
+        ref.random_truth_check(env, stmt, 3, 6, 0)
+    assert random_truth_check(env, stmt, 3, 6, 0) is None
+
+
+def _list_value(n: int, last: int = 0) -> VCtor:
+    """The value of a list Int of n elements, last first, built directly
+    as values (no term evaluated) and sharing no node with another call's."""
+    v = VCtor("list", 0, (INT,), ())
+    for i in range(n):
+        v = VCtor("list", 1, (INT,), (VInt(last if i == 0 else i), v))
+    return v
+
+
+def test_function_value_comparison_adds_no_recursion():
+    """Two closures and two partial fixpoint applications, each capturing
+    its own 2 000-element list: compared equal, and told apart by the
+    innermost element, with no RecursionError."""
+    app_int = eval_ground(ENV, parse_term("app Int", ENV))
+    lam = parse_term("fun (x : Int) => x", ENV)
+    at_type = parse_term("list Int -> list Int", ENV)
+    pairs = [
+        (VClosure((_list_value(2000),), lam), VClosure((_list_value(2000),), lam),
+         VClosure((_list_value(2000, last=1),), lam)),
+        (conversion._apply(ENV, app_int, _list_value(2000), Fuel()),
+         conversion._apply(ENV, app_int, _list_value(2000), Fuel()),
+         conversion._apply(ENV, app_int, _list_value(2000, last=1), Fuel())),
+    ]
+    for a, b, other in pairs:
+        assert conversion._same_value(a, b) and a == b
+        assert not conversion._same_value(a, other) and a != other
+    a, b, _ = pairs[1]
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert conversion._veq(ENV, a, b, at_type, rng, Fuel())
+    assert rng.getstate() == state
+
+
+def _app_self_equation(n: int):
+    """`app Int L = app Int L` for a literal L of n elements."""
+    lit = App(Ctor("list", 0), INT)
+    for i in range(n):
+        lit = make_app(Ctor("list", 1), [INT, IntLit(i), lit])
+    side = make_app(Const("app"), [INT, lit])
+    list_int = App(Ind("list"), INT)
+    return Eq(Pi("_", list_int, list_int), side, side)
+
+
+def test_app_self_equation_fails_first_where_evaluation_does():
+    """Binary search for the shortest literal on which the oracle raises
+    RecursionError, in a fresh thread so that the test runner's own frames
+    do not count. Probing each side on random lists failed from 248
+    elements; comparing the two function values recursively, from 247;
+    the comparison now adds no depth, so only evaluating the literal fails."""
+    def fails(n: int) -> bool:
+        try:
+            random_truth_check(ENV, _app_self_equation(n), samples=1)
+        except RecursionError:
+            return True
+        return False
+
+    def first_failing(out: list) -> None:
+        lo, hi = 1, 4000
+        assert fails(hi)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if fails(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        out.append(lo)
+
+    out: list[int] = []
+    thread = threading.Thread(target=first_failing, args=(out,))
+    thread.start()
+    thread.join()
+    assert out and out[0] >= 248

@@ -146,6 +146,23 @@ class TestParseErrors:
         with pytest.raises(error, match=message):
             parse_problem(f"data nat = O | S (nat).\ngoal (O = {side}) /\\ O = O.")
 
+    @pytest.mark.parametrize("goal, error, message", [
+        # An unknown identifier at the identifier, not at the token after it.
+        ("goal x.", ScopeError, "2:6: unknown identifier 'x'"),
+        ("goal (O = q) /\\ O = O.", ScopeError, "2:11: unknown identifier 'q'"),
+        # Match errors at the offending arm, or at `match` for missing arms.
+        ("goal (match O return nat with | O => O | O => O | S p => p end) = O.",
+         ArityError, "2:42: duplicate branch for constructor O"),
+        ("goal (match O return nat with | O => O end) = O.",
+         ArityError, "2:7: match on nat is missing branches for: S"),
+        ("goal (match O return nat with\n  | Q => O end) = O.",
+         ScopeError, "3:5: unknown constructor 'Q'"),
+    ])
+    def test_scope_and_arity_errors_carry_positions(self, goal, error, message):
+        with pytest.raises(error) as err:
+            parse_problem(f"data nat = O | S (nat).\n{goal}")
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("src, message", [
         ("goal O = S.", "in goal: equality sides disagree: nat vs nat -> nat"),
         ("def f : nat = S.\ngoal O = O.", "definition f: body has type nat -> nat, declared nat"),
