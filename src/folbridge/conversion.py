@@ -35,8 +35,8 @@ from .terms import (
     Ctor, Eq, Exists, FalseP, Fix, FolbridgeError, GlobalEnv, Ind, IntLit,
     IntT, Lam, Match, Not, Or, Pi, SortProp, SortType, TVar, Term, TrueP,
     Var, as_inductive_instance, builtin_type, children, ctor_arg_types,
-    ctor_type, ind_type, lift, make_app, map_subterms, rebind, spine, subst,
-    subst_list, well_scoped,
+    ctor_type, ind_type, lift, make_app, normal_form, rebind, spine,
+    strip_pis, subst, subst_list, well_scoped,
 )
 
 
@@ -226,6 +226,7 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
 _ARITH = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b, "mul": lambda a, b: a * b}
 _CMP = {"le": lambda a, b: a <= b, "lt": lambda a, b: a < b}
 _BOOLOP = {"orb": lambda a, b: a or b, "andb": lambda a, b: a and b}
+_BUILTIN_ARITY = {name: len(strip_pis(ty)[0]) for name, ty in BUILTIN_FUNCTIONS.items()}
 
 
 def _is_ground_value(t: Term) -> bool:
@@ -248,9 +249,9 @@ def _bool_term(b: bool) -> Term:
 
 def _builtin_step(env: GlobalEnv, name: str, args: list[Term], fuel: Fuel) -> Term | None:
     """Compute a fully applied builtin on literal arguments, or None."""
+    if len(args) != _BUILTIN_ARITY[name]:
+        return None
     if name in _ARITH or name in _CMP:
-        if len(args) != 2:
-            return None
         a = whnf(env, args[0], fuel)
         b = whnf(env, args[1], fuel)
         if isinstance(a, IntLit) and isinstance(b, IntLit):
@@ -259,8 +260,6 @@ def _builtin_step(env: GlobalEnv, name: str, args: list[Term], fuel: Fuel) -> Te
             return _bool_term(_CMP[name](a.value, b.value))
         return None
     if name in _BOOLOP:
-        if len(args) != 2:
-            return None
         a = whnf(env, args[0], fuel)
         if a == TRUE or a == FALSE:
             b = whnf(env, args[1], fuel)
@@ -268,15 +267,11 @@ def _builtin_step(env: GlobalEnv, name: str, args: list[Term], fuel: Fuel) -> Te
                 return _bool_term(_BOOLOP[name](a == TRUE, b == TRUE))
         return None
     if name == "negb":
-        if len(args) != 1:
-            return None
         a = whnf(env, args[0], fuel)
         if a == TRUE or a == FALSE:
             return _bool_term(a == FALSE)
         return None
     if name == "eqb":
-        if len(args) != 3:
-            return None
         a = normalize(env, [], args[1], fuel)
         b = normalize(env, [], args[2], fuel)
         if _is_ground_value(a) and _is_ground_value(b):
@@ -309,15 +304,12 @@ def whnf(env: GlobalEnv, t: Term, fuel: Fuel) -> Term:
             scrut = whnf(env, head.scrutinee, fuel)
             chead, cargs = spine(scrut)
             if isinstance(chead, Ctor):
-                decl = env.inductive(chead.inductive)
-                n_params = len(decl.params)
+                value_args = cargs[len(env.inductive(chead.inductive).params):]
                 br = head.branches[chead.ctor_index]
-                value_args = cargs[n_params:]
                 if len(value_args) != br.arity:
                     raise EvalError("constructor application arity mismatch in match")
                 fuel.consume()
-                body = subst_list(br.body, list(reversed(value_args)))
-                t = make_app(body, args)
+                t = make_app(subst_list(br.body, value_args[::-1]), args)
                 continue
             if scrut is not head.scrutinee:
                 t = make_app(Match(scrut, head.inductive, head.return_type, head.branches), args)
@@ -348,13 +340,7 @@ def normalize(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel | None = None
 
 
 def _norm(env: GlobalEnv, t: Term, fuel: Fuel) -> Term:
-    t = whnf(env, t, fuel)
-    t2 = map_subterms(t, lambda s, _extra: _norm(env, s, fuel))
-    if t2 is not t:
-        t3 = whnf(env, t2, fuel)
-        if t3 != t2:
-            return _norm(env, t3, fuel)
-    return t2
+    return normal_form(t, lambda s: whnf(env, s, fuel))
 
 
 def convertible(env: GlobalEnv, ctx: list[Term], t: Term, u: Term,
@@ -362,9 +348,7 @@ def convertible(env: GlobalEnv, ctx: list[Term], t: Term, u: Term,
     """True iff t and u share a normal form up to alpha (term equality)."""
     if fuel is None:
         fuel = Fuel()
-    if t == u:
-        return True
-    return _norm(env, t, fuel) == _norm(env, u, fuel)
+    return t == u or _norm(env, t, fuel) == _norm(env, u, fuel)
 
 
 def beta_reduce(t: Term, fuel: Fuel | None = None) -> Term:
@@ -373,25 +357,15 @@ def beta_reduce(t: Term, fuel: Fuel | None = None) -> Term:
     if fuel is None:
         fuel = Fuel()
 
-    def go(s: Term) -> Term:
-        while True:
-            head, args = spine(s)
-            if isinstance(head, Lam) and args:
-                fuel.consume()
-                s = make_app(subst(head.body, 0, args[0]), args[1:])
-                continue
-            break
-        return map_subterms(s, lambda c, _e: go(c))
-
-    try:
-        out = go(t)
-        while True:
-            again = go(out)
-            if again == out:
-                return out
-            out = again
-    finally:
-        del go  # empties go's own closure cell: no reference cycle is left
+    def head(s: Term) -> Term:
+        while type(s) is App:
+            h, args = spine(s)
+            if type(h) is not Lam:
+                break
+            fuel.consume()
+            s = make_app(subst(h.body, 0, args[0]), args[1:])
+        return s
+    return normal_form(t, head)
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +494,6 @@ def _same_value(a: Value, b: Value) -> bool:
         elif x != y:
             return False
     return True
-
-
-_BUILTIN_ARITY = {"add": 2, "sub": 2, "mul": 2, "le": 2, "lt": 2,
-                  "orb": 2, "andb": 2, "negb": 1, "eqb": 3}
 
 
 def eval_ground(env: GlobalEnv, t: Term, fuel: Fuel | None = None) -> Value:
@@ -664,17 +634,30 @@ def _run_builtin(env: GlobalEnv, name: str, args: tuple[Value, ...], fuel: Fuel)
         return _vbool(args[0] == VFALSE)
     if name == "eqb":
         _ty, a, b = args
-        return _vbool(_values_identical(a, b))
+        return _vbool(_values_identical(a, b, _not_data))
     raise EvalError(f"unknown builtin {name}")
 
 
-def _values_identical(a: Value, b: Value) -> bool:
-    if isinstance(a, VInt) and isinstance(b, VInt):
-        return a.value == b.value
-    if isinstance(a, VCtor) and isinstance(b, VCtor):
-        return (a.inductive == b.inductive and a.ctor_index == b.ctor_index
-                and len(a.args) == len(b.args)
-                and all(_values_identical(x, y) for x, y in zip(a.args, b.args)))
+def _values_identical(a: Value, b: Value, other) -> bool:
+    """Structural equality of data values, one loop over the pairs in the
+    order a recursion takes them; other(x, y) decides any other pair."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is VInt and type(y) is VInt:
+            if x.value != y.value:
+                return False
+        elif type(x) is VCtor and type(y) is VCtor:
+            if (x.inductive != y.inductive or x.ctor_index != y.ctor_index
+                    or len(x.args) != len(y.args)):
+                return False
+            stack += zip(x.args[::-1], y.args[::-1])
+        elif not other(x, y):
+            return False
+    return True
+
+
+def _not_data(_a: Value, _b: Value) -> bool:
     raise EvalError("decidable equality applied to non-data values")
 
 
@@ -858,14 +841,8 @@ def _veq(env: GlobalEnv, a: Value, b: Value, at_type: Term, rng: random.Random,
     `reflexivity`. at_type may mention the type variables bound in venv;
     it is resolved only when a and b are functions that differ."""
     if isinstance(a, (VInt, VCtor)) and isinstance(b, (VInt, VCtor)):
-        if isinstance(a, VInt) and isinstance(b, VInt):
-            return a.value == b.value
-        if isinstance(a, VCtor) and isinstance(b, VCtor):
-            return (a.inductive == b.inductive and a.ctor_index == b.ctor_index
-                    and len(a.args) == len(b.args)
-                    and all(_veq(env, x, y, None, rng, fuel)
-                            for x, y in zip(a.args, b.args)))
-        return False
+        return type(a) is type(b) and _values_identical(
+            a, b, lambda x, y: _veq(env, x, y, None, rng, fuel))
     if isinstance(a, VType) and isinstance(b, VType):
         return a.type_term == b.type_term
     # Function-valued: equal values need no probe, since _eval and _apply
@@ -982,9 +959,7 @@ class Counterexample:
 
 
 def replace_tvars(t: Term, mapping: dict[str, Term]) -> Term:
-    if isinstance(t, TVar) and t.name in mapping:
-        return mapping[t.name]
-    return map_subterms(t, lambda s, _e: replace_tvars(s, mapping))
+    return normal_form(t, lambda s: mapping.get(s.name, s) if type(s) is TVar else s)
 
 
 def collect_tvars(t: Term) -> list[str]:
@@ -1026,10 +1001,11 @@ def random_truth_check(env: GlobalEnv, statement: Term, samples: int = 50,
     definition's hypothesis `c = body` costs one evaluation of each side
     per sample and draws nothing. Because such a comparison consumes no
     random draws, the draws after it in the same call, and so the
-    instances of later samples, differ from an oracle that probes it."""
+    instances of later samples, differ from an oracle that probes it. A
+    sample that instantiates nothing and draws nothing is the last one."""
     rng = random.Random(seed)
     tvs = collect_tvars(statement)
-    for _ in range(samples):
+    for k in range(samples):
         stmt = statement
         if tvs:
             stmt = replace_tvars(stmt, {n: random_ground_type(env, rng) for n in tvs})
@@ -1058,6 +1034,9 @@ def random_truth_check(env: GlobalEnv, statement: Term, samples: int = 50,
         if not ok:
             continue
         terms = tuple(reversed(insts))
+        before = None if tvs or insts or k == samples - 1 else rng.getstate()
         if not _eval_prop(env, stmt, tuple(reversed(values)), terms, rng, Fuel()):
             return Counterexample(statement, subst_list(stmt, terms) if terms else stmt)
+        if before is not None and rng.getstate() == before:
+            return None
     return None

@@ -4,10 +4,12 @@ Terms double as types and Prop-level formulas (CIC style). Variables are
 de Bruijn indices; index 0 is the innermost binder. Every index rewrite
 (lift, subst, subst_list and the shifts of the other modules) is one call
 to rebind, which hands each free variable and its binder depth to a
-function. Binder name fields are printing hints only: they are excluded
-from `==` and `hash`, so term equality is alpha-equivalence and
-alpha-equal terms index the same set or dict entry. `repr` and the printer
-still show them; a test that pins exact names compares `repr`.
+function; every normalizer (full, beta, iota, type-variable replacement) is
+one call to normal_form, which takes the rewrite to try at a root. Binder
+name fields are printing hints only: they are excluded from `==` and
+`hash`, so term equality is alpha-equivalence and alpha-equal terms index
+the same set or dict entry. `repr` and the printer still show them; a test
+that pins exact names compares `repr`.
 
 Each node computes its hash and its reach (how far above it its free
 variables point) once, from its children, when it is built. Nodes are
@@ -591,6 +593,23 @@ def rebind(t: Term, on_free, depth: int = 0) -> Term:
         # go's closure cell holds go: emptying it leaves no reference cycle
         # for the cyclic garbage collector.
         del go
+
+
+def normal_form(t: Term, head) -> Term:
+    """Normalize t: head(s) rewrites s at its root until no rule applies
+    and returns s itself when none did; the root is tried again whenever
+    normalizing the children changed one."""
+    def go(s: Term, _depth: int = 0) -> Term:
+        s = head(s)
+        s2 = map_subterms(s, go)
+        if s2 is s:
+            return s
+        s3 = head(s2)
+        return s2 if s3 is s2 else go(s3)
+    try:
+        return go(t)
+    finally:
+        del go  # empties go's own closure cell: no reference cycle is left
 
 
 def lift(t: Term, amount: int, cutoff: int = 0) -> Term:

@@ -17,7 +17,7 @@ from .terms import (
     GlobalEnv, Ind, IntLit, IntT, Lam, Match, Not, Or, Pi, SortProp,
     SortType, TVar, Term, Var,
     as_inductive_instance, builtin_type, children, ctor_arg_types,
-    has_interior_type_binder, lift, make_app, make_pis, map_subterms, rebind,
+    has_interior_type_binder, lift, make_app, make_pis, normal_form, rebind,
     spine, strip_lams, strip_pis, subst, subst_list, INTERPRETED_TYPES, PROP_HEADS,
 )
 # Not called here; bench/tracer.py wraps the kernels at this module's
@@ -371,28 +371,21 @@ def _shift_above(t: Term, at: int, by: int) -> Term:
     return rebind(t, on_free, at)
 
 
-def iota_reduce(env: GlobalEnv, t: Term, rounds: int = 64) -> Term:
+def iota_reduce(env: GlobalEnv, t: Term) -> Term:
     """Select branches of matches whose scrutinee is constructor-headed;
     no delta or fix unfolding."""
-    for _ in range(rounds):
-        t2 = _iota_once(env, t)
-        if t2 is t:
-            return t
-        t = t2
-    raise TransformError("iota reduction did not converge")
-
-
-def _iota_once(env: GlobalEnv, t: Term) -> Term:
-    t = map_subterms(t, lambda s, _e: _iota_once(env, s))
-    if isinstance(t, Match):
-        head, cargs = spine(t.scrutinee)
-        if isinstance(head, Ctor):
-            decl = env.inductive(head.inductive)
-            value_args = cargs[len(decl.params):]
-            br = t.branches[head.ctor_index]
-            if len(value_args) == br.arity:
-                return subst_list(br.body, list(reversed(value_args)))
-    return t
+    def head(s: Term) -> Term:
+        while type(s) is Match:
+            h, cargs = spine(s.scrutinee)
+            if type(h) is not Ctor:
+                break
+            value_args = cargs[len(env.inductive(h.inductive).params):]
+            br = s.branches[h.ctor_index]
+            if len(value_args) != br.arity:
+                break
+            s = subst_list(br.body, value_args[::-1])
+        return s
+    return normal_form(t, head)
 
 
 def eliminate_pattern_matching(state: ProofState, hyp_name: str) -> list[Hypothesis]:

@@ -10,13 +10,13 @@ from folbridge.conversion import (
     EvalError, Fuel, FuelExhausted, TypingError, Uninhabited, convertible,
     eval_ground, eval_prop, infer, min_term_size, normalize,
     random_ground_term, random_ground_type, random_truth_check, typecheck,
-    value_to_term, VCtor, VInt, VTRUE, VFALSE,
+    value_to_term, VBuiltin, VCtor, VInt, VTRUE, VFALSE,
 )
 from conftest import PRELUDE
 from folbridge.parser import parse_problem, parse_term
 from folbridge.printer import print_term
 from folbridge.terms import (
-    App, BOOL, Branch, Const, Ctor, Eq, FALSE, FolbridgeError, GlobalEnv, INT,
+    App, BOOL, BUILTIN_FUNCTIONS, Branch, Const, Ctor, Eq, FALSE, FolbridgeError, GlobalEnv, INT,
     Ind, IntLit, IntT, Lam, Match, Pi, SortProp, SortType, TRUE, TYPE, Term,
     Var, alpha_eq, make_app,
 )
@@ -155,6 +155,23 @@ class TestEvalGround:
         assert eval_ground(env, parse_term("eqb Int 4 4", env)) == VTRUE
         t = parse_term("eqb (list Int) (cons Int 1 (nil Int)) (cons Int 1 (nil Int))", env)
         assert eval_ground(env, t) == VTRUE
+
+    def test_builtins_run_on_their_last_argument(self, env):
+        """A builtin runs once it has one argument per leading product of
+        its type (eqb takes the type first), and waits for more before: in
+        the evaluator and in the normalizer."""
+        args = {"add": "1 2", "sub": "1 2", "mul": "1 2", "le": "1 2", "lt": "1 2",
+                "orb": "true false", "andb": "true false", "negb": "true",
+                "eqb": "Int 1 2"}
+        assert set(args) == set(BUILTIN_FUNCTIONS)
+        for name, text in args.items():
+            *first, _ = text.split()
+            partial, full = (parse_term(s, env) for s in (" ".join([name, *first]),
+                                                          f"{name} {text}"))
+            assert type(eval_ground(env, partial)) is VBuiltin, name
+            assert type(eval_ground(env, full)) in (VInt, VCtor)
+            assert normalize(env, [], partial) == partial
+            assert type(normalize(env, [], full)) in (IntLit, Ctor)
 
     def test_arith(self, env):
         assert eval_ground(env, parse_term("2 + 3 * 4", env)) == VInt(14)

@@ -1,0 +1,45 @@
+"""No module of the package imports a name it never uses. There is no
+linter in the toolchain, so this is the check: a name bound by an import
+must be read somewhere else in its module, in code or in an annotation. An
+import line marked `# noqa: F401` is exempt (a name re-exported on
+purpose)."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "folbridge"
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names the source imports and never reads, in import order."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported: list[tuple[str, int]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.append((name, alias.lineno))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name, line in sorted(imported, key=lambda p: p[1])
+            if name not in read and "# noqa: F401" not in lines[line - 1]]
+
+
+def test_checker_finds_unused_names():
+    source = ("from __future__ import annotations\n"
+              "import os, re\n"
+              "from x import (a,\n    b, c as d)\n"
+              "from y import e  # noqa: F401\n"
+              "def f(p: d) -> None:\n    return re.sub(a, '', p)\n")
+    assert unused_imports(source) == ["os", "b"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path: Path):
+    assert unused_imports(path.read_text()) == []

@@ -18,7 +18,7 @@ import oracle_reference as ref
 from conftest import PRELUDE
 from folbridge import conversion
 from folbridge.conversion import (
-    DEFAULT_FUEL, EvalUnsupported, Fuel, FuelExhausted, VClosure, VCtor, VInt,
+    DEFAULT_FUEL, EvalError, EvalUnsupported, Fuel, FuelExhausted, VClosure, VCtor, VInt,
     eval_ground, random_ground_term, random_truth_check, typecheck,
 )
 from folbridge.parser import parse_problem, parse_term
@@ -425,3 +425,88 @@ def test_app_self_equation_fails_first_where_evaluation_does():
     thread.start()
     thread.join()
     assert out and out[0] >= 248
+
+
+def _eqb(a, b):
+    """The builtin eqb run on two values at some type."""
+    return conversion._run_builtin(ENV, "eqb", (None, a, b), Fuel())
+
+
+def test_data_comparison_adds_no_recursion():
+    """`_veq` and eqb compare 2 000-element list values, built directly:
+    equal lists are equal, and a difference in the innermost element is
+    found, with no RecursionError."""
+    a, b, other = _list_value(2000), _list_value(2000), _list_value(2000, last=1)
+    list_int = parse_term("list Int", ENV)
+    rng = random.Random(0)
+    assert conversion._veq(ENV, a, b, list_int, rng, Fuel())
+    assert not conversion._veq(ENV, a, other, list_int, rng, Fuel())
+    assert _eqb(a, b) is conversion.VTRUE
+    assert _eqb(a, other) is conversion.VFALSE
+
+
+def test_nested_function_values_compare_as_before():
+    """A list of closures: `_veq` compares equal elements without a probe
+    and gives up on unequal ones, having no arrow type; eqb rejects both.
+    Data of two kinds differ."""
+    def closures(*bodies):
+        v = VCtor("list", 0, (INT,), ())
+        for body in bodies:
+            v = VCtor("list", 1, (INT,), (VClosure((), parse_term(body, ENV)), v))
+        return v
+
+    same = [closures("fun (x : Int) => x", "fun (x : Int) => 1") for _ in range(2)]
+    differ = closures("fun (x : Int) => x", "fun (x : Int) => 2")
+    rng = random.Random(0)
+    assert conversion._veq(ENV, *same, None, rng, Fuel())
+    with pytest.raises(EvalUnsupported, match="without an arrow type"):
+        conversion._veq(ENV, same[0], differ, None, rng, Fuel())
+    with pytest.raises(EvalError, match="non-data values"):
+        _eqb(*same)
+    assert not conversion._veq(ENV, VInt(1), VCtor("nat", 0, (), ()), None, rng, Fuel())
+    # Pairs are taken head first, as the recursive comparison took them: the
+    # closures are met before the unequal tails.
+    first, second = (VCtor("list", 1, (INT,), (c.args[0], _list_value(1, last)))
+                     for c, last in ((same[0], 1), (differ, 2)))
+    with pytest.raises(EvalUnsupported):
+        conversion._veq(ENV, first, second, None, rng, Fuel())
+    with pytest.raises(EvalError):
+        _eqb(first, second)
+    with pytest.raises(EvalError, match="non-data values"):
+        _eqb(VInt(1), VCtor("nat", 0, (), ()))
+
+
+def _count_eval_prop(monkeypatch) -> list[int]:
+    calls = [0]
+    original = conversion._eval_prop
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(conversion, "_eval_prop", counting)
+    return calls
+
+
+def test_statement_without_binders_or_draws_is_evaluated_once(monkeypatch):
+    """`app = body` has no prenex binder and no type variable, and
+    comparing its two equal closures draws nothing: every sample would
+    repeat the first, so one is evaluated."""
+    calls = _count_eval_prop(monkeypatch)
+    assert random_truth_check(ENV, _definition_statement(ENV, "app"), samples=50) is None
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("text", [
+    # No binder, but the sides differ and are probed at random arguments.
+    "(fun (x : Int) => x + 0) = (fun (x : Int) => x)",
+    # Nothing is drawn while evaluating, but each sample instantiates A.
+    "forall (A : Type), length A (nil A) = 0",
+])
+def test_statements_that_vary_are_sampled_in_full(monkeypatch, text):
+    stmt = parse_term(text, ENV)
+    if isinstance(stmt, Pi):
+        stmt = subst_list(stmt.codomain, [TVar(stmt.binder)])
+    calls = _count_eval_prop(monkeypatch)
+    assert random_truth_check(ENV, stmt, samples=50) is None
+    assert calls[0] == 50
