@@ -27,13 +27,12 @@ computed once per environment (GlobalEnv.memo).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .terms import (
     BUILTIN_FUNCTIONS, FALSE, INT, PROP, TRUE, TYPE, And, App, Const,
     Ctor, Eq, Exists, FalseP, Fix, FolbridgeError, GlobalEnv, Ind, IntLit,
-    IntT, Lam, Match, Not, Or, Pi, SortProp, SortType, TVar, Term, TrueP,
+    IntT, Lam, Match, Not, Or, Pi, Record, SortProp, SortType, TVar, Term, TrueP,
     Var, as_inductive_instance, builtin_type, children, ctor_arg_types,
     ctor_type, ind_type, lift, make_app, normal_form, rebind, spine,
     strip_pis, subst, subst_list, well_scoped,
@@ -59,10 +58,13 @@ class Uninhabited(FolbridgeError):
 DEFAULT_FUEL = 100_000
 
 
-@dataclass
-class Fuel:
+class Fuel(Record):
     """Reduction-step budget; turns divergence bugs into diagnosable errors."""
-    remaining: int = DEFAULT_FUEL
+    __slots__ = _fields = ("remaining",)
+    __hash__ = None
+
+    def __init__(self, remaining: int = DEFAULT_FUEL) -> None:
+        self.remaining = remaining
 
     def consume(self) -> None:
         self.remaining -= 1
@@ -723,16 +725,21 @@ def _ctor_arg_types(env: GlobalEnv, ty: Term, name: str,
     return arg_tys
 
 
-@dataclass
-class _CtorTable:
+class _CtorTable(Record):
     """How to build data of one ground inductive instance ty = name targs:
     rows[k] holds constructor k's instantiated argument types, their least
     sizes and 1 + their sum; least is the least of those totals."""
-    name: str
-    targs: tuple[Term, ...]
-    rows: tuple[tuple[tuple[Term, ...], tuple, float], ...]
-    least: float
-    vtargs: tuple[Term, ...] | None = None  # targs as eval_ground gives them
+    __slots__ = _fields = ("name", "targs", "rows", "least", "vtargs")
+    __hash__ = None
+
+    def __init__(self, name: str, targs: tuple[Term, ...],
+                 rows: tuple[tuple[tuple[Term, ...], tuple, float], ...], least: float,
+                 vtargs: tuple[Term, ...] | None = None) -> None:
+        self.name = name
+        self.targs = targs
+        self.rows = rows
+        self.least = least
+        self.vtargs = vtargs  # targs as eval_ground gives them; set on first use
 
 
 def _ctor_table(env: GlobalEnv, ty: Term) -> _CtorTable | None:
@@ -951,11 +958,14 @@ def _eval_exists(env: GlobalEnv, t: Term, rng: random.Random, fuel: Fuel) -> boo
     return v.inductive == head.inductive and v.ctor_index == head.ctor_index
 
 
-@dataclass
-class Counterexample:
-    statement: Term
-    instance: Term
-    detail: str = ""
+class Counterexample(Record):
+    __slots__ = _fields = ("statement", "instance", "detail")
+    __hash__ = None
+
+    def __init__(self, statement: Term, instance: Term, detail: str = "") -> None:
+        self.statement = statement
+        self.instance = instance
+        self.detail = detail
 
 
 def replace_tvars(t: Term, mapping: dict[str, Term]) -> Term:

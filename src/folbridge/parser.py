@@ -22,7 +22,6 @@ against each other.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .conversion import TypingError, convertible, infer
 from .printer import (
@@ -31,7 +30,7 @@ from .printer import (
 from .terms import (
     And, App, Branch, Const, Ctor, CtorDecl, Definition, Eq, Exists,
     FalseP, Fix, FolbridgeError, GlobalEnv, Ind, InductiveDecl, IntLit,
-    INT, Match, Not, Or, Pi, PROP_HEADS, Problem, ScopeError, SortProp, SortType,
+    INT, Match, Not, Or, Pi, PROP_HEADS, Problem, Record, ScopeError, SortProp, SortType,
     TYPE, Term, TrueP, Var, builtin_type, has_interior_type_binder, lift,
     make_lams, make_pis, rebind,
 )
@@ -84,12 +83,15 @@ def _is_prop(t: Term) -> bool:
     return type(t) in PROP_HEADS
 
 
-@dataclass
-class Token:
-    kind: str  # 'ident' | 'int' | 'punct' | 'kw' | 'eof'
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = _fields = ("kind", "text", "line", "col")
+    __hash__ = None
+
+    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
+        self.kind = kind  # 'ident' | 'int' | 'punct' | 'kw' | 'eof'
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def tokenize(text: str) -> list[Token]:

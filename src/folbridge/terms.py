@@ -22,13 +22,19 @@ does not enter a subterm whose reach stays below the binder depth, so a
 closed term survives lift and subst without a copy or a walk. Terms are
 immutable, so this sharing is never observable: an `is` check on a result
 is only a fast path, and no code needs one for correctness.
+
+Everything else the package builds from fields (declarations, problems,
+environments, and in the other modules justifications, hypotheses, proof
+states, tokens) is a Record: a slotted class with an explicit `__init__`
+whose `==`, `hash` and `repr` read the fields its `_fields` names. Records
+need no code generated at import, so the package starts fast: importing it
+loads none of `inspect`, `ast` or `typing` (tests/test_imports.py).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from operator import attrgetter
-from typing import Iterator
 
 
 class FolbridgeError(Exception):
@@ -342,27 +348,61 @@ FALSE = Ctor("Bool", 1)
 # Declarations and environments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CtorDecl:
+class Record:
+    """Base of the package's plain records: declarations, problems,
+    justifications, hypotheses, proof states, tokens. Each is a slotted
+    class with an explicit `__init__`, like the term nodes. `==`, `hash` and
+    `repr` read the fields that `_fields` names, in order: `==` holds only
+    between records of the same class with equal fields, and `repr` reads
+    `Name(field=value, ...)`. A slot left out of `_fields` (a cache or an
+    index) is invisible to all three. A record that changes after it is
+    built sets `__hash__ = None`; the others are immutable by convention."""
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class CtorDecl(Record):
     """Constructor declaration. arg_types are de Bruijn terms over the
     inductive's type parameters (for params (A, B): Var 1 = A, Var 0 = B)
     and may reference this or earlier inductives; no Pi inside."""
-    name: str
-    arg_types: tuple[Term, ...]
+    __slots__ = _fields = ("name", "arg_types")
+
+    def __init__(self, name: str, arg_types: tuple[Term, ...]) -> None:
+        self.name = name
+        self.arg_types = arg_types
 
 
-@dataclass(frozen=True)
-class InductiveDecl:
-    name: str
-    params: tuple[str, ...]
-    ctors: tuple[CtorDecl, ...]
+class InductiveDecl(Record):
+    __slots__ = _fields = ("name", "params", "ctors")
+
+    def __init__(self, name: str, params: tuple[str, ...], ctors: tuple[CtorDecl, ...]) -> None:
+        self.name = name
+        self.params = params
+        self.ctors = ctors
 
 
-@dataclass(frozen=True)
-class Definition:
-    name: str
-    type: Term
-    body: Term
+class Definition(Record):
+    __slots__ = _fields = ("name", "type", "body")
+
+    def __init__(self, name: str, type: Term, body: Term) -> None:
+        self.name = name
+        self.type = type
+        self.body = body
 
 
 BOOL_DECL = InductiveDecl("Bool", (), (CtorDecl("true", ()), CtorDecl("false", ())))
@@ -394,25 +434,30 @@ BUILTIN_FUNCTIONS: dict[str, Term] = {
 INTERPRETED_TYPES = ("Int", "Bool")
 
 
-@dataclass
-class GlobalEnv:
+class GlobalEnv(Record):
     """Named declarations. Insertion order is declaration order; names are
     unique across inductives, constructors, definitions and builtins."""
-    inductives: dict[str, InductiveDecl] = field(default_factory=dict)
-    definitions: dict[str, Definition] = field(default_factory=dict)
-    # Facts derived from the declarations (constructor types and names,
-    # least inhabitant sizes, the sorts of closed types), keyed by (function
-    # name, arguments) and filled on demand; declare_inductive clears it. A
-    # key holding a type is name-blind like every term: alpha-equal types
-    # share an entry, and the terms an entry holds (a constructor table's
-    # type arguments) keep the binder names of the type that filled it.
-    # Those names reach random data only, never a hypothesis.
-    memo: dict[tuple, object] = field(default_factory=dict, init=False, repr=False,
-                                      compare=False)
+    __slots__ = ("inductives", "definitions", "memo")
+    _fields = ("inductives", "definitions")
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        if "Bool" not in self.inductives:
-            self.inductives = {"Bool": BOOL_DECL, **self.inductives}
+    def __init__(self, inductives: dict[str, InductiveDecl] | None = None,
+                 definitions: dict[str, Definition] | None = None) -> None:
+        inductives = {} if inductives is None else inductives
+        if "Bool" not in inductives:
+            inductives = {"Bool": BOOL_DECL, **inductives}
+        self.inductives = inductives
+        self.definitions = {} if definitions is None else definitions
+        # Facts derived from the declarations (constructor types and names,
+        # the set of taken names, least inhabitant sizes, the sorts of closed
+        # types), keyed by (function name, arguments) and filled on demand;
+        # declare_inductive clears it and declare_definition drops the
+        # names. A key holding a type is name-blind like every term:
+        # alpha-equal types share an entry, and the terms an entry holds (a
+        # constructor table's type arguments) keep the binder names of the
+        # type that filled it. Those names reach random data only, never a
+        # hypothesis. Not a field: `==` and `repr` skip it.
+        self.memo: dict[tuple, object] = {}
 
     # -- lookup ------------------------------------------------------------
 
@@ -437,10 +482,15 @@ class GlobalEnv:
                     ctors.setdefault(c.name, (decl.name, i))
         return ctors.get(name)
 
-    def names(self) -> set[str]:
-        out = set(self.inductives) | set(self.definitions) | set(BUILTIN_FUNCTIONS)
-        for decl in self.inductives.values():
-            out.update(c.name for c in decl.ctors)
+    def names(self) -> frozenset[str]:
+        """Every declared name: inductives, constructors, definitions and
+        builtins. Kept in `memo` until the next declaration."""
+        out = self.memo.get(("names",))
+        if out is None:
+            out = set(self.inductives) | set(self.definitions) | set(BUILTIN_FUNCTIONS)
+            for decl in self.inductives.values():
+                out.update(c.name for c in decl.ctors)
+            out = self.memo["names",] = frozenset(out)
         return out
 
     # -- declaration (parser-facing) ----------------------------------------
@@ -464,6 +514,7 @@ class GlobalEnv:
         if d.name in self.names():
             raise ScopeError(f"name already declared: {d.name}")
         self.definitions[d.name] = d
+        self.memo.pop(("names",), None)
 
 
 def builtin_type(name: str) -> Term | None:
@@ -474,12 +525,16 @@ def builtin_type(name: str) -> Term | None:
 # Problems
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Problem:
-    env: GlobalEnv
-    hypotheses: list[tuple[str, Term]]
-    goal: Term
-    lemma_params: list[str] = field(default_factory=list)
+class Problem(Record):
+    __slots__ = _fields = ("env", "hypotheses", "goal", "lemma_params")
+    __hash__ = None
+
+    def __init__(self, env: GlobalEnv, hypotheses: list[tuple[str, Term]], goal: Term,
+                 lemma_params: list[str] | None = None) -> None:
+        self.env = env
+        self.hypotheses = hypotheses
+        self.goal = goal
+        self.lemma_params = [] if lemma_params is None else lemma_params
 
 
 # ---------------------------------------------------------------------------

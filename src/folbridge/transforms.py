@@ -9,12 +9,11 @@ nothing checks them before a hypothesis enters the context.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .conversion import beta_reduce, typecheck
 from .terms import (
     And, App, Const, Ctor, Eq, Exists, Fix, FolbridgeError,
-    GlobalEnv, Ind, IntLit, IntT, Lam, Match, Not, Or, Pi, SortProp,
+    GlobalEnv, Ind, IntLit, IntT, Lam, Match, Not, Or, Pi, Record, SortProp,
     SortType, TVar, Term, Var,
     as_inductive_instance, builtin_type, children, ctor_arg_types,
     has_interior_type_binder, lift, make_app, make_pis, normal_form, rebind,
@@ -57,71 +56,85 @@ class NotAlgebraic(TransformError):
 # Justifications and proof states
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Justification:
-    pass
+class Justification(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Given(Justification):
     """User-supplied hypothesis or lemma; taken on trust."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ByDefinition(Justification):
-    const_name: str
+    __slots__ = _fields = ("const_name",)
+
+    def __init__(self, const_name: str) -> None:
+        self.const_name = const_name
 
 
-@dataclass(frozen=True)
 class ByConversion(Justification):
     """Closes by `rewrite source; reflexivity`: plain convertibility after
     an optional oriented rewrite with the cited source hypothesis."""
-    source: str | None = None
+    __slots__ = _fields = ("source",)
+
+    def __init__(self, source: str | None = None) -> None:
+        self.source = source
 
 
-@dataclass(frozen=True)
 class ByCaseConversion(Justification):
     """Conversion after case-splitting the listed telescope binders
     (positions from the outside) to the given depth; the destruct-then-
     reflexivity pattern required by guarded fix unfolding."""
-    source: str | None
-    split_vars: tuple[int, ...]
-    depth: int = 1
+    __slots__ = _fields = ("source", "split_vars", "depth")
+
+    def __init__(self, source: str | None, split_vars: tuple[int, ...], depth: int = 1) -> None:
+        self.source = source
+        self.split_vars = split_vars
+        self.depth = depth
 
 
-@dataclass(frozen=True)
 class ByInstantiation(Justification):
-    source: str
-    type_args: tuple[Term, ...]
+    __slots__ = _fields = ("source", "type_args")
+
+    def __init__(self, source: str, type_args: tuple[Term, ...]) -> None:
+        self.source = source
+        self.type_args = type_args
 
 
-@dataclass(frozen=True)
-class Injectivity:
-    ctor_index: int
+class Injectivity(Record):
+    __slots__ = _fields = ("ctor_index",)
+
+    def __init__(self, ctor_index: int) -> None:
+        self.ctor_index = ctor_index
 
 
-@dataclass(frozen=True)
-class Disjointness:
-    first: int
-    second: int
+class Disjointness(Record):
+    __slots__ = _fields = ("first", "second")
+
+    def __init__(self, first: int, second: int) -> None:
+        self.first = first
+        self.second = second
 
 
-@dataclass(frozen=True)
-class Exhaustiveness:
-    pass
+class Exhaustiveness(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class DatatypeAxiom(Justification):
-    instance: Term
-    kind: Injectivity | Disjointness | Exhaustiveness
+    __slots__ = _fields = ("instance", "kind")
+
+    def __init__(self, instance: Term, kind: Injectivity | Disjointness | Exhaustiveness) -> None:
+        self.instance = instance
+        self.kind = kind
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    name: str
-    statement: Term
-    justification: Justification
+class Hypothesis(Record):
+    __slots__ = _fields = ("name", "statement", "justification")
+
+    def __init__(self, name: str, statement: Term, justification: Justification) -> None:
+        self.name = name
+        self.statement = statement
+        self.justification = justification
 
 
 def fresh_name(base: str, used: set[str]) -> str:
@@ -135,8 +148,7 @@ def fresh_name(base: str, used: set[str]) -> str:
     return name
 
 
-@dataclass
-class ProofState:
+class ProofState(Record):
     """Named hypotheses plus goal; extended but never rewritten.
 
     The state indexes its hypotheses: each name with its first hypothesis,
@@ -150,27 +162,30 @@ class ProofState:
     exact statement into printed hypotheses. The index catches up lazily
     with `hypotheses`, so a list passed in prefilled or extended by a plain
     `append` is indexed too; removing or replacing hypotheses, or changing
-    `env`, is not supported."""
-    env: GlobalEnv
-    hypotheses: list[Hypothesis] = field(default_factory=list)
-    goal: Term = None
-    _indexed: int = field(default=0, init=False, repr=False, compare=False)
-    _by_name: dict[str, Hypothesis] = field(default_factory=dict, init=False, repr=False,
-                                            compare=False)
-    _statements: set[Term] = field(default_factory=set, init=False, repr=False,
-                                   compare=False)
-    # id(statement) -> (statement, its instances); holding the statement
-    # keeps its id from being reused.
-    _instances: dict[int, tuple[Term, tuple[Term, ...]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _is_type: dict[Term, bool] = field(default_factory=dict, init=False, repr=False,
-                                       compare=False)
-    # The algebraic instances found so far, the first of each alpha class in
-    # occurrence order, and how many statements (the goal, then the
-    # hypotheses in order) they were collected from.
-    _algebraic: dict[Term, Term] = field(default_factory=dict, init=False, repr=False,
-                                         compare=False)
-    _algebraic_seen: int = field(default=0, init=False, repr=False, compare=False)
+    `env`, is not supported. The fields are `env`, `hypotheses` and `goal`;
+    `==` and `repr` skip the indexes."""
+    __slots__ = ("env", "hypotheses", "goal", "_indexed", "_by_name", "_statements",
+                 "_instances", "_is_type", "_algebraic", "_algebraic_seen")
+    _fields = ("env", "hypotheses", "goal")
+    __hash__ = None
+
+    def __init__(self, env: GlobalEnv, hypotheses: list[Hypothesis] | None = None,
+                 goal: Term = None) -> None:
+        self.env = env
+        self.hypotheses = [] if hypotheses is None else hypotheses
+        self.goal = goal
+        self._indexed = 0
+        self._by_name: dict[str, Hypothesis] = {}
+        self._statements: set[Term] = set()
+        # id(statement) -> (statement, its instances); holding the statement
+        # keeps its id from being reused.
+        self._instances: dict[int, tuple[Term, tuple[Term, ...]]] = {}
+        self._is_type: dict[Term, bool] = {}
+        # The algebraic instances found so far, the first of each alpha class
+        # in occurrence order, and how many statements (the goal, then the
+        # hypotheses in order) they were collected from.
+        self._algebraic: dict[Term, Term] = {}
+        self._algebraic_seen = 0
 
     def _sync(self) -> None:
         for h in self.hypotheses[self._indexed:]:

@@ -2,11 +2,14 @@
 linter in the toolchain, so this is the check: a name bound by an import
 must be read somewhere else in its module, in code or in an annotation. An
 import line marked `# noqa: F401` is exempt (a name re-exported on
-purpose)."""
+purpose). And importing the package loads none of the modules that make a
+fresh process slow to start."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,21 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path: Path):
     assert unused_imports(path.read_text()) == []
+
+
+# Modules that importing the package must not load: `dataclasses` pulls in
+# `inspect`, which pulls in `ast`; `typing` is costly on its own.
+HEAVY = ("dataclasses", "inspect", "ast", "typing")
+
+
+def test_import_loads_no_heavy_modules():
+    """Imported in a bare interpreter (no `site`, no environment), the five
+    modules leave none of HEAVY in `sys.modules`."""
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+            "import folbridge.conversion, folbridge.parser, folbridge.printer, "
+            "folbridge.terms, folbridge.transforms\n"
+            f"print(sorted(m for m in {HEAVY!r} if m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"
