@@ -21,7 +21,7 @@ is decided: by reflexivity, as the paper's Coq proof does. Such a
 comparison draws no random argument, so the draws that follow it in the
 same call differ from those of an oracle that probes every function. The
 type of each closed binder domain or instantiated implication premise is
-computed once per environment (GlobalEnv.memo).
+asked of `typecheck` once per environment (GlobalEnv.memo).
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from operator import attrgetter
 from .terms import (
     BUILTIN_FUNCTIONS, FALSE, INT, PROP, TRUE, TYPE, And, App, Const,
     Ctor, Eq, Exists, FalseP, Fix, FolbridgeError, GlobalEnv, Ind, IntLit,
-    IntT, Lam, Match, Not, Or, Pi, Record, SortProp, SortType, TVar, Term, TrueP,
+    IntT, LEAVES, Lam, Match, Not, Or, Pi, Record, SortProp, SortType, TVar, Term, TrueP,
     Var, as_inductive_instance, builtin_type, children, ctor_arg_types,
     ctor_type, ind_type, lift, make_app, normal_form, rebind, spine,
-    strip_pis, subst, subst_list, well_scoped,
+    strip_pis, subst, subst_list, subterms, well_scoped,
 )
 
 
@@ -91,62 +91,116 @@ def infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel | None = None) ->
 
 def typecheck(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel | None = None) -> Term:
     """Type of t in ctx (ctx[0] is the innermost binder's type); raises
-    TypingError when t is ill-typed."""
+    TypingError when t is ill-typed. The types of closed compound subterms
+    come from the environment's closed-type table (see `_infer`) when they
+    are there, and a table hit consumes no fuel."""
     if fuel is None:
         fuel = Fuel()
     return _infer(env, ctx, t, fuel)
 
 
 def _closed_type_of(env: GlobalEnv, t: Term) -> Term:
-    """typecheck(env, [], t), computed once per environment and term; a
-    term whose typecheck raises is typechecked (and raises) on every call."""
+    """typecheck(env, [], t), asked once per environment and term up to
+    alpha; a term whose typecheck raises is typechecked (and raises) on
+    every call. The oracle reads only the sort of the answer, so the binder
+    names of the term that filled an entry do not matter here."""
     ty = env.memo.get(("closed_type_of", t))
     if ty is None:
         ty = env.memo["closed_type_of", t] = typecheck(env, [], t)
     return ty
 
 
+# The closed-type table's key in GlobalEnv.memo, and the node classes that
+# carry binder names.
+_CLOSED_TYPES = ("closed_type",)
+_BINDERS = frozenset({Pi, Lam, Fix, Exists, Match})
+
+
 def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
-    # Dispatch is on the exact node class, the most frequent first.
+    """The type of t in ctx. A closed compound term's type does not depend
+    on ctx: it is read from the environment's closed-type table, or computed
+    and stored there. Only successes are stored, so a term whose typing
+    raises raises on every call. An entry holds the term that filled it, its
+    type, and whether that type has no binder, decided when an alpha-equal
+    term first asks. It answers the term that filled it, and an alpha-equal
+    one only when the type has no binder and so no names; any other term is
+    typed anew. So a type always carries the binder names of its own term,
+    never those of another."""
+    # Dispatch is on the exact node class, the most frequent first. A leaf
+    # or a variable returns its type at once; a compound node's type is
+    # `ty`, stored in the table when the node is closed.
     cls = type(t)
+    table = hit = None
+    if not t._reach and cls not in LEAVES:
+        table = env.memo.get(_CLOSED_TYPES)
+        if table is None:
+            table = env.memo[_CLOSED_TYPES] = {}
+        hit = table.get(t)
+        if hit is not None:
+            if hit[0] is t:
+                return hit[1]
+            if hit[2] is None:  # decided on the first alpha-equal visitor
+                hit[2] = not any(type(s) in _BINDERS for s in subterms(hit[1]))
+            if hit[2]:
+                return hit[1]
     if cls is App:
-        hty = _infer(env, ctx, t.head, fuel)
-        if type(hty) is not Pi:  # a product is its own whnf
-            hty = whnf(env, hty, fuel)
-            if type(hty) is not Pi:
-                raise TypingError("application head is not a function")
-        aty = _infer(env, ctx, t.arg, fuel)
-        if not convertible(env, ctx, aty, hty.domain, fuel):
-            raise TypingError(
-                f"argument type mismatch: expected {hty.domain}, found {aty}")
-        return subst(hty.codomain, 0, t.arg)
-    if cls is Var:
+        # The whole spine at once: each argument is checked against its
+        # domain instantiated with the arguments before it, and the
+        # codomain is instantiated once, at the end. `done` holds the
+        # arguments that hty, under as many binders, still waits for.
+        args: list[Term] = []
+        head = t
+        while type(head) is App:
+            args.append(head.arg)
+            head = head.head
+        hty = _infer(env, ctx, head, fuel)
+        done: list[Term] = []
+        for arg in reversed(args):
+            if type(hty) is not Pi:  # a product is its own whnf
+                if done:
+                    hty = subst_list(hty, done[::-1])
+                    done = []
+                hty = whnf(env, hty, fuel)
+                if type(hty) is not Pi:
+                    raise TypingError("application head is not a function")
+            aty = _infer(env, ctx, arg, fuel)
+            dom = hty.domain
+            if done and dom._reach:
+                # A variable bound by the spine stands for its argument.
+                dom = (done[-1 - dom.index] if type(dom) is Var and dom.index < len(done)
+                       else subst_list(dom, done[::-1]))
+            if not convertible(env, ctx, aty, dom, fuel):
+                raise TypingError(
+                    f"argument type mismatch: expected {dom}, found {aty}")
+            done.append(arg)
+            hty = hty.codomain
+        ty = subst_list(hty, done[::-1])
+    elif cls is Var:
         if not 0 <= t.index < len(ctx):
             raise TypingError(f"unbound variable index {t.index}")
         return lift(ctx[t.index], t.index + 1)
-    if cls is Const:
+    elif cls is Const:
         b = builtin_type(t.name)
         return b if b is not None else env.definition(t.name).type
-    if cls is Ctor:
+    elif cls is Ctor:
         return ctor_type(env, t.inductive, t.ctor_index)
-    if cls is Ind:
+    elif cls is Ind:
         return ind_type(env.inductive(t.inductive))
-    if cls is IntLit:
+    elif cls is IntLit:
         return INT
-    if cls in _TYPE_TYPED:
+    elif cls in _TYPE_TYPED:
         return TYPE
-    if cls is Pi:
+    elif cls is Pi:
         if type(_infer(env, ctx, t.domain, fuel)) not in _SORTS:
             raise TypingError("binder domain is not a type or proposition")
-        csort = _infer(env, [t.domain] + ctx, t.codomain, fuel)
-        if type(csort) not in _SORTS:
+        ty = _infer(env, [t.domain] + ctx, t.codomain, fuel)
+        if type(ty) not in _SORTS:
             raise TypingError("product codomain is not a type or proposition")
-        return csort
-    if cls is Lam:
+    elif cls is Lam:
         if type(_infer(env, ctx, t.domain, fuel)) not in _SORTS:
             raise TypingError("lambda domain is not a type")
-        return Pi(t.binder, t.domain, _infer(env, [t.domain] + ctx, t.body, fuel))
-    if cls is Match:
+        ty = Pi(t.binder, t.domain, _infer(env, [t.domain] + ctx, t.body, fuel))
+    elif cls is Match:
         inst = as_inductive_instance(whnf(env, _infer(env, ctx, t.scrutinee, fuel), fuel))
         if inst is None or inst[0] != t.inductive:
             raise TypingError(f"match scrutinee is not of type {t.inductive}")
@@ -173,8 +227,8 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
             bty = _infer(env, bctx, br.body, fuel)
             if not convertible(env, bctx, bty, lift(rty, br.arity), fuel):
                 raise TypingError(f"branch for {cd.name} has type {bty}, expected {rty}")
-        return rty
-    if cls is Fix:
+        ty = rty
+    elif cls is Fix:
         fty = t.full_type
         if type(_infer(env, ctx, fty, fuel)) not in _SORTS:
             raise TypingError("fixpoint type annotation is not a type")
@@ -190,8 +244,8 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
         fctx = [fty] + ctx
         if not convertible(env, fctx, _infer(env, fctx, t.body, fuel), lift(fty, 1), fuel):
             raise TypingError("fixpoint body type differs from its annotation")
-        return fty
-    if cls is Eq:
+        ty = fty
+    elif cls is Eq:
         lty = _infer(env, ctx, t.lhs, fuel)
         rty = _infer(env, ctx, t.rhs, fuel)
         at = t.at_type
@@ -200,25 +254,29 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
         if not convertible(env, ctx, lty, at, fuel) or not convertible(env, ctx, rty, at, fuel):
             raise TypingError(
                 f"equality sides disagree: {lty} vs {rty} at {at}")
+        ty = PROP
+    elif cls is TrueP or cls is FalseP:
         return PROP
-    if cls is TrueP or cls is FalseP:
-        return PROP
-    if cls is And or cls is Or:
+    elif cls is And or cls is Or:
         ls, rs = _infer(env, ctx, t.lhs, fuel), _infer(env, ctx, t.rhs, fuel)
         if type(ls) is not SortProp or type(rs) is not SortProp:
             raise TypingError("connective applied to non-propositions")
-        return PROP
-    if cls is Not:
+        ty = PROP
+    elif cls is Not:
         if type(_infer(env, ctx, t.body, fuel)) is not SortProp:
             raise TypingError("negation applied to a non-proposition")
-        return PROP
-    if cls is Exists:
+        ty = PROP
+    elif cls is Exists:
         if type(_infer(env, ctx, t.domain, fuel)) is not SortType:
             raise TypingError("existential domain is not a type")
         if type(_infer(env, [t.domain] + ctx, t.body, fuel)) is not SortProp:
             raise TypingError("existential body is not a proposition")
-        return PROP
-    raise TypingError(f"cannot type {t!r}")
+        ty = PROP
+    else:
+        raise TypingError(f"cannot type {t!r}")
+    if table is not None and hit is None:
+        table[t] = [t, ty, None]
+    return ty
 
 
 # ---------------------------------------------------------------------------

@@ -449,14 +449,19 @@ class GlobalEnv(Record):
         self.inductives = inductives
         self.definitions = {} if definitions is None else definitions
         # Facts derived from the declarations (constructor types and names,
-        # the set of taken names, least inhabitant sizes, the sorts of closed
-        # types), keyed by (function name, arguments) and filled on demand;
-        # declare_inductive clears it and declare_definition drops the
-        # names. A key holding a type is name-blind like every term:
+        # the set of taken names, least inhabitant sizes, the types of
+        # closed terms), keyed by (function name, arguments) and filled on
+        # demand; declare_inductive clears it and declare_definition drops
+        # the names. A key holding a type is name-blind like every term:
         # alpha-equal types share an entry, and the terms an entry holds (a
         # constructor table's type arguments) keep the binder names of the
         # type that filled it. Those names reach random data only, never a
-        # hypothesis. Not a field: `==` and `repr` skip it.
+        # hypothesis. The one exception is the closed-type table, which all
+        # typing shares (parser elaboration, `collect_type_instances`, the
+        # checks on output): its types reach statements, as the type of an
+        # equation's left side, so it answers an alpha-equal term only with
+        # a type that has no binder names (see conversion._infer). Not a
+        # field: `==` and `repr` skip it.
         self.memo: dict[tuple, object] = {}
 
     # -- lookup ------------------------------------------------------------
@@ -542,8 +547,8 @@ class Problem(Record):
 # ---------------------------------------------------------------------------
 
 # Node classes without subterms, which the walks below handle without recursing.
-_LEAVES = frozenset({Const, Ctor, Ind, TVar, IntT, SortType, SortProp,
-                     TrueP, FalseP, IntLit})
+LEAVES = frozenset({Const, Ctor, Ind, TVar, IntT, SortType, SortProp,
+                    TrueP, FalseP, IntLit})
 
 
 def children(t: Term) -> tuple[tuple[Term, int], ...]:
@@ -552,7 +557,7 @@ def children(t: Term) -> tuple[tuple[Term, int], ...]:
     cls = type(t)
     if cls is App:
         return ((t.head, 0), (t.arg, 0))
-    if cls in _LEAVES or cls is Var:
+    if cls in LEAVES or cls is Var:
         return ()
     if cls is Pi:
         return ((t.domain, 0), (t.codomain, 1))
@@ -636,6 +641,8 @@ def rebind(t: Term, on_free, depth: int = 0) -> Term:
     (d counted from depth) with i >= d becomes on_free(i - d, d). Every
     de Bruijn index rewrite goes through this one traversal. A subterm
     whose `_reach` is at most d is returned as it is, without a walk."""
+    if t._reach <= depth:
+        return t
     def go(s: Term, d: int) -> Term:
         if s._reach <= d:
             return s  # no free variable: nothing to rewrite below s
@@ -698,7 +705,7 @@ def well_scoped(t: Term, depth: int = 0) -> bool:
         if type(s) is Var:
             if not 0 <= s.index < d:
                 return False
-        elif type(s) not in _LEAVES:
+        elif type(s) not in LEAVES:
             for c, extra in children(s):
                 stack.append((c, d + extra))
     return True

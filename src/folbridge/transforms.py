@@ -4,6 +4,16 @@ Each consumes a ProofState and returns new named hypotheses paired with
 Justifications; none of them modifies existing hypotheses or the goal.
 Justifications are recorded with each hypothesis but not yet replayed:
 nothing checks them before a hypothesis enters the context.
+
+A caller saturates the context by applying the transformations until a
+round adds nothing. The ProofState remembers what the saturating ones have
+done, so that the last round, which only confirms the fixpoint, does
+lookups: `monomorphize` keeps each instantiation of a polymorphic statement
+and `interp_alg_types` each datatype axiom, and the algebraic instances of
+each hypothesis are found in one walk of it, without typechecking. That
+walk relies on every statement in the state being well typed, which holds
+for parsed statements and for everything the transformations derive from
+them.
 """
 
 from __future__ import annotations
@@ -13,8 +23,8 @@ import itertools
 from .conversion import beta_reduce, typecheck
 from .terms import (
     And, App, Const, Ctor, Eq, Exists, Fix, FolbridgeError,
-    GlobalEnv, Ind, IntLit, IntT, Lam, Match, Not, Or, Pi, Record, SortProp,
-    SortType, TVar, Term, Var,
+    GlobalEnv, Ind, InductiveDecl, IntLit, IntT, Lam, LEAVES, Match, Not, Or, Pi,
+    Record, SortProp, SortType, TVar, Term, Var,
     as_inductive_instance, builtin_type, children, ctor_arg_types,
     has_interior_type_binder, lift, make_app, make_pis, normal_form, rebind,
     spine, strip_lams, strip_pis, subst, subst_list, INTERPRETED_TYPES, PROP_HEADS,
@@ -137,35 +147,37 @@ class Hypothesis(Record):
         self.justification = justification
 
 
-def fresh_name(base: str, used: set[str]) -> str:
-    """`base`, or the first of `base_2`, `base_3`, ... that is not in
-    `used`; the name returned is added to `used`."""
-    name, i = base, 2
-    while name in used:
-        name = f"{base}_{i}"
-        i += 1
-    used.add(name)
-    return name
-
-
 class ProofState(Record):
     """Named hypotheses plus goal; extended but never rewritten.
 
     The state indexes its hypotheses: each name with its first hypothesis,
     and the set of their statements, which term equality (alpha-equivalence)
-    makes an alpha index. It also remembers what it has decided about types:
-    the type instances of every statement it was asked about, the algebraic
-    instances of the goal and the hypotheses, and one is-a-type decision per
-    candidate subterm up to alpha, which every `collect_type_instances` call
-    it makes consults and extends. The instances of a statement are kept by
+    makes an alpha index. It also remembers the work of the saturating
+    transformations, so that a round that only confirms that nothing is new
+    does lookups and builds nothing:
+    - the type instances of every statement it was asked about, and one
+      is-a-type decision per candidate subterm up to alpha, which every
+      `collect_type_instances` call it makes consults and extends;
+    - the algebraic instances of the goal and the hypotheses, and every
+      closed subterm of a hypothesis it has walked to find them;
+    - each instantiation of a polymorphic statement at a combination of
+      type instances (`monomorphize`);
+    - each datatype axiom, per instance and kind (`interp_alg_types`).
+    Instances and instantiations are kept per statement and combination by
     identity, not by equality, because they carry the binder names of that
-    exact statement into printed hypotheses. The index catches up lazily
-    with `hypotheses`, so a list passed in prefilled or extended by a plain
-    `append` is indexed too; removing or replacing hypotheses, or changing
-    `env`, is not supported. The fields are `env`, `hypotheses` and `goal`;
-    `==` and `repr` skip the indexes."""
+    exact statement into printed hypotheses; the state holds each such
+    statement, so its id is not reused. The algebraic instances of a
+    hypothesis are read off its syntax, without typechecking, which is
+    sound because every statement in the state is well typed; a caller that
+    adds an ill-typed one gets instances that are not types.
+
+    The index catches up lazily with `hypotheses`, so a list passed in
+    prefilled or extended by a plain `append` is indexed too; removing or
+    replacing hypotheses, or changing `env`, is not supported. The fields
+    are `env`, `hypotheses` and `goal`; `==` and `repr` skip the indexes."""
     __slots__ = ("env", "hypotheses", "goal", "_indexed", "_by_name", "_statements",
-                 "_instances", "_is_type", "_algebraic", "_algebraic_seen")
+                 "_instances", "_is_type", "_algebraic", "_algebraic_seen", "_walked",
+                 "_instantiations", "_axioms")
     _fields = ("env", "hypotheses", "goal")
     __hash__ = None
 
@@ -182,10 +194,18 @@ class ProofState(Record):
         self._instances: dict[int, tuple[Term, tuple[Term, ...]]] = {}
         self._is_type: dict[Term, bool] = {}
         # The algebraic instances found so far, the first of each alpha class
-        # in occurrence order, and how many statements (the goal, then the
-        # hypotheses in order) they were collected from.
+        # in occurrence order, how many statements (the goal, then the
+        # hypotheses in order) they were collected from, and the closed
+        # compound subterms of the hypotheses walked so far.
         self._algebraic: dict[Term, Term] = {}
         self._algebraic_seen = 0
+        self._walked: set[Term] = set()
+        # id(source statement) -> (source, {ids of a combination of type
+        # instances: (that combination, the instantiated statement)}), or
+        # (source, None) for a source with an interior type binder.
+        self._instantiations: dict[int, tuple[Term, dict | None]] = {}
+        # DatatypeAxiom -> (base of its hypothesis name, its statement).
+        self._axioms: dict[DatatypeAxiom, tuple[str, Term]] = {}
 
     def _sync(self) -> None:
         for h in self.hypotheses[self._indexed:]:
@@ -205,16 +225,23 @@ class ProofState(Record):
         self._sync()
         return self._statements
 
-    def used_names(self) -> set[str]:
-        """A new set of the hypothesis and environment names."""
-        self._sync()
-        return self._by_name.keys() | self.env.names()
-
     def has_alpha(self, statement: Term) -> bool:
         return statement in self.statements()
 
-    def fresh_name(self, base: str) -> str:
-        return fresh_name(base, self.used_names())
+    def fresh_name(self, base: str, taken: set[str] | None = None) -> str:
+        """`base`, or the first of `base_2`, `base_3`, ... that names no
+        hypothesis, no declaration and nothing in `taken`. The name returned
+        is added to `taken`, so a transformation that returns several
+        hypotheses passes one set to all its calls."""
+        self._sync()
+        by_name, declared = self._by_name, self.env.names()
+        name, i = base, 2
+        while name in by_name or name in declared or (taken is not None and name in taken):
+            name = f"{base}_{i}"
+            i += 1
+        if taken is not None:
+            taken.add(name)
+        return name
 
     def type_instances(self, t: Term) -> tuple[Term, ...]:
         """`collect_type_instances(env, t)`, computed once per exact term:
@@ -226,19 +253,54 @@ class ProofState(Record):
         return hit[1]
 
     def algebraic_instances(self) -> list[Term]:
-        """Ground algebraic instances in goal and context, in first
-        occurrence order, minus the types the back-end interprets natively."""
-        statements = [self.goal] + [h.statement for h in self.hypotheses]
-        for t in statements[self._algebraic_seen:]:
-            for cand in self.type_instances(t):
+        """Ground algebraic instances in goal and context, minus the types
+        the back-end interprets natively: the first of each alpha class, in
+        first occurrence order (the goal, then the hypotheses in order, each
+        in preorder).
+
+        The goal's are its `type_instances`. A hypothesis is walked once,
+        and every closed application of an inductive to its full parameter
+        count is taken without a typecheck: such a subterm of a well-typed
+        statement has sort Type. A closed subterm alpha-equal to one walked
+        before is skipped with everything below it, since whatever it holds
+        was found, earlier, where that one was walked."""
+        found = self._algebraic
+        inductives = self.env.inductives
+
+        def take(head: Term, nargs: int, t: Term) -> None:
+            name = head.inductive
+            if name not in INTERPRETED_TYPES and nargs == len(inductives[name].params):
+                found.setdefault(t, t)
+
+        if self._algebraic_seen == 0:
+            for cand in self.type_instances(self.goal):
                 head, args = spine(cand)
-                if not isinstance(head, Ind) or head.inductive in INTERPRETED_TYPES:
+                if type(head) is Ind:
+                    take(head, len(args), cand)
+            self._algebraic_seen = 1
+        walked = self._walked
+        for h in self.hypotheses[self._algebraic_seen - 1:]:
+            stack = [h.statement]
+            while stack:
+                t = stack.pop()
+                cls = type(t)
+                if cls is Ind:
+                    take(t, 0, t)
                     continue
-                if len(args) != len(self.env.inductive(head.inductive).params):
-                    continue
-                self._algebraic.setdefault(cand, cand)
-        self._algebraic_seen = len(statements)
-        return list(self._algebraic.values())
+                if t._reach == 0 and cls not in LEAVES:
+                    if t in walked:
+                        continue
+                    walked.add(t)
+                if cls is App:
+                    head, args = spine(t)
+                    if t._reach == 0 and type(head) is Ind:
+                        take(head, len(args), t)
+                    stack += reversed(args)
+                    stack.append(head)
+                else:
+                    stack += [c for c, _ in reversed(children(t))]
+        self._algebraic_seen = len(self.hypotheses) + 1
+        return list(found.values())
 
     def add(self, hyp: Hypothesis) -> None:
         self.hypotheses.append(hyp)
@@ -487,43 +549,49 @@ def collect_type_instances(env: GlobalEnv, t: Term,
     """Closed subterms of sort Type, nested instances included, in first
     occurrence order.
 
-    One post-order walk finds the candidates: closed subterms whose spine
-    head can have sort Type, other than an unapplied Lam or Fix (whose type
-    is a product), a product whose final codomain is a proposition, an
-    inductive applied to other than its parameter count, and a constant
-    application that `_never_a_type` rules out. That filter is only a
-    necessary condition. The candidates are taken in preorder; one
-    alpha-equal (`==`) to a candidate already taken is skipped, and
-    `typecheck` makes the final decision on the rest. `decided` maps
-    candidates, up to alpha, to those decisions; it is consulted and
-    extended, so callers that share it typecheck each candidate once."""
-    candidates: list[tuple[int, Term]] = []
-    position = itertools.count()
-
-    def walk(s: Term) -> tuple[Term, int]:
-        """Return the head of s's spine (of its final codomain's, for a
-        product) and the number of arguments applied to that head."""
-        pos = next(position)
-        head, nargs = s, 0
+    One preorder walk, with an explicit stack, finds the candidates:
+    closed subterms whose spine head can have sort Type, other than an
+    unapplied Lam or Fix (whose type is a product), a product whose final
+    codomain is a proposition, an inductive applied to other than its
+    parameter count, and a constant application that `_never_a_type` rules
+    out. That filter is only a necessary condition. A candidate alpha-equal
+    (`==`) to one already taken is skipped, and `typecheck` makes the final
+    decision on the rest. `decided` maps candidates, up to alpha, to those
+    decisions; it is consulted and extended, so callers that share it
+    typecheck each candidate once."""
+    candidates: list[Term] = []
+    # Each entry is a subterm with the head of its spine (of its final
+    # codomain's, for a product) and the number of arguments applied to
+    # that head; a head of None is found by descending from the subterm.
+    stack: list[tuple[Term, Term | None, int]] = [(t, None, 0)]
+    while stack:
+        s, head, nargs = stack.pop()
         cls = type(s)
-        for c, _extra in children(s):
-            c_head, c_nargs = walk(c)
-            if (cls is App and c is s.head) or (cls is Pi and c is s.codomain):
-                head, nargs = c_head, c_nargs + (cls is App)
+        if head is None:
+            head = s
+            while True:
+                if type(head) is App:
+                    nargs += 1
+                    head = head.head
+                elif type(head) is Pi:
+                    head = head.codomain
+                else:
+                    break
         if s._reach == 0 and cls is not Lam and cls is not Fix and _maybe_a_type(env, s, head, nargs):
-            candidates.append((pos, s))
-        return head, nargs
-
-    try:
-        walk(t)
-    finally:
-        del walk  # empties walk's own closure cell: no reference cycle holds env
-    candidates.sort(key=lambda c: c[0])
+            candidates.append(s)
+        if cls is App:
+            stack.append((s.arg, None, 0))
+            stack.append((s.head, head, nargs - 1))
+        elif cls is Pi:
+            stack.append((s.codomain, head, nargs))
+            stack.append((s.domain, None, 0))
+        else:
+            stack += [(c, None, 0) for c, _ in reversed(children(s))]
     if decided is None:
         decided = {}
     out: list[Term] = []
     taken: set[Term] = set()
-    for _pos, s in candidates:
+    for s in candidates:
         if s in taken:
             continue
         taken.add(s)
@@ -580,7 +648,8 @@ def monomorphize(state: ProofState, extra_lemmas: list[tuple[str, Term]] | None 
                  from_context: bool = False) -> list[Hypothesis]:
     """Instantiate every prenex-polymorphic hypothesis (and extra lemma) at
     all ground type instances of the goal (Cartesian product for multiple
-    leading binders); instances already present are skipped."""
+    leading binders); instances already present are skipped. The state
+    keeps each instantiation, so a repeated call substitutes nothing."""
     insts = list(state.type_instances(state.goal))
     if from_context:
         first = {s: s for s in insts}
@@ -590,29 +659,43 @@ def monomorphize(state: ProofState, extra_lemmas: list[tuple[str, Term]] | None 
         insts = list(first.values())
     if not insts:
         return []
+    statements = state.statements()
     sources = [(h.name, h.statement) for h in state.hypotheses]
+    extra_names: set[str] = set()
     for name, stmt in (extra_lemmas or []):
-        if not any(n == name for n, _ in sources):
+        if name not in state._by_name and name not in extra_names:
+            extra_names.add(name)
             sources.append((name, stmt))
-    existing = set(state.statements())
-    used_names = state.used_names()
+    emitted: set[Term] = set()
+    taken: set[str] = set()
     out: list[Hypothesis] = []
     for src_name, stmt in sources:
         k = _leading_type_binders(stmt)
-        if k == 0 or has_interior_type_binder(stmt):
+        if k == 0:
+            continue
+        memo = state._instantiations.get(id(stmt))
+        if memo is None:
+            memo = state._instantiations[id(stmt)] = (
+                stmt, None if has_interior_type_binder(stmt) else {})
+        table = memo[1]
+        if table is None:
             continue
         for combo in itertools.product(insts, repeat=k):
-            inst_stmt = stmt
-            for ty in combo:
-                assert isinstance(inst_stmt, Pi)
-                inst_stmt = subst(inst_stmt.codomain, 0, ty)
-            if inst_stmt in existing:
+            key = tuple(map(id, combo))
+            hit = table.get(key)
+            if hit is None:
+                inst_stmt = stmt
+                for ty in combo:
+                    assert isinstance(inst_stmt, Pi)
+                    inst_stmt = subst(inst_stmt.codomain, 0, ty)
+                hit = table[key] = (combo, inst_stmt)
+            inst_stmt = hit[1]
+            if inst_stmt in statements or inst_stmt in emitted:
                 continue
-            existing.add(inst_stmt)
-            name = fresh_name(
-                f"{src_name}_{'_'.join(type_slug(ty) for ty in combo)}", used_names)
-            out.append(Hypothesis(name, inst_stmt,
-                                  ByInstantiation(src_name, tuple(combo))))
+            emitted.add(inst_stmt)
+            name = state.fresh_name(
+                f"{src_name}_{'_'.join(type_slug(ty) for ty in combo)}", taken)
+            out.append(Hypothesis(name, inst_stmt, ByInstantiation(src_name, combo)))
     return out
 
 
@@ -687,35 +770,44 @@ def exhaustiveness_statement(env: GlobalEnv, instance: Term) -> Term:
     return Pi("x", instance, disj)
 
 
+def _datatype_axiom(env: GlobalEnv, decl: InductiveDecl, just: DatatypeAxiom) -> tuple[str, Term]:
+    """The base of the hypothesis name and the statement of one axiom."""
+    inst, kind = just.instance, just.kind
+    slug = type_slug(inst)
+    if type(kind) is Injectivity:
+        return (f"{slug}_{decl.ctors[kind.ctor_index].name}_inj",
+                injectivity_statement(env, inst, kind.ctor_index))
+    if type(kind) is Disjointness:
+        return (f"{slug}_{decl.ctors[kind.first].name}_{decl.ctors[kind.second].name}_disj",
+                disjointness_statement(env, inst, kind.first, kind.second))
+    return f"{slug}_exhaust", exhaustiveness_statement(env, inst)
+
+
 def interp_alg_types(state: ProofState, include_exhaustiveness: bool = False) -> list[Hypothesis]:
     """Injectivity and disjointness axioms (and, behind the flag, the
     exhaustiveness disjunction) for every algebraic instance in the goal
-    and context, excluding solver-interpreted types."""
+    and context, excluding solver-interpreted types. The state keeps each
+    axiom, so a repeated call builds none."""
+    statements = state.statements()
+    emitted: set[Term] = set()
+    taken: set[str] = set()
     out: list[Hypothesis] = []
-    existing = set(state.statements())
-    used = state.used_names()
-
-    def emit(name: str, stmt: Term, just: Justification) -> None:
-        if stmt in existing:
-            return
-        existing.add(stmt)
-        out.append(Hypothesis(fresh_name(name, used), stmt, just))
-
     for inst in state.algebraic_instances():
-        ind_name, _targs = as_inductive_instance(inst)
-        decl = state.env.inductive(ind_name)
-        slug = type_slug(inst)
-        for k, cd in enumerate(decl.ctors):
-            if not cd.arg_types:
-                continue  # nullary constructors are trivially injective
-            stmt = injectivity_statement(state.env, inst, k)
-            emit(f"{slug}_{cd.name}_inj", stmt, DatatypeAxiom(inst, Injectivity(k)))
-        for a in range(len(decl.ctors)):
-            for b in range(a + 1, len(decl.ctors)):
-                stmt = disjointness_statement(state.env, inst, a, b)
-                emit(f"{slug}_{decl.ctors[a].name}_{decl.ctors[b].name}_disj",
-                     stmt, DatatypeAxiom(inst, Disjointness(a, b)))
+        decl = state.env.inductive(as_inductive_instance(inst)[0])
+        # Nullary constructors are trivially injective.
+        kinds: list[Record] = [Injectivity(k) for k, cd in enumerate(decl.ctors) if cd.arg_types]
+        kinds += [Disjointness(a, b)
+                  for a, b in itertools.combinations(range(len(decl.ctors)), 2)]
         if include_exhaustiveness:
-            stmt = exhaustiveness_statement(state.env, inst)
-            emit(f"{slug}_exhaust", stmt, DatatypeAxiom(inst, Exhaustiveness()))
+            kinds.append(Exhaustiveness())
+        for kind in kinds:
+            just = DatatypeAxiom(inst, kind)
+            hit = state._axioms.get(just)
+            if hit is None:
+                hit = state._axioms[just] = _datatype_axiom(state.env, decl, just)
+            name, stmt = hit
+            if stmt in statements or stmt in emitted:
+                continue
+            emitted.add(stmt)
+            out.append(Hypothesis(state.fresh_name(name, taken), stmt, just))
     return out

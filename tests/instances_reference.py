@@ -1,6 +1,8 @@
 """Reference `collect_type_instances`: the original quadratic version, kept
 as the oracle that the one-pass version in folbridge.transforms is
-property-tested against.
+property-tested against. Also the reference `algebraic_instances`, which
+filters the type instances of every statement, each typechecked, where
+`ProofState.algebraic_instances` reads a hypothesis's off its syntax.
 
 It walks every subterm with `subterms`, asks `well_scoped` of each (a
 walk, not the `_reach` that each node caches) and typechecks every closed
@@ -12,8 +14,8 @@ from __future__ import annotations
 
 from folbridge.conversion import typecheck
 from folbridge.terms import (
-    FolbridgeError, GlobalEnv, SortProp, SortType, Term, alpha_eq, subterms,
-    well_scoped,
+    INTERPRETED_TYPES, FolbridgeError, GlobalEnv, Ind, SortProp, SortType,
+    Term, alpha_eq, spine, subterms, well_scoped,
 )
 
 
@@ -35,3 +37,20 @@ def collect_type_instances(env: GlobalEnv, t: Term) -> list[Term]:
         if not any(alpha_eq(s, seen) for seen in out):
             out.append(s)
     return out
+
+
+def algebraic_instances(env: GlobalEnv, statements: list[Term]) -> list[Term]:
+    """Ground algebraic instances of the statements (the goal first), in
+    first occurrence order, the first of each alpha class, minus the types
+    the back-end interprets natively: the Ind-headed type instances with
+    their inductive's full parameter count."""
+    found: dict[Term, Term] = {}
+    for t in statements:
+        for cand in collect_type_instances(env, t):
+            head, args = spine(cand)
+            if not isinstance(head, Ind) or head.inductive in INTERPRETED_TYPES:
+                continue
+            if len(args) != len(env.inductive(head.inductive).params):
+                continue
+            found.setdefault(cand, cand)
+    return list(found.values())

@@ -7,10 +7,10 @@ import random
 import pytest
 
 from folbridge.conversion import (
-    EvalError, Fuel, FuelExhausted, TypingError, Uninhabited, convertible,
+    DEFAULT_FUEL, EvalError, Fuel, FuelExhausted, TypingError, Uninhabited, convertible,
     eval_ground, eval_prop, infer, min_term_size, normalize,
     random_ground_term, random_ground_type, random_truth_check, typecheck,
-    value_to_term, VBuiltin, VCtor, VInt, VTRUE, VFALSE,
+    value_to_term, whnf, VBuiltin, VCtor, VInt, VTRUE, VFALSE,
 )
 from conftest import PRELUDE
 from folbridge.parser import parse_problem, parse_term
@@ -18,8 +18,10 @@ from folbridge.printer import print_term
 from folbridge.terms import (
     App, BOOL, BUILTIN_FUNCTIONS, Branch, Const, Ctor, Eq, FALSE, FolbridgeError, GlobalEnv, INT,
     Ind, IntLit, IntT, Lam, Match, Pi, SortProp, SortType, TRUE, TYPE, Term,
-    Var, alpha_eq, make_app,
+    Var, alpha_eq, make_app, spine, subst,
 )
+
+NAT, O = Ind("nat"), Ctor("nat", 0)
 
 
 class TestTypecheck:
@@ -54,6 +56,106 @@ class TestTypecheck:
             parse_term("true = 1", env)
         with pytest.raises(TypingError):
             typecheck(env, [], Eq(BOOL, TRUE, IntLit(1)))
+
+
+SPINE_DEFS = PRELUDE.replace("goal true = true.", """\
+def k : forall (A : Type) (B : Type), A -> B -> A =
+  fun (A : Type) (B : Type) (a : A) (b : B) => a.
+def ap : forall (A : Type), (A -> A) -> A -> A =
+  fun (A : Type) (g : A -> A) (a : A) => g a.
+def Arrow : Type = Int -> Int.
+def f : Arrow = fun (x : Int) => x.
+goal true = true.""")
+
+
+def one_at_a_time(env, t):
+    """The type of an application spine, each application typed alone: the
+    codomain is instantiated after every argument."""
+    head, args = spine(t)
+    ty = typecheck(env, [], head)
+    for a in args:
+        if not isinstance(ty, Pi):
+            ty = whnf(env, ty, Fuel())
+        assert convertible(env, [], typecheck(env, [], a), ty.domain)
+        ty = subst(ty.codomain, 0, a)
+    return ty
+
+
+class TestSpineTyping:
+    """A spine is typed in one loop that instantiates each domain and the
+    final codomain once; types and error texts are those of typing one
+    application at a time."""
+
+    @pytest.fixture(scope="class")
+    def spine_env(self):
+        return parse_problem(SPINE_DEFS).env
+
+    @pytest.mark.parametrize("text", [
+        "k Int nat 1 O", "k (list Int) nat (nil Int)", "ap Int", "ap (list nat) (app nat (nil nat))",
+        "f 3", "eqb (list Int) (nil Int)", "cons Int 1 (cons Int 2 (nil Int))",
+        "k (Int -> Int) Bool f true 4",
+    ])
+    def test_types_match_one_at_a_time(self, spine_env, text):
+        t = parse_term(text, spine_env)
+        assert repr(typecheck(spine_env, [], t)) == repr(one_at_a_time(spine_env, t))
+
+    @pytest.mark.parametrize("args, message", [
+        ((INT, NAT, IntLit(1), TRUE),
+         "argument type mismatch: expected Ind(inductive='nat'), found Ind(inductive='Bool')"),
+        ((INT, NAT, O, O),
+         "argument type mismatch: expected IntT(), found Ind(inductive='nat')"),
+        ((INT, NAT, IntLit(1), O, IntLit(5)), "application head is not a function"),
+    ])
+    def test_error_text_deep_in_dependent_spine(self, spine_env, args, message):
+        with pytest.raises(TypingError) as raised:
+            typecheck(spine_env, [], make_app(Const("k"), list(args)))
+        assert str(raised.value) == message
+
+    def test_error_text_after_unfolding_the_head_type(self, spine_env):
+        with pytest.raises(TypingError) as raised:
+            typecheck(spine_env, [], App(Const("f"), TRUE))
+        assert str(raised.value) == "argument type mismatch: expected IntT(), found Ind(inductive='Bool')"
+        with pytest.raises(TypingError) as raised:
+            typecheck(spine_env, [], make_app(Const("f"), [IntLit(1), IntLit(2)]))
+        assert str(raised.value) == "application head is not a function"
+
+    def test_error_text_names_the_instantiated_domain(self, spine_env):
+        nil_nat = App(Ctor("list", 0), NAT)
+        with pytest.raises(TypingError) as raised:
+            typecheck(spine_env, [], make_app(Const("eqb"), [
+                App(Ind("list"), INT), App(Ctor("list", 0), INT), nil_nat]))
+        assert str(raised.value) == (
+            "argument type mismatch: expected App(head=Ind(inductive='list'), arg=IntT()),"
+            " found App(head=Ind(inductive='list'), arg=Ind(inductive='nat'))")
+
+
+class TestClosedTypeTable:
+    def test_alpha_equal_terms_keep_their_own_binder_names(self):
+        env = parse_problem(PRELUDE).env
+        first = parse_term("fun (x : Int) => x", env)
+        second = parse_term("fun (y : Int) => y", env)
+        assert first == second
+        assert typecheck(env, [], first).binder == "x"
+        assert typecheck(env, [], second).binder == "y"
+        assert typecheck(env, [], first).binder == "x"
+
+    def test_hit_consumes_no_fuel(self):
+        env = parse_problem(SPINE_DEFS).env
+        t = parse_term("k Int nat (f 3) O", env)  # unfolds Arrow
+        env.memo.clear()
+        fuel = Fuel()
+        typecheck(env, [], t, fuel)
+        assert fuel.remaining < DEFAULT_FUEL
+        again = Fuel()
+        typecheck(env, [], t, again)
+        assert again.remaining == DEFAULT_FUEL
+
+    def test_failures_are_not_stored(self):
+        env = parse_problem(PRELUDE).env
+        bad = App(Const("length"), IntLit(3))
+        for _ in range(2):
+            with pytest.raises(TypingError):
+                typecheck(env, [], bad)
 
 
 class TestNormalize:

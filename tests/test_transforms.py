@@ -528,32 +528,40 @@ class TestProofStateIndex:
             assert [t.binder for t in arrows] == [name], insts
             assert repr(insts) == repr(tuple(collect_type_instances(env, stmt)))
 
-    def test_instances_walked_once_per_statement(self, env, monkeypatch):
+    def test_statements_walked_at_most_once(self, env, monkeypatch):
+        """`algebraic_instances` walks each statement at most once, the goal
+        through its cached type instances: an unchanged state walks nothing
+        and answers with an equal list, and a grown one walks the new
+        statements only."""
         state = mk_state(env, "forall (l : list Int), l = l",
                          [("h", "forall (n : nat), S n <> O")])
-        calls = 0
-        collect = transforms.collect_type_instances
+        visited = []
+        for name in ("children", "spine", "collect_type_instances"):
+            original = getattr(transforms, name)
 
-        def counting_collect(*args):
-            nonlocal calls
-            calls += 1
-            return collect(*args)
+            def recording(*args, name=name, original=original):
+                # collect_type_instances takes (env, t, ...), the others (t)
+                visited.append(args[name == "collect_type_instances"])
+                return original(*args)
 
-        monkeypatch.setattr(transforms, "collect_type_instances", counting_collect)
+            monkeypatch.setattr(transforms, name, recording)
+
+        def roots():
+            """The statements among the visited nodes, as often as visited."""
+            stmts = [state.goal] + [h.statement for h in state.hypotheses]
+            return [i for t in visited for i, s in enumerate(stmts) if t is s]
+
         first = interp_alg_types(state)
-        assert first and calls == 2
-        # An unchanged state looks at no statement again.
-        looked_at = []
-        type_instances = ProofState.type_instances
-
-        def recording_type_instances(self, t):
-            looked_at.append(t)
-            return type_instances(self, t)
-
-        monkeypatch.setattr(ProofState, "type_instances", recording_type_instances)
-        calls = 0
-        assert interp_alg_types(state) == first
-        assert calls == 0 and looked_at == []
+        assert first and sorted(roots()) == [0, 1]
+        visited.clear()
+        again = interp_alg_types(state)
+        assert visited == [] and repr(again) == repr(first)
+        for h in first:
+            state.add(h)
+        assert interp_alg_types(state) == []
+        assert sorted(roots()) == list(range(2, len(state.hypotheses) + 1))
+        visited.clear()
+        assert interp_alg_types(state) == [] and visited == []
 
     def test_find_indexes_first_of_each_name(self, env):
         first = Hypothesis("h", parse_term("1 = 1", env), Given())
@@ -586,6 +594,110 @@ class TestProofStateIndex:
             monomorphize(state, from_context=True)
         assert len(state.hypotheses) > 3 and keys
         assert len(keys) == len(set(keys))
+
+
+SATURATE_GOAL = ("length Int (app Int (cons Int 1 (nil Int)) (nil Int)) = 1"
+                 " /\\ hd_error nat (cons nat O (nil nat)) = some nat O")
+SATURATE_HYPS = [
+    ("search_app", SEARCH_APP),
+    ("len_refl", "forall (A : Type) (l : list A), length A l = length A l"),
+    ("pair_refl", "forall (A : Type) (B : Type) (x : A) (y : B), x = x"),
+    ("g", "forall (n : nat), S n <> O"),
+]
+LEN_APP = ("forall (A : Type) (l1 : list A) (l2 : list A),"
+           " length A (app A l1 l2) = length A l1 + length A l2")
+
+
+class TestSaturationMemo:
+    """What a state remembers changes no answer: repeated and mixed calls
+    return what a fresh state returns, names included (compared by repr),
+    and the round that confirms the fixpoint substitutes and builds
+    nothing."""
+
+    @staticmethod
+    def saturate(state):
+        while True:
+            added = 0
+            for h in monomorphize(state) + interp_alg_types(state):
+                if not state.has_alpha(h.statement):
+                    state.add(h)
+                    added += 1
+            if not added:
+                return
+
+    @pytest.mark.parametrize("call", [monomorphize, interp_alg_types])
+    def test_repeated_call_returns_equal_list(self, env, call):
+        state = mk_state(env, SATURATE_GOAL, SATURATE_HYPS)
+        first = call(state)
+        assert first and repr(call(state)) == repr(first)
+
+    @pytest.mark.parametrize("variant", ["extra_lemmas", "from_context", "exhaustiveness"])
+    @pytest.mark.parametrize("saturated", [False, True])
+    def test_variant_after_plain_call_matches_fresh_state(self, env, variant, saturated):
+        lemma = parse_term(LEN_APP, env)
+        calls = {
+            "extra_lemmas": lambda s: monomorphize(s, extra_lemmas=[("len_app", lemma)]),
+            "from_context": lambda s: monomorphize(s, from_context=True),
+            "exhaustiveness": lambda s: interp_alg_types(s, include_exhaustiveness=True),
+        }
+        state = mk_state(env, SATURATE_GOAL, SATURATE_HYPS)
+        if saturated:
+            self.saturate(state)
+        plain = [repr(monomorphize(state)), repr(interp_alg_types(state))]
+        fresh = ProofState(env, list(state.hypotheses), state.goal)
+        assert repr(calls[variant](state)) == repr(calls[variant](fresh))
+        # and the plain calls after it still answer as before
+        assert [repr(monomorphize(state)), repr(interp_alg_types(state))] == plain
+
+    def test_confirming_round_substitutes_and_builds_nothing(self, env, monkeypatch):
+        counts = {}
+        for name in ("subst", "injectivity_statement", "disjointness_statement",
+                     "exhaustiveness_statement"):
+            original = getattr(transforms, name)
+
+            def counting(*args, name=name, original=original):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args)
+
+            monkeypatch.setattr(transforms, name, counting)
+        state = mk_state(env, SATURATE_GOAL, SATURATE_HYPS)
+        self.saturate(state)
+        assert counts["subst"] and counts["injectivity_statement"]
+        assert counts["disjointness_statement"]
+        counts.clear()
+        assert monomorphize(state) == [] and interp_alg_types(state) == []
+        assert counts == {}
+
+    def test_alpha_equal_closed_terms_print_as_without_memo(self, monkeypatch):
+        """Two alpha-equal closed lambdas with other binder names: the type
+        of the second, an equation's type, names the binders of `expand`'s
+        output. It must be its own, as when no memo is kept."""
+        from folbridge import parser
+        text = PRELUDE.replace("goal true = true.", """\
+hyp h1 : forall (n : Int), (fun (x : Int) => x) n = n.
+hyp h2 : (fun (y : Int) => y) = fun (z : Int) => z.
+hyp h3 : (fun (u : Int) (v : Int) => u) = fun (p : Int) (q : Int) => p.
+goal forall (l : list Int), (fun (m : list Int) => m) l = l.""")
+
+        def run():
+            problem = parse_problem(text)
+            state = ProofState(problem.env, [Hypothesis(n, t, Given())
+                                             for n, t in problem.hypotheses], problem.goal)
+            for h in list(state.hypotheses):
+                try:
+                    state.add(expand(state, h.name))
+                except NotAnEquation:
+                    pass
+            self.saturate(state)
+            return [f"{h.name} : {print_term(h.statement, problem.env)}"
+                    for h in state.hypotheses]
+
+        kept = run()
+        infer = parser.infer
+        monkeypatch.setattr(parser, "infer",
+                            lambda env, *args: (env.memo.clear(), infer(env, *args))[1])
+        assert kept == run()
+        assert "h2_eq : forall (y : Int), y = y" in kept
 
 
 def test_preprocessing_leaves_no_garbage():

@@ -1,23 +1,28 @@
 """The one-pass `collect_type_instances` against the reference version,
 alone and through the decisions a `ProofState` shares between statements,
 and its cost as the list literal or the nesting of constant applications
-in a goal grows. Instances are compared by `repr`, so that their binder
-names must agree too: term equality ignores them."""
+in a goal grows; `ProofState.algebraic_instances`, which reads instances
+off the syntax, against the reference that typechecks them. Instances are
+compared by `repr`, so that their binder names must agree too: term
+equality ignores them."""
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import PRELUDE
 from folbridge import conversion, transforms
 from folbridge.parser import parse_problem, parse_term
 from folbridge.terms import (
-    INT, TYPE, And, App, Ctor, Eq, Exists, FalseP, Ind, IntT, Not, Or, Pi,
-    TVar, TrueP, map_subterms, spine, strip_pis,
+    INT, TYPE, And, App, Ctor, Eq, Exists, FalseP, FolbridgeError, Ind, IntT,
+    Not, Or, Pi, TVar, TrueP, map_subterms, spine, strip_pis,
 )
-from folbridge.transforms import ProofState, collect_type_instances
+from folbridge.transforms import Given, Hypothesis, ProofState, collect_type_instances
 
 import instances_reference
 
@@ -281,3 +286,67 @@ def test_ruled_out_shapes_are_not_typechecked(flat_env, monkeypatch):
         assert not isinstance(head, PROP_HEADS), t
         if isinstance(head, Ind) and head.inductive in flat_env.inductives:
             assert len(args) == len(flat_env.inductives[head.inductive].params), t
+
+
+def well_typed(env, t) -> bool:
+    try:
+        conversion.typecheck(env, [], t)
+    except FolbridgeError:
+        return False
+    return True
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_algebraic_instances_match_reference(flat_env, data):
+    """A goal and well-typed hypotheses, some added after a first call."""
+    stmts = [t for t in data.draw(st.lists(statements(flat_env), min_size=2, max_size=6))
+             if well_typed(flat_env, t)]
+    assume(stmts)
+    goal, hyps = stmts[0], stmts[1:]
+    cut = data.draw(st.integers(0, len(hyps)))
+    state = ProofState(flat_env, [Hypothesis(f"h{i}", t, Given())
+                                  for i, t in enumerate(hyps[:cut])], goal)
+    state.algebraic_instances()
+    for i, t in enumerate(hyps[cut:], cut):
+        state.add(Hypothesis(f"h{i}", t, Given()))
+    expected = instances_reference.algebraic_instances(flat_env, stmts)
+    assert repr(state.algebraic_instances()) == repr(expected)
+
+
+def test_algebraic_instances_in_preorder(env):
+    """A redex's head is walked before its arguments."""
+    stmt = parse_term("(fun (o : option Bool) (l : list nat) => 1) (none Bool) (nil nat) = 1", env)
+    state = ProofState(env, [Hypothesis("h", stmt, Given())], parse_term("true = true", env))
+    expected = instances_reference.algebraic_instances(env, [state.goal, stmt])
+    assert [repr(t) for t in expected] == [
+        repr(parse_term(ty, env)) for ty in ("option Bool", "list nat", "nat")]
+    assert repr(state.algebraic_instances()) == repr(expected)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench_driver():
+    """The benchmark's driver and generators, imported read-only."""
+    if str(BENCH) not in sys.path:
+        sys.path.append(str(BENCH))
+    import driver
+    import workloads
+    return driver, workloads
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("workload", ["ground_data", "poly_lemmas", "unfold_defs"])
+def test_algebraic_instances_on_benchmark_problems(bench_driver, workload, seed):
+    """One problem per size, saturated round by round as the benchmark
+    does, and a fresh state over the same statements."""
+    driver, workloads = bench_driver
+    for index in range(3):
+        state = driver.preprocess(workloads.problem(workload, seed, index)[1]).state
+        stmts = [state.goal] + [h.statement for h in state.hypotheses]
+        expected = repr(instances_reference.algebraic_instances(state.env, stmts))
+        assert repr(state.algebraic_instances()) == expected
+        fresh = ProofState(state.env, list(state.hypotheses), state.goal)
+        assert repr(fresh.algebraic_instances()) == expected
