@@ -20,8 +20,10 @@ captured values), which is how the hypothesis `c = body` of a definition
 is decided: by reflexivity, as the paper's Coq proof does. Such a
 comparison draws no random argument, so the draws that follow it in the
 same call differ from those of an oracle that probes every function. The
-type of each closed binder domain or instantiated implication premise is
-asked of `typecheck` once per environment (GlobalEnv.memo).
+oracle never typechecks: whether a binder domain or an implication premise
+is a proposition is read off its shape (terms.is_prop), and a domain that
+is neither Int nor an inductive instance cannot be sampled and raises
+EvalUnsupported.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from .terms import (
     Ctor, Eq, Exists, FalseP, Fix, FolbridgeError, GlobalEnv, Ind, IntLit,
     IntT, LEAVES, Lam, Match, Not, Or, Pi, Record, SortProp, SortType, TVar, Term, TrueP,
     Var, as_inductive_instance, builtin_type, children, ctor_arg_types,
-    ctor_type, ind_type, lift, make_app, normal_form, rebind, spine,
-    strip_pis, subst, subst_list, subterms, well_scoped,
+    ctor_type, ind_type, is_prop, lift, make_app, normal_form, rebind, spine,
+    strip_pis, subst, subst_list, well_scoped,
 )
 
 
@@ -99,50 +101,30 @@ def typecheck(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel | None = None
     return _infer(env, ctx, t, fuel)
 
 
-def _closed_type_of(env: GlobalEnv, t: Term) -> Term:
-    """typecheck(env, [], t), asked once per environment and term up to
-    alpha; a term whose typecheck raises is typechecked (and raises) on
-    every call. The oracle reads only the sort of the answer, so the binder
-    names of the term that filled an entry do not matter here."""
-    ty = env.memo.get(("closed_type_of", t))
-    if ty is None:
-        ty = env.memo["closed_type_of", t] = typecheck(env, [], t)
-    return ty
-
-
-# The closed-type table's key in GlobalEnv.memo, and the node classes that
-# carry binder names.
+# The closed-type table's key in GlobalEnv.memo.
 _CLOSED_TYPES = ("closed_type",)
-_BINDERS = frozenset({Pi, Lam, Fix, Exists, Match})
 
 
 def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
     """The type of t in ctx. A closed compound term's type does not depend
     on ctx: it is read from the environment's closed-type table, or computed
     and stored there. Only successes are stored, so a term whose typing
-    raises raises on every call. An entry holds the term that filled it, its
-    type, and whether that type has no binder, decided when an alpha-equal
-    term first asks. It answers the term that filled it, and an alpha-equal
-    one only when the type has no binder and so no names; any other term is
-    typed anew. So a type always carries the binder names of its own term,
-    never those of another."""
+    raises raises on every call. The table is keyed by the identity of the
+    term, and an entry holds the term, so its id is not reused: a type
+    always carries the binder names of its own term, never those of an
+    alpha-equal one."""
     # Dispatch is on the exact node class, the most frequent first. A leaf
     # or a variable returns its type at once; a compound node's type is
     # `ty`, stored in the table when the node is closed.
     cls = type(t)
-    table = hit = None
+    table = None
     if not t._reach and cls not in LEAVES:
         table = env.memo.get(_CLOSED_TYPES)
         if table is None:
             table = env.memo[_CLOSED_TYPES] = {}
-        hit = table.get(t)
+        hit = table.get(id(t))
         if hit is not None:
-            if hit[0] is t:
-                return hit[1]
-            if hit[2] is None:  # decided on the first alpha-equal visitor
-                hit[2] = not any(type(s) in _BINDERS for s in subterms(hit[1]))
-            if hit[2]:
-                return hit[1]
+            return hit[1]
     if cls is App:
         # The whole spine at once: each argument is checked against its
         # domain instantiated with the arguments before it, and the
@@ -185,7 +167,7 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
     elif cls is Ctor:
         return ctor_type(env, t.inductive, t.ctor_index)
     elif cls is Ind:
-        return ind_type(env.inductive(t.inductive))
+        return ind_type(env, t.inductive)
     elif cls is IntLit:
         return INT
     elif cls in _TYPE_TYPED:
@@ -274,8 +256,8 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
         ty = PROP
     else:
         raise TypingError(f"cannot type {t!r}")
-    if table is not None and hit is None:
-        table[t] = [t, ty, None]
+    if table is not None:
+        table[id(t)] = (t, ty)
     return ty
 
 
@@ -847,7 +829,7 @@ def _random_datum(env: GlobalEnv, ty: Term, size: int, rng: random.Random,
         return IntLit(n), VInt(n)
     table = _ctor_table(env, ty)
     if table is None:
-        raise Uninhabited(f"cannot generate a value of type {ty!r}")
+        raise EvalUnsupported(f"cannot generate a value of type {ty!r}")
     if table.least == _INF:
         raise Uninhabited(f"type {ty!r} has no inhabitants")
     budget = max(size, table.least)
@@ -955,7 +937,7 @@ def _eval_prop(env: GlobalEnv, t: Term, venv: tuple[Value, ...],
                insts: tuple[Term, ...], rng: random.Random, fuel: Fuel) -> bool:
     """eval_prop of t with its free variables bound in venv; insts holds
     the closed term of each venv value, in the same order, and is read only
-    to instantiate an implication premise (to type it) or an existential."""
+    to instantiate an existential."""
     if isinstance(t, Eq):
         va = _eval(env, t.lhs, venv, fuel)
         vb = _eval(env, t.rhs, venv, fuel)
@@ -976,8 +958,7 @@ def _eval_prop(env: GlobalEnv, t: Term, venv: tuple[Value, ...],
         # Non-dependent Pi over Prop is implication; quantifiers must have
         # been instantiated by the caller. The codomain's binder is the
         # premise's proof, bound to _PROOF, whose term is TrueP.
-        premise = subst_list(t.domain, insts) if insts else t.domain
-        if not isinstance(_closed_type_of(env, premise), SortProp):
+        if not is_prop(t.domain):
             raise EvalUnsupported("residual quantifier in propositional evaluation")
         if not _eval_prop(env, t.domain, venv, insts, rng, fuel):
             return True
@@ -1084,12 +1065,12 @@ def random_truth_check(env: GlobalEnv, statement: Term, samples: int = 50,
         values: list[Value] = []
         ok = True
         while isinstance(stmt, Pi):
+            if is_prop(stmt.domain):
+                break  # implication: handled by eval_prop
             dom = subst_list(stmt.domain, insts[::-1]) if insts else stmt.domain
             if isinstance(dom, SortType):
                 inst = random_ground_type(env, rng)
                 value: Value = VType(inst)
-            elif isinstance(_closed_type_of(env, dom), SortProp):
-                break  # implication: handled by eval_prop
             else:
                 try:
                     inst, value = _random_datum(env, dom, rng.randint(1, max(size, 1)), rng)

@@ -6,9 +6,9 @@ is both a function type and an implication. `Parser.parse` is one
 precedence-climbing loop over the binary operators of `printer.OPERATORS`,
 the table the printer parenthesizes by. A position whose `ctx` is None is
 an expression position, where `=`, `<>`, `/\\`, `\\/` and `~` end the
-term. Elsewhere the term may be a proposition, which its node tells: under
-its leading products it is headed by one of `terms.PROP_HEADS`. No term
-is parsed twice: the parser never backtracks over a parsed term.
+term. Elsewhere the term may be a proposition, which its node tells
+(`terms.is_prop`). No term is parsed twice: the parser never backtracks
+over a parsed term.
 
 All type applications are explicit; there is no implicit-argument
 inference. Every node is built complete: a match names the inductive of its
@@ -30,8 +30,8 @@ from .printer import (
 from .terms import (
     And, App, Branch, Const, Ctor, CtorDecl, Definition, Eq, Exists,
     FalseP, Fix, FolbridgeError, GlobalEnv, Ind, InductiveDecl, IntLit,
-    INT, Match, Not, Or, Pi, PROP_HEADS, Problem, Record, ScopeError, SortProp, SortType,
-    TYPE, Term, TrueP, Var, builtin_type, has_interior_type_binder, lift,
+    INT, Match, Not, Or, Pi, Problem, Record, ScopeError, SortProp, SortType,
+    TYPE, Term, TrueP, Var, builtin_type, has_interior_type_binder, is_prop, lift,
     make_lams, make_pis, rebind,
 )
 
@@ -72,15 +72,6 @@ _TOKEN_RE = re.compile(
 # Binary operators: symbol -> (level, associativity, builtin or None).
 _BINARY = {sym: (level, assoc, builtin) for sym, level, assoc, builtin in OPERATORS}
 _CONNECTIVES = {L_AND: And, L_OR: Or}
-
-
-def _is_prop(t: Term) -> bool:
-    """A parsed term is a proposition when its node says so: under its
-    leading products it is an equation, a connective, an exists or
-    true_p/false_p. An expression never has one of those below a product."""
-    while type(t) is Pi:
-        t = t.codomain
-    return type(t) in PROP_HEADS
 
 
 class Token(Record):
@@ -208,7 +199,7 @@ class Parser:
             lhs = IntLit(-int(self.next().text))
         else:
             lhs = self.parse_atom(bound, ctx)
-            if ctx is None or not _is_prop(lhs):
+            if ctx is None or not is_prop(lhs):
                 while self._at_atom_start():
                     lhs = App(lhs, self.parse_atom(bound))
         limit = L_ATOM
@@ -223,7 +214,7 @@ class Parser:
             # expression position ends at the proposition operators.
             if ctx is None and builtin is None and level != L_IMP:
                 return lhs
-            prop = ctx is not None and _is_prop(lhs)
+            prop = ctx is not None and is_prop(lhs)
             if level != L_IMP and prop != (level in _CONNECTIVES):
                 return lhs
             self.next()
@@ -247,7 +238,7 @@ class Parser:
                     min_level: int = L_BINDER) -> Term:
         """A term in a proposition position that must be a proposition."""
         t = self.parse(bound, ctx, min_level)
-        if not _is_prop(t):
+        if not is_prop(t):
             self.fail("expected '=' or '<>' to form an atomic proposition")
         return t
 
@@ -263,7 +254,7 @@ class Parser:
             for _, dom in binders:
                 ctxs.append([dom] + ctxs[-1])
         body = (self.proposition if quantifier is Exists else self.parse)(bound2, ctxs.pop())
-        if ctx is not None and _is_prop(body):
+        if ctx is not None and is_prop(body):
             for (_, dom), dctx in zip(binders, ctxs):
                 self.check_domain(quantifier, dctx, dom)
         for nm, dom in reversed(binders):
@@ -570,6 +561,6 @@ def parse_term(text: str, env: GlobalEnv | None = None,
     t = p.parse(bound, [])
     if p.peek().kind != "eof":
         p.fail("trailing input")
-    if not bound and not _is_prop(t):
+    if not bound and not is_prop(t):
         infer(p.env, [], t)
     return t

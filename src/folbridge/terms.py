@@ -336,6 +336,17 @@ class IntLit(Term):
 # product whose final codomain is one of them has sort Prop, or is ill-typed.
 PROP_HEADS = frozenset({Eq, And, Or, Not, Exists, TrueP, FalseP})
 
+
+def is_prop(t: Term) -> bool:
+    """Whether the well-typed term t is a proposition (has sort Prop), read
+    off its shape: under its leading products it is an equation, a
+    connective, an exists or true_p/false_p. The language has no variable
+    or constant of sort Prop, so no other term is one."""
+    while type(t) is Pi:
+        t = t.codomain
+    return type(t) in PROP_HEADS
+
+
 TYPE = SortType()
 PROP = SortProp()
 INT = IntT()
@@ -448,20 +459,19 @@ class GlobalEnv(Record):
             inductives = {"Bool": BOOL_DECL, **inductives}
         self.inductives = inductives
         self.definitions = {} if definitions is None else definitions
-        # Facts derived from the declarations (constructor types and names,
-        # the set of taken names, least inhabitant sizes, the types of
-        # closed terms), keyed by (function name, arguments) and filled on
-        # demand; declare_inductive clears it and declare_definition drops
-        # the names. A key holding a type is name-blind like every term:
+        # Facts derived from the declarations (inductive and constructor
+        # types, names, least inhabitant sizes, the types of closed terms),
+        # keyed by (function name, arguments) and filled on demand;
+        # declare_inductive clears it and declare_definition drops the
+        # names. A key holding a type is name-blind like every term:
         # alpha-equal types share an entry, and the terms an entry holds (a
         # constructor table's type arguments) keep the binder names of the
         # type that filled it. Those names reach random data only, never a
-        # hypothesis. The one exception is the closed-type table, which all
-        # typing shares (parser elaboration, `collect_type_instances`, the
-        # checks on output): its types reach statements, as the type of an
-        # equation's left side, so it answers an alpha-equal term only with
-        # a type that has no binder names (see conversion._infer). Not a
-        # field: `==` and `repr` skip it.
+        # hypothesis. The closed-type table, which all typing shares (parser
+        # elaboration, `collect_type_instances`, the checks on output), is
+        # keyed by the identity of the term, so a type it gives always
+        # carries its own term's binder names (see conversion._infer). Not
+        # a field: `==` and `repr` skip it.
         self.memo: dict[tuple, object] = {}
 
     # -- lookup ------------------------------------------------------------
@@ -501,17 +511,31 @@ class GlobalEnv(Record):
     # -- declaration (parser-facing) ----------------------------------------
 
     def declare_inductive(self, decl: InductiveDecl) -> None:
+        """Add decl. Its constructors' argument types must be first-order,
+        and the parameters uniform: every occurrence of decl's own name in
+        them is applied to exactly its parameters, in order, so that each
+        instance mentions only itself and instances of other types."""
         if not decl.ctors:
             raise ScopeError(f"inductive {decl.name} needs at least one constructor")
         taken = self.names()
         for n in [decl.name] + [c.name for c in decl.ctors]:
             if n in taken:
                 raise ScopeError(f"name already declared: {n}")
+        p = len(decl.params)
+        own = [Var(p - 1 - i) for i in range(p)]
         for c in decl.ctors:
-            for t in c.arg_types:
-                if any(isinstance(s, (Pi, Lam, Match, Fix)) for s in subterms(t)):
+            stack = list(c.arg_types)
+            while stack:
+                head, args = spine(stack.pop())
+                if type(head) in (Pi, Lam, Match, Fix):
                     raise ScopeError(
                         f"constructor {c.name}: argument types must be first-order")
+                if type(head) is Ind and head.inductive == decl.name and args != own:
+                    raise ScopeError(
+                        f"constructor {c.name}: {decl.name} must be applied to "
+                        f"exactly its own parameters, in order")
+                stack += args
+                stack += [s for s, _ in children(head)]
         self.inductives[decl.name] = decl
         self.memo.clear()
 
@@ -797,11 +821,15 @@ def has_interior_type_binder(stmt: Term) -> bool:
 # Inductive type helpers
 # ---------------------------------------------------------------------------
 
-def ind_type(decl: InductiveDecl) -> Term:
-    """Type of the inductive's type constructor: Type -> ... -> Type."""
-    ty: Term = TYPE
-    for _ in decl.params:
-        ty = Pi("_", TYPE, ty)
+def ind_type(env: GlobalEnv, ind: str) -> Term:
+    """Type of the inductive's type constructor: Type -> ... -> Type;
+    computed once per environment."""
+    ty = env.memo.get(("ind_type", ind))
+    if ty is None:
+        ty = TYPE
+        for _ in env.inductive(ind).params:
+            ty = Pi("_", TYPE, ty)
+        env.memo["ind_type", ind] = ty
     return ty
 
 

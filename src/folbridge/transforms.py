@@ -26,7 +26,7 @@ from .terms import (
     GlobalEnv, Ind, InductiveDecl, IntLit, IntT, Lam, LEAVES, Match, Not, Or, Pi,
     Record, SortProp, SortType, TVar, Term, Var,
     as_inductive_instance, builtin_type, children, ctor_arg_types,
-    has_interior_type_binder, lift, make_app, make_pis, normal_form, rebind,
+    has_interior_type_binder, is_prop, lift, make_app, make_pis, normal_form, rebind,
     spine, strip_lams, strip_pis, subst, subst_list, INTERPRETED_TYPES, PROP_HEADS,
 )
 # Not called here; bench/tracer.py wraps the kernels at this module's
@@ -155,9 +155,7 @@ class ProofState(Record):
     makes an alpha index. It also remembers the work of the saturating
     transformations, so that a round that only confirms that nothing is new
     does lookups and builds nothing:
-    - the type instances of every statement it was asked about, and one
-      is-a-type decision per candidate subterm up to alpha, which every
-      `collect_type_instances` call it makes consults and extends;
+    - the type instances of every statement it was asked about;
     - the algebraic instances of the goal and the hypotheses, and every
       closed subterm of a hypothesis it has walked to find them;
     - each instantiation of a polymorphic statement at a combination of
@@ -176,7 +174,7 @@ class ProofState(Record):
     replacing hypotheses, or changing `env`, is not supported. The fields
     are `env`, `hypotheses` and `goal`; `==` and `repr` skip the indexes."""
     __slots__ = ("env", "hypotheses", "goal", "_indexed", "_by_name", "_statements",
-                 "_instances", "_is_type", "_algebraic", "_algebraic_seen", "_walked",
+                 "_instances", "_algebraic", "_algebraic_seen", "_walked",
                  "_instantiations", "_axioms")
     _fields = ("env", "hypotheses", "goal")
     __hash__ = None
@@ -192,7 +190,6 @@ class ProofState(Record):
         # id(statement) -> (statement, its instances); holding the statement
         # keeps its id from being reused.
         self._instances: dict[int, tuple[Term, tuple[Term, ...]]] = {}
-        self._is_type: dict[Term, bool] = {}
         # The algebraic instances found so far, the first of each alpha class
         # in occurrence order, how many statements (the goal, then the
         # hypotheses in order) they were collected from, and the closed
@@ -249,7 +246,7 @@ class ProofState(Record):
         hit = self._instances.get(id(t))
         if hit is None:
             hit = self._instances[id(t)] = (
-                t, tuple(collect_type_instances(self.env, t, self._is_type)))
+                t, tuple(collect_type_instances(self.env, t)))
         return hit[1]
 
     def algebraic_instances(self) -> list[Term]:
@@ -544,8 +541,7 @@ def _never_a_type(env: GlobalEnv, name: str, nargs: int) -> bool:
     return isinstance(ty, Pi) or isinstance(spine(ty)[0], (Ind, IntT))
 
 
-def collect_type_instances(env: GlobalEnv, t: Term,
-                           decided: dict[Term, bool] | None = None) -> list[Term]:
+def collect_type_instances(env: GlobalEnv, t: Term) -> list[Term]:
     """Closed subterms of sort Type, nested instances included, in first
     occurrence order.
 
@@ -556,9 +552,7 @@ def collect_type_instances(env: GlobalEnv, t: Term,
     parameter count, and a constant application that `_never_a_type` rules
     out. That filter is only a necessary condition. A candidate alpha-equal
     (`==`) to one already taken is skipped, and `typecheck` makes the final
-    decision on the rest. `decided` maps candidates, up to alpha, to those
-    decisions; it is consulted and extended, so callers that share it
-    typecheck each candidate once."""
+    decision on the rest."""
     candidates: list[Term] = []
     # Each entry is a subterm with the head of its spine (of its final
     # codomain's, for a product) and the number of arguments applied to
@@ -587,23 +581,17 @@ def collect_type_instances(env: GlobalEnv, t: Term,
             stack.append((s.domain, None, 0))
         else:
             stack += [(c, None, 0) for c, _ in reversed(children(s))]
-    if decided is None:
-        decided = {}
     out: list[Term] = []
     taken: set[Term] = set()
     for s in candidates:
         if s in taken:
             continue
         taken.add(s)
-        is_type = decided.get(s)
-        if is_type is None:
-            try:
-                is_type = isinstance(typecheck(env, [], s), SortType)
-            except FolbridgeError:
-                is_type = False
-            decided[s] = is_type
-        if is_type:
-            out.append(s)
+        try:
+            if isinstance(typecheck(env, [], s), SortType):
+                out.append(s)
+        except FolbridgeError:
+            pass
     return out
 
 
@@ -612,7 +600,7 @@ def _maybe_a_type(env: GlobalEnv, s: Term, head: Term, nargs: int) -> bool:
     `head` with `nargs` arguments, cannot have sort Type."""
     cls = type(head)
     if type(s) is Pi:
-        return cls not in PROP_HEADS
+        return not is_prop(s)
     if cls in _NEVER_TYPE_HEADS:
         return False
     if cls is Const:

@@ -3,6 +3,9 @@ the suite, built by parsing a prelude problem file."""
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from folbridge.parser import parse_problem
@@ -45,3 +48,16 @@ def prelude():
 @pytest.fixture(scope="session")
 def env(prelude):
     return prelude.env
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="session")
+def bench_driver():
+    """The benchmark's driver and generators, imported read-only."""
+    if str(BENCH) not in sys.path:
+        sys.path.append(str(BENCH))
+    import driver
+    import workloads
+    return driver, workloads

@@ -7,8 +7,8 @@ import random
 import pytest
 
 from folbridge.conversion import (
-    DEFAULT_FUEL, EvalError, Fuel, FuelExhausted, TypingError, Uninhabited, convertible,
-    eval_ground, eval_prop, infer, min_term_size, normalize,
+    DEFAULT_FUEL, EvalError, EvalUnsupported, Fuel, FuelExhausted, TypingError, Uninhabited,
+    convertible, eval_ground, eval_prop, infer, min_term_size, normalize,
     random_ground_term, random_ground_type, random_truth_check, typecheck,
     value_to_term, whnf, VBuiltin, VCtor, VInt, VTRUE, VFALSE,
 )
@@ -149,6 +149,12 @@ class TestClosedTypeTable:
         again = Fuel()
         typecheck(env, [], t, again)
         assert again.remaining == DEFAULT_FUEL
+
+    def test_inductive_types_built_once(self):
+        env = parse_problem(PRELUDE).env
+        ty = typecheck(env, [], Ind("list"))
+        assert ty == Pi("_", TYPE, TYPE)
+        assert typecheck(env, [], Ind("list")) is ty
 
     def test_failures_are_not_stored(self):
         env = parse_problem(PRELUDE).env
@@ -383,25 +389,40 @@ class TestEvalProp:
             differ = parse_term(text, p.env)
             assert random_truth_check(p.env, differ, samples=5) is not None, text
 
-    def test_domains_typechecked_once(self, monkeypatch):
-        """The prenex domains and implication premises of a statement are
-        typechecked once per environment, not once per sample; one whose
-        typecheck raises raises on every sample."""
+    def test_oracle_never_typechecks(self, monkeypatch, bench_driver):
+        """Propositions are read off their shape: with typing made to fail,
+        the oracle gives the verdicts it gives with typing, on a statement
+        with an implication and on every output hypothesis of one benchmark
+        problem per workload. A domain that names an unknown constant
+        raises on every call."""
         from folbridge import conversion
-        env = parse_problem(PRELUDE).env  # a memo no other test has filled
-        checked = []
-        original = conversion.typecheck
-
-        def recording(env_, ctx, t, *rest):
-            checked.append(t)
-            return original(env_, ctx, t, *rest)
-
+        driver, workloads = bench_driver
+        env = parse_problem(PRELUDE).env
         stmt = parse_term("forall (x : Int) (l : list Int) (n : nat), 1 = 1 -> "
                           "length Int (cons Int x l) = 1 + length Int l", env)
-        monkeypatch.setattr(conversion, "typecheck", recording)
-        assert random_truth_check(env, stmt, samples=30) is None
-        assert len(checked) == len(set(checked)) == 4
+        cases = [(env, stmt)]
+        for workload in ("ground_data", "poly_lemmas", "unfold_defs"):
+            state = driver.preprocess(workloads.problem(workload, 0, 0)[1]).state
+            cases += [(state.env, h.statement) for h in state.hypotheses]
+        verdicts = [random_truth_check(e, s, samples=3) for e, s in cases]
+        assert verdicts == [None] * len(cases)
+
+        def no_typing(*args):
+            raise AssertionError("the truth oracle typechecked")
+
+        monkeypatch.setattr(conversion, "typecheck", no_typing)
+        monkeypatch.setattr(conversion, "_infer", no_typing)
+        assert [random_truth_check(e, s, samples=3) for e, s in cases] == verdicts
         bad = Pi("x", Const("nosuch"), Eq(INT, IntLit(1), IntLit(1)))
         for _ in range(2):
             with pytest.raises(FolbridgeError, match="nosuch"):
                 random_truth_check(env, bad, samples=3)
+
+    @pytest.mark.parametrize("text, message", [
+        # No data is drawn for a function type: not vacuously true.
+        ("forall (f : Int -> Int), f 0 = 1", "cannot generate a value of type Pi"),
+        ("forall (x : Int), x = x -> forall (y : Int), y = x", "residual quantifier"),
+    ])
+    def test_statements_outside_the_fragment_raise(self, env, text, message):
+        with pytest.raises(EvalUnsupported, match=message):
+            random_truth_check(env, parse_term(text, env), samples=5)

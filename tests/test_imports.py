@@ -2,7 +2,9 @@
 linter in the toolchain, so this is the check: a name bound by an import
 must be read somewhere else in its module, in code or in an annotation. An
 import line marked `# noqa: F401` is exempt (a name re-exported on
-purpose). And importing the package loads none of the modules that make a
+purpose). No module imports a private (`_`-prefixed) name from another
+module of the package: a decision two modules share is public and made in
+one place. And importing the package loads none of the modules that make a
 fresh process slow to start."""
 
 from __future__ import annotations
@@ -46,6 +48,32 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path: Path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The `_`-prefixed names the source imports from the package, by a
+    relative import or by the package name, in import order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == PACKAGE.name):
+            found += [(alias.lineno, alias.name) for alias in node.names
+                      if alias.name.startswith("_")]
+    return [name for _, name in sorted(found)]
+
+
+def test_checker_finds_private_names():
+    source = ("from __future__ import annotations\n"
+              "from .terms import (Term,\n    _pi)\n"
+              "from folbridge.parser import _is_prop\n"
+              "from . import _private\n"
+              "from os import _exit\n")
+    assert private_imports(source) == ["_pi", "_is_prop", "_private"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path: Path):
+    assert private_imports(path.read_text()) == []
 
 
 # Modules that importing the package must not load: `dataclasses` pulls in

@@ -2,9 +2,13 @@
 the same random data from the same draws, the same verdicts and
 counterexamples, the same fuel, and values that eval_ground agrees with.
 
-The one intended difference: equal function values are equal without a
+The intended differences: equal function values are equal without a
 probe, where the reference probes them at random arguments (and gives up
-beyond three nested arrows). The tests at the end pin that down."""
+beyond three nested arrows), which the tests at the end pin down; and a
+binder whose type is neither Int nor an inductive instance raises
+EvalUnsupported, where the reference reads it as an empty domain
+(test_conversion.py, `test_statements_outside_the_fragment_raise`). The
+types and statements here have no such binder."""
 
 from __future__ import annotations
 

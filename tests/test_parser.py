@@ -114,6 +114,21 @@ class TestParseErrors:
         with pytest.raises(ScopeError):
             parse_problem("data a = mk.\ndata a = mk2.\ngoal true = true.")
 
+    @pytest.mark.parametrize("decl, ctor", [
+        ("data t (A) = L | C (t (list A)).", "C"),  # a new instance per level
+        ("data t (A B) = L | C (t B A).", "C"),  # parameters swapped
+        ("data t (A) = L | C (list t).", "C"),  # unapplied
+        ("data t (A) = L | C (A) | D (t A A).", "D"),  # applied to too many
+        ("data t = L | C (t Int).", "C"),
+    ])
+    def test_non_uniform_parameters_rejected(self, decl, ctor):
+        """An inductive is applied to exactly its own parameters in its
+        constructors; otherwise its instances would have no finite set of
+        datatype axioms and no least inhabitant size."""
+        src = f"data list (A) = nil | cons (A) (list A).\n{decl}\ngoal forall (x : t Int), x = x."
+        with pytest.raises(ScopeError, match=f"constructor {ctor}: t must be applied"):
+            parse_problem(src)
+
     def test_match_on_another_inductive_rejected(self):
         """Arms written with nat's constructors on an option scrutinee:
         the match names nat, so it is rejected, not read as a match on

@@ -574,27 +574,6 @@ class TestProofStateIndex:
         with pytest.raises(TransformError):
             state.find("missing")
 
-    def test_typecheck_once_per_candidate_key(self, env, monkeypatch):
-        state = mk_state(
-            env, "length Int (app Int (cons Int 1 (nil Int)) (nil Int)) = 1"
-                 " /\\ hd_error nat (cons nat O (nil nat)) = some nat O",
-            [("h", SEARCH_APP), ("g", "forall (n : nat), S n <> O"),
-             ("k", "forall (A : Type) (l : list A), length A l = length A l")])
-        keys = []
-        typecheck = transforms.typecheck
-
-        def recording_typecheck(env_, ctx, t, *rest):
-            keys.append(t)
-            return typecheck(env_, ctx, t, *rest)
-
-        monkeypatch.setattr(transforms, "typecheck", recording_typecheck)
-        for _ in range(3):
-            for h in monomorphize(state) + interp_alg_types(state):
-                state.add(h)
-            monomorphize(state, from_context=True)
-        assert len(state.hypotheses) > 3 and keys
-        assert len(keys) == len(set(keys))
-
 
 SATURATE_GOAL = ("length Int (app Int (cons Int 1 (nil Int)) (nil Int)) = 1"
                  " /\\ hd_error nat (cons nat O (nil nat)) = some nat O")
@@ -648,6 +627,19 @@ class TestSaturationMemo:
         assert repr(calls[variant](state)) == repr(calls[variant](fresh))
         # and the plain calls after it still answer as before
         assert [repr(monomorphize(state)), repr(interp_alg_types(state))] == plain
+
+    def test_nested_uniform_inductive_saturates(self):
+        """A type nested in another through its own parameter reaches the
+        fixpoint with one axiom set per instance, and the outputs are true."""
+        p = parse_problem("data list (A) = nil | cons (A) (list A).\n"
+                          "data rose (A) = Node (A) (list (rose A)).\n"
+                          "goal forall (x : rose Int), x = x.")
+        state = ProofState(p.env, [], p.goal)
+        self.saturate(state)
+        assert [print_term(t, p.env) for t in state.algebraic_instances()] == [
+            "rose Int", "list (rose Int)"]
+        assert monomorphize(state) == interp_alg_types(state) == []
+        stmts_truthy(p.env, state.hypotheses, samples=10)
 
     def test_confirming_round_substitutes_and_builds_nothing(self, env, monkeypatch):
         counts = {}

@@ -1,15 +1,13 @@
 """The one-pass `collect_type_instances` against the reference version,
-alone and through the decisions a `ProofState` shares between statements,
-and its cost as the list literal or the nesting of constant applications
-in a goal grows; `ProofState.algebraic_instances`, which reads instances
-off the syntax, against the reference that typechecks them. Instances are
+alone and through a `ProofState` asked about many statements, and its cost
+as the list literal or the nesting of constant applications in a goal
+grows; `ProofState.algebraic_instances`, which reads instances off the
+syntax, against the reference that typechecks them; `terms.is_prop`, which
+reads propositions off their shape, against `typecheck`. Instances are
 compared by `repr`, so that their binder names must agree too: term
 equality ignores them."""
 
 from __future__ import annotations
-
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +18,7 @@ from folbridge import conversion, transforms
 from folbridge.parser import parse_problem, parse_term
 from folbridge.terms import (
     INT, TYPE, And, App, Ctor, Eq, Exists, FalseP, FolbridgeError, Ind, IntT,
-    Not, Or, Pi, TVar, TrueP, map_subterms, spine, strip_pis,
+    Not, Or, Pi, SortProp, TVar, TrueP, is_prop, map_subterms, spine, strip_pis,
 )
 from folbridge.transforms import Given, Hypothesis, ProofState, collect_type_instances
 
@@ -206,12 +204,11 @@ def test_state_matches_reference(flat_env, data):
     order = data.draw(st.lists(st.sampled_from(range(len(stmts))),
                                min_size=len(stmts), max_size=2 * len(stmts) + 2))
     state = ProofState(flat_env)
-    decided = {}
     for i in order:
         t = stmts[i]
         expected = instances_reference.collect_type_instances(flat_env, t)
         assert repr(list(state.type_instances(t))) == repr(expected), t
-        assert repr(collect_type_instances(flat_env, t, decided)) == repr(expected), t
+        assert repr(collect_type_instances(flat_env, t)) == repr(expected), t
 
 
 @pytest.mark.parametrize("ty", FLAT_TYPES)
@@ -324,19 +321,6 @@ def test_algebraic_instances_in_preorder(env):
     assert repr(state.algebraic_instances()) == repr(expected)
 
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-@pytest.fixture(scope="module")
-def bench_driver():
-    """The benchmark's driver and generators, imported read-only."""
-    if str(BENCH) not in sys.path:
-        sys.path.append(str(BENCH))
-    import driver
-    import workloads
-    return driver, workloads
-
-
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("workload", ["ground_data", "poly_lemmas", "unfold_defs"])
 def test_algebraic_instances_on_benchmark_problems(bench_driver, workload, seed):
@@ -350,3 +334,47 @@ def test_algebraic_instances_on_benchmark_problems(bench_driver, workload, seed)
         assert repr(state.algebraic_instances()) == expected
         fresh = ProofState(state.env, list(state.hypotheses), state.goal)
         assert repr(fresh.algebraic_instances()) == expected
+
+
+def premises_agree_with_typecheck(env, stmt) -> list[bool]:
+    """Assert that `is_prop` and `typecheck` agree on every binder domain
+    of the proposition structure of stmt (prenex domains, implication
+    premises, and the domains under connectives and exists), each in its
+    own context; return the `is_prop` verdicts."""
+    verdicts = []
+    stack = [(stmt, [])]
+    while stack:
+        t, ctx = stack.pop()
+        if isinstance(t, (Pi, Exists)):
+            sort = conversion.typecheck(env, ctx, t.domain)
+            verdicts.append(is_prop(t.domain))
+            assert verdicts[-1] == isinstance(sort, SortProp), t.domain
+            stack.append((t.codomain if isinstance(t, Pi) else t.body, [t.domain] + ctx))
+        elif isinstance(t, (And, Or)):
+            stack += [(t.lhs, ctx), (t.rhs, ctx)]
+        elif isinstance(t, Not):
+            stack.append((t.body, ctx))
+    return verdicts
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_is_prop_agrees_with_typecheck(flat_env, data):
+    stmts = [t for t in data.draw(st.lists(statements(flat_env), min_size=1, max_size=4))
+             if well_typed(flat_env, t)]
+    assume(stmts)
+    for t in stmts:
+        premises_agree_with_typecheck(flat_env, t)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("workload", ["ground_data", "poly_lemmas", "unfold_defs"])
+def test_is_prop_agrees_with_typecheck_on_benchmark_outputs(bench_driver, workload, seed):
+    """Every output hypothesis of one problem; its domains include both
+    implication premises and object types."""
+    driver, workloads = bench_driver
+    state = driver.preprocess(workloads.problem(workload, seed, 0)[1]).state
+    verdicts = set()
+    for h in state.hypotheses:
+        verdicts.update(premises_agree_with_typecheck(state.env, h.statement))
+    assert verdicts == {True, False}
