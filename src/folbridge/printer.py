@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from .terms import (
     And, App, Const, Ctor, Eq, Exists, FalseP, Fix, GlobalEnv, Ind,
-    IntLit, IntT, Lam, Match, Not, Or, Pi, Problem, SortProp, SortType,
-    TVar, Term, TrueP, Var, children, spine,
+    IntLit, IntT, Lam, Match, Not, Or, Pi, Problem, ScopeError, SortProp,
+    SortType, TVar, Term, TrueP, Var, children, spine,
 )
 
 # Levels, loosest to tightest. A node prints parens when its own level is
@@ -129,7 +129,10 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
         parts.extend(_pp(a, env, names, namer, L_ATOM) for a in args)
         return _wrap(" ".join(parts), L_APP, want)
     if cls is Var:
-        return names[t.index]
+        try:
+            return names[t.index]
+        except IndexError:
+            raise ScopeError(f"Var({t.index}) is unbound: {len(names)} names in scope") from None
     if cls is Const:
         return t.name
     if cls is Ctor:

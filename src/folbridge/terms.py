@@ -86,9 +86,11 @@ class Var(Term):
     _key = attrgetter("index")
 
     def __init__(self, index: int) -> None:
+        if index < 0:
+            raise ScopeError(f"negative de Bruijn index {index}")
         self.index = index
         self._hash = hash((Var, index))
-        self._reach = index + 1 if index >= 0 else 0
+        self._reach = index + 1
 
 
 class Const(Term):
@@ -720,19 +722,8 @@ def subst_list(t: Term, values: list[Term]) -> Term:
 
 
 def well_scoped(t: Term, depth: int = 0) -> bool:
-    """Check every Var is bound by an enclosing binder or below depth. An
-    explicit stack of (subterm, depth) pairs keeps deep terms off the
-    Python call stack."""
-    stack = [(t, depth)]
-    while stack:
-        s, d = stack.pop()
-        if type(s) is Var:
-            if not 0 <= s.index < d:
-                return False
-        elif type(s) not in LEAVES:
-            for c, extra in children(s):
-                stack.append((c, d + extra))
-    return True
+    """Check every Var is bound by an enclosing binder or below depth."""
+    return t._reach <= depth
 
 
 def is_closed(t: Term) -> bool:

@@ -9,11 +9,11 @@ A caller saturates the context by applying the transformations until a
 round adds nothing. The ProofState remembers what the saturating ones have
 done, so that the last round, which only confirms the fixpoint, does
 lookups: `monomorphize` keeps each instantiation of a polymorphic statement
-and `interp_alg_types` each datatype axiom, and the algebraic instances of
-each hypothesis are found in one walk of it, without typechecking. That
-walk relies on every statement in the state being well typed, which holds
-for parsed statements and for everything the transformations derive from
-them.
+and `interp_alg_types` each datatype axiom. Both read the type instances
+from one running list that the state extends as statements arrive: each
+statement is walked once by `collect_type_instances`, with one `seen` set
+shared by all of them, so each alpha class of closed subterms is walked
+and typechecked once per state.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import itertools
 from .conversion import beta_reduce, typecheck
 from .terms import (
     And, App, Const, Ctor, Eq, Exists, Fix, FolbridgeError,
-    GlobalEnv, Ind, InductiveDecl, IntLit, IntT, Lam, LEAVES, Match, Not, Or, Pi,
+    GlobalEnv, Ind, InductiveDecl, IntLit, IntT, Lam, Match, Not, Or, Pi,
     Record, SortProp, SortType, TVar, Term, Var,
     as_inductive_instance, builtin_type, children, ctor_arg_types,
     has_interior_type_binder, is_prop, lift, make_app, make_pis, normal_form, rebind,
@@ -155,26 +155,23 @@ class ProofState(Record):
     makes an alpha index. It also remembers the work of the saturating
     transformations, so that a round that only confirms that nothing is new
     does lookups and builds nothing:
-    - the type instances of every statement it was asked about;
-    - the algebraic instances of the goal and the hypotheses, and every
-      closed subterm of a hypothesis it has walked to find them;
+    - the type instances of the goal and the hypotheses, in one running
+      list, and every closed subterm walked to find them;
     - each instantiation of a polymorphic statement at a combination of
       type instances (`monomorphize`);
     - each datatype axiom, per instance and kind (`interp_alg_types`).
-    Instances and instantiations are kept per statement and combination by
-    identity, not by equality, because they carry the binder names of that
-    exact statement into printed hypotheses; the state holds each such
-    statement, so its id is not reused. The algebraic instances of a
-    hypothesis are read off its syntax, without typechecking, which is
-    sound because every statement in the state is well typed; a caller that
-    adds an ill-typed one gets instances that are not types.
+    Instantiations are kept per statement and combination by identity, not
+    by equality, because they carry the binder names of that exact
+    statement and those instances into printed hypotheses; the state holds
+    each such statement and instance, so its id is not reused.
 
     The index catches up lazily with `hypotheses`, so a list passed in
     prefilled or extended by a plain `append` is indexed too; removing or
-    replacing hypotheses, or changing `env`, is not supported. The fields
-    are `env`, `hypotheses` and `goal`; `==` and `repr` skip the indexes."""
+    replacing hypotheses, or changing `env` or `goal`, is not supported.
+    The fields are `env`, `hypotheses` and `goal`; `==` and `repr` skip the
+    indexes."""
     __slots__ = ("env", "hypotheses", "goal", "_indexed", "_by_name", "_statements",
-                 "_instances", "_algebraic", "_algebraic_seen", "_walked",
+                 "_seen", "_found", "_goal_instances", "_walked",
                  "_instantiations", "_axioms")
     _fields = ("env", "hypotheses", "goal")
     __hash__ = None
@@ -187,16 +184,13 @@ class ProofState(Record):
         self._indexed = 0
         self._by_name: dict[str, Hypothesis] = {}
         self._statements: set[Term] = set()
-        # id(statement) -> (statement, its instances); holding the statement
-        # keeps its id from being reused.
-        self._instances: dict[int, tuple[Term, tuple[Term, ...]]] = {}
-        # The algebraic instances found so far, the first of each alpha class
-        # in occurrence order, how many statements (the goal, then the
-        # hypotheses in order) they were collected from, and the closed
-        # compound subterms of the hypotheses walked so far.
-        self._algebraic: dict[Term, Term] = {}
-        self._algebraic_seen = 0
-        self._walked: set[Term] = set()
+        # The closed subterms walked so far, the type instances found in
+        # them, how many of those the goal gave (None before it is walked),
+        # and how many hypotheses were walked.
+        self._seen: set[Term] = set()
+        self._found: list[Term] = []
+        self._goal_instances: int | None = None
+        self._walked = 0
         # id(source statement) -> (source, {ids of a combination of type
         # instances: (that combination, the instantiated statement)}), or
         # (source, None) for a source with an interior type binder.
@@ -240,64 +234,26 @@ class ProofState(Record):
             taken.add(name)
         return name
 
-    def type_instances(self, t: Term) -> tuple[Term, ...]:
-        """`collect_type_instances(env, t)`, computed once per exact term:
-        the instances keep the binder names of their occurrence in t."""
-        hit = self._instances.get(id(t))
-        if hit is None:
-            hit = self._instances[id(t)] = (
-                t, tuple(collect_type_instances(self.env, t)))
-        return hit[1]
+    def type_instances(self) -> list[Term]:
+        """The type instances of the goal, then of each hypothesis in order,
+        the first of each alpha class; the first `_goal_instances` are the
+        goal's. Each statement is walked once, all with the state's one
+        `seen` set. Do not mutate."""
+        found = self._found
+        if self._goal_instances is None:
+            if self.goal is not None:
+                found += collect_type_instances(self.env, self.goal, self._seen)
+            self._goal_instances = len(found)
+        for h in self.hypotheses[self._walked:]:
+            found += collect_type_instances(self.env, h.statement, self._seen)
+        self._walked = len(self.hypotheses)
+        return found
 
     def algebraic_instances(self) -> list[Term]:
-        """Ground algebraic instances in goal and context, minus the types
-        the back-end interprets natively: the first of each alpha class, in
-        first occurrence order (the goal, then the hypotheses in order, each
-        in preorder).
-
-        The goal's are its `type_instances`. A hypothesis is walked once,
-        and every closed application of an inductive to its full parameter
-        count is taken without a typecheck: such a subterm of a well-typed
-        statement has sort Type. A closed subterm alpha-equal to one walked
-        before is skipped with everything below it, since whatever it holds
-        was found, earlier, where that one was walked."""
-        found = self._algebraic
-        inductives = self.env.inductives
-
-        def take(head: Term, nargs: int, t: Term) -> None:
-            name = head.inductive
-            if name not in INTERPRETED_TYPES and nargs == len(inductives[name].params):
-                found.setdefault(t, t)
-
-        if self._algebraic_seen == 0:
-            for cand in self.type_instances(self.goal):
-                head, args = spine(cand)
-                if type(head) is Ind:
-                    take(head, len(args), cand)
-            self._algebraic_seen = 1
-        walked = self._walked
-        for h in self.hypotheses[self._algebraic_seen - 1:]:
-            stack = [h.statement]
-            while stack:
-                t = stack.pop()
-                cls = type(t)
-                if cls is Ind:
-                    take(t, 0, t)
-                    continue
-                if t._reach == 0 and cls not in LEAVES:
-                    if t in walked:
-                        continue
-                    walked.add(t)
-                if cls is App:
-                    head, args = spine(t)
-                    if t._reach == 0 and type(head) is Ind:
-                        take(head, len(args), t)
-                    stack += reversed(args)
-                    stack.append(head)
-                else:
-                    stack += [c for c, _ in reversed(children(t))]
-        self._algebraic_seen = len(self.hypotheses) + 1
-        return list(found.values())
+        """The type instances headed by an inductive, minus the types the
+        back-end interprets natively, in `type_instances` order."""
+        return [t for t in self.type_instances()
+                if type(head := spine(t)[0]) is Ind and head.inductive not in INTERPRETED_TYPES]
 
     def add(self, hyp: Hypothesis) -> None:
         self.hypotheses.append(hyp)
@@ -420,8 +376,8 @@ def eliminate_fix(state: ProofState, hyp_name: str) -> Hypothesis:
 
 def _match_candidates(body: Term, n: int) -> list[int]:
     """Telescope positions (outside-based) of bound variables that are
-    scrutinees of a match in the body. One loop over (subterm, depth)
-    pairs, as in terms.well_scoped."""
+    scrutinees of a match in the body, found in one loop over (subterm,
+    depth) pairs."""
     found: set[int] = set()
     stack = [(body, 0)]
     while stack:
@@ -541,25 +497,33 @@ def _never_a_type(env: GlobalEnv, name: str, nargs: int) -> bool:
     return isinstance(ty, Pi) or isinstance(spine(ty)[0], (Ind, IntT))
 
 
-def collect_type_instances(env: GlobalEnv, t: Term) -> list[Term]:
+def collect_type_instances(env: GlobalEnv, t: Term, seen: set[Term]) -> list[Term]:
     """Closed subterms of sort Type, nested instances included, in first
-    occurrence order.
+    occurrence order, except those in `seen` and below them.
 
     One preorder walk, with an explicit stack, finds the candidates:
     closed subterms whose spine head can have sort Type, other than an
     unapplied Lam or Fix (whose type is a product), a product whose final
     codomain is a proposition, an inductive applied to other than its
     parameter count, and a constant application that `_never_a_type` rules
-    out. That filter is only a necessary condition. A candidate alpha-equal
-    (`==`) to one already taken is skipped, and `typecheck` makes the final
-    decision on the rest."""
-    candidates: list[Term] = []
+    out. That filter is only a necessary condition; `typecheck` makes the
+    final decision. Every closed subterm walked is added to `seen`, and one
+    already there is skipped with everything below it: what it holds was
+    found where its alpha-equal (`==`) copy was walked. So one `seen` shared
+    by several statements gives each alpha class once; for one statement's
+    instances, pass `set()`."""
+    out: list[Term] = []
     # Each entry is a subterm with the head of its spine (of its final
     # codomain's, for a product) and the number of arguments applied to
     # that head; a head of None is found by descending from the subterm.
     stack: list[tuple[Term, Term | None, int]] = [(t, None, 0)]
     while stack:
         s, head, nargs = stack.pop()
+        closed = s._reach == 0
+        if closed:
+            if s in seen:
+                continue
+            seen.add(s)
         cls = type(s)
         if head is None:
             head = s
@@ -571,8 +535,12 @@ def collect_type_instances(env: GlobalEnv, t: Term) -> list[Term]:
                     head = head.codomain
                 else:
                     break
-        if s._reach == 0 and cls is not Lam and cls is not Fix and _maybe_a_type(env, s, head, nargs):
-            candidates.append(s)
+        if closed and cls is not Lam and cls is not Fix and _maybe_a_type(env, s, head, nargs):
+            try:
+                if isinstance(typecheck(env, [], s), SortType):
+                    out.append(s)
+            except FolbridgeError:
+                pass
         if cls is App:
             stack.append((s.arg, None, 0))
             stack.append((s.head, head, nargs - 1))
@@ -581,17 +549,6 @@ def collect_type_instances(env: GlobalEnv, t: Term) -> list[Term]:
             stack.append((s.domain, None, 0))
         else:
             stack += [(c, None, 0) for c, _ in reversed(children(s))]
-    out: list[Term] = []
-    taken: set[Term] = set()
-    for s in candidates:
-        if s in taken:
-            continue
-        taken.add(s)
-        try:
-            if isinstance(typecheck(env, [], s), SortType):
-                out.append(s)
-        except FolbridgeError:
-            pass
     return out
 
 
@@ -635,16 +592,13 @@ def type_slug(t: Term) -> str:
 def monomorphize(state: ProofState, extra_lemmas: list[tuple[str, Term]] | None = None,
                  from_context: bool = False) -> list[Hypothesis]:
     """Instantiate every prenex-polymorphic hypothesis (and extra lemma) at
-    all ground type instances of the goal (Cartesian product for multiple
-    leading binders); instances already present are skipped. The state
-    keeps each instantiation, so a repeated call substitutes nothing."""
-    insts = list(state.type_instances(state.goal))
-    if from_context:
-        first = {s: s for s in insts}
-        for h in state.hypotheses:
-            for cand in state.type_instances(h.statement):
-                first.setdefault(cand, cand)
-        insts = list(first.values())
+    all ground type instances of the goal, or with `from_context` of the
+    goal and the hypotheses (Cartesian product for multiple leading
+    binders); instances already present are skipped. The state keeps each
+    instantiation, so a repeated call substitutes nothing."""
+    insts = state.type_instances()
+    if not from_context:
+        insts = insts[:state._goal_instances]
     if not insts:
         return []
     statements = state.statements()

@@ -3,9 +3,10 @@
 and `conversion._reify_type`, kept as the oracles that their `rebind`-based
 versions are property-tested against; the printer's per-question
 binder-use walk, the oracle of its one-walk binder marks; the
-recursive `terms.well_scoped` and `transforms._match_candidates`, the
-oracles of their explicit-stack loops; and `reach`, the oracle of the
-`_reach` that every node computes from its children when it is built.
+recursive `terms.well_scoped`, the oracle of the version that reads
+`_reach`; the recursive `transforms._match_candidates`, the oracle of its
+explicit-stack loop; and `reach`, the oracle of the `_reach` that every
+node computes from its children when it is built.
 
 Each walks the term with its own `Var` case and its own `map_subterms`
 (or `children`) recursion, so it shares none of `rebind` or of the loops;

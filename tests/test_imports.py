@@ -4,8 +4,10 @@ must be read somewhere else in its module, in code or in an annotation. An
 import line marked `# noqa: F401` is exempt (a name re-exported on
 purpose). No module imports a private (`_`-prefixed) name from another
 module of the package: a decision two modules share is public and made in
-one place. And importing the package loads none of the modules that make a
-fresh process slow to start."""
+one place. Every private function, class and constant a module defines at
+top level is read somewhere else in that module, so a helper left behind
+when its last caller goes is found. And importing the package loads none of
+the modules that make a fresh process slow to start."""
 
 from __future__ import annotations
 
@@ -74,6 +76,43 @@ def test_checker_finds_private_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_imports(path: Path):
     assert private_imports(path.read_text()) == []
+
+
+def unread_private_names(source: str) -> list[str]:
+    """The `_`-prefixed (not dunder) names that the source's top-level
+    statements define and that no other top-level statement reads, in
+    definition order; a helper that only calls itself is unread."""
+    body = ast.parse(source).body
+    reads = [{n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+              and isinstance(n.ctx, ast.Load)} for node in body]
+    unread = []
+    for i, node in enumerate(body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        unread += [name for name in names
+                   if name.startswith("_") and not name.startswith("__")
+                   and not any(name in r for j, r in enumerate(reads) if j != i)]
+    return unread
+
+
+def test_checker_finds_unread_private_names():
+    source = ("from __future__ import annotations\n"
+              "_A, _B = 1, 2\n_C: int = 3\n__all__ = []\n"
+              "def _f(n):\n    return _f(n - 1) + _A\n"
+              "def _g() -> _D:\n    return _C\n"
+              "class _D:\n    pass\n"
+              "def public():\n    return _g()\n")
+    assert unread_private_names(source) == ["_B", "_f"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_private_names_are_read(path: Path):
+    assert unread_private_names(path.read_text()) == []
 
 
 # Modules that importing the package must not load: `dataclasses` pulls in

@@ -361,6 +361,13 @@ class TestSpecListings:
         t = parse_term("true = true", env)
         assert print_term(t, env) == "true = true"
 
+    def test_print_unbound_variable(self, env):
+        """A variable past `context_names` is a scope error naming it."""
+        t = Pi("x", IntT(), Eq(IntT(), Var(0), Var(2)))
+        assert print_term(t, env, ["y", "z"]) == "forall (x : Int), x = z"
+        with pytest.raises(ScopeError, match=r"Var\(2\)"):
+            print_term(t, env, ["y"])
+
 
 def reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
     """The character loop the one-regex tokenizer replaced, kept as its

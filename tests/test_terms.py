@@ -23,7 +23,7 @@ from folbridge import conversion, parser, printer, terms, transforms
 from folbridge.conversion import Value, VInt, VType, infer
 from folbridge.terms import (
     App, Branch, Const, Ctor, Eq, Exists, Fix, FolbridgeError, INT, Ind, IntLit, Lam,
-    Match, Not, Pi, TYPE, Term, TrueP, Var, alpha_eq, is_closed, lift,
+    Match, Not, Pi, ScopeError, TYPE, Term, TrueP, Var, alpha_eq, is_closed, lift,
     subst, subst_list, subterms, well_scoped,
 )
 from named_calculus import from_named, named_subst, to_named
@@ -314,7 +314,6 @@ CLOSED_TERMS = st.integers(0, 2**32).map(lambda seed: random_term(random.Random(
 
 
 @given(st.one_of(OPEN_TERMS, CLOSED_TERMS), st.integers(0, 4))
-@example(Var(-1), 1)
 @example(Lam("x", INT, Var(1)), 0)
 @settings(deadline=None, max_examples=200)
 def test_well_scoped_matches_reference(t, depth):
@@ -405,6 +404,12 @@ def test_nodes_and_values_have_no_instance_dict(prelude):
         "app Int (cons Int 1 (nil Int)) (nil Int)", "length Int", "2 + 3", "search Int 1")]
     for obj in nodes + values:
         assert not hasattr(obj, "__dict__"), obj
+
+
+def test_negative_index_rejected():
+    """No term holds a negative de Bruijn index: building one raises."""
+    with pytest.raises(ScopeError, match="-1"):
+        Var(-1)
 
 
 def test_well_scoped_deep_chain():

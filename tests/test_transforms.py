@@ -274,13 +274,13 @@ class TestCollectTypeInstances:
     def test_list_int_goal(self, env):
         goal = parse_term(
             "forall (l : list Int), length Int l = length Int l", env)
-        insts = collect_type_instances(env, goal)
+        insts = collect_type_instances(env, goal, set())
         assert any(alpha_eq(t, INT) for t in insts)
         assert any(alpha_eq(t, parse_term("list Int", env)) for t in insts)
         assert len(insts) == 2
 
     def test_trivial_goal(self, env):
-        insts = collect_type_instances(env, parse_term("true = true", env))
+        insts = collect_type_instances(env, parse_term("true = true", env), set())
         assert [print_term(t, env) for t in insts] == ["Bool"]
 
     def test_search_lemma_goal(self, env):
@@ -288,14 +288,14 @@ class TestCollectTypeInstances:
             "forall (x : Int) (l1 : list Int) (l2 : list Int) (l3 : list Int),"
             " search Int x (app Int l1 (app Int l2 l3)) ="
             " search Int x (app Int l3 (app Int l2 l1))", env)
-        insts = collect_type_instances(env, goal)
+        insts = collect_type_instances(env, goal, set())
         names = [print_term(t, env) for t in insts]
         assert names == ["Int", "list Int", "Bool"]
 
     def test_nested_instances(self, env):
         goal = parse_term(
             "forall (l : list (list Int)), l = l", env)
-        insts = collect_type_instances(env, goal)
+        insts = collect_type_instances(env, goal, set())
         names = [print_term(t, env) for t in insts]
         assert "list (list Int)" in names and "list Int" in names and "Int" in names
 
@@ -312,7 +312,7 @@ class TestCollectTypeInstances:
             return map_subterms(t, lambda s, _e: swap(s))
 
         goal_tv = swap(goal)
-        insts = collect_type_instances(env, goal_tv)
+        insts = collect_type_instances(env, goal_tv, set())
         assert any(isinstance(t, TVar) for t in insts)
         assert any(alpha_eq(t, App(Ind("list"), TVar("A"))) for t in insts)
 
@@ -342,6 +342,14 @@ class TestMonomorphize:
     def test_monomorphic_context_empty_output(self, env):
         state = mk_state(env, "true = true", [("h", "1 = 1")])
         assert monomorphize(state, []) == []
+
+    def test_state_without_goal(self, env):
+        """No goal gives no instances; the context's are still found."""
+        state = ProofState(env, mk_state(env, "true = true", [
+            ("search_app", SEARCH_APP), ("h", "forall (n : nat), S n <> O")]).hypotheses)
+        assert monomorphize(state) == []
+        out = monomorphize(state, from_context=True)
+        assert [h.name for h in out] == ["search_app_Bool", "search_app_nat"]
 
     def test_idempotent(self, env):
         goal = "forall (l : list Int), length Int l = length Int l"
@@ -466,10 +474,11 @@ class TestInterpAlgTypes:
     def test_hypothesis_types_covered(self, env):
         state = mk_state(env, "true = true",
                          [("h", "forall (n : nat), S n <> O")])
-        out = interp_alg_types(state)
-        # nat occurs only in the hypothesis; injectivity of S expected
+        # nat occurs only in the hypothesis; injectivity of S expected, also
+        # in a state without a goal
         want = parse_term("forall (x1 : nat) (y1 : nat), S x1 = S y1 -> x1 = y1", env)
-        assert any(alpha_eq(h.statement, want) for h in out)
+        for s in (state, ProofState(env, state.hypotheses)):
+            assert any(alpha_eq(h.statement, want) for h in interp_alg_types(s))
 
 
 class TestProofStateIndex:
@@ -515,53 +524,52 @@ class TestProofStateIndex:
         assert not state.has_alpha(parse_term("7 = 7", env))
 
     def test_alpha_equal_statements_get_their_own_instances(self, env):
-        """Instances carry the binder names of the statement they come from,
-        so an alpha-equal statement with other names gets its own."""
+        """Instances carry the binder names of the statement they come from:
+        the goal's keep the goal's names, and an alpha-equal hypothesis with
+        other names adds none."""
         text = "forall (f : forall (x : list Int), Int), f = f"
         first = parse_term(text, env)
         renamed = parse_term(text.replace("(x :", "(y :"), env)
         assert first == renamed and repr(first) != repr(renamed)
-        state = mk_state(env, "true = true", [])
-        for stmt, name in ((first, "x"), (renamed, "y"), (first, "x")):
-            insts = state.type_instances(stmt)
-            arrows = [t for t in insts if isinstance(t, Pi)]
-            assert [t.binder for t in arrows] == [name], insts
-            assert repr(insts) == repr(tuple(collect_type_instances(env, stmt)))
+        state = ProofState(env, [], first)
+        insts = list(state.type_instances())
+        assert [t.binder for t in insts if isinstance(t, Pi)] == ["x"]
+        assert repr(insts) == repr(collect_type_instances(env, first, set()))
+        state.add(Hypothesis("h", renamed, Given()))
+        assert repr(state.type_instances()) == repr(insts)
 
     def test_statements_walked_at_most_once(self, env, monkeypatch):
-        """`algebraic_instances` walks each statement at most once, the goal
-        through its cached type instances: an unchanged state walks nothing
-        and answers with an equal list, and a grown one walks the new
-        statements only."""
+        """Each statement is walked once, the goal first: an unchanged state
+        walks nothing and answers with an equal list, and a grown one walks
+        the new statements only."""
         state = mk_state(env, "forall (l : list Int), l = l",
                          [("h", "forall (n : nat), S n <> O")])
-        visited = []
-        for name in ("children", "spine", "collect_type_instances"):
-            original = getattr(transforms, name)
+        walked, visited = [], []
+        original_collect, original_children = transforms.collect_type_instances, transforms.children
 
-            def recording(*args, name=name, original=original):
-                # collect_type_instances takes (env, t, ...), the others (t)
-                visited.append(args[name == "collect_type_instances"])
-                return original(*args)
+        def collect(env, t, seen):
+            walked.append(t)
+            return original_collect(env, t, seen)
 
-            monkeypatch.setattr(transforms, name, recording)
+        def children(t):
+            visited.append(t)
+            return original_children(t)
 
-        def roots():
-            """The statements among the visited nodes, as often as visited."""
-            stmts = [state.goal] + [h.statement for h in state.hypotheses]
-            return [i for t in visited for i, s in enumerate(stmts) if t is s]
-
+        monkeypatch.setattr(transforms, "collect_type_instances", collect)
+        monkeypatch.setattr(transforms, "children", children)
         first = interp_alg_types(state)
-        assert first and sorted(roots()) == [0, 1]
+        assert first and walked == [state.goal, state.hypotheses[0].statement]
+        walked.clear()
         visited.clear()
         again = interp_alg_types(state)
-        assert visited == [] and repr(again) == repr(first)
+        assert walked == visited == [] and repr(again) == repr(first)
         for h in first:
             state.add(h)
-        assert interp_alg_types(state) == []
-        assert sorted(roots()) == list(range(2, len(state.hypotheses) + 1))
+        assert interp_alg_types(state) == [] and monomorphize(state) == []
+        assert walked == [h.statement for h in first]
+        walked.clear()
         visited.clear()
-        assert interp_alg_types(state) == [] and visited == []
+        assert interp_alg_types(state) == [] and walked == visited == []
 
     def test_find_indexes_first_of_each_name(self, env):
         first = Hypothesis("h", parse_term("1 = 1", env), Given())

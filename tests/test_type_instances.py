@@ -1,11 +1,11 @@
 """The one-pass `collect_type_instances` against the reference version,
-alone and through a `ProofState` asked about many statements, and its cost
-as the list literal or the nesting of constant applications in a goal
-grows; `ProofState.algebraic_instances`, which reads instances off the
-syntax, against the reference that typechecks them; `terms.is_prop`, which
-reads propositions off their shape, against `typecheck`. Instances are
-compared by `repr`, so that their binder names must agree too: term
-equality ignores them."""
+alone, over several statements with one shared `seen` set, and through a
+`ProofState`'s running list of instances, and its cost as the list literal
+or the nesting of constant applications in a goal grows;
+`ProofState.algebraic_instances`, which filters that list, against the
+reference; `terms.is_prop`, which reads propositions off their shape,
+against `typecheck`. Instances are compared by `repr`, so that their binder
+names must agree too: term equality ignores them."""
 
 from __future__ import annotations
 
@@ -157,7 +157,7 @@ def test_matches_reference(flat_env, goal):
     if rigid:
         t = rigid_int(t)
     expected = instances_reference.collect_type_instances(flat_env, t)
-    assert repr(collect_type_instances(flat_env, t)) == repr(expected)
+    assert repr(collect_type_instances(flat_env, t, set())) == repr(expected)
 
 
 PROP_HEADS = (Eq, And, Or, Not, Exists, TrueP, FalseP)
@@ -195,26 +195,52 @@ def statements(draw, env):
     return rigid_int(t) if rigid else t
 
 
+def statement_lists(env):
+    """Statements, ill-typed ones included, with repeats."""
+    return st.lists(statements(env), min_size=1, max_size=6).flatmap(
+        lambda stmts: st.lists(st.sampled_from(stmts), min_size=len(stmts),
+                               max_size=2 * len(stmts) + 2))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_shared_seen_matches_reference(flat_env, data):
+    """Statements walked in turn with one `seen` set give each alpha class
+    once: the first-of-class union of the reference's instances."""
+    stmts = data.draw(statement_lists(flat_env))
+    seen = set()
+    got = [s for t in stmts for s in collect_type_instances(flat_env, t, seen)]
+    assert repr(got) == repr(instances_reference.type_instances(flat_env, stmts))
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.data())
 def test_state_matches_reference(flat_env, data):
-    """One state, asked about many statements in a random order, repeats
-    included, answers each as the reference does on its own."""
-    stmts = data.draw(st.lists(statements(flat_env), min_size=1, max_size=6))
-    order = data.draw(st.lists(st.sampled_from(range(len(stmts))),
-                               min_size=len(stmts), max_size=2 * len(stmts) + 2))
-    state = ProofState(flat_env)
-    for i in order:
-        t = stmts[i]
-        expected = instances_reference.collect_type_instances(flat_env, t)
-        assert repr(list(state.type_instances(t))) == repr(expected), t
-        assert repr(collect_type_instances(flat_env, t)) == repr(expected), t
+    """A state's running list, read before and after more hypotheses
+    arrive, is the reference's first-of-class union over the goal and the
+    hypotheses in order, and starts with the goal's own instances."""
+    goal, *hyps = data.draw(statement_lists(flat_env))
+    cut = data.draw(st.integers(0, len(hyps)))
+    state = ProofState(flat_env, [Hypothesis(f"h{i}", t, Given())
+                                  for i, t in enumerate(hyps[:cut])], goal)
+
+    def check():
+        stmts = [goal] + [h.statement for h in state.hypotheses]
+        insts = state.type_instances()
+        assert repr(insts) == repr(instances_reference.type_instances(flat_env, stmts))
+        assert repr(insts[:state._goal_instances]) == repr(
+            instances_reference.collect_type_instances(flat_env, goal))
+
+    check()
+    for i, t in enumerate(hyps[cut:], cut):
+        state.add(Hypothesis(f"h{i}", t, Given()))
+        check()
 
 
 @pytest.mark.parametrize("ty", FLAT_TYPES)
 def test_flat_universe_instances(flat_env, ty):
     t = parse_term(f"forall (l : {ty}), l = l", flat_env)
-    insts = collect_type_instances(flat_env, t)
+    insts = collect_type_instances(flat_env, t, set())
     assert repr(insts) == repr(instances_reference.collect_type_instances(flat_env, t))
     assert insts[0] == parse_term(ty, flat_env)
 
@@ -256,7 +282,7 @@ def test_infer_visits_grow_linearly(env, monkeypatch):
         for n in (40, 80):
             goal = make_goal(env, n)
             visits = 0
-            collect_type_instances(env, goal)
+            collect_type_instances(env, goal, set())
             counts[n] = visits
         assert counts[80] <= 2.2 * counts[40], (make_goal.__name__, counts)
 
@@ -271,9 +297,9 @@ def test_ruled_out_shapes_are_not_typechecked(flat_env, monkeypatch):
 
     monkeypatch.setattr(transforms, "typecheck", recording_typecheck)
     for text in SKIPPED_TEXTS:
-        collect_type_instances(flat_env, parse_term(text, flat_env))
+        collect_type_instances(flat_env, parse_term(text, flat_env), set())
     for t in BUILT:
-        collect_type_instances(flat_env, t)
+        collect_type_instances(flat_env, t, set())
     assert checked
     assert any(isinstance(t, Pi) for t in checked)  # Type -> Type is typechecked
     for t in checked:
