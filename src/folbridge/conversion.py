@@ -36,8 +36,8 @@ from .terms import (
     Ctor, Eq, Exists, FalseP, Fix, FolbridgeError, GlobalEnv, Ind, IntLit,
     IntT, LEAVES, Lam, Match, Not, Or, Pi, Record, SortProp, SortType, TVar, Term, TrueP,
     Var, as_inductive_instance, builtin_type, children, ctor_arg_types,
-    ctor_type, ind_type, is_prop, lift, make_app, normal_form, rebind, spine,
-    strip_pis, subst, subst_list, well_scoped,
+    ctor_type, ind_type, is_prop, lift, make_app, node_repr, normal_form, rebind,
+    spine, strip_pis, subst, subst_list, well_scoped,
 )
 
 
@@ -118,7 +118,7 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
     # `ty`, stored in the table when the node is closed.
     cls = type(t)
     table = None
-    if not t._reach and cls not in LEAVES:
+    if not t._free and cls not in LEAVES:
         table = env.memo.get(_CLOSED_TYPES)
         if table is None:
             table = env.memo[_CLOSED_TYPES] = {}
@@ -147,7 +147,7 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
                     raise TypingError("application head is not a function")
             aty = _infer(env, ctx, arg, fuel)
             dom = hty.domain
-            if done and dom._reach:
+            if done and dom._free:
                 # A variable bound by the spine stands for its argument.
                 dom = (done[-1 - dom.index] if type(dom) is Var and dom.index < len(done)
                        else subst_list(dom, done[::-1]))
@@ -427,9 +427,7 @@ class Value:
             return NotImplemented
         return _same_value(self, other)
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+    __repr__ = node_repr
 
 
 class VInt(Value):

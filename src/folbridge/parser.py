@@ -32,7 +32,7 @@ from .terms import (
     FalseP, Fix, FolbridgeError, GlobalEnv, Ind, InductiveDecl, IntLit,
     INT, Match, Not, Or, Pi, Problem, Record, ScopeError, SortProp, SortType,
     TYPE, Term, TrueP, Var, builtin_type, has_interior_type_binder, is_prop, lift,
-    make_lams, make_pis, rebind,
+    make_lams, make_pis,
 )
 
 
@@ -520,19 +520,11 @@ class Parser:
 
 
 def _unshift(t: Term, amount: int) -> Term | None:
-    """Inverse of lift when the lowest `amount` indices are unused."""
-    def on_free(k: int, d: int) -> Term:
-        if k < amount:
-            raise _UnshiftHit()
-        return Var(k + d - amount)
-    try:
-        return rebind(t, on_free)
-    except _UnshiftHit:
+    """Inverse of lift when the lowest `amount` indices are unused; None
+    when one of them occurs free in t."""
+    if t._free & ((1 << amount) - 1):
         return None
-
-
-class _UnshiftHit(Exception):
-    pass
+    return lift(t, -amount, amount)
 
 
 def check_prenex(stmt: Term, what: str = "statement") -> None:

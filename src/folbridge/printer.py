@@ -9,7 +9,7 @@ from __future__ import annotations
 from .terms import (
     And, App, Const, Ctor, Eq, Exists, FalseP, Fix, GlobalEnv, Ind,
     IntLit, IntT, Lam, Match, Not, Or, Pi, Problem, ScopeError, SortProp,
-    SortType, TVar, Term, TrueP, Var, children, spine,
+    SortType, TVar, Term, TrueP, Var, spine,
 )
 
 # Levels, loosest to tightest. A node prints parens when its own level is
@@ -49,12 +49,12 @@ _INFIX_BUILTINS = {builtin: (sym, lvl, assoc) for sym, lvl, assoc, builtin in OP
 
 
 class _Namer:
-    """The state of one print_term call: the names taken so far, and the
-    binders of the printed term whose variable occurs (_binders_used)."""
+    """The names taken so far in one print_term call. Whether a binder's
+    variable occurs, which decides if it needs a name at all, is read off
+    its scope's free-variable mask."""
 
-    def __init__(self, used: set[str], t: Term):
+    def __init__(self, used: set[str]):
         self.used = set(used)
-        self.occurs = _binders_used(t)
 
     def fresh(self, hint: str) -> str:
         base = hint if hint and hint != "_" else "x"
@@ -69,44 +69,12 @@ class _Namer:
         return name
 
 
-def _binders_used(t: Term) -> set:
-    """Keys of the binders in t whose variable occurs in their scope:
-    id(node) for a Pi, Lam, Exists or Fix, and (id(branch), j) for the j-th
-    binder of a match branch. One walk over t with an explicit stack; each
-    entry is a subterm, its binder depth d, and the keys of the binders it
-    is the first subterm under, which take keys[d - len(new):d]."""
-    occurs: set = set()
-    keys: list = []
-    todo: list = [(t, 0, ())]
-    while todo:
-        s, d, new = todo.pop()
-        if new:
-            keys[d - len(new):] = new
-        cls = type(s)
-        if cls is App:
-            todo.append((s.arg, d, ()))
-            todo.append((s.head, d, ()))
-        elif cls is Var:
-            if s.index < d:
-                occurs.add(keys[d - 1 - s.index])
-        elif cls is Match:
-            todo.append((s.scrutinee, d, ()))
-            todo.append((s.return_type, d, ()))
-            for br in s.branches:
-                todo.append((br.body, d + br.arity,
-                             tuple((id(br), j) for j in range(br.arity))))
-        else:
-            for c, extra in children(s):
-                todo.append((c, d + extra, (id(s),) if extra else ()))
-    return occurs
-
-
 def print_term(t: Term, env: GlobalEnv | None = None,
                context_names: list[str] | None = None) -> str:
     """Render t; context_names[i] names Var(i) (innermost first)."""
     env = env or GlobalEnv()
     names = list(context_names or [])
-    namer = _Namer(env.names() | set(names), t)
+    namer = _Namer(env.names() | set(names))
     return _pp(t, env, names, namer, L_BINDER)
 
 
@@ -154,7 +122,7 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
     if cls is FalseP:
         return "false_p"
     if cls is Pi:
-        if id(t) in namer.occurs:
+        if t.codomain._free & 1:
             groups, body, names2 = _collect_binders(t, env, names, namer, Pi)
             s = f"forall {groups}, {_pp(body, env, names2, namer, L_BINDER)}"
             return _wrap(s, L_BINDER, want)
@@ -196,7 +164,7 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
             cname = ctors[k].name
             bnames = []
             for j, hint in enumerate(br.binders):
-                used = (id(br), j) in namer.occurs
+                used = br.body._free >> (br.arity - 1 - j) & 1
                 bnames.append(namer.fresh(hint) if used or (hint and hint != "_") else "_")
             body_names = list(reversed(bnames)) + names
             body = _pp(br.body, env, body_names, namer, L_BINDER)
@@ -232,10 +200,10 @@ def _collect_binders(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, c
     cur = t
     names2 = list(names)
     while isinstance(cur, cls):
-        used = id(cur) in namer.occurs
+        body = cur.codomain if cls is Pi else cur.body
+        used = body._free & 1
         if cls is Pi and not used:
             break
-        body = cur.codomain if cls is Pi else cur.body
         nm = namer.fresh(cur.binder) if (used or (cur.binder and cur.binder != "_")) else "_"
         groups.append(f"({nm} : {_pp(cur.domain, env, names2, namer, L_BINDER)})")
         names2 = [nm] + names2

@@ -11,17 +11,19 @@ name fields are printing hints only: they are excluded from `==` and
 the same set or dict entry. `repr` and the printer still show them; a test
 that pins exact names compares `repr`.
 
-Each node computes its hash and its reach (how far above it its free
-variables point) once, from its children, when it is built. Nodes are
-immutable by convention: nothing assigns a field after `__init__`, because
-those cached facts are computed from the fields.
+Each node computes its hash and its free-variable mask once, from its
+children, when it is built. Nodes are immutable by convention: nothing
+assigns a field after `__init__`, because those cached facts are computed
+from the fields. The mask answers in O(1) whether a term is closed or well
+scoped, whether a binder's variable occurs, and whether a subterm mentions
+a variable bound outside it.
 
 The kernels (map_subterms and with it rebind, lift, subst and subst_list)
 return the input node itself when none of its children changed, and rebind
-does not enter a subterm whose reach stays below the binder depth, so a
-closed term survives lift and subst without a copy or a walk. Terms are
-immutable, so this sharing is never observable: an `is` check on a result
-is only a fast path, and no code needs one for correctness.
+does not enter a subterm with no free variable at or above the binder
+depth, so a closed term survives lift and subst without a copy or a walk.
+Terms are immutable, so this sharing is never observable: an `is` check on
+a result is only a fast path, and no code needs one for correctness.
 
 Everything else the package builds from fields (declarations, problems,
 environments, and in the other modules justifications, hypotheses, proof
@@ -45,25 +47,55 @@ class ScopeError(FolbridgeError):
     pass
 
 
+def node_repr(root: object) -> str:
+    """The `repr` of term nodes, branches and the evaluator's values:
+    `Name(field=value, ...)` over the fields the class's `__slots__` names
+    (a Branch shows its binders and body). Nodes, and the tuples holding
+    them, are expanded from an explicit stack of text and items, so no
+    depth needs Python recursion."""
+    out: list[str] = []
+    stack: list[object] = [root]
+    while stack:
+        x = stack.pop()
+        cls = type(x)
+        if cls is str:
+            out.append(x)
+            continue
+        if cls is tuple:
+            out.append("(")
+            stack.append(",)" if len(x) == 1 else ")")
+            fields = [(", " if i else "", v) for i, v in enumerate(x)]
+        else:
+            out.append(f"{cls.__name__}(")
+            stack.append(")")
+            names = ("binders", "body") if cls is Branch else cls.__slots__
+            fields = [(f", {n}=" if i else f"{n}=", getattr(x, n)) for i, n in enumerate(names)]
+        for label, v in reversed(fields):
+            c = type(v)
+            stack += (v if c is tuple or c.__repr__ is node_repr else repr(v), label)
+    return "".join(out)
+
+
 class Term:
     """Base of the term nodes.
 
     Each node computes two facts from its children once, when it is built:
-    `_hash`, which ignores binder names, and `_reach`, how many binders
-    above the node its free variables reach (Var(i) reaches i + 1, and a
-    child under k binders of the node counts k less). No field of a node is
-    ever None.
+    `_hash`, which ignores binder names, and `_free`, the mask of its free
+    de Bruijn indices: bit i is set when Var(i) occurs free in the node.
+    Var(i) gives 1 << i, a child under k binders of the node contributes
+    its mask shifted right by k, and the node ors its children's. Under d
+    binders a mask has at most d bits. No field of a node is ever None.
     `==` is True on identity, False at once when the hashes differ, and
     otherwise compares the fields that the class's `_key` reads.
     """
-    __slots__ = ("_hash", "_reach")
+    __slots__ = ("_hash", "_free")
     # The fields `==` compares, binder names excluded. A class without
     # fields compares by its class and hash alone.
     _key = attrgetter("_hash")
 
     def __init__(self) -> None:  # the field-less leaves: IntT, the sorts, TrueP, FalseP
         self._hash = hash(type(self))
-        self._reach = 0
+        self._free = 0
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -75,9 +107,7 @@ class Term:
     def __hash__(self) -> int:
         return self._hash
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+    __repr__ = node_repr
 
 
 class Var(Term):
@@ -90,7 +120,7 @@ class Var(Term):
             raise ScopeError(f"negative de Bruijn index {index}")
         self.index = index
         self._hash = hash((Var, index))
-        self._reach = index + 1
+        self._free = 1 << index
 
 
 class Const(Term):
@@ -101,7 +131,7 @@ class Const(Term):
     def __init__(self, name: str) -> None:
         self.name = name
         self._hash = hash((Const, name))
-        self._reach = 0
+        self._free = 0
 
 
 class Ctor(Term):
@@ -113,7 +143,7 @@ class Ctor(Term):
         self.inductive = inductive
         self.ctor_index = ctor_index
         self._hash = hash((Ctor, inductive, ctor_index))
-        self._reach = 0
+        self._free = 0
 
 
 class Ind(Term):
@@ -124,7 +154,7 @@ class Ind(Term):
     def __init__(self, inductive: str) -> None:
         self.inductive = inductive
         self._hash = hash((Ind, inductive))
-        self._reach = 0
+        self._free = 0
 
 
 class TVar(Term):
@@ -139,7 +169,7 @@ class TVar(Term):
     def __init__(self, name: str) -> None:
         self.name = name
         self._hash = hash((TVar, name))
-        self._reach = 0
+        self._free = 0
 
 
 class IntT(Term):
@@ -165,7 +195,7 @@ class Pi(Term):
         self.domain = domain
         self.codomain = codomain
         self._hash = hash((Pi, domain._hash, codomain._hash))
-        self._reach = max(domain._reach, codomain._reach - 1)
+        self._free = domain._free | codomain._free >> 1
 
 
 class Lam(Term):
@@ -177,7 +207,7 @@ class Lam(Term):
         self.domain = domain
         self.body = body
         self._hash = hash((Lam, domain._hash, body._hash))
-        self._reach = max(domain._reach, body._reach - 1)
+        self._free = domain._free | body._free >> 1
 
 
 class App(Term):
@@ -188,8 +218,7 @@ class App(Term):
         self.head = head
         self.arg = arg
         self._hash = hash((App, head._hash, arg._hash))
-        r, s = head._reach, arg._reach
-        self._reach = r if r > s else s
+        self._free = head._free | arg._free
 
 
 class Branch:
@@ -218,8 +247,7 @@ class Branch:
     def __hash__(self) -> int:
         return self._hash
 
-    def __repr__(self) -> str:
-        return f"Branch(binders={self.binders!r}, body={self.body!r})"
+    __repr__ = node_repr
 
 
 class Match(Term):
@@ -237,8 +265,10 @@ class Match(Term):
         self.branches = branches
         self._hash = hash((Match, scrutinee._hash, inductive, return_type._hash,
                            *[b._hash for b in branches]))
-        self._reach = max(scrutinee._reach, return_type._reach,
-                          *[b.body._reach - b.arity for b in branches])
+        free = scrutinee._free | return_type._free
+        for b in branches:
+            free |= b.body._free >> b.arity
+        self._free = free
 
 
 class Fix(Term):
@@ -254,7 +284,7 @@ class Fix(Term):
         self.full_type = full_type
         self.body = body
         self._hash = hash((Fix, decreasing, full_type._hash, body._hash))
-        self._reach = max(full_type._reach, body._reach - 1)
+        self._free = full_type._free | body._free >> 1
 
 
 class Eq(Term):
@@ -267,7 +297,7 @@ class Eq(Term):
         self.lhs = lhs
         self.rhs = rhs
         self._hash = hash((Eq, at_type._hash, lhs._hash, rhs._hash))
-        self._reach = max(at_type._reach, lhs._reach, rhs._reach)
+        self._free = at_type._free | lhs._free | rhs._free
 
 
 class TrueP(Term):
@@ -286,7 +316,7 @@ class And(Term):
         self.lhs = lhs
         self.rhs = rhs
         self._hash = hash((And, lhs._hash, rhs._hash))
-        self._reach = max(lhs._reach, rhs._reach)
+        self._free = lhs._free | rhs._free
 
 
 class Or(Term):
@@ -297,7 +327,7 @@ class Or(Term):
         self.lhs = lhs
         self.rhs = rhs
         self._hash = hash((Or, lhs._hash, rhs._hash))
-        self._reach = max(lhs._reach, rhs._reach)
+        self._free = lhs._free | rhs._free
 
 
 class Not(Term):
@@ -307,7 +337,7 @@ class Not(Term):
     def __init__(self, body: Term) -> None:
         self.body = body
         self._hash = hash((Not, body._hash))
-        self._reach = body._reach
+        self._free = body._free
 
 
 class Exists(Term):
@@ -321,7 +351,7 @@ class Exists(Term):
         self.domain = domain
         self.body = body
         self._hash = hash((Exists, domain._hash, body._hash))
-        self._reach = max(domain._reach, body._reach - 1)
+        self._free = domain._free | body._free >> 1
 
 
 class IntLit(Term):
@@ -331,7 +361,7 @@ class IntLit(Term):
     def __init__(self, value: int) -> None:
         self.value = value
         self._hash = hash((IntLit, value))
-        self._reach = 0
+        self._free = 0
 
 
 # The node classes that head a proposition, under its leading products: a
@@ -666,11 +696,11 @@ def rebind(t: Term, on_free, depth: int = 0) -> Term:
     """Rebuild t with its free variables replaced: a Var(i) under d binders
     (d counted from depth) with i >= d becomes on_free(i - d, d). Every
     de Bruijn index rewrite goes through this one traversal. A subterm
-    whose `_reach` is at most d is returned as it is, without a walk."""
-    if t._reach <= depth:
+    with no free index at or above d is returned as it is, without a walk."""
+    if not t._free >> depth:
         return t
     def go(s: Term, d: int) -> Term:
-        if s._reach <= d:
+        if not s._free >> d:
             return s  # no free variable: nothing to rewrite below s
         if type(s) is Var:
             return on_free(s.index - d, d)
@@ -723,11 +753,11 @@ def subst_list(t: Term, values: list[Term]) -> Term:
 
 def well_scoped(t: Term, depth: int = 0) -> bool:
     """Check every Var is bound by an enclosing binder or below depth."""
-    return t._reach <= depth
+    return not t._free >> depth
 
 
 def is_closed(t: Term) -> bool:
-    return t._reach == 0
+    return not t._free
 
 
 def alpha_eq(t: Term, u: Term) -> bool:

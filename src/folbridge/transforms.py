@@ -377,11 +377,14 @@ def eliminate_fix(state: ProofState, hyp_name: str) -> Hypothesis:
 def _match_candidates(body: Term, n: int) -> list[int]:
     """Telescope positions (outside-based) of bound variables that are
     scrutinees of a match in the body, found in one loop over (subterm,
-    depth) pairs."""
+    depth) pairs. A subterm in which no telescope variable occurs is
+    skipped whole."""
     found: set[int] = set()
     stack = [(body, 0)]
     while stack:
         t, depth = stack.pop()
+        if not t._free >> depth:
+            continue
         if type(t) is Match and type(t.scrutinee) is Var:
             idx = t.scrutinee.index - depth
             if idx >= 0:
@@ -394,11 +397,9 @@ def _match_candidates(body: Term, n: int) -> list[int]:
 def _shift_above(t: Term, at: int, by: int) -> Term:
     """Lift indices strictly greater than `at` by `by`; index == at must
     not occur."""
-    def on_free(k: int, d: int) -> Term:
-        if k == 0:
-            raise TransformError("dependency on the substituted binder")
-        return Var(k + d + by)
-    return rebind(t, on_free, at)
+    if t._free >> at & 1:
+        raise TransformError("dependency on the substituted binder")
+    return lift(t, by, at + 1)
 
 
 def iota_reduce(env: GlobalEnv, t: Term) -> Term:
@@ -511,36 +512,37 @@ def collect_type_instances(env: GlobalEnv, t: Term, seen: set[Term]) -> list[Ter
     already there is skipped with everything below it: what it holds was
     found where its alpha-equal (`==`) copy was walked. So one `seen` shared
     by several statements gives each alpha class once; for one statement's
-    instances, pass `set()`."""
+    instances, pass `set()`. An open subterm is no instance: the walk only
+    passes through it."""
     out: list[Term] = []
     # Each entry is a subterm with the head of its spine (of its final
     # codomain's, for a product) and the number of arguments applied to
-    # that head; a head of None is found by descending from the subterm.
+    # that head. A head of None is found, when the subterm is closed, by
+    # descending from it; an open subterm passes on the head it got.
     stack: list[tuple[Term, Term | None, int]] = [(t, None, 0)]
     while stack:
         s, head, nargs = stack.pop()
-        closed = s._reach == 0
-        if closed:
+        cls = type(s)
+        if not s._free:
             if s in seen:
                 continue
             seen.add(s)
-        cls = type(s)
-        if head is None:
-            head = s
-            while True:
-                if type(head) is App:
-                    nargs += 1
-                    head = head.head
-                elif type(head) is Pi:
-                    head = head.codomain
-                else:
-                    break
-        if closed and cls is not Lam and cls is not Fix and _maybe_a_type(env, s, head, nargs):
-            try:
-                if isinstance(typecheck(env, [], s), SortType):
-                    out.append(s)
-            except FolbridgeError:
-                pass
+            if head is None:
+                head, nargs = s, 0
+                while True:
+                    if type(head) is App:
+                        nargs += 1
+                        head = head.head
+                    elif type(head) is Pi:
+                        head = head.codomain
+                    else:
+                        break
+            if cls is not Lam and cls is not Fix and _maybe_a_type(env, s, head, nargs):
+                try:
+                    if isinstance(typecheck(env, [], s), SortType):
+                        out.append(s)
+                except FolbridgeError:
+                    pass
         if cls is App:
             stack.append((s.arg, None, 0))
             stack.append((s.head, head, nargs - 1))

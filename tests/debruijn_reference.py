@@ -1,12 +1,13 @@
 """Reference de Bruijn traversals: the hand-written versions of
 `transforms._shift_above`, `transforms._replace_binder`, `parser._unshift`
 and `conversion._reify_type`, kept as the oracles that their `rebind`-based
-versions are property-tested against; the printer's per-question
-binder-use walk, the oracle of its one-walk binder marks; the
-recursive `terms.well_scoped`, the oracle of the version that reads
-`_reach`; the recursive `transforms._match_candidates`, the oracle of its
-explicit-stack loop; and `reach`, the oracle of the `_reach` that every
-node computes from its children when it is built.
+versions are property-tested against; the per-question binder-use walk
+`_uses_binder_at`, the oracle of the mask bits the printer reads; the
+recursive `terms.well_scoped`, the oracle of the version that reads the
+free-variable mask `_free`; the recursive `transforms._match_candidates`,
+the oracle of its explicit-stack loop; and `free` and `reach`, the
+oracles of the `_free` mask that every node computes from its children
+when it is built (its set bits and its bit length).
 
 Each walks the term with its own `Var` case and its own `map_subterms`
 (or `children`) recursion, so it shares none of `rebind` or of the loops;
@@ -134,3 +135,11 @@ def reach(t: Term) -> int:
     if isinstance(t, Var):
         return max(t.index + 1, 0)
     return max([0] + [reach(c) - extra for c, extra in children(t)])
+
+
+def free(t: Term) -> set[int]:
+    """The free de Bruijn indices of t: a child under k binders of its
+    parent contributes its indices from k on, each k less."""
+    if isinstance(t, Var):
+        return {t.index}
+    return {i - extra for c, extra in children(t) for i in free(c) if i >= extra}

@@ -1,7 +1,8 @@
 """Lifting/substitution against an independent named-variable oracle, the
 other `rebind`-based traversals against their hand-written originals, term
 equality and hashing against the recursive alpha-equivalence, each node's
-cached reach against a recursive reference, the kernels' sharing of
+cached free-variable mask against a recursive reference, the walks that the
+mask spares, `repr` against its recursive original, the kernels' sharing of
 unchanged nodes, and the slotted node classes.
 
 Term equality ignores binder names, so a comparison that must also pin the
@@ -19,8 +20,11 @@ from hypothesis import strategies as st
 
 import alpha_reference
 import debruijn_reference as reference
+import repr_reference
 from folbridge import conversion, parser, printer, terms, transforms
-from folbridge.conversion import Value, VInt, VType, infer
+from folbridge.conversion import (
+    Value, VBuiltin, VClosure, VCtor, VCtorPartial, VFix, VInt, VType, infer,
+)
 from folbridge.terms import (
     App, Branch, Const, Ctor, Eq, Exists, Fix, FolbridgeError, INT, Ind, IntLit, Lam,
     Match, Not, Pi, ScopeError, TYPE, Term, TrueP, Var, alpha_eq, is_closed, lift,
@@ -293,21 +297,20 @@ def test_reify_type_matches_reference(t, venv):
 @given(OPEN_TERMS)
 @settings(deadline=None, max_examples=100)
 def test_uses_binder_at_matches_reference(t):
-    # One walk marks every binder of the printed term, as one print_term
-    # call does; each mark is the reference's answer about its scope.
-    occurs = printer._binders_used(t)
+    # The mask bit that the printer reads for each binder of the printed
+    # term is the reference's answer about its scope.
     marks = []
     for s in subterms(t):
         if isinstance(s, (Pi, Lam, Exists, Fix)):
             scope = s.codomain if isinstance(s, Pi) else s.body
-            marks.append((id(s) in occurs, reference._uses_binder_at(scope, 0), s))
+            marks.append((scope._free & 1, reference._uses_binder_at(scope, 0), s))
         elif isinstance(s, Match):
             for br in s.branches:
                 for j in range(br.arity):
-                    marks.append(((id(br), j) in occurs,
+                    marks.append((br.body._free >> (br.arity - 1 - j) & 1,
                                   reference._uses_binder_at(br.body, br.arity - 1 - j), s))
     for got, want, s in marks:
-        assert got == want, s
+        assert bool(got) == want, s
 
 
 CLOSED_TERMS = st.integers(0, 2**32).map(lambda seed: random_term(random.Random(seed), 0, 12))
@@ -338,9 +341,11 @@ def test_match_candidates_matches_reference(t, n):
 @example(Match(Var(2), "list", INT, (Branch(("x", "y"), Var(3)),)))
 @example(Eq(Var(1), Var(0), Lam("x", INT, Var(1))))
 @settings(deadline=None, max_examples=200)
-def test_reach_matches_reference(t):
+def test_free_matches_reference(t):
     for s in subterms(t):
-        assert s._reach == reference.reach(s), s
+        bits = {i for i in range(s._free.bit_length()) if s._free >> i & 1}
+        assert bits == reference.free(s), s
+        assert s._free.bit_length() == reference.reach(s), s
     assert is_closed(t) == well_scoped(t, 0)
 
 
@@ -366,6 +371,64 @@ def test_closed_terms_are_not_walked(monkeypatch):
     assert len(calls) == 1
 
 
+def _count_children(monkeypatch) -> list:
+    """Record every `children` call made through `terms` or through a
+    module that imported it (the printer imports none)."""
+    calls = []
+    real = terms.children
+
+    def counting(t):
+        calls.append(t)
+        return real(t)
+
+    for module in (terms, printer, transforms):
+        monkeypatch.setattr(module, "children", counting, raising=False)
+    return calls
+
+
+def test_printing_walks_no_term(prelude, monkeypatch):
+    """print_term reads binder use off the masks: it never calls
+    `children`."""
+    calls = _count_children(monkeypatch)
+    rng = random.Random(19)
+    for _ in range(100):
+        printer.print_term(random_term(rng, 0, 12))
+        printer.print_term(random_term(rng, 3, 12), context_names=["a", "b", "c"])
+    assert "match" in printer.print_problem(prelude)
+    assert calls == []
+
+
+def test_printer_names_only_used_binders(prelude):
+    """A binder whose hint is `_` gets a name exactly when its variable
+    occurs, read off the mask bit of its position."""
+    t = Match(Var(0), "list", INT, (Branch((), IntLit(0)), Branch(("_", "_"), Var(0))))
+    assert (printer.print_term(t, prelude.env, ["l"])
+            == "match l return Int with | nil => 0 | cons _ x => x end")
+    cases = (
+        (Lam("_", INT, Pi("_", INT, Pi("_", INT, Eq(INT, Var(0), Var(2))))),
+         "fun (x : Int) => Int -> (forall (x0 : Int), x0 = x)"),
+        (Lam("_", INT, Lam("_", INT, Var(1))), "fun (x : Int) (_ : Int) => x"),
+        (Pi("_", INT, Pi("_", INT, Eq(INT, Var(1), Var(1)))), "forall (x : Int), Int -> x = x"),
+    )
+    for t, text in cases:
+        assert printer.print_term(t) == text
+
+
+def test_match_candidates_skips_closed_statements(prelude, monkeypatch):
+    """A closed statement, such as a definition's `c = body`, costs one
+    mask test; a body that mentions the telescope is walked."""
+    calls = _count_children(monkeypatch)
+    env = prelude.env
+    for d in env.definitions.values():
+        assert transforms._match_candidates(Eq(d.type, Const(d.name), d.body), 0) == []
+    assert calls == []
+    body = parser.parse_term(
+        "forall (l : list Int), length Int l = match l return Int with "
+        "| nil => 0 | cons _ l' => 1 + length Int l' end", env)
+    assert transforms._match_candidates(body.codomain, 1) == [0]
+    assert calls
+
+
 def _cons_chain(n: int, innermost: int) -> Term:
     """`cons Int i (...)` nested n deep over `nil Int`; the innermost
     element is `innermost`."""
@@ -385,6 +448,46 @@ def test_deep_chains_hash_and_compare_at_the_default_recursion_limit():
         assert b not in {a}
     finally:
         sys.setrecursionlimit(limit)
+
+
+def _value(kind: int, values: tuple, t: Term) -> Value:
+    return (VCtor("list", 1, (INT, t), values), VClosure(values, t), VFix(values, t, values),
+            VCtorPartial("list", 1, values), VBuiltin("add", values))[kind]
+
+
+# Values of every class, nested, holding terms with binder names and
+# branches.
+VALUE_TREES = st.recursive(
+    st.one_of(VALUES, st.just(Value())),
+    lambda inner: st.builds(_value, st.integers(0, 4),
+                            st.lists(inner, max_size=2).map(tuple), OPEN_TERMS),
+    max_leaves=6)
+
+
+@given(st.one_of(OPEN_TERMS, CLOSED_TERMS, CLOSED_MATCH_TERMS, VALUE_TREES))
+@example(Match(Var(0), "nat", INT, (Branch(("x",), Var(0)), Branch((), IntLit(-3)))))
+@example(VCtor("list", 0, (INT,), ()))
+@settings(deadline=None, max_examples=200)
+def test_repr_matches_reference(x):
+    assert repr(x) == repr_reference.node_repr(x)
+
+
+def test_deep_chains_repr_at_the_default_recursion_limit():
+    term = _cons_chain(10_000, 0)
+    value = VCtor("list", 0, (INT,), ())
+    for i in range(10_000):
+        value = VCtor("list", 1, (INT,), (VInt(i), value))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        term_text, value_text = repr(term), repr(value)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert term_text.startswith("App(head=App(head=App(head=Ctor(inductive='list', ctor_index=1)")
+    assert term_text.count("IntLit(") == 10_000
+    assert value_text.startswith("VCtor(inductive='list', ctor_index=1, type_args=(IntT(),), "
+                                 "args=(VInt(value=9999), VCtor(")
+    assert value_text.count("VInt(") == 10_000
 
 
 def _classes(base: type) -> list[type]:

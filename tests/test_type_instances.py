@@ -18,10 +18,11 @@ from folbridge import conversion, transforms
 from folbridge.parser import parse_problem, parse_term
 from folbridge.terms import (
     INT, TYPE, And, App, Ctor, Eq, Exists, FalseP, FolbridgeError, Ind, IntT,
-    Not, Or, Pi, SortProp, TVar, TrueP, is_prop, map_subterms, spine, strip_pis,
+    Not, Or, Pi, SortProp, TVar, TrueP, Var, is_prop, map_subterms, spine, strip_pis,
 )
 from folbridge.transforms import Given, Hypothesis, ProofState, collect_type_instances
 
+import debruijn_reference
 import instances_reference
 
 # Type-level definitions: with a flat universe, constants and redexes can
@@ -211,6 +212,29 @@ def test_shared_seen_matches_reference(flat_env, data):
     seen = set()
     got = [s for t in stmts for s in collect_type_instances(flat_env, t, seen)]
     assert repr(got) == repr(instances_reference.type_instances(flat_env, stmts))
+
+
+def test_open_subterms_are_only_passed_through(flat_env, monkeypatch):
+    """An open subterm is no instance: `_maybe_a_type` and `typecheck`
+    see closed subterms only."""
+    checked = []
+    maybe_a_type, typecheck = transforms._maybe_a_type, transforms.typecheck
+    monkeypatch.setattr(transforms, "_maybe_a_type", lambda env, s, *rest:
+                        checked.append(s) or maybe_a_type(env, s, *rest))
+    monkeypatch.setattr(transforms, "typecheck", lambda env, ctx, t, *rest:
+                        checked.append(t) or typecheck(env, ctx, t, *rest))
+    texts = SKIPPED_TEXTS + SHARED_TEXTS + (
+        "forall (A : Type) (l : list A), length A l = length A (app A l (nil A))",
+        "forall (f : nat -> list (option Int)), f O = f (S O)")
+    # An open application whose closed head is an instance: the head's
+    # argument count starts afresh below the open node.
+    over_applied = Pi("x", INT, Eq(TYPE, App(App(Ind("list"), INT), Var(0)), INT))
+    for t in [parse_term(text, flat_env) for text in texts] + [*BUILT, over_applied]:
+        got = collect_type_instances(flat_env, t, set())
+        assert repr(got) == repr(instances_reference.collect_type_instances(flat_env, t))
+    assert checked
+    for t in checked:
+        assert debruijn_reference.well_scoped(t, 0), t
 
 
 @settings(deadline=None, max_examples=40)
