@@ -32,7 +32,8 @@ import random
 from operator import attrgetter
 
 from .terms import (
-    BUILTIN_FUNCTIONS, FALSE, INT, PROP, TRUE, TYPE, And, App, Const,
+    BUILTIN_FUNCTIONS, FALSE, HAS_CONST, HAS_FIX, HAS_LAM, HAS_MATCH, HAS_TVAR,
+    INT, PROP, TRUE, TYPE, And, App, Const,
     Ctor, Eq, Exists, FalseP, Fix, FolbridgeError, GlobalEnv, Ind, IntLit,
     IntT, LEAVES, Lam, Match, Not, Or, Pi, Record, SortProp, SortType, TVar, Term, TrueP,
     Var, as_inductive_instance, builtin_type, children, ctor_arg_types,
@@ -382,7 +383,12 @@ def normalize(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel | None = None
 
 
 def _norm(env: GlobalEnv, t: Term, fuel: Fuel) -> Term:
-    return normal_form(t, lambda s: whnf(env, s, fuel))
+    return normal_form(t, lambda s: whnf(env, s, fuel), _WHNF_HEADS)
+
+
+# The spine heads whnf steps on: a lambda, a constant (delta and the
+# builtins), a match and a fixpoint. A term holding none is normal.
+_WHNF_HEADS = HAS_LAM | HAS_CONST | HAS_MATCH | HAS_FIX
 
 
 def convertible(env: GlobalEnv, ctx: list[Term], t: Term, u: Term,
@@ -407,7 +413,7 @@ def beta_reduce(t: Term, fuel: Fuel | None = None) -> Term:
             fuel.consume()
             s = make_app(subst(h.body, 0, args[0]), args[1:])
         return s
-    return normal_form(t, head)
+    return normal_form(t, head, HAS_LAM)
 
 
 # ---------------------------------------------------------------------------
@@ -1006,29 +1012,26 @@ class Counterexample(Record):
 
 
 def replace_tvars(t: Term, mapping: dict[str, Term]) -> Term:
-    return normal_form(t, lambda s: mapping.get(s.name, s) if type(s) is TVar else s)
+    return normal_form(t, lambda s: mapping.get(s.name, s) if type(s) is TVar else s,
+                       HAS_TVAR)
 
 
 def collect_tvars(t: Term) -> list[str]:
-    """Names of the TVars in t, in preorder of first occurrence."""
+    """Names of the TVars in t, in preorder of first occurrence. A subterm
+    whose class mask has no HAS_TVAR is skipped whole, so a term without a
+    TVar costs one test."""
     seen: list[str] = []
     stack = [t]
     while stack:
         s = stack.pop()
-        cls = type(s)
-        if cls is App:
-            stack.append(s.arg)
-            stack.append(s.head)
-        elif cls is TVar:
+        if not s._has & HAS_TVAR:
+            continue
+        if type(s) is TVar:
             if s.name not in seen:
                 seen.append(s.name)
-        elif cls in _COMPOUND:
+        else:
             stack.extend([c for c, _ in reversed(children(s))])
     return seen
-
-
-# Node classes with subterms, App aside.
-_COMPOUND = frozenset({Pi, Lam, Match, Fix, Eq, And, Or, Not, Exists})
 
 
 def random_truth_check(env: GlobalEnv, statement: Term, samples: int = 50,

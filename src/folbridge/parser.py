@@ -62,11 +62,13 @@ _PUNCT = [
 ]
 
 # One alternative per token class; the first that matches wins, so the
-# punctuation keeps the order of _PUNCT (longer symbols first).
+# punctuation keeps the order of _PUNCT (longer symbols first). Space and
+# comments have no group; any other character is `bad`. Every character
+# thus starts a match, and one finditer pass reads the whole text.
 _TOKEN_RE = re.compile(
-    r"(?P<space>[ \t\r]+)|(?P<newline>\n)|(?P<comment>#[^\n]*)"
+    r"[ \t\r]+|#[^\n]*|(?P<newline>\n)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<int>[0-9]+)"
-    r"|(?P<punct>" + "|".join(re.escape(p) for p in _PUNCT) + ")")
+    r"|(?P<punct>" + "|".join(re.escape(p) for p in _PUNCT) + ")|(?P<bad>.)")
 
 
 # Binary operators: symbol -> (level, associativity, builtin or None).
@@ -86,28 +88,29 @@ class Token(Record):
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of text and a final eof token, in one pass. A column
+    counts the characters before the token on its line, a comment's
+    excepted: a comment runs to the end of its line, so only the eof token
+    after a trailing comment is placed at the comment's start."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", line, col)
-        kind, word = m.lastgroup, m.group()
-        i = m.end()
+    line, start = 1, 0  # start: the offset of the line's first character
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # space or a comment
+            continue
         if kind == "newline":
             line += 1
-            col = 1
+            start = m.end()
             continue
-        if kind == "comment":
-            continue
-        if kind != "space":
-            if kind == "ident" and word in KEYWORDS:
-                kind = "kw"
-            tokens.append(Token(kind, word, line, col))
-        col += len(word)
-    tokens.append(Token("eof", "", line, col))
+        word = m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", line, m.start() - start + 1)
+        if kind == "ident" and word in KEYWORDS:
+            kind = "kw"
+        tokens.append(Token(kind, word, line, m.start() - start + 1))
+    comment = text.find("#", start)
+    end = len(text) if comment < 0 else comment
+    tokens.append(Token("eof", "", line, end - start + 1))
     return tokens
 
 
@@ -115,39 +118,44 @@ class Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.tok = self.tokens[0]  # the current token, tokens[pos]
         self.env = GlobalEnv()
         self.pending_inductive: str | None = None
 
     # -- token plumbing ------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
+    def peek(self, ahead: int) -> Token:
+        """The token `ahead` places after the current one (eof past the end)."""
         i = self.pos + ahead
         return self.tokens[i] if i < len(self.tokens) else self.tokens[-1]
 
     def next(self) -> Token:
-        tok = self.peek()
-        self.pos += 1
+        """Return the current token and move to the next; eof stays."""
+        tok = self.tok
+        if tok.kind != "eof":
+            self.pos += 1
+            self.tok = self.tokens[self.pos]
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
+        tok = self.tok
         return tok.text == text and tok.kind in ("punct", "kw")
 
     def eat(self, text: str) -> Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.text != text or tok.kind not in ("punct", "kw"):
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
         return self.next()
 
     def eat_ident(self) -> str:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "ident":
             raise ParseError(f"expected identifier, found {tok.text!r}", tok.line, tok.col)
         self.next()
         return tok.text
 
     def fail(self, message: str):
-        tok = self.peek()
+        tok = self.tok
         raise ParseError(message, tok.line, tok.col)
 
     # -- name resolution -----------------------------------------------------
@@ -186,7 +194,7 @@ class Parser:
         not chain. A quantifier takes the rest of the term; in an
         expression position `forall` starts only a whole term or the
         codomain of an arrow."""
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "kw" and (tok.text == "forall" and (ctx is not None or min_level <= L_IMP)
                                  or tok.text == "exists" and ctx is not None):
             return self.parse_quantifier(bound, ctx)
@@ -204,7 +212,7 @@ class Parser:
                     lhs = App(lhs, self.parse_atom(bound))
         limit = L_ATOM
         while True:
-            tok = self.peek()
+            tok = self.tok
             op = _BINARY.get(tok.text) if tok.kind == "punct" else None
             if op is None or not min_level <= op[0] <= limit:
                 return lhs
@@ -262,7 +270,7 @@ class Parser:
         return body
 
     def _at_atom_start(self) -> bool:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind in ("ident", "int"):
             return True
         if tok.kind == "kw" and tok.text in ("fun", "match", "fix", "Type"):
@@ -270,7 +278,7 @@ class Parser:
         return tok.kind == "punct" and tok.text == "("
 
     def parse_atom(self, bound: list[str], ctx: list[Term] | None = None) -> Term:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "int":
             self.next()
             return IntLit(int(tok.text))
@@ -302,13 +310,13 @@ class Parser:
         and the extended bound-name list."""
         binders: list[tuple[str, Term]] = []
         while self.at("("):
-            save = self.pos
+            save = self.pos, self.tok
             self.next()
             names: list[str] = []
-            while self.peek().kind == "ident":
+            while self.tok.kind == "ident":
                 names.append(self.next().text)
             if not names or not self.at(":"):
-                self.pos = save
+                self.pos, self.tok = save
                 break
             self.eat(":")
             ty = self.parse(bound)
@@ -337,10 +345,10 @@ class Parser:
         arms: list[tuple[str, list[str], Term, Token]] = []
         while self.at("|"):
             self.next()
-            ctok = self.peek()
+            ctok = self.tok
             cname = self.eat_ident()
             binder_names: list[str] = []
-            while self.peek().kind == "ident":
+            while self.tok.kind == "ident":
                 binder_names.append(self.next().text)
             self.eat("=>")
             body_bound = list(reversed(binder_names)) + bound
@@ -381,7 +389,7 @@ class Parser:
         self.eat("fix")
         name = self.eat_ident()
         self.eat("/")
-        dtok = self.peek()
+        dtok = self.tok
         if dtok.kind != "int":
             self.fail("expected the decreasing-argument index after '/'")
         dec = int(self.next().text)
@@ -426,7 +434,7 @@ class Parser:
         params: list[str] = []
         if self.at("("):
             self.next()
-            while self.peek().kind == "ident":
+            while self.tok.kind == "ident":
                 params.append(self.next().text)
             self.eat(")")
         self.eat("=")
@@ -488,7 +496,7 @@ class Parser:
         lemma_params: list[str] = []
         goal: Term | None = None
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == "eof":
                 break
             if self.at("data"):
@@ -508,7 +516,7 @@ class Parser:
             elif self.at("goal"):
                 self.next()
                 goal = self.parse_statement("goal")
-                tok = self.peek()
+                tok = self.tok
                 if tok.kind != "eof":
                     raise ParseError("goal must be the final declaration", tok.line, tok.col)
                 break
@@ -551,7 +559,7 @@ def parse_term(text: str, env: GlobalEnv | None = None,
     p.env = env if env is not None else GlobalEnv()
     bound = bound or []
     t = p.parse(bound, [])
-    if p.peek().kind != "eof":
+    if p.tok.kind != "eof":
         p.fail("trailing input")
     if not bound and not is_prop(t):
         infer(p.env, [], t)

@@ -51,10 +51,10 @@ _INFIX_BUILTINS = {builtin: (sym, lvl, assoc) for sym, lvl, assoc, builtin in OP
 class _Namer:
     """The names taken so far in one print_term call. Whether a binder's
     variable occurs, which decides if it needs a name at all, is read off
-    its scope's free-variable mask."""
+    its scope's free-variable mask. It owns `used` and adds to it."""
 
     def __init__(self, used: set[str]):
-        self.used = set(used)
+        self.used = used
 
     def fresh(self, hint: str) -> str:
         base = hint if hint and hint != "_" else "x"
@@ -74,7 +74,7 @@ def print_term(t: Term, env: GlobalEnv | None = None,
     """Render t; context_names[i] names Var(i) (innermost first)."""
     env = env or GlobalEnv()
     names = list(context_names or [])
-    namer = _Namer(env.names() | set(names))
+    namer = _Namer({*env.names(), *names})
     return _pp(t, env, names, namer, L_BINDER)
 
 

@@ -11,12 +11,14 @@ name fields are printing hints only: they are excluded from `==` and
 the same set or dict entry. `repr` and the printer still show them; a test
 that pins exact names compares `repr`.
 
-Each node computes its hash and its free-variable mask once, from its
-children, when it is built. Nodes are immutable by convention: nothing
-assigns a field after `__init__`, because those cached facts are computed
-from the fields. The mask answers in O(1) whether a term is closed or well
-scoped, whether a binder's variable occurs, and whether a subterm mentions
-a variable bound outside it.
+Each node computes its hash, its free-variable mask and its node-class
+mask once, from its children, when it is built. Nodes are immutable by
+convention: nothing assigns a field after `__init__`, because those cached
+facts are computed from the fields. The free-variable mask answers in O(1)
+whether a term is closed or well scoped, whether a binder's variable
+occurs, and whether a subterm mentions a variable bound outside it; the
+class mask answers whether a subterm holds a lambda, a constant, a match, a
+fixpoint or a type variable, so a walk that looks for one skips the rest.
 
 The kernels (map_subterms and with it rebind, lift, subst and subst_list)
 return the input node itself when none of its children changed, and rebind
@@ -76,19 +78,28 @@ def node_repr(root: object) -> str:
     return "".join(out)
 
 
+# The bits of `Term._has`, one per node class that a walk looks for. All
+# five fit below 32, so every mask is one of CPython's cached small ints.
+HAS_LAM, HAS_CONST, HAS_MATCH, HAS_FIX, HAS_TVAR = 1, 2, 4, 8, 16
+
+
 class Term:
     """Base of the term nodes.
 
-    Each node computes two facts from its children once, when it is built:
-    `_hash`, which ignores binder names, and `_free`, the mask of its free
+    Each node computes three facts from its children once, when it is
+    built. `_hash` ignores binder names. `_free` is the mask of its free
     de Bruijn indices: bit i is set when Var(i) occurs free in the node.
     Var(i) gives 1 << i, a child under k binders of the node contributes
     its mask shifted right by k, and the node ors its children's. Under d
-    binders a mask has at most d bits. No field of a node is ever None.
-    `==` is True on identity, False at once when the hashes differ, and
-    otherwise compares the fields that the class's `_key` reads.
+    binders a mask has at most d bits. `_has` is the mask of the node
+    classes that occur in the node, itself included, one bit (HAS_LAM,
+    HAS_CONST, HAS_MATCH, HAS_FIX, HAS_TVAR) per class that some walk looks
+    for: a walk skips a subterm whose mask lacks its class. No field of a
+    node is ever None. `==` is True on identity, False at once when the
+    hashes differ, and otherwise compares the fields that the class's
+    `_key` reads.
     """
-    __slots__ = ("_hash", "_free")
+    __slots__ = ("_hash", "_free", "_has")
     # The fields `==` compares, binder names excluded. A class without
     # fields compares by its class and hash alone.
     _key = attrgetter("_hash")
@@ -96,6 +107,7 @@ class Term:
     def __init__(self) -> None:  # the field-less leaves: IntT, the sorts, TrueP, FalseP
         self._hash = hash(type(self))
         self._free = 0
+        self._has = 0
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -121,6 +133,7 @@ class Var(Term):
         self.index = index
         self._hash = hash((Var, index))
         self._free = 1 << index
+        self._has = 0
 
 
 class Const(Term):
@@ -132,6 +145,7 @@ class Const(Term):
         self.name = name
         self._hash = hash((Const, name))
         self._free = 0
+        self._has = HAS_CONST
 
 
 class Ctor(Term):
@@ -144,6 +158,7 @@ class Ctor(Term):
         self.ctor_index = ctor_index
         self._hash = hash((Ctor, inductive, ctor_index))
         self._free = 0
+        self._has = 0
 
 
 class Ind(Term):
@@ -155,6 +170,7 @@ class Ind(Term):
         self.inductive = inductive
         self._hash = hash((Ind, inductive))
         self._free = 0
+        self._has = 0
 
 
 class TVar(Term):
@@ -170,6 +186,7 @@ class TVar(Term):
         self.name = name
         self._hash = hash((TVar, name))
         self._free = 0
+        self._has = HAS_TVAR
 
 
 class IntT(Term):
@@ -196,6 +213,7 @@ class Pi(Term):
         self.codomain = codomain
         self._hash = hash((Pi, domain._hash, codomain._hash))
         self._free = domain._free | codomain._free >> 1
+        self._has = domain._has | codomain._has
 
 
 class Lam(Term):
@@ -208,6 +226,7 @@ class Lam(Term):
         self.body = body
         self._hash = hash((Lam, domain._hash, body._hash))
         self._free = domain._free | body._free >> 1
+        self._has = HAS_LAM | domain._has | body._has
 
 
 class App(Term):
@@ -219,6 +238,7 @@ class App(Term):
         self.arg = arg
         self._hash = hash((App, head._hash, arg._hash))
         self._free = head._free | arg._free
+        self._has = head._has | arg._has
 
 
 class Branch:
@@ -266,9 +286,12 @@ class Match(Term):
         self._hash = hash((Match, scrutinee._hash, inductive, return_type._hash,
                            *[b._hash for b in branches]))
         free = scrutinee._free | return_type._free
+        has = HAS_MATCH | scrutinee._has | return_type._has
         for b in branches:
             free |= b.body._free >> b.arity
+            has |= b.body._has
         self._free = free
+        self._has = has
 
 
 class Fix(Term):
@@ -285,6 +308,7 @@ class Fix(Term):
         self.body = body
         self._hash = hash((Fix, decreasing, full_type._hash, body._hash))
         self._free = full_type._free | body._free >> 1
+        self._has = HAS_FIX | full_type._has | body._has
 
 
 class Eq(Term):
@@ -298,6 +322,7 @@ class Eq(Term):
         self.rhs = rhs
         self._hash = hash((Eq, at_type._hash, lhs._hash, rhs._hash))
         self._free = at_type._free | lhs._free | rhs._free
+        self._has = at_type._has | lhs._has | rhs._has
 
 
 class TrueP(Term):
@@ -317,6 +342,7 @@ class And(Term):
         self.rhs = rhs
         self._hash = hash((And, lhs._hash, rhs._hash))
         self._free = lhs._free | rhs._free
+        self._has = lhs._has | rhs._has
 
 
 class Or(Term):
@@ -328,6 +354,7 @@ class Or(Term):
         self.rhs = rhs
         self._hash = hash((Or, lhs._hash, rhs._hash))
         self._free = lhs._free | rhs._free
+        self._has = lhs._has | rhs._has
 
 
 class Not(Term):
@@ -338,6 +365,7 @@ class Not(Term):
         self.body = body
         self._hash = hash((Not, body._hash))
         self._free = body._free
+        self._has = body._has
 
 
 class Exists(Term):
@@ -352,6 +380,7 @@ class Exists(Term):
         self.body = body
         self._hash = hash((Exists, domain._hash, body._hash))
         self._free = domain._free | body._free >> 1
+        self._has = domain._has | body._has
 
 
 class IntLit(Term):
@@ -362,6 +391,7 @@ class IntLit(Term):
         self.value = value
         self._hash = hash((IntLit, value))
         self._free = 0
+        self._has = 0
 
 
 # The node classes that head a proposition, under its leading products: a
@@ -713,11 +743,16 @@ def rebind(t: Term, on_free, depth: int = 0) -> Term:
         del go
 
 
-def normal_form(t: Term, head) -> Term:
+def normal_form(t: Term, head, at: int) -> Term:
     """Normalize t: head(s) rewrites s at its root until no rule applies
     and returns s itself when none did; the root is tried again whenever
-    normalizing the children changed one."""
+    normalizing the children changed one. `at` is the `_has` mask of the
+    node classes that head can rewrite at (a node of one of them heads
+    every redex it takes): a subterm whose mask meets none of them is
+    returned as it is, unvisited."""
     def go(s: Term, _depth: int = 0) -> Term:
+        if not s._has & at:
+            return s  # no class that head rewrites occurs in s
         s = head(s)
         s2 = map_subterms(s, go)
         if s2 is s:

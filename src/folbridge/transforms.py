@@ -22,7 +22,7 @@ import itertools
 
 from .conversion import beta_reduce, typecheck
 from .terms import (
-    And, App, Const, Ctor, Eq, Exists, Fix, FolbridgeError,
+    HAS_MATCH, And, App, Const, Ctor, Eq, Exists, Fix, FolbridgeError,
     GlobalEnv, Ind, InductiveDecl, IntLit, IntT, Lam, Match, Not, Or, Pi,
     Record, SortProp, SortType, TVar, Term, Var,
     as_inductive_instance, builtin_type, children, ctor_arg_types,
@@ -377,13 +377,13 @@ def eliminate_fix(state: ProofState, hyp_name: str) -> Hypothesis:
 def _match_candidates(body: Term, n: int) -> list[int]:
     """Telescope positions (outside-based) of bound variables that are
     scrutinees of a match in the body, found in one loop over (subterm,
-    depth) pairs. A subterm in which no telescope variable occurs is
-    skipped whole."""
+    depth) pairs. A subterm in which no telescope variable occurs, or
+    which holds no match, is skipped whole."""
     found: set[int] = set()
     stack = [(body, 0)]
     while stack:
         t, depth = stack.pop()
-        if not t._free >> depth:
+        if not t._free >> depth or not t._has & HAS_MATCH:
             continue
         if type(t) is Match and type(t.scrutinee) is Var:
             idx = t.scrutinee.index - depth
@@ -416,7 +416,7 @@ def iota_reduce(env: GlobalEnv, t: Term) -> Term:
                 break
             s = subst_list(br.body, value_args[::-1])
         return s
-    return normal_form(t, head)
+    return normal_form(t, head, HAS_MATCH)
 
 
 def eliminate_pattern_matching(state: ProofState, hyp_name: str) -> list[Hypothesis]:

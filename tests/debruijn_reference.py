@@ -5,9 +5,10 @@ versions are property-tested against; the per-question binder-use walk
 `_uses_binder_at`, the oracle of the mask bits the printer reads; the
 recursive `terms.well_scoped`, the oracle of the version that reads the
 free-variable mask `_free`; the recursive `transforms._match_candidates`,
-the oracle of its explicit-stack loop; and `free` and `reach`, the
+the oracle of its explicit-stack loop; `free` and `reach`, the
 oracles of the `_free` mask that every node computes from its children
-when it is built (its set bits and its bit length).
+when it is built (its set bits and its bit length); and `classes`, the
+oracle of the `_has` mask of the node classes that occur in a term.
 
 Each walks the term with its own `Var` case and its own `map_subterms`
 (or `children`) recursion, so it shares none of `rebind` or of the loops;
@@ -143,3 +144,8 @@ def free(t: Term) -> set[int]:
     if isinstance(t, Var):
         return {t.index}
     return {i - extra for c, extra in children(t) for i in free(c) if i >= extra}
+
+
+def classes(t: Term) -> set[type]:
+    """The node classes that occur in t, t's own included."""
+    return {type(t)}.union(*[classes(c) for c, _ in children(t)])

@@ -1,8 +1,8 @@
 """The normalizers built on terms.normal_form against their hand-written
 versions in tests/normalize_reference.py: the same terms, binder names
 included, the same fuel, and the same errors. Also what the kernel adds:
-one pass over an already-normal term, and iota reduction with no round
-cap."""
+one pass over an already-normal term that enters only the subterms holding
+a class the rewrite acts on, and iota reduction with no round cap."""
 
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ from folbridge import conversion, terms, transforms
 from folbridge.conversion import Fuel, beta_reduce, replace_tvars
 from folbridge.parser import parse_problem
 from folbridge.terms import (
-    INT, App, Branch, Const, Ctor, FolbridgeError, Ind, IntLit, Lam, Match,
-    Term, TVar, Var, make_app, subterms,
+    HAS_LAM, HAS_MATCH, INT, App, Branch, Const, Ctor, FolbridgeError, Ind, IntLit, Lam,
+    Match, Term, TVar, Var, make_app, subterms,
 )
 from folbridge.transforms import TransformError, iota_reduce
 
@@ -165,16 +165,27 @@ def _count_map_subterms(monkeypatch) -> list[int]:
 
 def test_normal_terms_take_one_pass(monkeypatch):
     """On a term that is already beta- and iota-normal, beta_reduce and
-    iota_reduce visit each node once: one map_subterms call per node, and
-    no confirming second pass."""
+    iota_reduce visit once each subterm whose class mask holds what they
+    rewrite (a lambda, a match), and nothing else: one map_subterms call
+    per such subterm, and no confirming second pass. Here that is the root
+    lambda for beta_reduce, and the lambda and its match for iota_reduce."""
     t = Lam("l", LIST_INT, Match(
         Var(0), "list", NAT,
         (Branch((), O),
          Branch(("h", "t"), App(S, App(App(Var(3), Var(1)), Var(0)))))))
-    nodes = len(list(subterms(t)))
     calls = _count_map_subterms(monkeypatch)
-    assert beta_reduce(t) is t
-    assert calls[0] == nodes
-    calls[0] = 0
-    assert iota_reduce(ENV, t) is t
-    assert calls[0] == nodes
+    for reduce, bit, visited in ((beta_reduce, HAS_LAM, 1),
+                                 (lambda t: iota_reduce(ENV, t), HAS_MATCH, 2)):
+        calls[0] = 0
+        assert reduce(t) is t
+        assert calls[0] == sum(1 for s in subterms(t) if s._has & bit) == visited
+
+
+def test_full_normal_form_steps_on_constants():
+    """A subterm that holds a constant is visited, though it holds no
+    lambda, match or fixpoint: a bare defined constant is unfolded, and a
+    builtin steps on literals."""
+    normalize = conversion.normalize
+    assert normalize(ENV, [], Const("two")) == IntLit(2)
+    assert normalize(ENV, [], make_app(Const("add"), [IntLit(1), IntLit(2)])) == IntLit(3)
+    assert normalize(ENV, [], Lam("x", NAT, Const("two"))) == Lam("x", NAT, IntLit(2))

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_reference as ref
 from conftest import PRELUDE
-from folbridge import conversion
+from folbridge import conversion, terms
 from folbridge.conversion import (
     DEFAULT_FUEL, EvalError, EvalUnsupported, Fuel, FuelExhausted, VClosure, VCtor, VInt,
     eval_ground, random_ground_term, random_truth_check, typecheck,
@@ -514,3 +514,20 @@ def test_statements_that_vary_are_sampled_in_full(monkeypatch, text):
     calls = _count_eval_prop(monkeypatch)
     assert random_truth_check(ENV, stmt, samples=50) is None
     assert calls[0] == 50
+
+
+def test_statement_without_type_variable_is_not_walked(monkeypatch):
+    """The oracle looks for type variables through the class mask: on a
+    statement that holds none, it calls `children` on no subterm. One that
+    holds one is walked."""
+    calls = []
+    real = terms.children
+    for module in (terms, conversion):
+        monkeypatch.setattr(module, "children", lambda t: calls.append(t) or real(t))
+    stmt = parse_term("forall (A : Type) (l : list A), app A l (nil A) = l", ENV)
+    assert random_truth_check(ENV, stmt, samples=5) is None
+    assert random_truth_check(ENV, _definition_statement(ENV, "length"), samples=5) is None
+    assert calls == []
+    stmt = parse_term("forall (A : Type), length A (nil A) = 0", ENV)
+    assert random_truth_check(ENV, subst_list(stmt.codomain, [TVar("A")]), samples=5) is None
+    assert calls

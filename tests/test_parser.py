@@ -428,6 +428,9 @@ def tokens_or_error(f, text):
 
 
 @given(st.lists(TOKEN_PIECES, max_size=30).map("".join))
+@example("#")
+@example("a\n  b # c")
+@example("x é")
 @settings(deadline=None, max_examples=300)
 def test_tokenize_matches_reference(text):
     assert tokens_or_error(tokenize, text) == tokens_or_error(reference_tokenize, text)

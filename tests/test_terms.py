@@ -1,9 +1,9 @@
 """Lifting/substitution against an independent named-variable oracle, the
 other `rebind`-based traversals against their hand-written originals, term
 equality and hashing against the recursive alpha-equivalence, each node's
-cached free-variable mask against a recursive reference, the walks that the
-mask spares, `repr` against its recursive original, the kernels' sharing of
-unchanged nodes, and the slotted node classes.
+cached free-variable and node-class masks against recursive references, the
+walks that the masks spare, `repr` against its recursive original, the
+kernels' sharing of unchanged nodes, and the slotted node classes.
 
 Term equality ignores binder names, so a comparison that must also pin the
 names compares `repr`."""
@@ -27,7 +27,7 @@ from folbridge.conversion import (
 )
 from folbridge.terms import (
     App, Branch, Const, Ctor, Eq, Exists, Fix, FolbridgeError, INT, Ind, IntLit, Lam,
-    Match, Not, Pi, ScopeError, TYPE, Term, TrueP, Var, alpha_eq, is_closed, lift,
+    Match, Not, Pi, ScopeError, TYPE, Term, TrueP, TVar, Var, alpha_eq, is_closed, lift,
     subst, subst_list, subterms, well_scoped,
 )
 from named_calculus import from_named, named_subst, to_named
@@ -349,6 +349,24 @@ def test_free_matches_reference(t):
     assert is_closed(t) == well_scoped(t, 0)
 
 
+# Each bit of `Term._has` and the node class it stands for.
+HAS_BITS = ((terms.HAS_LAM, Lam), (terms.HAS_CONST, Const), (terms.HAS_MATCH, Match),
+            (terms.HAS_FIX, Fix), (terms.HAS_TVAR, TVar))
+
+
+@given(st.one_of(OPEN_TERMS, CLOSED_TERMS, CLOSED_MATCH_TERMS))
+@example(Fix("f", 0, Pi("x", TVar("A"), TVar("B")),
+             Lam("x", TVar("A"), Match(Var(0), "nat", TVar("B"), (Branch(("y",), Var(2)),)))))
+@example(Eq(TVar("A"), Var(0), App(Const("c"), Var(1))))
+@settings(deadline=None, max_examples=200)
+def test_has_matches_reference(t):
+    for s in subterms(t):
+        present = reference.classes(s)
+        for bit, cls in HAS_BITS:
+            assert bool(s._has & bit) == (cls in present), (cls, s)
+        assert s._has < 32, s
+
+
 def test_closed_terms_are_not_walked(monkeypatch):
     """lift, subst and subst_list return a closed term, and lift an open one
     whose free variables stay below the cutoff, without visiting a
@@ -427,6 +445,18 @@ def test_match_candidates_skips_closed_statements(prelude, monkeypatch):
         "| nil => 0 | cons _ l' => 1 + length Int l' end", env)
     assert transforms._match_candidates(body.codomain, 1) == [0]
     assert calls
+
+
+def test_match_candidates_skips_bodies_without_a_match(prelude, monkeypatch):
+    """An open body that holds no match costs one mask test, however many
+    telescope variables it mentions."""
+    calls = _count_children(monkeypatch)
+    body = parser.parse_term(
+        "forall (A : Type) (x : A) (l : list A), "
+        "app A (cons A x l) (nil A) = cons A x (app A l (nil A))", prelude.env)
+    _, inner = terms.strip_pis(body)
+    assert inner._free and transforms._match_candidates(inner, 3) == []
+    assert calls == []
 
 
 def _cons_chain(n: int, innermost: int) -> Term:
