@@ -10,10 +10,11 @@ ground data and decides the rest with the evaluator. The instances are
 drawn as Values and bound in the evaluator's value environment: the body
 is evaluated as it stands, not rewritten with the instances' terms, and
 fuel counts only the statement's own nodes. Random data is read off one
-constructor table per ground type, kept in GlobalEnv.memo (each
-constructor's instantiated argument types, their least sizes and the
-total), and the random arguments that probe function values are built as
-Values alongside their terms, not evaluated again. Functions over an empty
+constructor table per ground type (each constructor's instantiated
+argument types, their least sizes and the total), and the random arguments
+that probe function values are built as Values alongside their terms, not
+evaluated again. A type that mentions a definition (an alias) is sized and
+sampled as its normal form. Functions over an empty
 domain are equal without a probe, and so are structurally equal function
 values (the same closure, fixpoint or partial application over equal
 captured values), which is how the hypothesis `c = body` of a definition
@@ -24,6 +25,13 @@ oracle never typechecks: whether a binder domain or an implication premise
 is a proposition is read off its shape (terms.is_prop), and a domain that
 is neither Int nor an inductive instance cannot be sampled and raises
 EvalUnsupported.
+
+Only this module uses GlobalEnv.memo, for three caches: the closed-type
+table (`_infer`), and per ground type its least inhabitant size
+(`min_term_size`) and its constructor table (`_ctor_table`). None is ever
+invalidated: a declaration only adds names, and only successes are stored.
+A type key is name-blind, so a table's type arguments keep the binder names
+of the alpha-equal type that filled it; they reach random data only.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from .terms import (
     Ctor, Eq, Exists, FalseP, Fix, FolbridgeError, GlobalEnv, Ind, IntLit,
     IntT, LEAVES, Lam, Match, Not, Or, Pi, Record, SortProp, SortType, TVar, Term, TrueP,
     Var, as_inductive_instance, builtin_type, children, ctor_arg_types,
-    ctor_type, ind_type, is_prop, lift, make_app, node_repr, normal_form, rebind,
+    is_prop, lift, make_app, node_repr, normal_form, rebind,
     spine, strip_pis, subst, subst_list, well_scoped,
 )
 
@@ -152,7 +160,7 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
                 # A variable bound by the spine stands for its argument.
                 dom = (done[-1 - dom.index] if type(dom) is Var and dom.index < len(done)
                        else subst_list(dom, done[::-1]))
-            if not convertible(env, ctx, aty, dom, fuel):
+            if not convertible(env, aty, dom, fuel):
                 raise TypingError(
                     f"argument type mismatch: expected {dom}, found {aty}")
             done.append(arg)
@@ -166,9 +174,9 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
         b = builtin_type(t.name)
         return b if b is not None else env.definition(t.name).type
     elif cls is Ctor:
-        return ctor_type(env, t.inductive, t.ctor_index)
+        return env.inductive(t.inductive).ctor_types[t.ctor_index]
     elif cls is Ind:
-        return ind_type(env, t.inductive)
+        return env.inductive(t.inductive).type
     elif cls is IntLit:
         return INT
     elif cls in _TYPE_TYPED:
@@ -208,7 +216,7 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
             for j, at in enumerate(ctor_arg_types(env, t.inductive, k, type_args)):
                 bctx = [lift(at, j)] + bctx
             bty = _infer(env, bctx, br.body, fuel)
-            if not convertible(env, bctx, bty, lift(rty, br.arity), fuel):
+            if not convertible(env, bty, lift(rty, br.arity), fuel):
                 raise TypingError(f"branch for {cd.name} has type {bty}, expected {rty}")
         ty = rty
     elif cls is Fix:
@@ -225,7 +233,7 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
         if as_inductive_instance(whnf(env, binders[t.decreasing], fuel)) is None:
             raise TypingError("fixpoint decreasing argument is not of an inductive type")
         fctx = [fty] + ctx
-        if not convertible(env, fctx, _infer(env, fctx, t.body, fuel), lift(fty, 1), fuel):
+        if not convertible(env, _infer(env, fctx, t.body, fuel), lift(fty, 1), fuel):
             raise TypingError("fixpoint body type differs from its annotation")
         ty = fty
     elif cls is Eq:
@@ -234,7 +242,7 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
         at = t.at_type
         if type(_infer(env, ctx, at, fuel)) not in _SORTS:
             raise TypingError("equality annotation is not a type")
-        if not convertible(env, ctx, lty, at, fuel) or not convertible(env, ctx, rty, at, fuel):
+        if not convertible(env, lty, at, fuel) or not convertible(env, rty, at, fuel):
             raise TypingError(
                 f"equality sides disagree: {lty} vs {rty} at {at}")
         ty = PROP
@@ -315,8 +323,8 @@ def _builtin_step(env: GlobalEnv, name: str, args: list[Term], fuel: Fuel) -> Te
             return _bool_term(a == FALSE)
         return None
     if name == "eqb":
-        a = normalize(env, [], args[1], fuel)
-        b = normalize(env, [], args[2], fuel)
+        a = normalize(env, args[1], fuel)
+        b = normalize(env, args[2], fuel)
         if _is_ground_value(a) and _is_ground_value(b):
             return _bool_term(a == b)
         return None
@@ -374,9 +382,9 @@ def whnf(env: GlobalEnv, t: Term, fuel: Fuel) -> Term:
         return t
 
 
-def normalize(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel | None = None) -> Term:
-    """Full normal form; deterministic leftmost-outermost strategy. ctx is
-    informational (open terms reduce fine: free variables are neutral)."""
+def normalize(env: GlobalEnv, t: Term, fuel: Fuel | None = None) -> Term:
+    """Full normal form; deterministic leftmost-outermost strategy. Open
+    terms reduce fine: free variables are neutral."""
     if fuel is None:
         fuel = Fuel()
     return _norm(env, t, fuel)
@@ -391,8 +399,7 @@ def _norm(env: GlobalEnv, t: Term, fuel: Fuel) -> Term:
 _WHNF_HEADS = HAS_LAM | HAS_CONST | HAS_MATCH | HAS_FIX
 
 
-def convertible(env: GlobalEnv, ctx: list[Term], t: Term, u: Term,
-                fuel: Fuel | None = None) -> bool:
+def convertible(env: GlobalEnv, t: Term, u: Term, fuel: Fuel | None = None) -> bool:
     """True iff t and u share a normal form up to alpha (term equality)."""
     if fuel is None:
         fuel = Fuel()
@@ -577,9 +584,10 @@ def _eval(env: GlobalEnv, t: Term, venv: tuple[Value, ...], fuel: Fuel) -> Value
             return VBuiltin(t.name, ())
         raise EvalError(f"cannot evaluate unknown constant {t.name}")
     if cls is Ctor:
-        if _ctor_arity(env, t.inductive, t.ctor_index) == 0:
-            return VCtor(t.inductive, t.ctor_index, (), ())
-        return VCtorPartial(t.inductive, t.ctor_index, ())
+        decl = env.inductive(t.inductive)
+        if decl.params or decl.ctors[t.ctor_index].arg_types:
+            return VCtorPartial(t.inductive, t.ctor_index, ())
+        return VCtor(t.inductive, t.ctor_index, (), ())
     if cls is IntLit:
         return VInt(t.value)
     if cls is Lam:
@@ -594,17 +602,6 @@ def _eval(env: GlobalEnv, t: Term, venv: tuple[Value, ...], fuel: Fuel) -> Value
 
 
 _TYPE_LEAVES = frozenset({Ind, IntT, TVar, SortType, SortProp})
-
-
-def _ctor_arity(env: GlobalEnv, ind: str, index: int) -> int:
-    """Type parameters plus value arguments of a constructor; computed once
-    per environment."""
-    n = env.memo.get(("ctor_arity", ind, index))
-    if n is None:
-        decl = env.inductive(ind)
-        n = env.memo["ctor_arity", ind, index] = (
-            len(decl.params) + len(decl.ctors[index].arg_types))
-    return n
 
 
 def _reify_type(t: Term, venv: tuple[Value, ...]) -> Term:
@@ -625,9 +622,10 @@ def _apply(env: GlobalEnv, f: Value, a: Value, fuel: Fuel) -> Value:
     cls = type(f)
     if cls is VCtorPartial:
         collected = f.collected + (a,)
-        if len(collected) < _ctor_arity(env, f.inductive, f.ctor_index):
+        decl = env.inductive(f.inductive)
+        n_params = len(decl.params)
+        if len(collected) < n_params + len(decl.ctors[f.ctor_index].arg_types):
             return VCtorPartial(f.inductive, f.ctor_index, collected)
-        n_params = len(env.inductive(f.inductive).params)
         type_args = []
         for v in collected[:n_params]:
             if type(v) is not VType:
@@ -728,7 +726,10 @@ _INF = float("inf")
 
 def min_term_size(env: GlobalEnv, ty: Term, _active: frozenset = frozenset()):
     """Least constructor-node count of an inhabitant of the ground type ty,
-    or infinity when it has none; computed once per environment and type."""
+    or infinity when it has none; computed once per environment and type.
+    A type that mentions a definition is sized as its normal form."""
+    if ty._has & HAS_CONST:
+        ty = _norm(env, ty, Fuel())
     if isinstance(ty, IntT):
         return 1
     if not _active:
@@ -746,27 +747,16 @@ def _min_term_size(env: GlobalEnv, ty: Term, active: frozenset):
     if inst is None or ty in active:
         return _INF
     name, targs = inst
-    if len(targs) != len(env.inductive(name).params):
+    decl = env.inductive(name)
+    if len(targs) != len(decl.params):
         return _INF
     best = _INF
-    for arg_tys in _ctor_arg_types(env, ty, name, targs):
+    for k in range(len(decl.ctors)):
         total = 1
-        for at in arg_tys:
+        for at in ctor_arg_types(env, name, k, targs):
             total += min_term_size(env, at, active | {ty})
         best = min(best, total)
     return best
-
-
-def _ctor_arg_types(env: GlobalEnv, ty: Term, name: str,
-                    targs: list[Term]) -> tuple[tuple[Term, ...], ...]:
-    """Each constructor's argument types instantiated at the type arguments
-    of ty = name targs; computed once per environment and type."""
-    arg_tys = env.memo.get(("ctor_arg_types", ty))
-    if arg_tys is None:
-        arg_tys = env.memo["ctor_arg_types", ty] = tuple(
-            tuple(ctor_arg_types(env, name, k, targs))
-            for k in range(len(env.inductive(name).ctors)))
-    return arg_tys
 
 
 class _CtorTable(Record):
@@ -788,7 +778,10 @@ class _CtorTable(Record):
 
 def _ctor_table(env: GlobalEnv, ty: Term) -> _CtorTable | None:
     """The constructor table of ty, built once per environment and type;
-    None when ty is not an inductive instance."""
+    None when ty is not an inductive instance. A type that mentions a
+    definition gets the table of its normal form."""
+    if ty._has & HAS_CONST:
+        ty = _norm(env, ty, Fuel())
     table = env.memo.get(("ctor_table", ty))
     if table is None:
         inst = as_inductive_instance(ty)
@@ -796,7 +789,8 @@ def _ctor_table(env: GlobalEnv, ty: Term) -> _CtorTable | None:
             return None
         name, targs = inst
         rows = []
-        for arg_tys in _ctor_arg_types(env, ty, name, targs):
+        for k in range(len(env.inductive(name).ctors)):
+            arg_tys = tuple(ctor_arg_types(env, name, k, targs))
             mins = tuple(min_term_size(env, at) for at in arg_tys)
             rows.append((arg_tys, mins, 1 + sum(mins)))
         table = env.memo["ctor_table", ty] = _CtorTable(
@@ -805,8 +799,8 @@ def _ctor_table(env: GlobalEnv, ty: Term) -> _CtorTable | None:
 
 
 def _type_values(env: GlobalEnv, targs: tuple[Term, ...]) -> tuple[Term, ...]:
-    """The closed types eval_ground makes of the type arguments targs (an
-    alias unfolds)."""
+    """The closed types eval_ground makes of the type arguments targs (a
+    redex among them reduces)."""
     out = []
     for t in targs:
         v = eval_ground(env, t)
@@ -820,14 +814,16 @@ def random_ground_term(env: GlobalEnv, ty: Term, size: int, seed=0) -> Term:
     """A closed well-typed term of the ground object type ty with at most
     max(size, minimal) constructor nodes; deterministic for a fixed seed."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return _random_datum(env, ty, size, rng, False)[0]
+    return _random_datum(env, ty, size, rng)[0]
 
 
-def _random_datum(env: GlobalEnv, ty: Term, size: int, rng: random.Random,
-                  with_value: bool = True) -> tuple[Term, Value | None]:
+def _random_datum(env: GlobalEnv, ty: Term, size: int,
+                  rng: random.Random) -> tuple[Term, Value]:
     """A random inhabitant of ty as a pair: its term and the Value that
-    eval_ground gives that term. Without with_value, constructed data gets
-    no Value (None), only the term."""
+    eval_ground gives that term. A type that mentions a definition is
+    sampled as its normal form."""
+    if ty._has & HAS_CONST:
+        ty = _norm(env, ty, Fuel())
     if isinstance(ty, IntT):
         n = rng.randint(-20, 20)
         return IntLit(n), VInt(n)
@@ -845,12 +841,10 @@ def _random_datum(env: GlobalEnv, ty: Term, size: int, rng: random.Random,
     for at, m in zip(arg_tys, arg_mins):
         extra = rng.randint(0, slack) if slack > 0 else 0
         slack -= extra
-        term, value = _random_datum(env, at, int(m) + extra, rng, with_value)
+        term, value = _random_datum(env, at, int(m) + extra, rng)
         args.append(term)
         values.append(value)
     term = make_app(Ctor(table.name, k), args)
-    if not with_value:
-        return term, None
     if table.vtargs is None:
         table.vtargs = _type_values(env, table.targs)
     return term, VCtor(table.name, k, table.vtargs, tuple(values))

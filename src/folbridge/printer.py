@@ -176,15 +176,16 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
         lam_binders = []
         lam_names: list[str] = []  # innermost first
         body = t.body
-        while isinstance(body, Lam):
+        rty = t.full_type
+        # One binder per lambda that the annotation shows a product for;
+        # the lambdas after those (the annotation ends in an alias of an
+        # arrow) print as a `fun` in the body.
+        while type(body) is Lam and type(rty) is Pi:
             nm = namer.fresh(body.binder)
             lam_binders.append(
                 f"({nm} : {_pp(body.domain, env, lam_names + [self_name] + names, namer, L_BINDER)})")
             lam_names.insert(0, nm)
             body = body.body
-        rty = t.full_type
-        for _ in lam_binders:
-            assert isinstance(rty, Pi)
             rty = rty.codomain
         # rty lies under the lam binders of full_type, without the self binder.
         s = (f"fix {self_name}/{t.decreasing} {' '.join(lam_binders)} : "

@@ -461,12 +461,29 @@ class CtorDecl(Record):
 
 
 class InductiveDecl(Record):
-    __slots__ = _fields = ("name", "params", "ctors")
+    """Its own type `Type -> ... -> Type` and each constructor's closed type
+    `forall params, args -> name params` are built here, once, in slots
+    outside `_fields` that `==`, `hash` and `repr` skip."""
+    __slots__ = ("name", "params", "ctors", "type", "ctor_types")
+    _fields = ("name", "params", "ctors")
 
     def __init__(self, name: str, params: tuple[str, ...], ctors: tuple[CtorDecl, ...]) -> None:
         self.name = name
         self.params = params
         self.ctors = ctors
+        p = len(params)
+        self.type = make_pis([("_", TYPE)] * p, TYPE)
+        ctor_types = []
+        for c in ctors:
+            # arg_types[j] lives under the params only, so it is lifted past
+            # the j value binders before it; under all n of them, param i
+            # is Var(n+p-1-i).
+            n = len(c.arg_types)
+            binders = [(x, TYPE) for x in params]
+            binders += [("_", lift(a, j)) for j, a in enumerate(c.arg_types)]
+            result = make_app(Ind(name), [Var(n + p - 1 - i) for i in range(p)])
+            ctor_types.append(make_pis(binders, result))
+        self.ctor_types = tuple(ctor_types)
 
 
 class Definition(Record):
@@ -476,9 +493,6 @@ class Definition(Record):
         self.name = name
         self.type = type
         self.body = body
-
-
-BOOL_DECL = InductiveDecl("Bool", (), (CtorDecl("true", ()), CtorDecl("false", ())))
 
 
 def _pi(*steps: Term) -> Term:
@@ -509,8 +523,10 @@ INTERPRETED_TYPES = ("Int", "Bool")
 
 class GlobalEnv(Record):
     """Named declarations. Insertion order is declaration order; names are
-    unique across inductives, constructors, definitions and builtins."""
-    __slots__ = ("inductives", "definitions", "memo")
+    unique across inductives, constructors, definitions and builtins. The
+    constructor index and the name set are built here; declarations extend
+    them."""
+    __slots__ = ("inductives", "definitions", "memo", "_ctors", "_names")
     _fields = ("inductives", "definitions")
     __hash__ = None
 
@@ -521,20 +537,18 @@ class GlobalEnv(Record):
             inductives = {"Bool": BOOL_DECL, **inductives}
         self.inductives = inductives
         self.definitions = {} if definitions is None else definitions
-        # Facts derived from the declarations (inductive and constructor
-        # types, names, least inhabitant sizes, the types of closed terms),
-        # keyed by (function name, arguments) and filled on demand;
-        # declare_inductive clears it and declare_definition drops the
-        # names. A key holding a type is name-blind like every term:
-        # alpha-equal types share an entry, and the terms an entry holds (a
-        # constructor table's type arguments) keep the binder names of the
-        # type that filled it. Those names reach random data only, never a
-        # hypothesis. The closed-type table, which all typing shares (parser
-        # elaboration, `collect_type_instances`, the checks on output), is
-        # keyed by the identity of the term, so a type it gives always
-        # carries its own term's binder names (see conversion._infer). Not
-        # a field: `==` and `repr` skip it.
+        self._ctors: dict[str, tuple[str, int]] = {}
+        self._names = frozenset(self.definitions).union(BUILTIN_FUNCTIONS)
+        for decl in inductives.values():
+            self._index(decl)
+        # Three caches that only conversion reads and writes (see there);
+        # never invalidated. Not a field: `==` and `repr` skip it.
         self.memo: dict[tuple, object] = {}
+
+    def _index(self, decl: InductiveDecl) -> None:
+        for i, c in enumerate(decl.ctors):
+            self._ctors.setdefault(c.name, (decl.name, i))
+        self._names = self._names.union([decl.name], [c.name for c in decl.ctors])
 
     # -- lookup ------------------------------------------------------------
 
@@ -551,24 +565,13 @@ class GlobalEnv(Record):
             raise ScopeError(f"unknown constant: {name}") from None
 
     def find_ctor(self, name: str) -> tuple[str, int] | None:
-        ctors = self.memo.get(("find_ctor",))
-        if ctors is None:
-            ctors = self.memo["find_ctor",] = {}
-            for decl in self.inductives.values():
-                for i, c in enumerate(decl.ctors):
-                    ctors.setdefault(c.name, (decl.name, i))
-        return ctors.get(name)
+        return self._ctors.get(name)
 
     def names(self) -> frozenset[str]:
         """Every declared name: inductives, constructors, definitions and
-        builtins. Kept in `memo` until the next declaration."""
-        out = self.memo.get(("names",))
-        if out is None:
-            out = set(self.inductives) | set(self.definitions) | set(BUILTIN_FUNCTIONS)
-            for decl in self.inductives.values():
-                out.update(c.name for c in decl.ctors)
-            out = self.memo["names",] = frozenset(out)
-        return out
+        builtins. A declaration replaces the set, so a returned set never
+        changes."""
+        return self._names
 
     # -- declaration (parser-facing) ----------------------------------------
 
@@ -579,9 +582,8 @@ class GlobalEnv(Record):
         instance mentions only itself and instances of other types."""
         if not decl.ctors:
             raise ScopeError(f"inductive {decl.name} needs at least one constructor")
-        taken = self.names()
         for n in [decl.name] + [c.name for c in decl.ctors]:
-            if n in taken:
+            if n in self._names:
                 raise ScopeError(f"name already declared: {n}")
         p = len(decl.params)
         own = [Var(p - 1 - i) for i in range(p)]
@@ -599,13 +601,13 @@ class GlobalEnv(Record):
                 stack += args
                 stack += [s for s, _ in children(head)]
         self.inductives[decl.name] = decl
-        self.memo.clear()
+        self._index(decl)
 
     def declare_definition(self, d: Definition) -> None:
-        if d.name in self.names():
+        if d.name in self._names:
             raise ScopeError(f"name already declared: {d.name}")
         self.definitions[d.name] = d
-        self.memo.pop(("names",), None)
+        self._names = self._names | {d.name}
 
 
 def builtin_type(name: str) -> Term | None:
@@ -877,44 +879,6 @@ def has_interior_type_binder(stmt: Term) -> bool:
 # Inductive type helpers
 # ---------------------------------------------------------------------------
 
-def ind_type(env: GlobalEnv, ind: str) -> Term:
-    """Type of the inductive's type constructor: Type -> ... -> Type;
-    computed once per environment."""
-    ty = env.memo.get(("ind_type", ind))
-    if ty is None:
-        ty = TYPE
-        for _ in env.inductive(ind).params:
-            ty = Pi("_", TYPE, ty)
-        env.memo["ind_type", ind] = ty
-    return ty
-
-
-def ctor_type(env: GlobalEnv, ind: str, index: int) -> Term:
-    """Closed type of a constructor: forall params, args -> I params;
-    computed once per environment."""
-    ty = env.memo.get(("ctor_type", ind, index))
-    if ty is None:
-        ty = env.memo["ctor_type", ind, index] = _ctor_type(env, ind, index)
-    return ty
-
-
-def _ctor_type(env: GlobalEnv, ind: str, index: int) -> Term:
-    decl = env.inductive(ind)
-    c = decl.ctors[index]
-    p = len(decl.params)
-    n = len(c.arg_types)
-    # Result type under params and value binders: params are Var(n+p-1-i).
-    result = make_app(Ind(ind), [Var(n + p - 1 - i) for i in range(p)])
-    ty = result
-    # Value binders, innermost last; arg_types[j] lives under the params
-    # only, so lift it past the j earlier value binders.
-    for j in reversed(range(n)):
-        ty = Pi("_", lift(c.arg_types[j], j), ty)
-    for name in reversed(decl.params):
-        ty = Pi(name, TYPE, ty)
-    return ty
-
-
 def ctor_arg_types(env: GlobalEnv, ind: str, index: int, type_args: list[Term]) -> list[Term]:
     """Constructor argument types instantiated at the given type args
     (which must not be captured: they are in the caller's context and the
@@ -933,3 +897,7 @@ def as_inductive_instance(t: Term) -> tuple[str, list[Term]] | None:
     if isinstance(head, Ind):
         return head.inductive, args
     return None
+
+
+# Built last: a declaration builds its types with make_pis, make_app and lift.
+BOOL_DECL = InductiveDecl("Bool", (), (CtorDecl("true", ()), CtorDecl("false", ())))

@@ -391,7 +391,7 @@ class Parser:
         once, and the type of rhs must convert to that of lhs."""
         lty = infer(self.env, ctx, lhs)[1]
         rty = infer(self.env, ctx, rhs)[1]
-        if not convertible(self.env, ctx, rty, lty):
+        if not convertible(self.env, rty, lty):
             raise TypingError(f"equality sides disagree: {lty} vs {rty}")
         return Eq(lty, lhs, rhs)
 
@@ -504,7 +504,7 @@ class Parser:
             bty = infer(self.env, [], full_body)[1]
         except TypingError as e:
             raise TypingError(f"in definition {name}: {e}") from None
-        if not convertible(self.env, [], bty, full_type):
+        if not convertible(self.env, bty, full_type):
             raise TypingError(f"definition {name}: body has type {bty}, declared {full_type}")
         check_prenex(full_type, what=f"definition {name}")
         self.env.declare_definition(Definition(name, full_type, full_body))

@@ -6,8 +6,10 @@ purpose). No module imports a private (`_`-prefixed) name from another
 module of the package: a decision two modules share is public and made in
 one place. Every private function, class and constant a module defines at
 top level is read somewhere else in that module, so a helper left behind
-when its last caller goes is found. And importing the package loads none of
-the modules that make a fresh process slow to start."""
+when its last caller goes is found. Only `conversion` reads or writes the
+caches in `GlobalEnv.memo`, which `GlobalEnv.__init__` creates. And
+importing the package loads none of the modules that make a fresh process
+slow to start."""
 
 from __future__ import annotations
 
@@ -113,6 +115,41 @@ def test_checker_finds_unread_private_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_private_names_are_read(path: Path):
     assert unread_private_names(path.read_text()) == []
+
+
+def memo_uses(source: str) -> list[int]:
+    """The lines that read or write an attribute named `memo`, except the
+    assignment to `self.memo` in `GlobalEnv.__init__`, which creates it."""
+    tree = ast.parse(source)
+    creation = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "GlobalEnv":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    for node in ast.walk(fn):
+                        targets = (node.targets if isinstance(node, ast.Assign) else
+                                   [node.target] if isinstance(node, ast.AnnAssign) else [])
+                        creation |= {id(t) for t in targets if isinstance(t, ast.Attribute)
+                                     and isinstance(t.value, ast.Name) and t.value.id == "self"}
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr == "memo" and id(n) not in creation)
+
+
+def test_checker_finds_memo_uses():
+    source = ("class GlobalEnv:\n"
+              "    def __init__(self):\n        self.memo: dict = {}\n"
+              "    def names(self):\n        return self.memo.get(1)\n"
+              "class Other:\n    def __init__(self):\n        self.memo = {}\n"
+              "def clear(env):\n    env.memo.clear()\n    env.memo = {}\n")
+    assert memo_uses(source) == [5, 8, 10, 11]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "conversion.py"], ids=lambda p: p.name)
+def test_only_conversion_uses_the_memo(path: Path):
+    """The caches stay behind one module: no other module reads or writes
+    them, so none can depend on what they hold or when they are filled."""
+    assert memo_uses(path.read_text()) == []
 
 
 # Modules that importing the package must not load: `dataclasses` pulls in

@@ -121,7 +121,7 @@ def test_reference_examples_reduce():
         beta_reduce(App(Lam("x", INT, App(Var(0), Var(0))),
                         Lam("y", INT, App(Var(0), Var(0)))), Fuel(300))
     t = Lam("x", NAT, App(App(Const("add"), Const("two")), IntLit(1)))
-    assert conversion.normalize(ENV, [], t) == Lam("x", NAT, IntLit(3))
+    assert conversion.normalize(ENV, t) == Lam("x", NAT, IntLit(3))
     assert replace_tvars(App(TVar("A"), TVar("B")), TVAR_TYPES) == App(
         LIST_INT, TVAR_TYPES["B"])
 
@@ -186,6 +186,6 @@ def test_full_normal_form_steps_on_constants():
     lambda, match or fixpoint: a bare defined constant is unfolded, and a
     builtin steps on literals."""
     normalize = conversion.normalize
-    assert normalize(ENV, [], Const("two")) == IntLit(2)
-    assert normalize(ENV, [], make_app(Const("add"), [IntLit(1), IntLit(2)])) == IntLit(3)
-    assert normalize(ENV, [], Lam("x", NAT, Const("two"))) == Lam("x", NAT, IntLit(2))
+    assert normalize(ENV, Const("two")) == IntLit(2)
+    assert normalize(ENV, make_app(Const("add"), [IntLit(1), IntLit(2)])) == IntLit(3)
+    assert normalize(ENV, Lam("x", NAT, Const("two"))) == Lam("x", NAT, IntLit(2))

@@ -349,6 +349,21 @@ class TestRoundTrip:
                 assert alpha_eq(pt(printed, env), t), printed
 
 
+def test_fix_annotated_with_an_alias_of_an_arrow_prints(bench_driver):
+    """The annotation `T` shows no product for the second lambda, which
+    prints as a `fun` in the body; every output line parses back."""
+    driver, _ = bench_driver
+    result = driver.preprocess(
+        "data nat = O | S (nat).\n"
+        "def T : Type = nat -> nat.\n"
+        "def f : nat -> nat -> nat = fix f/0 (n : nat) : T := fun (m : nat) => m.\n"
+        "goal f O O = O.\n")
+    assert "f_def : f = (fix f0/0 (n : nat) : T := fun (m : nat) => m)" in result.lines
+    env = result.state.env
+    for line, h in zip(result.lines, result.state.hypotheses, strict=True):
+        assert parse_term(line.partition(" : ")[2], env) == h.statement, line
+
+
 class TestSpecListings:
     def test_expand_listing_shape(self, env):
         # the H0 statement of the expansion walkthrough, written explicitly

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import pytest
 
-from folbridge.conversion import Counterexample, Fuel, _CtorTable
+from folbridge.conversion import Counterexample, Fuel, _CtorTable, min_term_size, typecheck
 from folbridge.parser import Token
 from folbridge.terms import (
-    BOOL_DECL, INT, CtorDecl, Definition, GlobalEnv, Ind, InductiveDecl, IntLit,
-    Problem, TrueP,
+    BOOL, BOOL_DECL, INT, TRUE, App, Const, CtorDecl, Definition, GlobalEnv, Ind,
+    InductiveDecl, IntLit, Problem, TrueP,
 )
 from folbridge.transforms import (
     ByCaseConversion, ByConversion, ByDefinition, ByInstantiation, DatatypeAxiom,
@@ -100,7 +100,8 @@ def test_reprs_are_pinned():
 
 def test_env_and_state_reprs_skip_their_caches():
     env = GlobalEnv()
-    env.names()
+    typecheck(env, [], App(Const("negb"), TRUE))   # fills the closed-type table
+    min_term_size(env, BOOL)
     assert env.memo
     assert repr(env) == f"GlobalEnv(inductives={{'Bool': {BOOL_DECL!r}}}, definitions={{}})"
     state = ProofState(env)
@@ -166,7 +167,7 @@ def test_names_see_every_later_declaration():
     before = env.names()
     assert "true" in before and "add" in before and "two" not in before
     assert isinstance(before, frozenset)
-    assert env.names() is before                # cached until a declaration
+    assert env.names() is before                # the same set until a declaration
     env.declare_definition(Definition("two", INT, IntLit(2)))
     assert "two" in env.names()
     env.declare_inductive(InductiveDecl("nat", (), (CtorDecl("O", ()),)))
