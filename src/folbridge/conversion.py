@@ -724,12 +724,16 @@ def value_to_term(v: Value) -> Term:
 _INF = float("inf")
 
 
+def _unfolded(env: GlobalEnv, ty: Term) -> Term:
+    """ty, or its normal form when it mentions a definition."""
+    return _norm(env, ty, Fuel()) if ty._has & HAS_CONST else ty
+
+
 def min_term_size(env: GlobalEnv, ty: Term, _active: frozenset = frozenset()):
     """Least constructor-node count of an inhabitant of the ground type ty,
     or infinity when it has none; computed once per environment and type.
     A type that mentions a definition is sized as its normal form."""
-    if ty._has & HAS_CONST:
-        ty = _norm(env, ty, Fuel())
+    ty = _unfolded(env, ty)
     if isinstance(ty, IntT):
         return 1
     if not _active:
@@ -780,8 +784,7 @@ def _ctor_table(env: GlobalEnv, ty: Term) -> _CtorTable | None:
     """The constructor table of ty, built once per environment and type;
     None when ty is not an inductive instance. A type that mentions a
     definition gets the table of its normal form."""
-    if ty._has & HAS_CONST:
-        ty = _norm(env, ty, Fuel())
+    ty = _unfolded(env, ty)
     table = env.memo.get(("ctor_table", ty))
     if table is None:
         inst = as_inductive_instance(ty)
@@ -822,8 +825,7 @@ def _random_datum(env: GlobalEnv, ty: Term, size: int,
     """A random inhabitant of ty as a pair: its term and the Value that
     eval_ground gives that term. A type that mentions a definition is
     sampled as its normal form."""
-    if ty._has & HAS_CONST:
-        ty = _norm(env, ty, Fuel())
+    ty = _unfolded(env, ty)
     if isinstance(ty, IntT):
         n = rng.randint(-20, 20)
         return IntLit(n), VInt(n)
@@ -875,16 +877,20 @@ class EvalUnsupported(FolbridgeError):
     """Statement shape outside the decidable evaluation fragment."""
 
 
+# Random arguments at which _veq compares two function values that differ.
+_PROBES = 6
+
+
 def _veq(env: GlobalEnv, a: Value, b: Value, at_type: Term, rng: random.Random,
-         fuel: Fuel, probes: int = 6, depth: int = 3,
-         venv: tuple[Value, ...] = ()) -> bool:
+         fuel: Fuel, depth: int = 3, venv: tuple[Value, ...] = ()) -> bool:
     """Semantic equality: structural on data, extensional sampling on
     function values (sound for refutation, probabilistic for assent).
     Function values that are structurally equal (_same_value) are equal
     without a probe and draw no random argument: the hypothesis `c = body`
     of a definition c compares two equal closures, which Coq proves by
     `reflexivity`. at_type may mention the type variables bound in venv;
-    it is resolved only when a and b are functions that differ."""
+    it is resolved, and read as its normal form when it mentions a
+    definition, only when a and b are functions that differ."""
     if isinstance(a, (VInt, VCtor)) and isinstance(b, (VInt, VCtor)):
         return type(a) is type(b) and _values_identical(
             a, b, lambda x, y: _veq(env, x, y, None, rng, fuel))
@@ -896,13 +902,15 @@ def _veq(env: GlobalEnv, a: Value, b: Value, at_type: Term, rng: random.Random,
         return True
     if depth <= 0:
         raise EvalUnsupported("function comparison nesting too deep")
-    at = _reify_type(at_type, venv) if venv and at_type is not None else at_type
+    at = at_type
+    if at is not None:
+        at = _unfolded(env, _reify_type(at, venv) if venv else at)
     if not isinstance(at, Pi):
         raise EvalUnsupported("cannot compare non-data values without an arrow type")
     table = None if isinstance(at.domain, SortType) else _ctor_table(env, at.domain)
     if table is not None and table.least == _INF:
         return True  # no argument to apply them to: equal vacuously
-    for _ in range(probes):
+    for _ in range(_PROBES):
         if isinstance(at.domain, SortType):
             garg = random_ground_type(env, rng)
             va: Value = VType(garg)
@@ -911,7 +919,7 @@ def _veq(env: GlobalEnv, a: Value, b: Value, at_type: Term, rng: random.Random,
         ra = _apply(env, a, va, fuel)
         rb = _apply(env, b, va, fuel)
         cod = subst(at.codomain, 0, garg)
-        if not _veq(env, ra, rb, cod, rng, fuel, probes, depth - 1):
+        if not _veq(env, ra, rb, cod, rng, fuel, depth - 1):
             return False
     return True
 

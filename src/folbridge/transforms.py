@@ -13,7 +13,7 @@ and `interp_alg_types` each datatype axiom. Both read the type instances
 from one running list that the state extends as statements arrive: each
 statement is walked once by `collect_type_instances`, with one `seen` set
 shared by all of them, so each alpha class of closed subterms is walked
-and typechecked once per state.
+once per state and typechecked at most once.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import itertools
 from .conversion import beta_reduce, typecheck
 from .terms import (
     HAS_MATCH, And, App, Const, Ctor, Eq, Exists, Fix, FolbridgeError,
-    GlobalEnv, Ind, InductiveDecl, IntLit, IntT, Lam, Match, Not, Or, Pi,
+    GlobalEnv, Ind, InductiveDecl, IntT, Lam, Match, Not, Or, Pi,
     Record, SortProp, SortType, TVar, Term, Var,
-    as_inductive_instance, builtin_type, children, ctor_arg_types,
+    as_inductive_instance, children, ctor_arg_types,
     has_interior_type_binder, is_prop, lift, make_app, make_pis, normal_form, rebind,
-    spine, strip_lams, strip_pis, subst, subst_list, INTERPRETED_TYPES, PROP_HEADS,
+    spine, strip_lams, strip_pis, subst, subst_list, INTERPRETED_TYPES,
 )
 # Not called here; bench/tracer.py wraps the kernels at this module's
 # bindings, so the name must resolve in it.
@@ -472,101 +472,42 @@ def _replace_binder(t: Term, at: int, widen: int, replacement: Term) -> Term:
 # Monomorphization
 # ---------------------------------------------------------------------------
 
-# Spine heads of subterms that are never type instances. `_infer` types
-# none of the others as SortType: a constructor's type is `I params` or a
-# product, and an application of any of them is ill-typed. The sorts do have
-# sort Type, but are not instances.
-_NEVER_TYPE_HEADS = frozenset({Ctor, IntLit, SortType, SortProp}) | PROP_HEADS
-
-
-def _never_a_type(env: GlobalEnv, name: str, nargs: int) -> bool:
-    """True when the constant `name` applied to `nargs` arguments cannot
-    have sort Type: its declared type has at least `nargs` leading Pis and
-    what remains is a Pi, or is headed by an Ind or Int. Substituting the
-    arguments keeps that head, so `typecheck` can only return a type that
-    is not a sort, or raise."""
-    ty = builtin_type(name)
-    if ty is None:
-        d = env.definitions.get(name)
-        if d is None:
-            return False
-        ty = d.type
-    for _ in range(nargs):
-        if not isinstance(ty, Pi):
-            return False
-        ty = ty.codomain
-    return isinstance(ty, Pi) or isinstance(spine(ty)[0], (Ind, IntT))
-
-
 def collect_type_instances(env: GlobalEnv, t: Term, seen: set[Term]) -> list[Term]:
     """Closed subterms of sort Type, nested instances included, in first
     occurrence order, except those in `seen` and below them.
 
-    One preorder walk, with an explicit stack, finds the candidates:
-    closed subterms whose spine head can have sort Type, other than an
-    unapplied Lam or Fix (whose type is a product), a product whose final
-    codomain is a proposition, an inductive applied to other than its
-    parameter count, and a constant application that `_never_a_type` rules
-    out. That filter is only a necessary condition; `typecheck` makes the
-    final decision. Every closed subterm walked is added to `seen`, and one
-    already there is skipped with everything below it: what it holds was
-    found where its alpha-equal (`==`) copy was walked. So one `seen` shared
-    by several statements gives each alpha class once; for one statement's
-    instances, pass `set()`. An open subterm is no instance: the walk only
-    passes through it."""
+    One preorder walk, with an explicit stack, asks `typecheck` of every
+    closed subterm but a sort, a Lam or Fix (whose type is a product), a
+    proposition (`is_prop`), and the head of a closed application that
+    typechecks or is itself such a head: a head of sort Type would make
+    that application ill-typed. Every closed subterm walked is added to
+    `seen`, and one already there is skipped with everything below it: what
+    it holds was found where its alpha-equal (`==`) copy was walked. So one
+    `seen` shared by several statements gives each alpha class once; for
+    one statement's instances, pass `set()`. An open subterm is no
+    instance: the walk only passes through it."""
     out: list[Term] = []
-    # Each entry is a subterm with the head of its spine (of its final
-    # codomain's, for a product) and the number of arguments applied to
-    # that head. A head of None is found, when the subterm is closed, by
-    # descending from it; an open subterm passes on the head it got.
-    stack: list[tuple[Term, Term | None, int]] = [(t, None, 0)]
+    stack: list[tuple[Term, bool]] = [(t, False)]  # (subterm, skip its typecheck)
     while stack:
-        s, head, nargs = stack.pop()
+        s, skip = stack.pop()
         cls = type(s)
         if not s._free:
             if s in seen:
                 continue
             seen.add(s)
-            if head is None:
-                head, nargs = s, 0
-                while True:
-                    if type(head) is App:
-                        nargs += 1
-                        head = head.head
-                    elif type(head) is Pi:
-                        head = head.codomain
-                    else:
-                        break
-            if cls is not Lam and cls is not Fix and _maybe_a_type(env, s, head, nargs):
+            if not (skip or cls in (SortType, SortProp, Lam, Fix) or is_prop(s)):
                 try:
-                    if isinstance(typecheck(env, [], s), SortType):
+                    if type(typecheck(env, [], s)) is SortType:
                         out.append(s)
+                    skip = True
                 except FolbridgeError:
                     pass
         if cls is App:
-            stack.append((s.arg, None, 0))
-            stack.append((s.head, head, nargs - 1))
-        elif cls is Pi:
-            stack.append((s.codomain, head, nargs))
-            stack.append((s.domain, None, 0))
+            stack.append((s.arg, False))
+            stack.append((s.head, skip))
         else:
-            stack += [(c, None, 0) for c, _ in reversed(children(s))]
+            stack += [(c, False) for c, _ in reversed(children(s))]
     return out
-
-
-def _maybe_a_type(env: GlobalEnv, s: Term, head: Term, nargs: int) -> bool:
-    """False when the closed term s, whose (final codomain's) spine head is
-    `head` with `nargs` arguments, cannot have sort Type."""
-    cls = type(head)
-    if type(s) is Pi:
-        return not is_prop(s)
-    if cls in _NEVER_TYPE_HEADS:
-        return False
-    if cls is Const:
-        return not _never_a_type(env, head.name, nargs)
-    if cls is Ind and head.inductive in env.inductives:
-        return nargs == len(env.inductives[head.inductive].params)
-    return True
 
 
 def _leading_type_binders(stmt: Term) -> int:

@@ -7,10 +7,11 @@ filters that list; the state instead walks its statements once with one
 shared `seen` set.
 
 It walks every subterm with `subterms`, asks the recursive reference
-`well_scoped` of each (a walk, not the `_reach` that each node caches) and
-typechecks every closed one, so it shares none of the walk or the head
-filter of the version it checks; `children`, `typecheck` and `alpha_eq`
-are common to both.
+`well_scoped` of each (a walk, not the `_free` mask that each node
+caches) and typechecks every closed one but the sorts, so it shares
+neither the walk nor the choice of subterms left untypechecked of the
+version it checks; `children`, `typecheck` and `alpha_eq` are common to
+both.
 """
 
 from __future__ import annotations

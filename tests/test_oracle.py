@@ -4,11 +4,13 @@ counterexamples, the same fuel, and values that eval_ground agrees with.
 
 The intended differences: equal function values are equal without a
 probe, where the reference probes them at random arguments (and gives up
-beyond three nested arrows), which the tests at the end pin down; and a
+beyond three nested arrows), which the tests at the end pin down; a
 binder whose type is neither Int nor an inductive instance raises
 EvalUnsupported, where the reference reads it as an empty domain
-(test_conversion.py, `test_statements_outside_the_fragment_raise`). The
-types and statements here have no such binder."""
+(test_conversion.py, `test_statements_outside_the_fragment_raise`); and
+function values typed at a definition that unfolds to an arrow are
+probed, where the reference raises EvalUnsupported. The types and
+statements here have no such binder or equation."""
 
 from __future__ import annotations
 
@@ -190,6 +192,17 @@ def test_type_alias_arguments_evaluate_like_eval_ground():
     for seed in range(20):
         term, value = conversion._random_datum(env, ty, 4, random.Random(seed))
         assert eval_ground(env, term) == value
+
+
+def test_functions_typed_at_an_arrow_alias_are_compared():
+    """An equation between function values typed at a definition that
+    unfolds to an arrow probes them at the arrow's domain."""
+    aliases = ("def F : Type = Int -> Int.\n"
+               "def g : F = fun (x : Int) => x.\n"
+               "def h : F = fun (x : Int) => x + 1.\ngoal ")
+    env = parse_problem(PRELUDE.replace("goal ", aliases)).env
+    assert random_truth_check(env, parse_term("g = h", env)) is not None
+    assert random_truth_check(env, parse_term("g = g", env)) is None
 
 
 @settings(max_examples=40, deadline=None)

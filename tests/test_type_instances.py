@@ -17,8 +17,8 @@ from conftest import PRELUDE
 from folbridge import conversion, transforms
 from folbridge.parser import parse_problem, parse_term
 from folbridge.terms import (
-    INT, TYPE, And, App, Ctor, Eq, Exists, FalseP, FolbridgeError, Ind, IntT,
-    Not, Or, Pi, SortProp, TVar, TrueP, Var, is_prop, map_subterms, spine, strip_pis,
+    INT, TYPE, And, App, Eq, Exists, Fix, FolbridgeError, Ind, IntT, Lam, Not,
+    Or, Pi, SortProp, SortType, TVar, Var, children, is_prop, map_subterms, subterms,
 )
 from folbridge.transforms import Given, Hypothesis, ProofState, collect_type_instances
 
@@ -161,12 +161,10 @@ def test_matches_reference(flat_env, goal):
     assert repr(collect_type_instances(flat_env, t, set())) == repr(expected)
 
 
-PROP_HEADS = (Eq, And, Or, Not, Exists, TrueP, FalseP)
-
-# Statements with the candidate shapes that are ruled out without a
-# typecheck (a closed product over a proposition, an inductive applied to
-# too few or too many arguments) and ones whose typecheck raises (an unknown
-# inductive, an over-applied one).
+# Statements with closed products over a proposition, which are not
+# typechecked, an inductive applied to too few arguments, and ones whose
+# typecheck raises (an unknown inductive, an over-applied one, whose head
+# is then typechecked).
 SKIPPED_TEXTS = (
     "(forall (n : nat), n = n) /\\ (forall (l : list Int), l = l -> true_p)",
     "list = list",
@@ -214,20 +212,27 @@ def test_shared_seen_matches_reference(flat_env, data):
     assert repr(got) == repr(instances_reference.type_instances(flat_env, stmts))
 
 
-def test_open_subterms_are_only_passed_through(flat_env, monkeypatch):
-    """An open subterm is no instance: `_maybe_a_type` and `typecheck`
-    see closed subterms only."""
+def recorded_typecheck(monkeypatch) -> list:
+    """The terms the instance walk asks `typecheck` of, from now on."""
     checked = []
-    maybe_a_type, typecheck = transforms._maybe_a_type, transforms.typecheck
-    monkeypatch.setattr(transforms, "_maybe_a_type", lambda env, s, *rest:
-                        checked.append(s) or maybe_a_type(env, s, *rest))
-    monkeypatch.setattr(transforms, "typecheck", lambda env, ctx, t, *rest:
-                        checked.append(t) or typecheck(env, ctx, t, *rest))
+    typecheck = transforms.typecheck
+
+    def recording_typecheck(env, ctx, t, *rest):
+        checked.append(t)
+        return typecheck(env, ctx, t, *rest)
+
+    monkeypatch.setattr(transforms, "typecheck", recording_typecheck)
+    return checked
+
+
+def test_open_subterms_are_only_passed_through(flat_env, monkeypatch):
+    """An open subterm is no instance: `typecheck` sees closed subterms
+    only."""
+    checked = recorded_typecheck(monkeypatch)
     texts = SKIPPED_TEXTS + SHARED_TEXTS + (
         "forall (A : Type) (l : list A), length A l = length A (app A l (nil A))",
         "forall (f : nat -> list (option Int)), f O = f (S O)")
-    # An open application whose closed head is an instance: the head's
-    # argument count starts afresh below the open node.
+    # An open application whose closed head is an instance.
     over_applied = Pi("x", INT, Eq(TYPE, App(App(Ind("list"), INT), Var(0)), INT))
     for t in [parse_term(text, flat_env) for text in texts] + [*BUILT, over_applied]:
         got = collect_type_instances(flat_env, t, set())
@@ -284,7 +289,22 @@ def add_chain_goal(env, n: int):
     return parse_term(f"{chain} = 5", env)
 
 
+def typed_heads_only(env, t) -> set:
+    """The subterms of t that occur only as the head of a closed
+    application that typechecks."""
+    heads, others = set(), {t}
+    for s in subterms(t):
+        typed_app = (isinstance(s, App) and debruijn_reference.well_scoped(s, 0)
+                     and well_typed(env, s))
+        for c, _ in children(s):
+            (heads if typed_app and c is s.head else others).add(c)
+    return heads - others
+
+
 def test_infer_visits_grow_linearly(env, monkeypatch):
+    """Each element of a list literal or link of an add chain costs a
+    bounded number of `_infer` visits, and no head of a closed application
+    that typechecks is typechecked."""
     visits = 0
     infer = conversion._infer
 
@@ -293,46 +313,41 @@ def test_infer_visits_grow_linearly(env, monkeypatch):
         visits += 1
         return infer(*args)
 
-    typecheck = transforms.typecheck
-
-    def checked_typecheck(env, ctx, t, *rest):
-        assert not isinstance(spine(t)[0], Ctor), t
-        return typecheck(env, ctx, t, *rest)
-
+    checked = recorded_typecheck(monkeypatch)
     monkeypatch.setattr(conversion, "_infer", counting_infer)
-    monkeypatch.setattr(transforms, "typecheck", checked_typecheck)
     for make_goal in (ground_goal, add_chain_goal):
         counts = {}
         for n in (40, 80):
             goal = make_goal(env, n)
             visits = 0
+            checked.clear()
             collect_type_instances(env, goal, set())
             counts[n] = visits
+            heads = typed_heads_only(env, goal)
+            assert heads
+            assert not [t for t in checked if t in heads], make_goal.__name__
         assert counts[80] <= 2.2 * counts[40], (make_goal.__name__, counts)
 
 
 def test_ruled_out_shapes_are_not_typechecked(flat_env, monkeypatch):
-    checked = []
-    typecheck = transforms.typecheck
-
-    def recording_typecheck(env, ctx, t, *rest):
-        checked.append(t)
-        return typecheck(env, ctx, t, *rest)
-
-    monkeypatch.setattr(transforms, "typecheck", recording_typecheck)
-    for text in SKIPPED_TEXTS:
-        collect_type_instances(flat_env, parse_term(text, flat_env), set())
-    for t in BUILT:
+    """`typecheck` is asked of no sort, Lam, Fix or proposition, and of no
+    head of a closed application that typechecks; the head of one that
+    does not typecheck is asked."""
+    checked = recorded_typecheck(monkeypatch)
+    asked = []
+    for t in [parse_term(text, flat_env) for text in SKIPPED_TEXTS] + list(BUILT):
+        checked.clear()
         collect_type_instances(flat_env, t, set())
-    assert checked
-    assert any(isinstance(t, Pi) for t in checked)  # Type -> Type is typechecked
-    for t in checked:
-        codomain_head = spine(strip_pis(t)[1])[0]
-        assert not (isinstance(t, Pi) and isinstance(codomain_head, PROP_HEADS)), t
-        head, args = spine(t)
-        assert not isinstance(head, PROP_HEADS), t
-        if isinstance(head, Ind) and head.inductive in flat_env.inductives:
-            assert len(args) == len(flat_env.inductives[head.inductive].params), t
+        heads = typed_heads_only(flat_env, t)
+        for s in checked:
+            assert not isinstance(s, (SortType, SortProp, Lam, Fix)), s
+            assert not is_prop(s), s
+            assert s not in heads, s
+        asked += checked
+    assert any(isinstance(t, Pi) for t in asked)  # Type -> Type is typechecked
+    checked.clear()
+    collect_type_instances(flat_env, BUILT[0], set())
+    assert App(Ind("list"), INT) in checked  # the head of list Int Int
 
 
 def well_typed(env, t) -> bool:
@@ -369,6 +384,19 @@ def test_algebraic_instances_in_preorder(env):
     assert [repr(t) for t in expected] == [
         repr(parse_term(ty, env)) for ty in ("option Bool", "list nat", "nat")]
     assert repr(state.algebraic_instances()) == repr(expected)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("workload", ["ground_data", "poly_lemmas", "unfold_defs"])
+def test_type_instances_on_benchmark_problems(bench_driver, workload, seed):
+    """One problem per size, saturated as the benchmark does: the state's
+    running list is the reference's, over the goal and every hypothesis."""
+    driver, workloads = bench_driver
+    for index in range(3):
+        state = driver.preprocess(workloads.problem(workload, seed, index)[1]).state
+        stmts = [state.goal] + [h.statement for h in state.hypotheses]
+        assert repr(state.type_instances()) == repr(
+            instances_reference.type_instances(state.env, stmts))
 
 
 @pytest.mark.parametrize("seed", [0, 7])
