@@ -26,12 +26,24 @@ is a proposition is read off its shape (terms.is_prop), and a domain that
 is neither Int nor an inductive instance cannot be sampled and raises
 EvalUnsupported.
 
-Only this module uses GlobalEnv.memo, for three caches: the closed-type
-table (`_infer`), and per ground type its least inhabitant size
-(`min_term_size`) and its constructor table (`_ctor_table`). None is ever
-invalidated: a declaration only adds names, and only successes are stored.
-A type key is name-blind, so a table's type arguments keep the binder names
-of the alpha-equal type that filled it; they reach random data only.
+Only this module uses GlobalEnv.memo, for four caches: the closed-type
+table (`_infer`), per ground type its least inhabitant size
+(`min_term_size`) and its constructor table (`_ctor_table`), and the draw
+memo of random_truth_check. A first sample always starts from
+`random.Random(seed)`, so what it draws is fixed by the key `(seed, size,
+number of declared inductives, type-variable names in collect_tvars order,
+prenex binder domains as written)`; the memo keeps, per key, the type
+variables' instances, the binder instances' terms and values, or the fact
+that a domain is empty. The inductive count is in the key because
+random_ground_type chooses among every declared inductive, so a declaration
+changes the draws. The memo keeps no generator state (a `getstate()` tuple
+is about 24 KB): a check that needs the generator after its first sample
+seeds one and replays that sample's draws. None of the caches is ever
+invalidated: a declaration only adds names (for the draw memo it changes
+the key instead), and only successes are stored. A term key is name-blind,
+so a table's type arguments, and the instances in a draw memo entry, keep
+the binder names of the alpha-equal term that filled them; they reach
+random data and counterexamples only.
 """
 
 from __future__ import annotations
@@ -881,7 +893,7 @@ class EvalUnsupported(FolbridgeError):
 _PROBES = 6
 
 
-def _veq(env: GlobalEnv, a: Value, b: Value, at_type: Term, rng: random.Random,
+def _veq(env: GlobalEnv, a: Value, b: Value, at_type: Term, rng: random.Random | _Replay,
          fuel: Fuel, depth: int = 3, venv: tuple[Value, ...] = ()) -> bool:
     """Semantic equality: structural on data, extensional sampling on
     function values (sound for refutation, probabilistic for assent).
@@ -890,7 +902,8 @@ def _veq(env: GlobalEnv, a: Value, b: Value, at_type: Term, rng: random.Random,
     of a definition c compares two equal closures, which Coq proves by
     `reflexivity`. at_type may mention the type variables bound in venv;
     it is resolved, and read as its normal form when it mentions a
-    definition, only when a and b are functions that differ."""
+    definition, only when a and b are functions that differ. rng may be a
+    _Replay, whose generator is asked for before the first probe."""
     if isinstance(a, (VInt, VCtor)) and isinstance(b, (VInt, VCtor)):
         return type(a) is type(b) and _values_identical(
             a, b, lambda x, y: _veq(env, x, y, None, rng, fuel))
@@ -910,6 +923,8 @@ def _veq(env: GlobalEnv, a: Value, b: Value, at_type: Term, rng: random.Random,
     table = None if isinstance(at.domain, SortType) else _ctor_table(env, at.domain)
     if table is not None and table.least == _INF:
         return True  # no argument to apply them to: equal vacuously
+    if type(rng) is _Replay:
+        rng = rng.generator()
     for _ in range(_PROBES):
         if isinstance(at.domain, SortType):
             garg = random_ground_type(env, rng)
@@ -940,7 +955,7 @@ def eval_prop(env: GlobalEnv, t: Term, rng: random.Random | None = None,
 
 
 def _eval_prop(env: GlobalEnv, t: Term, venv: tuple[Value, ...],
-               insts: tuple[Term, ...], rng: random.Random, fuel: Fuel) -> bool:
+               insts: tuple[Term, ...], rng: random.Random | _Replay, fuel: Fuel) -> bool:
     """eval_prop of t with its free variables bound in venv; insts holds
     the closed term of each venv value, in the same order, and is read only
     to instantiate an existential."""
@@ -970,11 +985,11 @@ def _eval_prop(env: GlobalEnv, t: Term, venv: tuple[Value, ...],
             return True
         return _eval_prop(env, t.codomain, (_PROOF,) + venv, (TrueP(),) + insts, rng, fuel)
     if isinstance(t, Exists):
-        return _eval_exists(env, subst_list(t, insts) if insts else t, rng, fuel)
+        return _eval_exists(env, subst_list(t, insts) if insts else t, fuel)
     raise EvalUnsupported(f"cannot evaluate proposition {type(t).__name__}")
 
 
-def _eval_exists(env: GlobalEnv, t: Term, rng: random.Random, fuel: Fuel) -> bool:
+def _eval_exists(env: GlobalEnv, t: Term, fuel: Fuel) -> bool:
     """Decide the exhaustiveness-axiom shape
     `exists a1..an, v = C a1..an` with v closed; the witness, if any, is
     v's own decomposition."""
@@ -1036,6 +1051,64 @@ def collect_tvars(t: Term) -> list[str]:
     return seen
 
 
+def _draw(env: GlobalEnv, tvs: list[str], doms: list[Term], size: int,
+          rng: random.Random) -> tuple[dict[str, Term], tuple | None, tuple | None]:
+    """One sample's draws from rng: a ground type for each type variable
+    named in tvs, in that order, then an instance of each prenex binder
+    domain in doms, outermost first, with the type variables and the
+    instances drawn before it substituted. Returns the type-variable mapping,
+    the instance terms and their values, both innermost first (the value
+    environment of Var(0), Var(1), ...), or None for both when a domain is
+    empty (the sample is vacuously true)."""
+    mapping = {n: random_ground_type(env, rng) for n in tvs}
+    insts: list[Term] = []
+    values: list[Value] = []
+    for dom in doms:
+        if tvs:
+            dom = replace_tvars(dom, mapping)
+        if insts:
+            dom = subst_list(dom, insts[::-1])
+        if isinstance(dom, SortType):
+            inst = random_ground_type(env, rng)
+            value: Value = VType(inst)
+        else:
+            try:
+                inst, value = _random_datum(env, dom, rng.randint(1, max(size, 1)), rng)
+            except Uninhabited:
+                return mapping, None, None
+        insts.append(inst)
+        values.append(value)
+    return mapping, tuple(reversed(insts)), tuple(reversed(values))
+
+
+# The draws of a sample that instantiates nothing.
+_NO_DRAWS = ({}, (), ())
+
+
+class _Replay:
+    """The generator of one check, made only when something draws from it.
+    A check whose first sample came from the draw memo (or drew nothing)
+    has none yet; `generator()` then seeds one and replays that sample's
+    draws, once, so that it is in the state the sample left it in. `rng`
+    is the generator once it exists."""
+    __slots__ = ("env", "tvs", "doms", "size", "seed", "rng")
+
+    def __init__(self, env: GlobalEnv, tvs: list[str], doms: list[Term],
+                 size: int, seed: int) -> None:
+        self.env = env
+        self.tvs = tvs
+        self.doms = doms
+        self.size = size
+        self.seed = seed
+        self.rng: random.Random | None = None
+
+    def generator(self) -> random.Random:
+        if self.rng is None:
+            self.rng = random.Random(self.seed)
+            _draw(self.env, self.tvs, self.doms, self.size, self.rng)
+        return self.rng
+
+
 def random_truth_check(env: GlobalEnv, statement: Term, samples: int = 50,
                        size: int = 6, seed: int = 0) -> Counterexample | None:
     """Randomized semantic truth test: instantiate the prenex universal
@@ -1049,46 +1122,45 @@ def random_truth_check(env: GlobalEnv, statement: Term, samples: int = 50,
     statement's own terms only: neither the instance data nor the random
     arguments that probe function values are charged.
 
+    The first sample always starts from `random.Random(seed)`, so what it
+    draws is fixed by its key in the draw memo (see the module docstring).
+    A check whose key is there takes the first sample's instances from the
+    memo, and one with no type variable and no prenex binder draws none;
+    either evaluates that sample with no generator. The generator is made,
+    by seeding it and replaying those draws, only when `_veq` probes two
+    function values that differ or a second sample follows, so every draw,
+    verdict, counterexample and fuel count is the one a fresh generator
+    gives.
+
     Equal function values are equal without a probe (see _veq), so a
     definition's hypothesis `c = body` costs one evaluation of each side
     per sample and draws nothing. Because such a comparison consumes no
     random draws, the draws after it in the same call, and so the
     instances of later samples, differ from an oracle that probes it. A
     sample that instantiates nothing and draws nothing is the last one."""
-    rng = random.Random(seed)
     tvs = collect_tvars(statement)
+    doms: list[Term] = []
+    body = statement
+    while isinstance(body, Pi) and not is_prop(body.domain):
+        doms.append(body.domain)  # an implication's premise is handled by eval_prop
+        body = body.codomain
+    replay = _Replay(env, tvs, doms, size, seed)
+    drawn = _NO_DRAWS
     for k in range(samples):
-        stmt = statement
-        if tvs:
-            stmt = replace_tvars(stmt, {n: random_ground_type(env, rng) for n in tvs})
-        # insts[i] instantiates the i-th binder of the prenex prefix and
-        # values[i] is its value, so reversed(values) is the environment of
-        # Var(0), Var(1), ... under the binders taken.
-        insts: list[Term] = []
-        values: list[Value] = []
-        ok = True
-        while isinstance(stmt, Pi):
-            if is_prop(stmt.domain):
-                break  # implication: handled by eval_prop
-            dom = subst_list(stmt.domain, insts[::-1]) if insts else stmt.domain
-            if isinstance(dom, SortType):
-                inst = random_ground_type(env, rng)
-                value: Value = VType(inst)
-            else:
-                try:
-                    inst, value = _random_datum(env, dom, rng.randint(1, max(size, 1)), rng)
-                except Uninhabited:
-                    ok = False  # vacuously true: domain empty
-                    break
-            insts.append(inst)
-            values.append(value)
-            stmt = stmt.codomain
-        if not ok:
-            continue
-        terms = tuple(reversed(insts))
-        before = None if tvs or insts or k == samples - 1 else rng.getstate()
-        if not _eval_prop(env, stmt, tuple(reversed(values)), terms, rng, Fuel()):
+        if k:
+            drawn = _draw(env, tvs, doms, size, replay.generator())
+        elif tvs or doms:
+            key = ("draws", seed, size, len(env.inductives), tuple(tvs), tuple(doms))
+            drawn = env.memo.get(key)
+            if drawn is None:
+                replay.rng = random.Random(seed)
+                drawn = env.memo[key] = _draw(env, tvs, doms, size, replay.rng)
+        mapping, terms, values = drawn
+        if terms is None:
+            continue  # vacuously true: a domain is empty
+        stmt = replace_tvars(body, mapping) if tvs else body
+        if not _eval_prop(env, stmt, values, terms, replay, Fuel()):
             return Counterexample(statement, subst_list(stmt, terms) if terms else stmt)
-        if before is not None and rng.getstate() == before:
-            return None
+        if not (tvs or doms) and replay.rng is None:
+            return None  # nothing instantiated or drawn: every sample repeats this one
     return None

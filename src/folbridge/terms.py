@@ -541,7 +541,7 @@ class GlobalEnv(Record):
         self._names = frozenset(self.definitions).union(BUILTIN_FUNCTIONS)
         for decl in inductives.values():
             self._index(decl)
-        # Three caches that only conversion reads and writes (see there);
+        # Four caches that only conversion reads and writes (see there);
         # never invalidated. Not a field: `==` and `repr` skip it.
         self.memo: dict[tuple, object] = {}
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 import threading
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,13 +215,16 @@ def test_random_ground_type_matches_reference(seed, depth):
     assert rng.getstate() == ref_rng.getstate()
 
 
+@pytest.mark.parametrize("samples", [1, 3])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_truth_check_matches_reference(seed):
-    """Same verdict and the same counterexample instance on every statement."""
+def test_truth_check_matches_reference(seed, samples):
+    """Same verdict and the same counterexample instance on every statement.
+    All run in the one ENV, so a statement whose key an earlier statement
+    (or an earlier case) filled takes its first sample from the draw memo."""
     found = 0
     for stmt in STATEMENTS:
-        got = _outcome(random_truth_check, ENV, stmt, 3, 6, seed)
-        want = _outcome(ref.random_truth_check, ENV, stmt, 3, 6, seed)
+        got = _outcome(random_truth_check, ENV, stmt, samples, 6, seed)
+        want = _outcome(ref.random_truth_check, ENV, stmt, samples, 6, seed)
         if isinstance(want, type) or want is None:
             assert got == want, stmt
             continue
@@ -230,11 +234,12 @@ def test_truth_check_matches_reference(seed):
     assert found >= 30
 
 
+@pytest.mark.parametrize("samples", [1, 2])
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(STATEMENTS), st.integers(0, 10**6), st.integers(1, 8))
-def test_truth_check_matches_reference_at_random_seeds(stmt, seed, size):
-    got = _outcome(random_truth_check, ENV, stmt, 2, size, seed)
-    want = _outcome(ref.random_truth_check, ENV, stmt, 2, size, seed)
+def test_truth_check_matches_reference_at_random_seeds(samples, stmt, seed, size):
+    got = _outcome(random_truth_check, ENV, stmt, samples, size, seed)
+    want = _outcome(ref.random_truth_check, ENV, stmt, samples, size, seed)
     if isinstance(want, type) or want is None:
         assert got == want
     else:
@@ -315,15 +320,16 @@ def _definition_statement(env, name: str):
     return get_def(state, name).statement
 
 
-def _count_draws(monkeypatch) -> list[str]:
-    """The names of the random generators called from now on, one entry
-    per call."""
-    calls: list[str] = []
-    for name in ("_random_datum", "random_ground_type"):
+def _count_draws(monkeypatch) -> list[tuple[str, type]]:
+    """The random generators called from now on, one entry per call: the
+    function's name and the class of the generator it was given."""
+    calls: list[tuple[str, type]] = []
+    # The position of each function's generator argument.
+    for name, at in (("_random_datum", 3), ("random_ground_type", 1)):
         original = getattr(conversion, name)
 
-        def counting(*args, _name=name, _original=original):
-            calls.append(_name)
+        def counting(*args, _name=name, _original=original, _at=at):
+            calls.append((_name, type(args[_at])))
             return _original(*args)
 
         monkeypatch.setattr(conversion, name, counting)
@@ -544,3 +550,89 @@ def test_statement_without_type_variable_is_not_walked(monkeypatch):
     stmt = parse_term("forall (A : Type), length A (nil A) = 0", ENV)
     assert random_truth_check(ENV, subst_list(stmt.codomain, [TVar("A")]), samples=5) is None
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# The draw memo: a first sample's instances drawn once per environment
+# ---------------------------------------------------------------------------
+
+def test_declaration_after_a_check_changes_the_draws():
+    """random_ground_type reads every declared inductive, so an inductive
+    declared after a check changes the first sample's draws: the check
+    after it draws as a fresh environment with the same declarations
+    does, not as the memo entry the first check left."""
+    data = "data color = red | green | blue.\ngoal "
+    text = "forall (A : Type) (x : A) (y : A), x = y"
+    env = parse_problem(PRELUDE).env
+    stmt = parse_term(text, env)
+    before = random_truth_check(env, stmt, samples=1)
+    fresh_env = parse_problem(PRELUDE.replace("goal ", data)).env
+    env.declare_inductive(fresh_env.inductives["color"])
+    after = random_truth_check(env, stmt, samples=1)
+    fresh = random_truth_check(fresh_env, parse_term(text, fresh_env), samples=1)
+    want = ref.random_truth_check(fresh_env, stmt, 1, 6, 0)
+    assert before is not None and after is not None
+    assert after.instance == fresh.instance == want.instance
+    # The instance is an equation at the drawn type A, which differs.
+    assert before.instance.at_type != after.instance.at_type
+
+
+@pytest.mark.parametrize("text", [
+    "forall (n : Int), (fun (x : Int) => x + n) = (fun (x : Int) => n + x)",
+    # Refuted or not by the probes, so a wrong generator state shows.
+    "forall (n : Int), (fun (x : Int) => x <= n + 15) = (fun (x : Int) => true)",
+])
+def test_probes_and_later_samples_replay_the_memo_draws(monkeypatch, text):
+    """A check that takes its first sample from the memo and then probes two
+    function values that differ, or goes on to a second sample, seeds a
+    generator and replays the first sample's draws: the same probes and the
+    same later samples as the reference. No generator stand-in reaches a
+    generator function or a caller."""
+    env = parse_problem(PRELUDE).env
+    stmt = parse_term(text, env)
+    draws = _count_draws(monkeypatch)
+    for seed in range(10):
+        for samples in (1, 1, 3):
+            got = random_truth_check(env, stmt, samples, 6, seed)
+            want = ref.random_truth_check(env, stmt, samples, 6, seed)
+            assert (got is None) == (want is None), (seed, samples)
+            if got is not None:
+                assert got.instance == want.instance and got.statement is stmt
+    assert draws and {cls for _, cls in draws} == {random.Random}
+
+
+def test_eval_prop_without_a_generator_seeds_zero(monkeypatch):
+    """The public eval_prop still builds `Random(0)` when given no generator."""
+    states = []
+    original = conversion._veq
+
+    def recording(env, a, b, at_type, rng, *rest, **kw):
+        states.append((type(rng), rng.getstate()))
+        monkeypatch.setattr(conversion, "_veq", original)  # the outermost call only
+        return original(env, a, b, at_type, rng, *rest, **kw)
+
+    monkeypatch.setattr(conversion, "_veq", recording)
+    assert conversion.eval_prop(
+        ENV, parse_term("(fun (x : Int) => x) = (fun (x : Int) => x + 0)", ENV))
+    assert states == [(random.Random, random.Random(0).getstate())]
+
+
+def test_alpha_equal_prenex_domains_draw_nothing_the_second_time(monkeypatch):
+    """After one check, a one-sample check of another statement whose
+    prenex domains are alpha-equal takes its instances from the memo: no
+    random data, no random type and no generator."""
+    env = parse_problem(PRELUDE).env
+    first = parse_term("forall (A : Type) (l : list A), app A l (nil A) = l", env)
+    second = parse_term("forall (B : Type) (m : list B), length B m = length B m", env)
+    assert random_truth_check(env, first, samples=1) is None
+    draws = _count_draws(monkeypatch)
+    made = []
+
+    class Counting(random.Random):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(conversion, "random", types.SimpleNamespace(Random=Counting))
+    assert random_truth_check(env, second, samples=1) is None
+    assert draws == [] and made == []
