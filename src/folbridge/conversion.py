@@ -133,7 +133,9 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
     raises raises on every call. The table is keyed by the identity of the
     term, and an entry holds the term, so its id is not reused: a type
     always carries the binder names of its own term, never those of an
-    alpha-equal one."""
+    alpha-equal one. A closed type needs no index rewrite, so a variable
+    whose context type is closed gets that very object, and so does a
+    spine whose final codomain is closed: neither calls a kernel."""
     # Dispatch is on the exact node class, the most frequent first. A leaf
     # or a variable returns its type at once; a compound node's type is
     # `ty`, stored in the table when the node is closed.
@@ -177,11 +179,12 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
                     f"argument type mismatch: expected {dom}, found {aty}")
             done.append(arg)
             hty = hty.codomain
-        ty = subst_list(hty, done[::-1])
+        ty = subst_list(hty, done[::-1]) if hty._free else hty
     elif cls is Var:
         if not 0 <= t.index < len(ctx):
             raise TypingError(f"unbound variable index {t.index}")
-        return lift(ctx[t.index], t.index + 1)
+        ty = ctx[t.index]
+        return lift(ty, t.index + 1) if ty._free else ty
     elif cls is Const:
         b = builtin_type(t.name)
         return b if b is not None else env.definition(t.name).type
@@ -344,7 +347,11 @@ def _builtin_step(env: GlobalEnv, name: str, args: list[Term], fuel: Fuel) -> Te
 
 
 def whnf(env: GlobalEnv, t: Term, fuel: Fuel) -> Term:
-    """Weak head normal form: beta, delta, iota, guarded fix, builtins."""
+    """Weak head normal form: beta, delta, iota, guarded fix, builtins. A
+    term that holds none of the classes of _WHNF_HEADS has no spine head to
+    step on and is returned at once."""
+    if not t._has & _WHNF_HEADS:
+        return t
     while True:
         head, args = spine(t)
         if isinstance(head, Lam) and args:
@@ -403,6 +410,8 @@ def normalize(env: GlobalEnv, t: Term, fuel: Fuel | None = None) -> Term:
 
 
 def _norm(env: GlobalEnv, t: Term, fuel: Fuel) -> Term:
+    if not t._has & _WHNF_HEADS:
+        return t  # already normal: no closure for normal_form
     return normal_form(t, lambda s: whnf(env, s, fuel), _WHNF_HEADS)
 
 
@@ -415,12 +424,14 @@ def convertible(env: GlobalEnv, t: Term, u: Term, fuel: Fuel | None = None) -> b
     """True iff t and u share a normal form up to alpha (term equality)."""
     if fuel is None:
         fuel = Fuel()
-    return t == u or _norm(env, t, fuel) == _norm(env, u, fuel)
+    return t is u or t == u or _norm(env, t, fuel) == _norm(env, u, fuel)
 
 
 def beta_reduce(t: Term, fuel: Fuel | None = None) -> Term:
     """Beta-only normalization (no delta/iota/fix); used when building
     statements whose redexes are display artifacts."""
+    if not t._has & HAS_LAM:
+        return t  # no lambda, so no redex: no closure, no Fuel
     if fuel is None:
         fuel = Fuel()
 
@@ -596,7 +607,8 @@ def _eval(env: GlobalEnv, t: Term, venv: tuple[Value, ...], fuel: Fuel) -> Value
             return VBuiltin(t.name, ())
         raise EvalError(f"cannot evaluate unknown constant {t.name}")
     if cls is Ctor:
-        decl = env.inductive(t.inductive)
+        # A missing name falls through to env.inductive, which raises.
+        decl = env.inductives.get(t.inductive) or env.inductive(t.inductive)
         if decl.params or decl.ctors[t.ctor_index].arg_types:
             return VCtorPartial(t.inductive, t.ctor_index, ())
         return VCtor(t.inductive, t.ctor_index, (), ())
@@ -618,7 +630,10 @@ _TYPE_LEAVES = frozenset({Ind, IntT, TVar, SortType, SortProp})
 
 def _reify_type(t: Term, venv: tuple[Value, ...]) -> Term:
     """Resolve Var references inside a type argument to the closed types
-    recorded in the value environment."""
+    recorded in the value environment. A closed type is returned as it is,
+    without a closure."""
+    if not t._free:
+        return t
     def on_free(k: int, d: int) -> Term:
         v = venv[k]
         if not isinstance(v, VType):
@@ -634,7 +649,7 @@ def _apply(env: GlobalEnv, f: Value, a: Value, fuel: Fuel) -> Value:
     cls = type(f)
     if cls is VCtorPartial:
         collected = f.collected + (a,)
-        decl = env.inductive(f.inductive)
+        decl = env.inductives[f.inductive]  # _eval found it for the partial
         n_params = len(decl.params)
         if len(collected) < n_params + len(decl.ctors[f.ctor_index].arg_types):
             return VCtorPartial(f.inductive, f.ctor_index, collected)
@@ -660,7 +675,9 @@ def _apply(env: GlobalEnv, f: Value, a: Value, fuel: Fuel) -> Value:
             raise EvalError("fixpoint applied to too many arguments")
         if type(args[fix.decreasing]) not in (VCtor, VInt):
             raise EvalError("fixpoint decreasing argument is not a data value")
-        inner = args[::-1] + (VFix(f.env_values, fix, ()),) + f.env_values
+        # The fixpoint's own value, with no arguments: f itself when it had none.
+        self_value = VFix(f.env_values, fix, ()) if f.args else f
+        inner = args[::-1] + (self_value,) + f.env_values
         return _eval(env, walk, inner, fuel)
     if cls is VBuiltin:
         collected = f.collected + (a,)
@@ -1029,6 +1046,8 @@ class Counterexample(Record):
 
 
 def replace_tvars(t: Term, mapping: dict[str, Term]) -> Term:
+    if not t._has & HAS_TVAR:
+        return t  # no type variable: no closure for normal_form
     return normal_form(t, lambda s: mapping.get(s.name, s) if type(s) is TVar else s,
                        HAS_TVAR)
 

@@ -493,6 +493,7 @@ class Parser:
 
     def parse_problem(self) -> Problem:
         hyps: list[tuple[str, Term]] = []
+        hyp_names: set[str] = set()
         lemma_params: list[str] = []
         goal: Term | None = None
         while True:
@@ -506,11 +507,12 @@ class Parser:
             elif self.at("hyp") or self.at("lemma"):
                 is_lemma = self.next().text == "lemma"
                 name = self.eat_ident()
-                if name in {n for n, _ in hyps} or name in self.env.names():
+                if name in hyp_names or name in self.env.names():
                     raise ScopeError(f"hypothesis name already used: {name}")
                 self.eat(":")
                 stmt = self.parse_statement(f"hypothesis {name}")
                 hyps.append((name, stmt))
+                hyp_names.add(name)
                 if is_lemma:
                     lemma_params.append(name)
             elif self.at("goal"):

@@ -49,20 +49,23 @@ _INFIX_BUILTINS = {builtin: (sym, lvl, assoc) for sym, lvl, assoc, builtin in OP
 
 
 class _Namer:
-    """The names taken so far in one print_term call. Whether a binder's
-    variable occurs, which decides if it needs a name at all, is read off
-    its scope's free-variable mask. It owns `used` and adds to it."""
+    """The names taken so far in one print_term call: the environment's
+    names, kept by reference (the set never changes), and `used`, the
+    context names and the binder names given so far, which it owns and adds
+    to. Whether a binder's variable occurs, which decides if it needs a name
+    at all, is read off its scope's free-variable mask."""
 
-    def __init__(self, used: set[str]):
+    def __init__(self, declared: frozenset[str], used: set[str]):
+        self.declared = declared
         self.used = used
 
     def fresh(self, hint: str) -> str:
         base = hint if hint and hint != "_" else "x"
-        if base not in self.used:
+        if base not in self.used and base not in self.declared:
             self.used.add(base)
             return base
         i = 0
-        while f"{base}{i}" in self.used:
+        while f"{base}{i}" in self.used or f"{base}{i}" in self.declared:
             i += 1
         name = f"{base}{i}"
         self.used.add(name)
@@ -74,7 +77,7 @@ def print_term(t: Term, env: GlobalEnv | None = None,
     """Render t; context_names[i] names Var(i) (innermost first)."""
     env = env or GlobalEnv()
     names = list(context_names or [])
-    namer = _Namer({*env.names(), *names})
+    namer = _Namer(env.names(), set(names))
     return _pp(t, env, names, namer, L_BINDER)
 
 

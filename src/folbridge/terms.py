@@ -21,11 +21,15 @@ class mask answers whether a subterm holds a lambda, a constant, a match, a
 fixpoint or a type variable, so a walk that looks for one skips the rest.
 
 The kernels (map_subterms and with it rebind, lift, subst and subst_list)
-return the input node itself when none of its children changed, and rebind
-does not enter a subterm with no free variable at or above the binder
-depth, so a closed term survives lift and subst without a copy or a walk.
-Terms are immutable, so this sharing is never observable: an `is` check on
-a result is only a fast path, and no code needs one for correctness.
+return the input node itself when none of its children changed. Each
+index rewrite tests the free-variable mask on entry, and each normalizer
+the class mask, before it builds anything: a term with no free variable at
+or above the cutoff, or with no class the rewrite acts on, is returned as
+it is. A closed term survives the kernels without a closure, a call into
+rebind or a walk, and rebind does not enter a subterm with nothing to
+rewrite either. Terms are immutable, so this sharing is never observable:
+an `is` check on a result is only a fast path, and no code needs one for
+correctness.
 
 Everything else the package builds from fields (declarations, problems,
 environments, and in the other modules justifications, hypotheses, proof
@@ -751,7 +755,10 @@ def normal_form(t: Term, head, at: int) -> Term:
     normalizing the children changed one. `at` is the `_has` mask of the
     node classes that head can rewrite at (a node of one of them heads
     every redex it takes): a subterm whose mask meets none of them is
-    returned as it is, unvisited."""
+    returned as it is, unvisited, and a term whose mask meets none is
+    returned before any closure is built."""
+    if not t._has & at:
+        return t
     def go(s: Term, _depth: int = 0) -> Term:
         if not s._has & at:
             return s  # no class that head rewrites occurs in s
@@ -768,22 +775,29 @@ def normal_form(t: Term, head, at: int) -> Term:
 
 
 def lift(t: Term, amount: int, cutoff: int = 0) -> Term:
-    """Raise every free Var index >= cutoff by amount."""
-    if amount == 0:
+    """Raise every free Var index >= cutoff by amount. A term with no free
+    index at or above cutoff is returned at once, without a closure."""
+    if amount == 0 or not t._free >> cutoff:
         return t
     return rebind(t, lambda k, d: Var(k + d + amount), cutoff)
 
 
 def subst(t: Term, index: int, replacement: Term) -> Term:
     """Capture-avoiding substitution of Var(index) by replacement; free
-    variables above index are decremented."""
+    variables above index are decremented. A term with no free index at
+    or above index is returned at once, without a closure."""
+    if not t._free >> index:
+        return t
     return rebind(t, lambda k, d: lift(replacement, d) if k == 0 else Var(k + d - 1),
                   index)
 
 
 def subst_list(t: Term, values: list[Term]) -> Term:
     """Simultaneous substitution Var(i) := values[i] for i < len(values);
-    higher frees drop by len(values). values are in the outer context."""
+    higher frees drop by len(values). values are in the outer context. A
+    closed term is returned at once, without a closure."""
+    if not t._free:
+        return t
     n = len(values)
     return rebind(t, lambda k, d: lift(values[k], d) if k < n else Var(k + d - n))
 

@@ -405,6 +405,8 @@ def _shift_above(t: Term, at: int, by: int) -> Term:
 def iota_reduce(env: GlobalEnv, t: Term) -> Term:
     """Select branches of matches whose scrutinee is constructor-headed;
     no delta or fix unfolding."""
+    if not t._has & HAS_MATCH:
+        return t  # no match: no closure for normal_form
     def head(s: Term) -> Term:
         while type(s) is Match:
             h, cargs = spine(s.scrutinee)
@@ -463,7 +465,10 @@ def eliminate_pattern_matching(state: ProofState, hyp_name: str) -> list[Hypothe
 
 def _replace_binder(t: Term, at: int, widen: int, replacement: Term) -> Term:
     """Replace Var(at) by `replacement` (expressed at the root of t's new
-    context) and shift references above `at` by `widen`."""
+    context) and shift references above `at` by `widen`. A term with no
+    free index at or above `at` is returned at once, without a closure."""
+    if not t._free >> at:
+        return t
     return rebind(t, lambda k, d: lift(replacement, d - at) if k == 0 else Var(k + d + widen),
                   at)
 

@@ -1,5 +1,5 @@
 """Shared fixtures: the standard datatype/function environment used across
-the suite, built by parsing a prelude problem file."""
+the suite, built by parsing a prelude problem file; and a call counter."""
 
 from __future__ import annotations
 
@@ -38,6 +38,22 @@ def bnot : Bool -> Bool =
   fun (b : Bool) => match b return Bool with | true => false | false => true end.
 goal true = true.
 """
+
+
+def count_calls(monkeypatch, name: str, *modules) -> list[tuple]:
+    """Wrap the function `name` at its binding in each of `modules` (the
+    first must hold it) and return the list of the argument tuples the
+    wrapper records, one per call."""
+    calls: list[tuple] = []
+    real = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting, raising=False)
+    return calls
 
 
 @pytest.fixture(scope="session")

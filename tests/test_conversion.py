@@ -12,7 +12,8 @@ from folbridge.conversion import (
     random_ground_term, random_ground_type, random_truth_check, typecheck,
     value_to_term, whnf, VBuiltin, VCtor, VInt, VTRUE, VFALSE,
 )
-from conftest import PRELUDE
+from conftest import PRELUDE, count_calls
+from folbridge import conversion
 from folbridge.parser import parse_problem, parse_term
 from folbridge.printer import print_term
 from folbridge.terms import (
@@ -162,6 +163,35 @@ class TestClosedTypeTable:
         for _ in range(2):
             with pytest.raises(TypingError):
                 typecheck(env, [], bad)
+
+
+class TestClosedTypesAreShared:
+    """A closed type needs no index rewrite: typing hands back the very
+    object it was given, with no call into lift or subst_list. The terms
+    are open, so the closed-type table answers none of them."""
+
+    def test_variable_gets_its_closed_context_type(self, env, monkeypatch):
+        lifts = count_calls(monkeypatch, "lift", conversion)
+        list_a = App(Ind("list"), Var(1))  # x : list A, under (A : Type) (n : Int)
+        ctx = [list_a, INT, TYPE]
+        assert typecheck(env, ctx, Var(1)) is INT
+        assert typecheck(env, ctx, Var(2)) is TYPE
+        assert lifts == []
+        assert typecheck(env, ctx, Var(0)) == App(Ind("list"), Var(2))
+        assert len(lifts) == 1
+
+    def test_spine_gets_its_closed_codomain(self, env, monkeypatch):
+        substs = count_calls(monkeypatch, "subst_list", conversion)
+        add = BUILTIN_FUNCTIONS["add"]
+        assert typecheck(env, [INT], make_app(Const("add"), [Var(0), IntLit(1)])) is (
+            add.codomain.codomain)
+        assert substs == []
+        # The domain `list A` of length's second argument mentions A; the
+        # final codomain Int does not, and is not rewritten.
+        length = env.definition("length").type
+        got = typecheck(env, [App(Ind("list"), INT)], make_app(Const("length"), [INT, Var(0)]))
+        assert got is length.codomain.codomain
+        assert [args[0] for args in substs] == [length.codomain.domain]
 
 
 class TestNormalize:

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import normalize_reference as ref
-from conftest import PRELUDE
+from conftest import PRELUDE, count_calls
 from folbridge import conversion, terms, transforms
 from folbridge.conversion import Fuel, beta_reduce, replace_tvars
 from folbridge.parser import parse_problem
 from folbridge.terms import (
-    HAS_LAM, HAS_MATCH, INT, App, Branch, Const, Ctor, FolbridgeError, Ind, IntLit, Lam,
-    Match, Term, TVar, Var, make_app, subterms,
+    HAS_LAM, HAS_MATCH, HAS_TVAR, INT, App, Branch, Const, Ctor, FolbridgeError, Ind, IntLit,
+    Lam, Match, Term, TVar, Var, make_app, subterms,
 )
 from folbridge.transforms import TransformError, iota_reduce
 
@@ -149,20 +149,6 @@ def test_deep_nested_match_reduces_in_one_pass():
         ref.iota_reduce(ENV, t)
 
 
-def _count_map_subterms(monkeypatch) -> list[int]:
-    """A counter of map_subterms calls, at every module binding of it."""
-    calls = [0]
-    real = terms.map_subterms
-
-    def counting(t, f, depth=0):
-        calls[0] += 1
-        return real(t, f, depth)
-
-    for module in (terms, conversion, transforms):
-        monkeypatch.setattr(module, "map_subterms", counting, raising=False)
-    return calls
-
-
 def test_normal_terms_take_one_pass(monkeypatch):
     """On a term that is already beta- and iota-normal, beta_reduce and
     iota_reduce visit once each subterm whose class mask holds what they
@@ -173,12 +159,38 @@ def test_normal_terms_take_one_pass(monkeypatch):
         Var(0), "list", NAT,
         (Branch((), O),
          Branch(("h", "t"), App(S, App(App(Var(3), Var(1)), Var(0)))))))
-    calls = _count_map_subterms(monkeypatch)
+    calls = count_calls(monkeypatch, "map_subterms", terms, conversion, transforms)
     for reduce, bit, visited in ((beta_reduce, HAS_LAM, 1),
                                  (lambda t: iota_reduce(ENV, t), HAS_MATCH, 2)):
-        calls[0] = 0
+        calls.clear()
         assert reduce(t) is t
-        assert calls[0] == sum(1 for s in subterms(t) if s._has & bit) == visited
+        assert len(calls) == sum(1 for s in subterms(t) if s._has & bit) == visited
+
+
+@given(open_terms())
+@settings(deadline=None, max_examples=300, derandomize=True)
+@example(App(Const("add"), Var(0)))
+@example(Lam("x", NAT, App(S, Var(0))))
+@example(make_app(CONS, [Var(0), NIL]))
+def test_nothing_to_rewrite_enters_no_kernel(t):
+    """A normalizer returns a term whose class mask holds none of the
+    classes its rewrite acts on as it is, before it enters normal_form; and
+    whnf returns a term without a class it steps on before it reads a
+    spine."""
+    cases = (
+        ("beta_reduce", lambda: beta_reduce(t), HAS_LAM),
+        ("iota_reduce", lambda: iota_reduce(ENV, t), HAS_MATCH),
+        ("replace_tvars", lambda: replace_tvars(t, TVAR_TYPES), HAS_TVAR),
+        ("normalize", lambda: conversion.normalize(ENV, t), conversion._WHNF_HEADS),
+        ("whnf", lambda: conversion.whnf(ENV, t, Fuel()), conversion._WHNF_HEADS),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        entered = count_calls(mp, "normal_form", terms, conversion, transforms)
+        spines = count_calls(mp, "spine", terms, conversion)
+        for name, reduce, bit in cases:
+            if not t._has & bit:
+                assert reduce() is t, name
+                assert entered == [] and spines == [], name
 
 
 def test_full_normal_form_steps_on_constants():

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import alpha_reference
 import debruijn_reference as reference
 import repr_reference
+from conftest import count_calls
 from folbridge import conversion, parser, printer, terms, transforms
 from folbridge.conversion import (
     Value, VBuiltin, VClosure, VCtor, VCtorPartial, VFix, VInt, VType, infer,
@@ -389,25 +390,34 @@ def test_closed_terms_are_not_walked(monkeypatch):
     assert len(calls) == 1
 
 
-def _count_children(monkeypatch) -> list:
-    """Record every `children` call made through `terms` or through a
-    module that imported it (the printer imports none)."""
-    calls = []
-    real = terms.children
-
-    def counting(t):
-        calls.append(t)
-        return real(t)
-
-    for module in (terms, printer, transforms):
-        monkeypatch.setattr(module, "children", counting, raising=False)
-    return calls
+def test_kernels_with_nothing_to_rewrite_make_no_rebind_call(monkeypatch):
+    """Every index rewrite reads the free-variable mask on entry: a closed
+    term, or an open one whose free variables stay below the cutoff, comes
+    back as it is, with no call into rebind."""
+    calls = count_calls(monkeypatch, "rebind", terms, conversion, transforms)
+    rng = random.Random(23)
+    for _ in range(200):
+        t = random_term(rng, 0, 12)
+        assert lift(t, 2) is t and lift(t, 1, 5) is t
+        assert subst(t, 0, Const("c")) is t
+        assert subst_list(t, [Const("c"), INT]) is t
+        # A closed type needs no value, not even one that is no type.
+        assert conversion._reify_type(t, (VInt(0),)) is t
+        assert transforms._replace_binder(t, 0, 1, Var(0)) is t
+        u = random_term(rng, 3, 12)
+        assert lift(u, 2, 3) is u
+        assert subst(u, 3, Const("c")) is u
+        assert transforms._replace_binder(u, 3, 2, Var(1)) is u
+    assert calls == []
+    # A variable at the cutoff is rewritten.
+    assert lift(Var(3), 1, 3) == Var(4)
+    assert len(calls) == 1
 
 
 def test_printing_walks_no_term(prelude, monkeypatch):
     """print_term reads binder use off the masks: it never calls
     `children`."""
-    calls = _count_children(monkeypatch)
+    calls = count_calls(monkeypatch, "children", terms, printer, transforms)
     rng = random.Random(19)
     for _ in range(100):
         printer.print_term(random_term(rng, 0, 12))
@@ -435,7 +445,7 @@ def test_printer_names_only_used_binders(prelude):
 def test_match_candidates_skips_closed_statements(prelude, monkeypatch):
     """A closed statement, such as a definition's `c = body`, costs one
     mask test; a body that mentions the telescope is walked."""
-    calls = _count_children(monkeypatch)
+    calls = count_calls(monkeypatch, "children", terms, printer, transforms)
     env = prelude.env
     for d in env.definitions.values():
         assert transforms._match_candidates(Eq(d.type, Const(d.name), d.body), 0) == []
@@ -450,7 +460,7 @@ def test_match_candidates_skips_closed_statements(prelude, monkeypatch):
 def test_match_candidates_skips_bodies_without_a_match(prelude, monkeypatch):
     """An open body that holds no match costs one mask test, however many
     telescope variables it mentions."""
-    calls = _count_children(monkeypatch)
+    calls = count_calls(monkeypatch, "children", terms, printer, transforms)
     body = parser.parse_term(
         "forall (A : Type) (x : A) (l : list A), "
         "app A (cons A x l) (nil A) = cons A x (app A l (nil A))", prelude.env)
