@@ -8,7 +8,9 @@ the table the printer parenthesizes by. A position whose `ctx` is None is
 an expression position, where `=`, `<>`, `/\\`, `\\/` and `~` end the
 term. Elsewhere the term may be a proposition, which its node tells
 (`terms.is_prop`). No term is parsed twice: the parser never backtracks
-over a parsed term.
+over a parsed term. A token is its text, the empty text at eof; its kind
+is read from the text, and its line and column are computed only for an
+error message.
 
 All type applications are explicit; there is no implicit-argument
 inference. Every node is built complete: a match names the inductive of its
@@ -21,6 +23,7 @@ against each other.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .conversion import TypingError, convertible, infer
@@ -30,7 +33,7 @@ from .printer import (
 from .terms import (
     And, App, Branch, Const, Ctor, CtorDecl, Definition, Eq, Exists,
     FalseP, Fix, FolbridgeError, GlobalEnv, Ind, InductiveDecl, IntLit,
-    INT, Match, Not, Or, Pi, Problem, Record, ScopeError, SortProp, SortType,
+    INT, Match, Not, Or, Pi, Problem, ScopeError, SortProp, SortType,
     TYPE, Term, TrueP, Var, builtin_type, has_interior_type_binder, is_prop, lift,
     make_lams, make_pis,
 )
@@ -61,14 +64,20 @@ _PUNCT = [
     "(", ")", ",", ".", ":", "=", "|", "~", "<", "+", "-", "*", "/",
 ]
 
-# One alternative per token class; the first that matches wins, so the
-# punctuation keeps the order of _PUNCT (longer symbols first). Space and
-# comments have no group; any other character is `bad`. Every character
-# thus starts a match, and one finditer pass reads the whole text.
-_TOKEN_RE = re.compile(
-    r"[ \t\r]+|#[^\n]*|(?P<newline>\n)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<int>[0-9]+)"
-    r"|(?P<punct>" + "|".join(re.escape(p) for p in _PUNCT) + ")|(?P<bad>.)")
+_SPACE = r"[ \t\r\n]+|#[^\n]*"  # space and comments
+_WORD = (r"[A-Za-z_][A-Za-z0-9_']*|[0-9]+|"  # identifiers and keywords, integers
+         + "|".join(re.escape(p) for p in _PUNCT))  # longer symbols first
+# One match per token: the token, or the end of the text for eof, and the
+# space and comments after it, possessively; the first match also takes the
+# space and comments before the first token. findall thus returns the texts
+# and a final "" from one pass over a text that _SCAN_RE reads whole.
+_TOKEN_RE = re.compile(rf"(?:\A(?:{_SPACE})*+)?({_WORD}|\Z)(?:{_SPACE})*+")
+# Tokens, space and comments in the order the tokenizer tries them: the
+# first character it stops at is one no token can start with.
+_SCAN_RE = re.compile(rf"(?:{_SPACE}|{_WORD})*+")
+# The kind of a keyword, a punctuation symbol and eof (""). Any other token
+# is an integer literal when it starts with a digit, else an identifier.
+_KINDS = {**dict.fromkeys(KEYWORDS, "kw"), **dict.fromkeys(_PUNCT, "punct"), "": "eof"}
 
 
 # Binary operators: symbol -> (level, associativity, builtin or None).
@@ -76,46 +85,42 @@ _BINARY = {sym: (level, assoc, builtin) for sym, level, assoc, builtin in OPERAT
 _CONNECTIVES = {L_AND: And, L_OR: Or}
 
 
-class Token(Record):
-    __slots__ = _fields = ("kind", "text", "line", "col")
-    __hash__ = None
+def tokenize(text: str) -> list[str]:
+    """The texts of the tokens of text and a final "" for eof, from one
+    findall pass; a character no token can start with raises ParseError at
+    its line and column (`token_position` places the tokens)."""
+    end = _SCAN_RE.match(text).end()
+    if end < len(text):
+        raise ParseError(f"unexpected character {text[end]!r}", *_line_col(text, end))
+    tokens = _TOKEN_RE.findall(text)
+    # A text of space and comments alone gives eof twice: from the match
+    # that takes them and from an empty match at the end.
+    return tokens if tokens[0] else [""]
 
-    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
-        self.kind = kind  # 'ident' | 'int' | 'punct' | 'kw' | 'eof'
-        self.text = text
-        self.line = line
-        self.col = col
+
+def token_kind(tok: str) -> str:
+    """'kw', 'punct', 'eof', 'int' or 'ident'."""
+    return _KINDS.get(tok) or ("int" if tok[0].isdigit() else "ident")
 
 
-def tokenize(text: str) -> list[Token]:
-    """The tokens of text and a final eof token, in one pass. A column
-    counts the characters before the token on its line, a comment's
-    excepted: a comment runs to the end of its line, so only the eof token
-    after a trailing comment is placed at the comment's start."""
-    tokens: list[Token] = []
-    line, start = 1, 0  # start: the offset of the line's first character
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:  # space or a comment
-            continue
-        if kind == "newline":
-            line += 1
-            start = m.end()
-            continue
-        word = m.group()
-        if kind == "bad":
-            raise ParseError(f"unexpected character {word!r}", line, m.start() - start + 1)
-        if kind == "ident" and word in KEYWORDS:
-            kind = "kw"
-        tokens.append(Token(kind, word, line, m.start() - start + 1))
-    comment = text.find("#", start)
-    end = len(text) if comment < 0 else comment
-    tokens.append(Token("eof", "", line, end - start + 1))
-    return tokens
+def token_position(text: str, i: int) -> tuple[int, int]:
+    """The line and column of token i of tokenize(text), eof included,
+    found again by the same regex; only an error message needs one. A
+    comment runs to the end of its line, so only the eof token after a
+    trailing comment is placed at the comment's start."""
+    offset = next(itertools.islice(_TOKEN_RE.finditer(text), i, None)).start(1)
+    if offset == len(text) and (comment := text.find("#", text.rfind("\n") + 1)) >= 0:
+        offset = comment
+    return _line_col(text, offset)
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
         self.tok = self.tokens[0]  # the current token, tokens[pos]
@@ -123,46 +128,46 @@ class Parser:
         self.pending_inductive: str | None = None
 
     # -- token plumbing ------------------------------------------------------
+    # A keyword or punctuation symbol is matched by its text alone: no
+    # identifier or integer literal has the text of one.
 
-    def peek(self, ahead: int) -> Token:
+    def peek(self, ahead: int) -> str:
         """The token `ahead` places after the current one (eof past the end)."""
         i = self.pos + ahead
         return self.tokens[i] if i < len(self.tokens) else self.tokens[-1]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         """Return the current token and move to the next; eof stays."""
         tok = self.tok
-        if tok.kind != "eof":
+        if tok:
             self.pos += 1
             self.tok = self.tokens[self.pos]
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.tok
-        return tok.text == text and tok.kind in ("punct", "kw")
+        return self.tok == text
 
-    def eat(self, text: str) -> Token:
-        tok = self.tok
-        if tok.text != text or tok.kind not in ("punct", "kw"):
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
+    def eat(self, text: str) -> str:
+        if self.tok != text:
+            self.fail(f"expected {text!r}, found {self.tok!r}")
         return self.next()
 
     def eat_ident(self) -> str:
-        tok = self.tok
-        if tok.kind != "ident":
-            raise ParseError(f"expected identifier, found {tok.text!r}", tok.line, tok.col)
-        self.next()
-        return tok.text
+        if token_kind(self.tok) != "ident":
+            self.fail(f"expected identifier, found {self.tok!r}")
+        return self.next()
+
+    def where(self, i: int) -> str:
+        """`line:col` of token i, for a message."""
+        return "{}:{}".format(*token_position(self.text, i))
 
     def fail(self, message: str):
-        tok = self.tok
-        raise ParseError(message, tok.line, tok.col)
+        raise ParseError(message, *token_position(self.text, self.pos))
 
     # -- name resolution -----------------------------------------------------
 
-    def resolve(self, tok: Token, bound: list[str]) -> Term:
-        """The term the identifier token tok names under bound."""
-        name = tok.text
+    def resolve(self, name: str, bound: list[str]) -> Term:
+        """The term that `name`, the current token, names under bound."""
         if name in bound:
             return Var(bound.index(name))
         if name == "Int":
@@ -178,7 +183,7 @@ class Parser:
             return Ind(name)
         if self.pending_inductive == name:
             return Ind(name)
-        raise ScopeError(f"{tok.line}:{tok.col}: unknown identifier {name!r}")
+        raise ScopeError(f"{self.where(self.pos)}: unknown identifier {name!r}")
 
     # -- terms: propositions, expressions and types ---------------------------
 
@@ -195,16 +200,16 @@ class Parser:
         expression position `forall` starts only a whole term or the
         codomain of an arrow."""
         tok = self.tok
-        if tok.kind == "kw" and (tok.text == "forall" and (ctx is not None or min_level <= L_IMP)
-                                 or tok.text == "exists" and ctx is not None):
+        if (tok == "forall" and (ctx is not None or min_level <= L_IMP)
+                or tok == "exists" and ctx is not None):
             return self.parse_quantifier(bound, ctx)
-        if ctx is not None and self.at("~"):
+        if ctx is not None and tok == "~":
             self.next()
             lhs = Not(self.proposition(bound, ctx, L_NOT))
-        elif self.at("-") and self.peek(1).kind == "int":
+        elif tok == "-" and self.peek(1)[:1].isdigit():
             # A leading minus immediately before a literal is a negative literal.
             self.next()
-            lhs = IntLit(-int(self.next().text))
+            lhs = IntLit(-int(self.next()))
         else:
             lhs = self.parse_atom(bound, ctx)
             if ctx is None or not is_prop(lhs):
@@ -213,7 +218,7 @@ class Parser:
         limit = L_ATOM
         while True:
             tok = self.tok
-            op = _BINARY.get(tok.text) if tok.kind == "punct" else None
+            op = _BINARY.get(tok)
             if op is None or not min_level <= op[0] <= limit:
                 return lhs
             level, assoc, builtin = op
@@ -235,7 +240,7 @@ class Parser:
                 lhs = App(App(Const(builtin), lhs), rhs)
             elif level == L_EQ:
                 eq = self.equation(bound, ctx, lhs, rhs)
-                lhs = eq if tok.text == "=" else Not(eq)
+                lhs = eq if tok == "=" else Not(eq)
             elif level == L_IMP:
                 lhs = Pi("_", lhs, lift(rhs, 1))
             else:
@@ -254,7 +259,7 @@ class Parser:
         """`forall` or `exists`, binders, `,` and the body. Outside an
         expression position each domain is checked to be a type once the
         body turns out to be a proposition; an `exists` needs one."""
-        quantifier = Pi if self.next().text == "forall" else Exists
+        quantifier = Pi if self.next() == "forall" else Exists
         binders, bound2 = self.parse_binders(bound)
         self.eat(",")
         ctxs = [ctx]
@@ -271,39 +276,33 @@ class Parser:
 
     def _at_atom_start(self) -> bool:
         tok = self.tok
-        if tok.kind in ("ident", "int"):
-            return True
-        if tok.kind == "kw" and tok.text in ("fun", "match", "fix", "Type"):
-            return True
-        return tok.kind == "punct" and tok.text == "("
+        # an identifier, a literal, or a keyword or parenthesis that opens an atom
+        return tok not in _KINDS or tok in ("fun", "match", "fix", "Type", "(")
 
     def parse_atom(self, bound: list[str], ctx: list[Term] | None = None) -> Term:
         tok = self.tok
-        if tok.kind == "int":
+        if tok not in _KINDS:
+            t = IntLit(int(tok)) if tok[0].isdigit() else self.resolve(tok, bound)
             self.next()
-            return IntLit(int(tok.text))
-        if tok.kind == "ident":
+            return t
+        if tok == "Type":
             self.next()
-            return self.resolve(tok, bound)
-        if tok.kind == "kw":
-            if tok.text == "Type":
-                self.next()
-                return TYPE
-            if tok.text == "fun":
-                return self.parse_fun(bound)
-            if tok.text == "match":
-                return self.parse_match(bound)
-            if tok.text == "fix":
-                return self.parse_fix(bound)
-            if ctx is not None and tok.text in ("true_p", "false_p"):
-                self.next()
-                return TrueP() if tok.text == "true_p" else FalseP()
-        if self.at("("):
+            return TYPE
+        if tok == "fun":
+            return self.parse_fun(bound)
+        if tok == "match":
+            return self.parse_match(bound)
+        if tok == "fix":
+            return self.parse_fix(bound)
+        if ctx is not None and tok in ("true_p", "false_p"):
+            self.next()
+            return TrueP() if tok == "true_p" else FalseP()
+        if tok == "(":
             self.next()
             t = self.parse(bound, ctx)
             self.eat(")")
             return t
-        self.fail(f"expected a term, found {tok.text!r}")
+        self.fail(f"expected a term, found {tok!r}")
 
     def parse_binders(self, bound: list[str]) -> tuple[list[tuple[str, Term]], list[str]]:
         """One or more `(x y : T)` groups; returns binders in binding order
@@ -313,8 +312,8 @@ class Parser:
             save = self.pos, self.tok
             self.next()
             names: list[str] = []
-            while self.tok.kind == "ident":
-                names.append(self.next().text)
+            while token_kind(self.tok) == "ident":
+                names.append(self.next())
             if not names or not self.at(":"):
                 self.pos, self.tok = save
                 break
@@ -337,51 +336,52 @@ class Parser:
         return make_lams(binders, body)
 
     def parse_match(self, bound: list[str]) -> Term:
-        mtok = self.eat("match")
+        mpos = self.pos  # the position of each token a message may name
+        self.eat("match")
         scrut = self.parse(bound)
         self.eat("return")
         rty = self.parse(bound)
         self.eat("with")
-        arms: list[tuple[str, list[str], Term, Token]] = []
+        arms: list[tuple[str, list[str], Term, int]] = []
         while self.at("|"):
             self.next()
-            ctok = self.tok
+            cpos = self.pos
             cname = self.eat_ident()
             binder_names: list[str] = []
-            while self.tok.kind == "ident":
-                binder_names.append(self.next().text)
+            while token_kind(self.tok) == "ident":
+                binder_names.append(self.next())
             self.eat("=>")
             body_bound = list(reversed(binder_names)) + bound
             body = self.parse(body_bound)
-            arms.append((cname, binder_names, body, ctok))
+            arms.append((cname, binder_names, body, cpos))
         self.eat("end")
         if not arms:
             self.fail("match needs at least one branch")
-        first, _, _, ftok = arms[0]
+        first, _, _, fpos = arms[0]
         hit = self.env.find_ctor(first)
         if hit is None:
-            raise ScopeError(f"{ftok.line}:{ftok.col}: unknown constructor {first!r}")
+            raise ScopeError(f"{self.where(fpos)}: unknown constructor {first!r}")
         ind_name = hit[0]
         decl = self.env.inductive(ind_name)
         by_name = {c.name: i for i, c in enumerate(decl.ctors)}
         slots: list[Branch | None] = [None] * len(decl.ctors)
-        for cname, binder_names, body, ctok in arms:
+        for cname, binder_names, body, cpos in arms:
             if cname not in by_name:
                 raise ArityError(
-                    f"{ctok.line}:{ctok.col}: {cname!r} is not a constructor of {ind_name}")
+                    f"{self.where(cpos)}: {cname!r} is not a constructor of {ind_name}")
             k = by_name[cname]
             if slots[k] is not None:
                 raise ArityError(
-                    f"{ctok.line}:{ctok.col}: duplicate branch for constructor {cname}")
+                    f"{self.where(cpos)}: duplicate branch for constructor {cname}")
             want = len(decl.ctors[k].arg_types)
             if len(binder_names) != want:
                 raise ArityError(
-                    f"{ctok.line}:{ctok.col}: constructor {cname} takes {want} "
+                    f"{self.where(cpos)}: constructor {cname} takes {want} "
                     f"argument(s), pattern binds {len(binder_names)}")
             slots[k] = Branch(tuple(binder_names), body)
         missing = [decl.ctors[i].name for i, b in enumerate(slots) if b is None]
         if missing:
-            raise ArityError(f"{mtok.line}:{mtok.col}: match on {ind_name} is missing "
+            raise ArityError(f"{self.where(mpos)}: match on {ind_name} is missing "
                              f"branches for: {', '.join(missing)}")
         return Match(scrut, ind_name, rty, tuple(slots))
 
@@ -389,10 +389,9 @@ class Parser:
         self.eat("fix")
         name = self.eat_ident()
         self.eat("/")
-        dtok = self.tok
-        if dtok.kind != "int":
+        if token_kind(self.tok) != "int":
             self.fail("expected the decreasing-argument index after '/'")
-        dec = int(self.next().text)
+        dec = int(self.next())
         binders, bound2 = self.parse_binders([name] + bound)
         self.eat(":")
         rty = self.parse(bound2)
@@ -434,8 +433,8 @@ class Parser:
         params: list[str] = []
         if self.at("("):
             self.next()
-            while self.tok.kind == "ident":
-                params.append(self.next().text)
+            while token_kind(self.tok) == "ident":
+                params.append(self.next())
             self.eat(")")
         self.eat("=")
         self.pending_inductive = name
@@ -497,15 +496,14 @@ class Parser:
         lemma_params: list[str] = []
         goal: Term | None = None
         while True:
-            tok = self.tok
-            if tok.kind == "eof":
+            if not self.tok:  # eof
                 break
             if self.at("data"):
                 self.parse_data()
             elif self.at("def"):
                 self.parse_def()
             elif self.at("hyp") or self.at("lemma"):
-                is_lemma = self.next().text == "lemma"
+                is_lemma = self.next() == "lemma"
                 name = self.eat_ident()
                 if name in hyp_names or name in self.env.names():
                     raise ScopeError(f"hypothesis name already used: {name}")
@@ -518,9 +516,8 @@ class Parser:
             elif self.at("goal"):
                 self.next()
                 goal = self.parse_statement("goal")
-                tok = self.tok
-                if tok.kind != "eof":
-                    raise ParseError("goal must be the final declaration", tok.line, tok.col)
+                if self.tok:
+                    self.fail("goal must be the final declaration")
                 break
             else:
                 self.fail("expected a declaration (data/def/hyp/lemma/goal)")
@@ -561,7 +558,7 @@ def parse_term(text: str, env: GlobalEnv | None = None,
     p.env = env if env is not None else GlobalEnv()
     bound = bound or []
     t = p.parse(bound, [])
-    if p.tok.kind != "eof":
+    if p.tok:
         p.fail("trailing input")
     if not bound and not is_prop(t):
         infer(p.env, [], t)

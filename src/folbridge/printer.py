@@ -9,7 +9,7 @@ from __future__ import annotations
 from .terms import (
     And, App, Const, Ctor, Eq, Exists, FalseP, Fix, GlobalEnv, Ind,
     IntLit, IntT, Lam, Match, Not, Or, Pi, Problem, ScopeError, SortProp,
-    SortType, TVar, Term, TrueP, Var, spine,
+    SortType, TVar, Term, TrueP, Var,
 )
 
 # Levels, loosest to tightest. A node prints parens when its own level is
@@ -89,16 +89,23 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
     # Dispatch is on the exact node class, most frequent first.
     cls = type(t)
     if cls is App:
-        head, args = spine(t)
-        if type(head) is Const and head.name in _INFIX_BUILTINS and len(args) == 2:
+        # The spine is walked in a loop; args holds the arguments last first.
+        args = []
+        head = t
+        while type(head) is App:
+            args.append(head.arg)
+            head = head.head
+        if type(head) is Const and len(args) == 2 and head.name in _INFIX_BUILTINS:
             # An operand may be at the operator's level on the side it associates to.
             sym, lvl, assoc = _INFIX_BUILTINS[head.name]
-            lhs = _pp(args[0], env, names, namer, lvl + (assoc != "left"))
-            rhs = _pp(args[1], env, names, namer, lvl + (assoc != "right"))
-            return _wrap(f"{lhs} {sym} {rhs}", lvl, want)
-        parts = [_pp(head, env, names, namer, L_ATOM)]
-        parts.extend(_pp(a, env, names, namer, L_ATOM) for a in args)
-        return _wrap(" ".join(parts), L_APP, want)
+            lhs = _pp(args[1], env, names, namer, lvl + (assoc != "left"))
+            rhs = _pp(args[0], env, names, namer, lvl + (assoc != "right"))
+            s = f"{lhs} {sym} {rhs}"
+            return f"({s})" if lvl < want else s
+        s = _pp(head, env, names, namer, L_ATOM)
+        for a in reversed(args):
+            s = f"{s} {_pp(a, env, names, namer, L_ATOM)}"
+        return f"({s})" if L_APP < want else s
     if cls is Var:
         try:
             return names[t.index]

@@ -27,13 +27,13 @@ the class mask, before it builds anything: a term with no free variable at
 or above the cutoff, or with no class the rewrite acts on, is returned as
 it is. A closed term survives the kernels without a closure, a call into
 rebind or a walk, and rebind does not enter a subterm with nothing to
-rewrite either. Terms are immutable, so this sharing is never observable:
-an `is` check on a result is only a fast path, and no code needs one for
-correctness.
+rewrite either; it rebuilds an application in one frame per spine level.
+Terms are immutable, so this sharing is never observable: an `is` check
+on a result is only a fast path, and no code needs one for correctness.
 
 Everything else the package builds from fields (declarations, problems,
 environments, and in the other modules justifications, hypotheses, proof
-states, tokens) is a Record: a slotted class with an explicit `__init__`
+states) is a Record: a slotted class with an explicit `__init__`
 whose `==`, `hash` and `repr` read the fields its `_fields` names. Records
 need no code generated at import, so the package starts fast: importing it
 loads none of `inspect`, `ast` or `typing` (tests/test_imports.py).
@@ -427,7 +427,7 @@ FALSE = Ctor("Bool", 1)
 
 class Record:
     """Base of the package's plain records: declarations, problems,
-    justifications, hypotheses, proof states, tokens. Each is a slotted
+    justifications, hypotheses, proof states. Each is a slotted
     class with an explicit `__init__`, like the term nodes. `==`, `hash` and
     `repr` read the fields that `_fields` names, in order: `==` holds only
     between records of the same class with equal fields, and `repr` reads
@@ -674,12 +674,18 @@ def children(t: Term) -> tuple[tuple[Term, int], ...]:
 def subterms(t: Term) -> Iterator[Term]:
     """Preorder walk including t itself. An explicit stack keeps each step
     O(1); nested generators would pass every node up through all of its
-    ancestors, O(size * depth) in all."""
+    ancestors, O(size * depth) in all. An App pushes its head and argument
+    itself, and only a class with other children builds a children() tuple."""
     stack = [t]
     while stack:
         s = stack.pop()
         yield s
-        stack.extend(c for c, _ in reversed(children(s)))
+        cls = type(s)
+        if cls is App:
+            stack.append(s.arg)
+            stack.append(s.head)
+        elif cls is not Var and cls not in LEAVES:
+            stack += [c for c, _ in reversed(children(s))]
 
 
 def map_subterms(t: Term, f, depth: int = 0) -> Term:
@@ -732,13 +738,21 @@ def rebind(t: Term, on_free, depth: int = 0) -> Term:
     """Rebuild t with its free variables replaced: a Var(i) under d binders
     (d counted from depth) with i >= d becomes on_free(i - d, d). Every
     de Bruijn index rewrite goes through this one traversal. A subterm
-    with no free index at or above d is returned as it is, without a walk."""
+    with no free index at or above d is returned as it is, without a walk.
+    go rebuilds an App in its own frame, entering only a child with
+    something to rewrite; the other classes go through map_subterms."""
     if not t._free >> depth:
         return t
     def go(s: Term, d: int) -> Term:
         if not s._free >> d:
             return s  # no free variable: nothing to rewrite below s
-        if type(s) is Var:
+        cls = type(s)
+        if cls is App:
+            head, arg = s.head, s.arg
+            h = go(head, d) if head._free >> d else head
+            a = go(arg, d) if arg._free >> d else arg
+            return s if h is head and a is arg else App(h, a)
+        if cls is Var:
             return on_free(s.index - d, d)
         return map_subterms(s, go, d)
     try:

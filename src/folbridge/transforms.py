@@ -23,7 +23,7 @@ import itertools
 from .conversion import beta_reduce, typecheck
 from .terms import (
     HAS_MATCH, And, App, Const, Ctor, Eq, Exists, Fix, FolbridgeError,
-    GlobalEnv, Ind, InductiveDecl, IntT, Lam, Match, Not, Or, Pi,
+    GlobalEnv, Ind, InductiveDecl, IntT, LEAVES, Lam, Match, Not, Or, Pi,
     Record, SortProp, SortType, TVar, Term, Var,
     as_inductive_instance, children, ctor_arg_types,
     has_interior_type_binder, is_prop, lift, make_app, make_pis, normal_form, rebind,
@@ -481,37 +481,49 @@ def collect_type_instances(env: GlobalEnv, t: Term, seen: set[Term]) -> list[Ter
     """Closed subterms of sort Type, nested instances included, in first
     occurrence order, except those in `seen` and below them.
 
-    One preorder walk, with an explicit stack, asks `typecheck` of every
-    closed subterm but a sort, a Lam or Fix (whose type is a product), a
-    proposition (`is_prop`), and the head of a closed application that
-    typechecks or is itself such a head: a head of sort Type would make
-    that application ill-typed. Every closed subterm walked is added to
-    `seen`, and one already there is skipped with everything below it: what
-    it holds was found where its alpha-equal (`==`) copy was walked. So one
-    `seen` shared by several statements gives each alpha class once; for
-    one statement's instances, pass `set()`. An open subterm is no
-    instance: the walk only passes through it."""
+    One preorder walk, with an explicit stack of terms, asks `typecheck` of
+    every closed subterm but a sort, a Lam or Fix (whose type is a product),
+    a proposition (`is_prop`), and the heads of a closed application that
+    typechecks, which a loop walks pushing each argument: a head of sort
+    Type would make that application ill-typed. Every closed subterm walked
+    is added to `seen`, and one already there is skipped with everything
+    below it: what it holds was found where its alpha-equal (`==`) copy was
+    walked. So one `seen` shared by several statements gives each alpha
+    class once; for one statement's instances, pass `set()`. An open
+    subterm is no instance: the walk only passes through it."""
     out: list[Term] = []
-    stack: list[tuple[Term, bool]] = [(t, False)]  # (subterm, skip its typecheck)
+    stack = [t]
     while stack:
-        s, skip = stack.pop()
+        s = stack.pop()
         cls = type(s)
         if not s._free:
             if s in seen:
                 continue
             seen.add(s)
-            if not (skip or cls in (SortType, SortProp, Lam, Fix) or is_prop(s)):
+            if not (cls in (SortType, SortProp, Lam, Fix) or is_prop(s)):
                 try:
-                    if type(typecheck(env, [], s)) is SortType:
-                        out.append(s)
-                    skip = True
+                    ty = typecheck(env, [], s)
                 except FolbridgeError:
                     pass
+                else:
+                    if type(ty) is SortType:
+                        out.append(s)
+                    if cls is App:
+                        while True:  # the head chain, untyped
+                            stack.append(s.arg)
+                            s = s.head
+                            if s in seen:
+                                break
+                            seen.add(s)
+                            if type(s) is not App:
+                                stack += [c for c, _ in reversed(children(s))]
+                                break
+                        continue
         if cls is App:
-            stack.append((s.arg, False))
-            stack.append((s.head, skip))
-        else:
-            stack += [(c, False) for c, _ in reversed(children(s))]
+            stack.append(s.arg)
+            stack.append(s.head)
+        elif cls is not Var and cls not in LEAVES:
+            stack += [c for c, _ in reversed(children(s))]
     return out
 
 
@@ -537,29 +549,25 @@ def type_slug(t: Term) -> str:
     return "ty"
 
 
-def monomorphize(state: ProofState, extra_lemmas: list[tuple[str, Term]] | None = None,
-                 from_context: bool = False) -> list[Hypothesis]:
-    """Instantiate every prenex-polymorphic hypothesis (and extra lemma) at
-    all ground type instances of the goal, or with `from_context` of the
-    goal and the hypotheses (Cartesian product for multiple leading
-    binders); instances already present are skipped. The state keeps each
-    instantiation, so a repeated call substitutes nothing."""
+def monomorphize(state: ProofState, from_context: bool = False) -> list[Hypothesis]:
+    """Instantiate every prenex-polymorphic hypothesis at all ground type
+    instances of the goal, or with `from_context` of the goal and the
+    hypotheses (Cartesian product for multiple leading binders); instances
+    already present are skipped. A lemma to instantiate enters the state
+    as a hypothesis first, so every instance cites a source in the state.
+    The state keeps each instantiation, so a repeated call substitutes
+    nothing."""
     insts = state.type_instances()
     if not from_context:
         insts = insts[:state._goal_instances]
     if not insts:
         return []
     statements = state.statements()
-    sources = [(h.name, h.statement) for h in state.hypotheses]
-    extra_names: set[str] = set()
-    for name, stmt in (extra_lemmas or []):
-        if name not in state._by_name and name not in extra_names:
-            extra_names.add(name)
-            sources.append((name, stmt))
     emitted: set[Term] = set()
     taken: set[str] = set()
     out: list[Hypothesis] = []
-    for src_name, stmt in sources:
+    for h in state.hypotheses:
+        src_name, stmt = h.name, h.statement
         k = _leading_type_binders(stmt)
         if k == 0:
             continue

@@ -435,11 +435,16 @@ TOKEN_PIECES = st.sampled_from(
 
 
 def tokens_or_error(f, text):
+    """(kind, text, line, col) per token, the parser's from the token texts
+    through `token_kind` and `token_position`; or the error text."""
     try:
-        return [tuple(t) if isinstance(t, tuple) else (t.kind, t.text, t.line, t.col)
-                for t in f(text)]
+        tokens = f(text)
     except ParseError as e:
         return str(e)
+    if f is reference_tokenize:
+        return tokens
+    return [(parser.token_kind(t), t, *parser.token_position(text, i))
+            for i, t in enumerate(tokens)]
 
 
 @given(st.lists(TOKEN_PIECES, max_size=30).map("".join))

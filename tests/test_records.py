@@ -9,7 +9,6 @@ from __future__ import annotations
 import pytest
 
 from folbridge.conversion import Counterexample, Fuel, _CtorTable, min_term_size, typecheck
-from folbridge.parser import Token
 from folbridge.terms import (
     BOOL, BOOL_DECL, INT, TRUE, App, Const, CtorDecl, Definition, GlobalEnv, Ind,
     InductiveDecl, IntLit, Problem, TrueP,
@@ -90,7 +89,6 @@ def test_reprs_are_pinned():
     assert repr(Hypothesis("h", TrueP(), Given())) == (
         "Hypothesis(name='h', statement=TrueP(), justification=Given())")
     assert repr(Fuel()) == "Fuel(remaining=100000)"
-    assert repr(Token("ident", "x", 1, 2)) == "Token(kind='ident', text='x', line=1, col=2)"
     assert repr(Counterexample(TrueP(), TrueP())) == (
         "Counterexample(statement=TrueP(), instance=TrueP(), detail='')")
     assert repr(BOOL_DECL) == ("InductiveDecl(name='Bool', params=(), ctors=("
@@ -117,11 +115,10 @@ def test_mutable_records_compare_by_fields_and_are_unhashable():
     assert filled == GlobalEnv()                # memo is not compared
     assert ProofState(filled) == ProofState(GlobalEnv())
     assert Fuel(3) == Fuel(3) and Fuel(3) != Fuel(4)
-    assert Token("int", "1", 1, 1) == Token("int", "1", 1, 1)
     assert Problem(filled, [], TrueP()) == Problem(GlobalEnv(), [], TrueP(), [])
     assert Problem(filled, [], TrueP()) != Problem(filled, [], TrueP(), ["A"])
     for record in (filled, ProofState(filled), Problem(filled, [], TrueP()), Fuel(),
-                   Token("int", "1", 1, 1), Counterexample(TrueP(), TrueP()),
+                   Counterexample(TrueP(), TrueP()),
                    _CtorTable("nat", (), (), 1.0)):
         assert type(record).__hash__ is None
         with pytest.raises(TypeError):

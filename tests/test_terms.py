@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import random
 import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -371,11 +372,9 @@ def test_has_matches_reference(t):
 def test_closed_terms_are_not_walked(monkeypatch):
     """lift, subst and subst_list return a closed term, and lift an open one
     whose free variables stay below the cutoff, without visiting a
-    subterm."""
-    calls = []
-    real = terms.map_subterms
-    monkeypatch.setattr(terms, "map_subterms",
-                        lambda *args: calls.append(args) or real(*args))
+    subterm: the walk is an entry into rebind, which rebuilds an App in its
+    own frame, without map_subterms."""
+    calls = count_calls(monkeypatch, "rebind", terms)
     rng = random.Random(17)
     for _ in range(200):
         t = random_term(rng, 0, 12)
@@ -469,12 +468,13 @@ def test_match_candidates_skips_bodies_without_a_match(prelude, monkeypatch):
     assert calls == []
 
 
-def _cons_chain(n: int, innermost: int) -> Term:
+def _cons_chain(n: int, innermost: int | Term) -> Term:
     """`cons Int i (...)` nested n deep over `nil Int`; the innermost
-    element is `innermost`."""
+    element is `innermost`, a literal when it is an int."""
     t = App(Ctor("list", 0), INT)
     for i in range(n):
-        t = App(App(App(Ctor("list", 1), INT), IntLit(innermost if i == 0 else i)), t)
+        x = innermost if i == 0 else i
+        t = App(App(App(Ctor("list", 1), INT), IntLit(x) if type(x) is int else x), t)
     return t
 
 
@@ -488,6 +488,42 @@ def test_deep_chains_hash_and_compare_at_the_default_recursion_limit():
         assert b not in {a}
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_app_spines_print_lift_and_subst_at_the_default_recursion_limit(prelude):
+    """The printer and rebind take an application level in one frame, so
+    an 800-element chain prints, lifts and substitutes at a recursion limit
+    of 1000 (each failed from 331, 495 and 496 elements at two to three
+    frames a level). It runs in a fresh thread, whose stack holds none of
+    the test runner's frames."""
+    closed = _cons_chain(800, 0)
+    open_ = _cons_chain(800, Var(0))
+    out = {}
+
+    def run():
+        try:
+            out["print"] = printer.print_term(closed, prelude.env)
+            out["lift"] = lift(open_, 1)
+            out["subst"] = subst(open_, 0, IntLit(0))
+        except RecursionError as e:
+            out["error"] = e
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert "error" not in out
+    text = "cons Int 0 (nil Int)"
+    for i in range(1, 800):
+        text = f"cons Int {i} ({text})"
+    assert out["print"] == text
+    # `==` still recurses two frames a level; repr does not recurse.
+    assert repr(out["lift"]) == repr(_cons_chain(800, Var(1)))
+    assert repr(out["subst"]) == repr(closed)
 
 
 def _value(kind: int, values: tuple, t: Term) -> Value:

@@ -406,8 +406,9 @@ class TestPrenex:
             return Pi("A", TYPE, Pi("_", Exists("x", Var(0), tail), TrueP()))
 
         state = mk_state(env, "forall (l : list Int), l = l")
-        out = monomorphize(state, extra_lemmas=[("bad", lemma(TYPE_BINDER)),
-                                                ("good", lemma(TrueP()))])
+        state.add(Hypothesis("bad", lemma(TYPE_BINDER), Given()))
+        state.add(Hypothesis("good", lemma(TrueP()), Given()))
+        out = monomorphize(state)
         assert out and all(h.justification.source == "good" for h in out)
 
 
@@ -621,15 +622,17 @@ class TestSaturationMemo:
     @pytest.mark.parametrize("variant", ["extra_lemmas", "from_context", "exhaustiveness"])
     @pytest.mark.parametrize("saturated", [False, True])
     def test_variant_after_plain_call_matches_fresh_state(self, env, variant, saturated):
-        lemma = parse_term(LEN_APP, env)
         calls = {
-            "extra_lemmas": lambda s: monomorphize(s, extra_lemmas=[("len_app", lemma)]),
+            # the extra lemma enters the state as a Given hypothesis first
+            "extra_lemmas": monomorphize,
             "from_context": lambda s: monomorphize(s, from_context=True),
             "exhaustiveness": lambda s: interp_alg_types(s, include_exhaustiveness=True),
         }
         state = mk_state(env, SATURATE_GOAL, SATURATE_HYPS)
         if saturated:
             self.saturate(state)
+        if variant == "extra_lemmas":
+            state.add(Hypothesis("len_app", parse_term(LEN_APP, env), Given()))
         plain = [repr(monomorphize(state)), repr(interp_alg_types(state))]
         fresh = ProofState(env, list(state.hypotheses), state.goal)
         assert repr(calls[variant](state)) == repr(calls[variant](fresh))
