@@ -68,13 +68,15 @@ _SPACE = r"[ \t\r\n]+|#[^\n]*"  # space and comments
 _WORD = (r"[A-Za-z_][A-Za-z0-9_']*|[0-9]+|"  # identifiers and keywords, integers
          + "|".join(re.escape(p) for p in _PUNCT))  # longer symbols first
 # One match per token: the token, or the end of the text for eof, and the
-# space and comments after it, possessively; the first match also takes the
-# space and comments before the first token. findall thus returns the texts
-# and a final "" from one pass over a text that _SCAN_RE reads whole.
-_TOKEN_RE = re.compile(rf"(?:\A(?:{_SPACE})*+)?({_WORD}|\Z)(?:{_SPACE})*+")
+# space and comments after it; the first match also takes the space and
+# comments before the first token. findall thus returns the texts and a
+# final "" from one pass over a text that _SCAN_RE reads whole. No loop
+# backtracks: nothing follows the trailing ones, and in such a text the
+# leading one stops where a token or the end begins.
+_TOKEN_RE = re.compile(rf"(?:\A(?:{_SPACE})*)?({_WORD}|\Z)(?:{_SPACE})*")
 # Tokens, space and comments in the order the tokenizer tries them: the
 # first character it stops at is one no token can start with.
-_SCAN_RE = re.compile(rf"(?:{_SPACE}|{_WORD})*+")
+_SCAN_RE = re.compile(rf"(?:{_SPACE}|{_WORD})*")
 # The kind of a keyword, a punctuation symbol and eof (""). Any other token
 # is an integer literal when it starts with a digit, else an identifier.
 _KINDS = {**dict.fromkeys(KEYWORDS, "kw"), **dict.fromkeys(_PUNCT, "punct"), "": "eof"}

@@ -372,8 +372,9 @@ def test_has_matches_reference(t):
 def test_closed_terms_are_not_walked(monkeypatch):
     """lift, subst and subst_list return a closed term, and lift an open one
     whose free variables stay below the cutoff, without visiting a
-    subterm: the walk is an entry into rebind, which rebuilds an App in its
-    own frame, without map_subterms."""
+    subterm: the walk is an entry into rebind. Inside the walk of an open
+    term, rebind's go enters only a child with something to rewrite and
+    returns a closed sibling as it is."""
     calls = count_calls(monkeypatch, "rebind", terms)
     rng = random.Random(17)
     for _ in range(200):
@@ -384,9 +385,25 @@ def test_closed_terms_are_not_walked(monkeypatch):
         u = random_term(rng, 3, 12)
         assert lift(u, 2, 3) is u
     assert calls == []
-    # An open term is walked.
-    assert subst(App(Var(0), Const("c")), 0, Const("d")) == App(Const("d"), Const("c"))
+    # An open term is walked once; go is entered at the root, the App
+    # head chain and Var(0), never at a closed argument.
+    entered = []
+
+    def probe(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "go" \
+                and frame.f_code.co_filename == terms.__file__:
+            entered.append(type(frame.f_locals["s"]).__name__)
+
+    big, big2 = random_term(rng, 0, 12), random_term(rng, 0, 12)
+    sys.setprofile(probe)
+    try:
+        out = subst(App(App(Var(0), big), big2), 0, Const("d"))
+    finally:
+        sys.setprofile(None)
+    assert out == App(App(Const("d"), big), big2)
+    assert out.arg is big2 and out.head.arg is big
     assert len(calls) == 1
+    assert entered == ["App", "App", "Var"]
 
 
 def test_kernels_with_nothing_to_rewrite_make_no_rebind_call(monkeypatch):
