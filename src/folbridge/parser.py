@@ -322,10 +322,12 @@ class Parser:
             self.eat(":")
             ty = self.parse(bound)
             self.eat(")")
-            for nm in names:
-                binders.append((nm, ty))
+            # Each name after the first binds under the ones before it.
+            binders.append((names[0], ty))
+            for nm in names[1:]:
                 ty = lift(ty, 1)
-                bound = [nm] + bound
+                binders.append((nm, ty))
+            bound = names[::-1] + bound
         if not binders:
             self.fail("expected at least one (name : type) binder")
         return binders, bound

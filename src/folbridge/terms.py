@@ -13,12 +13,13 @@ that pins exact names compares `repr`.
 
 Each node computes its hash, its free-variable mask and its node-class
 mask once, from its children, when it is built. Nodes are immutable by
-convention: nothing assigns a field after `__init__`, because those cached
-facts are computed from the fields. The free-variable mask answers in O(1)
-whether a term is closed or well scoped, whether a binder's variable
-occurs, and whether a subterm mentions a variable bound outside it; the
-class mask answers whether a subterm holds a lambda, a constant, a match, a
-fixpoint or a type variable, so a walk that looks for one skips the rest.
+convention: nothing assigns a field after the node is built, because those
+cached facts are computed from the fields. The free-variable mask answers
+in O(1) whether a term is closed or well scoped, whether a binder's
+variable occurs, and whether a subterm mentions a variable bound outside
+it; the class mask answers whether a subterm holds a lambda, a constant, a
+match, a fixpoint or a type variable, so a walk that looks for one skips
+the rest.
 
 The kernels (map_subterms and with it rebind, lift, subst and subst_list)
 return the input node itself when none of its children changed. Each
@@ -30,6 +31,18 @@ rebind or a walk, and rebind does not enter a subterm with nothing to
 rewrite either; it rebuilds an application in one frame per spine level.
 Terms are immutable, so this sharing is never observable: an `is` check
 on a result is only a fast path, and no code needs one for correctness.
+
+Leaves are shared too. Var, Const, Ctor, Ind, TVar and IntLit return from
+`__new__` one node per key (index, name, constructor or literal), kept in a
+table per class; IntT, the sorts, TrueP and FalseP have one node each. A
+table holds one entry per distinct key ever built, so its size is bounded
+by the indices, names and literals of the inputs, not by how many terms are
+built, and `==`, set and dict probes on leaves end at the identity test.
+Compound and binder nodes are built anew: a table for them would grow with
+every distinct term built, without bound over a process, and one cleared per
+problem cost more than it saved. `==` and `hash` stay structural, so this
+sharing is not observable either. Copying and pickling rebuild each node
+through its constructor.
 
 Everything else the package builds from fields (declarations, problems,
 environments, and in the other modules justifications, hypotheses, proof
@@ -104,14 +117,9 @@ class Term:
     `_key` reads.
     """
     __slots__ = ("_hash", "_free", "_has")
-    # The fields `==` compares, binder names excluded. A class without
-    # fields compares by its class and hash alone.
-    _key = attrgetter("_hash")
-
-    def __init__(self) -> None:  # the field-less leaves: IntT, the sorts, TrueP, FalseP
-        self._hash = hash(type(self))
-        self._free = 0
-        self._has = 0
+    # Each class with fields names in `_key` the fields `==` compares,
+    # binder names excluded. A class without fields has one node, which
+    # `==` meets only through the identity test.
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -123,7 +131,38 @@ class Term:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self) -> tuple:
+        # Copying and pickling rebuild a node through its constructor, whose
+        # arguments are the class's own slots in order: a leaf comes back as
+        # the shared node, and every node computes its hash anew where it is
+        # loaded.
+        return self.__class__, tuple([getattr(self, n) for n in self.__slots__])
+
     __repr__ = node_repr
+
+
+# The shared leaves, one table per class, keyed by the constructor's
+# arguments. Each holds one node per distinct key ever built.
+_VARS: dict[int, Var] = {}
+_CONSTS: dict[str, Const] = {}
+_CTORS: dict[tuple[str, int], Ctor] = {}
+_INDS: dict[str, Ind] = {}
+_TVARS: dict[str, TVar] = {}
+_INTLITS: dict[int, IntLit] = {}
+_SOLE: dict[type, Term] = {}
+
+
+def _share(table: dict, key: object, cls: type, values: tuple, free: int = 0,
+           has: int = 0) -> Term:
+    """Build the shared leaf of `key` in `table`: its slots, in order, hold
+    `values`. Two threads that race here get one node."""
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        setattr(node, name, value)
+    node._hash = hash((cls, *values))
+    node._free = free
+    node._has = has
+    return table.setdefault(key, node)
 
 
 class Var(Term):
@@ -131,13 +170,13 @@ class Var(Term):
     __slots__ = ("index",)
     _key = attrgetter("index")
 
-    def __init__(self, index: int) -> None:
-        if index < 0:
-            raise ScopeError(f"negative de Bruijn index {index}")
-        self.index = index
-        self._hash = hash((Var, index))
-        self._free = 1 << index
-        self._has = 0
+    def __new__(cls, index: int) -> Var:
+        try:
+            return _VARS[index]
+        except KeyError:
+            if index < 0:
+                raise ScopeError(f"negative de Bruijn index {index}") from None
+            return _share(_VARS, index, cls, (index,), free=1 << index)
 
 
 class Const(Term):
@@ -145,11 +184,11 @@ class Const(Term):
     __slots__ = ("name",)
     _key = attrgetter("name")
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._hash = hash((Const, name))
-        self._free = 0
-        self._has = HAS_CONST
+    def __new__(cls, name: str) -> Const:
+        try:
+            return _CONSTS[name]
+        except KeyError:
+            return _share(_CONSTS, name, cls, (name,), has=HAS_CONST)
 
 
 class Ctor(Term):
@@ -157,12 +196,12 @@ class Ctor(Term):
     __slots__ = ("inductive", "ctor_index")
     _key = attrgetter("inductive", "ctor_index")
 
-    def __init__(self, inductive: str, ctor_index: int) -> None:
-        self.inductive = inductive
-        self.ctor_index = ctor_index
-        self._hash = hash((Ctor, inductive, ctor_index))
-        self._free = 0
-        self._has = 0
+    def __new__(cls, inductive: str, ctor_index: int) -> Ctor:
+        key = inductive, ctor_index
+        try:
+            return _CTORS[key]
+        except KeyError:
+            return _share(_CTORS, key, cls, key)
 
 
 class Ind(Term):
@@ -170,11 +209,11 @@ class Ind(Term):
     __slots__ = ("inductive",)
     _key = attrgetter("inductive")
 
-    def __init__(self, inductive: str) -> None:
-        self.inductive = inductive
-        self._hash = hash((Ind, inductive))
-        self._free = 0
-        self._has = 0
+    def __new__(cls, inductive: str) -> Ind:
+        try:
+            return _INDS[inductive]
+        except KeyError:
+            return _share(_INDS, inductive, cls, (inductive,))
 
 
 class TVar(Term):
@@ -186,24 +225,35 @@ class TVar(Term):
     __slots__ = ("name",)
     _key = attrgetter("name")
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._hash = hash((TVar, name))
-        self._free = 0
-        self._has = HAS_TVAR
+    def __new__(cls, name: str) -> TVar:
+        try:
+            return _TVARS[name]
+        except KeyError:
+            return _share(_TVARS, name, cls, (name,), has=HAS_TVAR)
+
+
+def _sole(cls: type) -> Term:
+    """`__new__` of the field-less leaves: one node per class."""
+    try:
+        return _SOLE[cls]
+    except KeyError:
+        return _share(_SOLE, cls, cls, ())
 
 
 class IntT(Term):
     """The builtin integer type."""
     __slots__ = ()
+    __new__ = _sole
 
 
 class SortType(Term):
     __slots__ = ()
+    __new__ = _sole
 
 
 class SortProp(Term):
     __slots__ = ()
+    __new__ = _sole
 
 
 class Pi(Term):
@@ -271,6 +321,9 @@ class Branch:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self) -> tuple:
+        return Branch, (self.binders, self.body)  # as Term.__reduce__
+
     __repr__ = node_repr
 
 
@@ -331,10 +384,12 @@ class Eq(Term):
 
 class TrueP(Term):
     __slots__ = ()
+    __new__ = _sole
 
 
 class FalseP(Term):
     __slots__ = ()
+    __new__ = _sole
 
 
 class And(Term):
@@ -391,11 +446,11 @@ class IntLit(Term):
     __slots__ = ("value",)
     _key = attrgetter("value")
 
-    def __init__(self, value: int) -> None:
-        self.value = value
-        self._hash = hash((IntLit, value))
-        self._free = 0
-        self._has = 0
+    def __new__(cls, value: int) -> IntLit:
+        try:
+            return _INTLITS[value]
+        except KeyError:
+            return _share(_INTLITS, value, cls, (value,))
 
 
 # The node classes that head a proposition, under its leading products: a

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PRELUDE
+from conftest import PRELUDE, count_calls
 from folbridge.conversion import TypingError, infer, typecheck
 from folbridge.parser import (
     ArityError, ParseError, PrenexError, parse_problem, parse_term, tokenize,
@@ -500,6 +500,19 @@ def test_nested_groups_parse_in_linear_time(monkeypatch):
 
 
 PRELUDE_ENV = parse_problem(PRELUDE).env
+
+
+def test_binder_group_lifts_between_names_only(monkeypatch):
+    """A group `(l1 l2 l3 : list A)` lifts its type once between each two
+    names and never after the last."""
+    p = parser.Parser("(l1 l2 l3 : list A) (n m : Int)")
+    p.env = PRELUDE_ENV
+    calls = count_calls(monkeypatch, "lift", parser)
+    binders, bound = p.parse_binders(["A"])
+    list_a = [App(Ind("list"), Var(i)) for i in range(3)]
+    assert calls == [(list_a[0], 1), (list_a[1], 1), (IntT(), 1)]
+    assert binders == [*zip(["l1", "l2", "l3"], list_a), ("n", IntT()), ("m", IntT())]
+    assert bound == ["m", "n", "l3", "l2", "l1", "A"]
 
 
 PROP_PIECES = st.sampled_from(

@@ -10,7 +10,9 @@ names compares `repr`."""
 
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import random
 import sys
 import threading
@@ -22,15 +24,17 @@ from hypothesis import strategies as st
 import alpha_reference
 import debruijn_reference as reference
 import repr_reference
-from conftest import count_calls
+from conftest import PRELUDE, count_calls
 from folbridge import conversion, parser, printer, terms, transforms
 from folbridge.conversion import (
     Value, VBuiltin, VClosure, VCtor, VCtorPartial, VFix, VInt, VType, infer,
 )
+from folbridge.parser import parse_problem
 from folbridge.terms import (
-    App, Branch, Const, Ctor, Eq, Exists, Fix, FolbridgeError, INT, Ind, IntLit, Lam,
-    Match, Not, Pi, ScopeError, TYPE, Term, TrueP, TVar, Var, alpha_eq, is_closed, lift,
-    subst, subst_list, subterms, well_scoped,
+    And, App, BOOL, Branch, Const, Ctor, Eq, Exists, FalseP, Fix, FolbridgeError, INT, Ind,
+    IntLit, IntT, Lam, Match, Not, Or, PROP, Pi, ScopeError, SortProp, SortType, TYPE, Term,
+    TrueP, TVar, Var, alpha_eq, is_closed, lift, make_app, subst, subst_list, subterms,
+    well_scoped,
 )
 from named_calculus import from_named, named_subst, to_named
 
@@ -603,9 +607,110 @@ def test_nodes_and_values_have_no_instance_dict(prelude):
 
 
 def test_negative_index_rejected():
-    """No term holds a negative de Bruijn index: building one raises."""
+    """No term holds a negative de Bruijn index: building one raises, also
+    once the shared table holds higher indices, and leaves no entry."""
+    Var(63), Var(64)
     with pytest.raises(ScopeError, match="-1"):
         Var(-1)
+    assert -1 not in terms._VARS
+
+
+def _is_leaf(t: Term) -> bool:
+    return type(t) is Var or type(t) in terms.LEAVES
+
+
+def _leaves(t: Term) -> list[Term]:
+    return [s for s in subterms(t) if _is_leaf(s)]
+
+
+# Every leaf class with its table of shared nodes.
+LEAF_TABLES = {Var: terms._VARS, Const: terms._CONSTS, Ctor: terms._CTORS,
+               Ind: terms._INDS, TVar: terms._TVARS, IntLit: terms._INTLITS}
+
+
+class TestSharedLeaves:
+    """A leaf class gives one node per key, kept in a table with one entry
+    per distinct key ever built; compound nodes are built anew. `==` and
+    `hash` stay structural, so the sharing shows only through `is`."""
+
+    def test_one_node_per_key(self):
+        for i in (0, 1, 5, 63, 64, 10_000):
+            assert Var(i) is Var(i) and Var(i).index == i
+        assert Var(1) is not Var(2)
+        assert Const("f") is Const("f") and Const("f") is not Const("g")
+        assert Ctor("nat", 1) is Ctor("nat", 1)
+        assert Ctor("nat", 1) is not Ctor("nat", 0) and Ctor("nat", 1) is not Ctor("tree", 1)
+        assert Ind("list") is Ind("list") and Ind("list") is not Ind("nat")
+        assert TVar("A") is TVar("A") and TVar("A") is not TVar("B")
+        assert IntLit(-3) is IntLit(-3) and IntLit(3) is not IntLit(-3)
+        for cls in (IntT, SortType, SortProp, TrueP, FalseP):
+            assert cls() is cls() and repr(cls()) == f"{cls.__name__}()"
+        assert INT is IntT() and TYPE is SortType() and PROP is SortProp()
+        assert App(Const("f"), Var(0)) is not App(Const("f"), Var(0))
+        for cls, table in LEAF_TABLES.items():
+            for key, node in table.items():
+                fields = tuple(getattr(node, n) for n in cls.__slots__)
+                assert type(node) is cls and fields == (key if cls is Ctor else (key,))
+
+    def test_shared_across_environments(self):
+        """Two parses of one problem build two environments that share every
+        leaf and no compound node."""
+        first, second = parse_problem(PRELUDE), parse_problem(PRELUDE)
+        assert first.env is not second.env
+        for name, d in first.env.definitions.items():
+            other = second.env.definitions[name]
+            for t, u in [(d.type, other.type), (d.body, other.body)]:
+                assert t == u
+                for a, b in zip(subterms(t), subterms(u)):
+                    assert (a is b) == _is_leaf(a)
+
+    def test_copy_and_pickle_keep_the_shared_leaves(self):
+        """Copies and pickles go back through the constructors: the result
+        is `==` to the original, prints the same, and holds the very leaf
+        nodes of the original."""
+        t = Pi("x", App(Ind("list"), INT), Eq(
+            App(Ind("list"), INT),
+            Match(Var(0), "list", App(Ind("list"), TVar("A")), (
+                Branch((), App(Const("nil"), TYPE)),
+                Branch(("h", "tl"), make_app(Ctor("list", 1), [SortProp(), IntLit(7), Var(0)])))),
+            Lam("b", BOOL, Exists("y", INT, And(TrueP(), Or(FalseP(), Not(Var(2))))))))
+        assert {type(s) for s in subterms(t)} >= {Var, *terms.LEAVES}
+        copies = [copy.copy(t), copy.deepcopy(t)] + [
+            pickle.loads(pickle.dumps(t, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for u in copies:
+            assert u == t and hash(u) == hash(t) and repr(u) == repr(t)
+            assert [id(s) for s in _leaves(u)] == [id(s) for s in _leaves(t)]
+        for leaf in _leaves(t):
+            assert copy.deepcopy(leaf) is leaf and pickle.loads(pickle.dumps(leaf)) is leaf
+
+    def test_tables_grow_with_keys_not_with_terms(self, bench_driver):
+        """Preprocessing and checking 36 benchmark problems adds only
+        declared names to the name tables; doing it all again builds every
+        term anew and adds no key to any table."""
+        driver, workloads = bench_driver
+        texts = [workloads.problem(w, seed, index)[1] for w in workloads.GENERATORS
+                 for seed in range(4) for index in range(3)]
+
+        def run() -> list:
+            envs = []
+            for text in texts:
+                state = driver.preprocess(text).state
+                for h in state.hypotheses:
+                    conversion.random_truth_check(state.env, h.statement, samples=1, seed=0)
+                envs.append(state.env)
+            return envs
+
+        before = {cls: set(table) for cls, table in LEAF_TABLES.items()}
+        envs = run()
+        after = {cls: set(table) for cls, table in LEAF_TABLES.items()}
+        run()
+        assert {cls: set(table) for cls, table in LEAF_TABLES.items()} == after
+        names = frozenset().union(*[env.names() for env in envs])
+        ctors = {(d.name, i) for env in envs for d in env.inductives.values()
+                 for i in range(len(d.ctors))}
+        assert after[Const] - before[Const] <= names
+        assert after[Ind] - before[Ind] <= names
+        assert after[Ctor] - before[Ctor] <= ctors
 
 
 def test_well_scoped_deep_chain():
