@@ -2,8 +2,8 @@
 
 Terms double as types and Prop-level formulas (CIC style). Variables are
 de Bruijn indices; index 0 is the innermost binder. Every index rewrite
-(lift, subst, subst_list and the shifts of the other modules) is one call
-to rebind, which hands each free variable and its binder depth to a
+(lift, subst, subst_list, and the conversion module's type reification) is
+one call to rebind, which hands each free variable and its binder depth to a
 function; every normalizer (full, beta, iota, type-variable replacement) is
 one call to normal_form, which takes the rewrite to try at a root. Binder
 name fields are printing hints only: they are excluded from `==` and
@@ -793,11 +793,10 @@ def rebind(t: Term, on_free, depth: int = 0) -> Term:
     """Rebuild t with its free variables replaced: a Var(i) under d binders
     (d counted from depth) with i >= d becomes on_free(i - d, d). Every
     de Bruijn index rewrite goes through this one traversal. A subterm
-    with no free index at or above d is returned as it is, without a walk.
-    go rebuilds an App in its own frame, entering only a child with
-    something to rewrite; the other classes go through map_subterms."""
-    if not t._free >> depth:
-        return t
+    with no free index at or above d is returned as it is, without a walk;
+    every caller tests t itself first, so as not to build on_free. go
+    rebuilds an App in its own frame, entering only a child with something
+    to rewrite; the other classes go through map_subterms."""
     def go(s: Term, d: int) -> Term:
         if not s._free >> d:
             return s  # no free variable: nothing to rewrite below s
@@ -824,10 +823,8 @@ def normal_form(t: Term, head, at: int) -> Term:
     normalizing the children changed one. `at` is the `_has` mask of the
     node classes that head can rewrite at (a node of one of them heads
     every redex it takes): a subterm whose mask meets none of them is
-    returned as it is, unvisited, and a term whose mask meets none is
-    returned before any closure is built."""
-    if not t._has & at:
-        return t
+    returned as it is, unvisited; every caller tests t itself first, so as
+    not to build head."""
     def go(s: Term, _depth: int = 0) -> Term:
         if not s._has & at:
             return s  # no class that head rewrites occurs in s

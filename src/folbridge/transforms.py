@@ -20,18 +20,18 @@ from __future__ import annotations
 
 import itertools
 
-from .conversion import beta_reduce, typecheck
+from .conversion import Fuel, beta_reduce, typecheck, whnf
 from .terms import (
     HAS_MATCH, And, App, Const, Ctor, Eq, Exists, Fix, FolbridgeError,
     GlobalEnv, Ind, InductiveDecl, IntT, LEAVES, Lam, Match, Not, Or, Pi,
     Record, SortProp, SortType, TVar, Term, Var,
     as_inductive_instance, children, ctor_arg_types,
-    has_interior_type_binder, is_prop, lift, make_app, make_pis, normal_form, rebind,
-    spine, strip_lams, strip_pis, subst, subst_list, INTERPRETED_TYPES,
+    has_interior_type_binder, is_prop, lift, make_app, make_pis, normal_form,
+    spine, strip_lams, strip_pis, subst_list, INTERPRETED_TYPES,
 )
 # Not called here; bench/tracer.py wraps the kernels at this module's
-# bindings, so the name must resolve in it.
-from .terms import alpha_eq  # noqa: F401
+# bindings, so the names must resolve in it.
+from .terms import alpha_eq, subst  # noqa: F401
 
 
 class TransformError(FolbridgeError):
@@ -162,8 +162,9 @@ class ProofState(Record):
     - each datatype axiom, per instance and kind (`interp_alg_types`).
     Instantiations are kept per statement and combination by identity, not
     by equality, because they carry the binder names of that exact
-    statement and those instances into printed hypotheses; the state holds
-    each such statement and instance, so its id is not reused.
+    statement and those instances into printed hypotheses; `hypotheses` and
+    the list of instances hold each such statement and instance, so its id
+    is not reused.
 
     The index catches up lazily with `hypotheses`, so a list passed in
     prefilled or extended by a plain `append` is indexed too; removing or
@@ -191,10 +192,10 @@ class ProofState(Record):
         self._found: list[Term] = []
         self._goal_instances: int | None = None
         self._walked = 0
-        # id(source statement) -> (source, {ids of a combination of type
-        # instances: (that combination, the instantiated statement)}), or
-        # (source, None) for a source with an interior type binder.
-        self._instantiations: dict[int, tuple[Term, dict | None]] = {}
+        # id(source statement) -> {ids of a combination of type instances:
+        # the instantiated statement}, or None for a source with an
+        # interior type binder.
+        self._instantiations: dict[int, dict[tuple[int, ...], Term] | None] = {}
         # DatatypeAxiom -> (base of its hypothesis name, its statement).
         self._axioms: dict[DatatypeAxiom, tuple[str, Term]] = {}
 
@@ -276,30 +277,8 @@ def get_def(state: ProofState, const_name: str) -> Hypothesis:
 
 
 # ---------------------------------------------------------------------------
-# Expansion (arrow_split / gen_eq / expand)
+# Expansion
 # ---------------------------------------------------------------------------
-
-def arrow_split(ty: Term) -> tuple[list[Term], Term]:
-    """Pi chain to ([A0..An], B); each piece keeps the de Bruijn references
-    into the previous binders."""
-    binders, codomain = strip_pis(ty)
-    return [d for _, d in binders], codomain
-
-
-def gen_eq(domains: list[Term], codomain: Term, t: Term, u: Term,
-           names: list[str] | None = None) -> Term:
-    """forall x0..xn, t x0..xn = u x0..xn; t and u are lifted at every
-    recursive step, the domain/codomain pieces already live in the
-    extended contexts."""
-    if not domains:
-        return Eq(codomain, t, u)
-    name = names[0] if names else "x"
-    rest_names = names[1:] if names else None
-    inner = gen_eq(domains[1:], codomain,
-                   App(lift(t, 1), Var(0)), App(lift(u, 1), Var(0)),
-                   rest_names)
-    return Pi(name, domains[0], inner)
-
 
 def _base_name(hyp_name: str) -> str:
     for suffix in ("_def", "_eq", "_unfix"):
@@ -309,19 +288,25 @@ def _base_name(hyp_name: str) -> str:
 
 
 def expand(state: ProofState, hyp_name: str) -> Hypothesis:
-    """t = (fun xs => b)  ~>  forall xs, t xs = b. Identity for
-    equations at zero-arrow types."""
+    """t = (fun xs => b)  ~>  forall xs, t xs = b: both sides are lifted
+    once past the telescope of the equation's type, read through `whnf`
+    so that an alias of an arrow type counts, and applied to its
+    variables. Identity for equations at zero-arrow types."""
     h = state.find(hyp_name)
     if not isinstance(h.statement, Eq):
         raise NotAnEquation(f"{hyp_name} is not an equation")
     eq = h.statement
-    binders, codomain = strip_pis(eq.at_type)
-    if not binders:
-        return Hypothesis(state.fresh_name(f"{_base_name(hyp_name)}_eq"),
-                          eq, ByConversion(source=hyp_name))
-    stmt = gen_eq([d for _, d in binders], codomain, eq.lhs, eq.rhs,
-                  names=[n for n, _ in binders])
-    stmt = beta_reduce(stmt)
+    binders: list[tuple[str, Term]] = []
+    codomain, fuel = eq.at_type, Fuel()
+    while type(ty := whnf(state.env, codomain, fuel)) is Pi:
+        binders.append((ty.binder, ty.domain))
+        codomain = ty.codomain
+    stmt = eq
+    if binders:
+        n = len(binders)
+        xs = [Var(n - 1 - j) for j in range(n)]
+        stmt = beta_reduce(make_pis(binders, Eq(
+            codomain, make_app(lift(eq.lhs, n), xs), make_app(lift(eq.rhs, n), xs))))
     return Hypothesis(state.fresh_name(f"{_base_name(hyp_name)}_eq"),
                       stmt, ByConversion(source=hyp_name))
 
@@ -356,12 +341,11 @@ def eliminate_fix(state: ProofState, hyp_name: str) -> Hypothesis:
     m = n - k
     if m < 0:
         raise NoFixpointFound(f"{hyp_name}: fix consumes more arguments than are bound")
-    # Replace the self-reference (index k under the lam chain) by the
-    # constant applied to the leading binders, then substitute the lam
-    # binders by the trailing bound variables.
-    repl = make_app(lhead, [Var(n - 1 - j) for j in range(m)])
-    body2 = subst(fix_inner, k, repl)
-    new_rhs = subst_list(body2, [Var(j) for j in range(k)])
+    # Under the lam chain, Var(j < k) are the lam binders, which become the
+    # trailing bound variables, and Var(k) is the self-reference, which
+    # becomes the constant applied to the leading binders.
+    new_rhs = subst_list(fix_inner, [Var(j) for j in range(k)]
+                         + [make_app(lhead, [Var(n - 1 - j) for j in range(m)])])
     stmt = make_pis(binders, Eq(body.at_type, body.lhs, new_rhs))
     dec_position = m + rhead.decreasing
     return Hypothesis(state.fresh_name(f"{_base_name(hyp_name)}_unfix"),
@@ -394,14 +378,6 @@ def _match_candidates(body: Term, n: int) -> list[int]:
     return sorted(found)
 
 
-def _shift_above(t: Term, at: int, by: int) -> Term:
-    """Lift indices strictly greater than `at` by `by`; index == at must
-    not occur."""
-    if t._free >> at & 1:
-        raise TransformError("dependency on the substituted binder")
-    return lift(t, by, at + 1)
-
-
 def iota_reduce(env: GlobalEnv, t: Term) -> Term:
     """Select branches of matches whose scrutinee is constructor-headed;
     no delta or fix unfolding."""
@@ -423,54 +399,38 @@ def iota_reduce(env: GlobalEnv, t: Term) -> Term:
 
 def eliminate_pattern_matching(state: ProofState, hyp_name: str) -> list[Hypothesis]:
     """One statement per constructor: substitute the matched bound variable
-    by each constructor applied to fresh binders and iota-reduce."""
+    by each constructor applied to fresh binders, in the binders after it
+    (a premise that mentions it included, as `destruct` does) and the
+    body, and iota-reduce."""
     h = state.find(hyp_name)
     binders, body = strip_pis(h.statement)
-    n = len(binders)
-    candidates = _match_candidates(body, n)
+    candidates = _match_candidates(body, len(binders))
     if not candidates:
         raise NoMatchOnBoundVar(f"{hyp_name} has no match on a bound variable")
     i = candidates[0]
-    sty = binders[i][1]  # in the context of binders[:i]
-    inst = as_inductive_instance(sty)
+    # binders[i]'s type is in the context of binders[:i]; `rest` is in that
+    # of binders[:i + 1], with the matched variable as Var(0).
+    inst = as_inductive_instance(whnf(state.env, binders[i][1], Fuel()))
     if inst is None:
         raise NotAlgebraic(f"{hyp_name}: matched variable is not of an algebraic type")
     ind_name, type_args = inst
-    decl = state.env.inductive(ind_name)
+    rest = make_pis(binders[i + 1:], body)
     out: list[Hypothesis] = []
     base = _base_name(hyp_name)
-    for k, cd in enumerate(decl.ctors):
+    for k, cd in enumerate(state.env.inductive(ind_name).ctors):
         arg_tys = ctor_arg_types(state.env, ind_name, k, type_args)
         r = len(arg_tys)
-        new_binders = list(binders[:i])
-        for j, at in enumerate(arg_tys):
-            hint = cd.name[0] if cd.name else "a"
-            new_binders.append((f"{hint}{j}" if r > 1 else hint, lift(at, j)))
-        for j, (bn, bd) in enumerate(binders[i + 1:]):
-            # bd lives under binders[:i+1+j]; the slot of binder i becomes
-            # r slots, so references past it move up by r-1.
-            new_binders.append((bn, _shift_above(bd, j, r - 1)))
-        trailing = n - 1 - i
-        ctor_app = make_app(
-            Ctor(ind_name, k),
-            [lift(a, r + trailing) for a in type_args]
-            + [Var(trailing + (r - 1 - j)) for j in range(r)])
-        new_body = _replace_binder(body, n - 1 - i, r - 1, ctor_app)
-        new_body = iota_reduce(state.env, new_body)
-        stmt = make_pis(new_binders, new_body)
+        hint = cd.name[0] if cd.name else "a"
+        ctor_binders = [(f"{hint}{j}" if r > 1 else hint, lift(at, j))
+                        for j, at in enumerate(arg_tys)]
+        ctor_app = make_app(Ctor(ind_name, k), [lift(a, r) for a in type_args]
+                            + [Var(r - 1 - j) for j in range(r)])
+        # The statement is closed, so rest has no free variable past binders[:i].
+        new_rest = subst_list(rest, [ctor_app] + [Var(r + j) for j in range(i)])
+        stmt = make_pis(binders[:i] + ctor_binders, iota_reduce(state.env, new_rest))
         out.append(Hypothesis(state.fresh_name(f"{base}_{cd.name}"),
                               stmt, ByConversion(source=hyp_name)))
     return out
-
-
-def _replace_binder(t: Term, at: int, widen: int, replacement: Term) -> Term:
-    """Replace Var(at) by `replacement` (expressed at the root of t's new
-    context) and shift references above `at` by `widen`. A term with no
-    free index at or above `at` is returned at once, without a closure."""
-    if not t._free >> at:
-        return t
-    return rebind(t, lambda k, d: lift(replacement, d - at) if k == 0 else Var(k + d + widen),
-                  at)
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +487,13 @@ def collect_type_instances(env: GlobalEnv, t: Term, seen: set[Term]) -> list[Ter
     return out
 
 
-def _leading_type_binders(stmt: Term) -> int:
+def _leading_type_binders(stmt: Term) -> tuple[int, Term]:
+    """How many type binders lead stmt, and what they bind."""
     k = 0
     while isinstance(stmt, Pi) and isinstance(stmt.domain, SortType):
         k += 1
         stmt = stmt.codomain
-    return k
+    return k, stmt
 
 
 def type_slug(t: Term) -> str:
@@ -568,26 +529,21 @@ def monomorphize(state: ProofState, from_context: bool = False) -> list[Hypothes
     out: list[Hypothesis] = []
     for h in state.hypotheses:
         src_name, stmt = h.name, h.statement
-        k = _leading_type_binders(stmt)
+        k, body = _leading_type_binders(stmt)
         if k == 0:
             continue
-        memo = state._instantiations.get(id(stmt))
-        if memo is None:
-            memo = state._instantiations[id(stmt)] = (
-                stmt, None if has_interior_type_binder(stmt) else {})
-        table = memo[1]
+        memo = state._instantiations
+        if id(stmt) not in memo:
+            memo[id(stmt)] = None if has_interior_type_binder(stmt) else {}
+        table = memo[id(stmt)]
         if table is None:
             continue
         for combo in itertools.product(insts, repeat=k):
             key = tuple(map(id, combo))
-            hit = table.get(key)
-            if hit is None:
-                inst_stmt = stmt
-                for ty in combo:
-                    assert isinstance(inst_stmt, Pi)
-                    inst_stmt = subst(inst_stmt.codomain, 0, ty)
-                hit = table[key] = (combo, inst_stmt)
-            inst_stmt = hit[1]
+            inst_stmt = table.get(key)
+            if inst_stmt is None:
+                # The instances are closed: one substitution, innermost first.
+                inst_stmt = table[key] = subst_list(body, combo[::-1])
             if inst_stmt in statements or inst_stmt in emitted:
                 continue
             emitted.add(inst_stmt)

@@ -1,14 +1,14 @@
 """Reference de Bruijn traversals: the hand-written versions of
-`transforms._shift_above`, `transforms._replace_binder`, `parser._unshift`
-and `conversion._reify_type`, kept as the oracles that their `rebind`-based
-versions are property-tested against; the per-question binder-use walk
-`_uses_binder_at`, the oracle of the mask bits the printer reads; the
-recursive `terms.well_scoped`, the oracle of the version that reads the
-free-variable mask `_free`; the recursive `transforms._match_candidates`,
-the oracle of its explicit-stack loop; `free` and `reach`, the
-oracles of the `_free` mask that every node computes from its children
-when it is built (its set bits and its bit length); and `classes`, the
-oracle of the `_has` mask of the node classes that occur in a term.
+`parser._unshift` and `conversion._reify_type`, kept as the oracles that
+their `rebind`-based versions are property-tested against; the
+per-question binder-use walk `_uses_binder_at`, the oracle of the mask
+bits the printer reads; the recursive `terms.well_scoped`, the oracle of
+the version that reads the free-variable mask `_free`; the recursive
+`transforms._match_candidates`, the oracle of its explicit-stack loop;
+`free` and `reach`, the oracles of the `_free` mask that every node
+computes from its children when it is built (its set bits and its bit
+length); and `classes`, the oracle of the `_has` mask of the node classes
+that occur in a term.
 
 Each walks the term with its own `Var` case and its own `map_subterms`
 (or `children`) recursion, so it shares none of `rebind` or of the loops;
@@ -21,35 +21,6 @@ from __future__ import annotations
 
 from folbridge.conversion import EvalError, Value, VType
 from folbridge.terms import Match, Term, Var, children, lift, map_subterms
-from folbridge.transforms import TransformError
-
-
-def _shift_above(t: Term, at: int, by: int) -> Term:
-    """Lift indices strictly greater than `at` by `by`; index == at must
-    not occur."""
-    def go(s: Term, depth: int) -> Term:
-        if isinstance(s, Var):
-            if s.index < at + depth:
-                return s
-            if s.index == at + depth:
-                raise TransformError("dependency on the substituted binder")
-            return Var(s.index + by)
-        return map_subterms(s, lambda c, extra: go(c, depth + extra))
-    return go(t, 0)
-
-
-def _replace_binder(t: Term, at: int, widen: int, replacement: Term) -> Term:
-    """Replace Var(at) by `replacement` (expressed at the root of t's new
-    context) and shift references above `at` by `widen`."""
-    def go(s: Term, depth: int) -> Term:
-        if isinstance(s, Var):
-            if s.index < at + depth:
-                return s
-            if s.index == at + depth:
-                return lift(replacement, depth)
-            return Var(s.index + widen)
-        return map_subterms(s, lambda c, extra: go(c, depth + extra))
-    return go(t, 0)
 
 
 def _unshift(t: Term, amount: int) -> Term | None:

@@ -269,21 +269,6 @@ def outcome(f, *args):
         return type(e), str(e)
 
 
-@given(OPEN_TERMS, st.integers(0, 2), st.integers(0, 3))
-@example(Var(0), 0, 1)
-@settings(deadline=None, max_examples=100)
-def test_shift_above_matches_reference(t, at, by):
-    assert (repr(outcome(transforms._shift_above, t, at, by))
-            == repr(outcome(reference._shift_above, t, at, by)))
-
-
-@given(OPEN_TERMS, st.integers(0, 2), st.integers(0, 3), OPEN_TERMS)
-@settings(deadline=None, max_examples=100)
-def test_replace_binder_matches_reference(t, at, widen, replacement):
-    assert (repr(transforms._replace_binder(t, at, widen, replacement))
-            == repr(reference._replace_binder(t, at, widen, replacement)))
-
-
 @given(OPEN_TERMS, st.integers(0, 3))
 @example(Lam("x", INT, Var(1)), 1)
 @settings(deadline=None, max_examples=100)
@@ -414,7 +399,7 @@ def test_kernels_with_nothing_to_rewrite_make_no_rebind_call(monkeypatch):
     """Every index rewrite reads the free-variable mask on entry: a closed
     term, or an open one whose free variables stay below the cutoff, comes
     back as it is, with no call into rebind."""
-    calls = count_calls(monkeypatch, "rebind", terms, conversion, transforms)
+    calls = count_calls(monkeypatch, "rebind", terms, conversion)
     rng = random.Random(23)
     for _ in range(200):
         t = random_term(rng, 0, 12)
@@ -423,11 +408,9 @@ def test_kernels_with_nothing_to_rewrite_make_no_rebind_call(monkeypatch):
         assert subst_list(t, [Const("c"), INT]) is t
         # A closed type needs no value, not even one that is no type.
         assert conversion._reify_type(t, (VInt(0),)) is t
-        assert transforms._replace_binder(t, 0, 1, Var(0)) is t
         u = random_term(rng, 3, 12)
         assert lift(u, 2, 3) is u
         assert subst(u, 3, Const("c")) is u
-        assert transforms._replace_binder(u, 3, 2, Var(1)) is u
     assert calls == []
     # A variable at the cutoff is rewritten.
     assert lift(Var(3), 1, 3) == Var(4)

@@ -14,15 +14,14 @@ from folbridge.printer import print_term
 from folbridge.terms import (
     And, App, BOOL, Const, Ctor, Eq, Exists, INT, Ind, IntT, Not, Or, Pi,
     SortProp, TYPE, TVar, Term, TrueP, Var, alpha_eq, has_interior_type_binder,
-    make_app, spine, subterms, well_scoped,
+    make_app, spine, strip_pis, subterms, well_scoped,
 )
 from folbridge.transforms import (
     AlreadyPresent, ByCaseConversion, ByConversion, ByDefinition,
     ByInstantiation, DatatypeAxiom, Given, Hypothesis, NoFixpointFound,
     NoMatchOnBoundVar, NotAnEquation, ProofState, TransformError, UnknownConstant,
-    arrow_split, collect_type_instances, eliminate_fix,
-    eliminate_pattern_matching, expand, gen_eq, get_def, interp_alg_types,
-    monomorphize,
+    collect_type_instances, eliminate_fix, eliminate_pattern_matching,
+    expand, get_def, interp_alg_types, monomorphize,
 )
 
 
@@ -38,6 +37,23 @@ def stmts_truthy(env, hyps, samples=40):
         cex = random_truth_check(env, h.statement, samples=samples, seed=7)
         assert cex is None, (h.name, print_term(h.statement, env),
                             cex and print_term(cex.instance, env))
+
+
+def true_and_reparsed(env, hyps):
+    """Each statement is true under the oracle and prints to text that
+    parses back to an equal term."""
+    stmts_truthy(env, hyps)
+    for h in hyps:
+        text = print_term(h.statement, env)
+        assert parse_term(text, env) == h.statement, (h.name, text)
+
+
+def alias_state(defs: str) -> ProofState:
+    """A prelude state with the given declarations added, each `hyp` of
+    them a Given hypothesis."""
+    problem = parse_problem(PRELUDE.replace("goal true = true.", defs + "\ngoal true = true."))
+    return ProofState(problem.env, [Hypothesis(n, t, Given()) for n, t in problem.hypotheses],
+                      problem.goal)
 
 
 class TestGetDef:
@@ -78,38 +94,62 @@ class TestGetDef:
 
 
 class TestArrowSplit:
+    """`expand` reads the equation's type as a telescope, through aliases."""
+
     def test_zero_arrows(self):
-        assert arrow_split(INT) == ([], INT)
+        state = alias_state("def Z : Type = Int.\ndef z : Z = 2.")
+        state.add(get_def(state, "z"))
+        assert expand(state, "z_def").statement is state.hypotheses[-1].statement
 
     def test_hd_error_type(self, env):
-        ty = env.definitions["hd_error"].type
-        domains, cod = arrow_split(ty)
-        assert domains == [TYPE, App(Ind("list"), Var(0))]
+        state = _expanded(env, "hd_error")
+        binders, eq = strip_pis(state.hypotheses[-1].statement)
+        assert [d for _, d in binders] == [TYPE, App(Ind("list"), Var(0))]
         # codomain under both binders: the type parameter is index 1
-        assert cod == App(Ind("option"), Var(1))
+        assert eq.at_type == App(Ind("option"), Var(1))
 
     def test_int_int_bool(self, env):
-        ty = parse_term("Int -> Int -> Bool", env)
-        domains, cod = arrow_split(ty)
-        assert domains == [INT, INT]
-        assert cod == BOOL
+        state = mk_state(env, "true = true", [(
+            "h", "(fun (x : Int) (y : Int) => eqb Int x y) = fun (a : Int) (b : Int) => eqb Int b a")])
+        stmt = expand(state, "h").statement
+        binders, eq = strip_pis(stmt)
+        assert [d for _, d in binders] == [INT, INT]
+        assert eq.at_type == BOOL
+        assert stmt == parse_term("forall (x : Int) (y : Int), eqb Int x y = eqb Int y x", env)
+
+    def test_arrow_alias(self):
+        """An arrow type written as an alias is split like the arrow, so the
+        match under it is eliminated."""
+        state = alias_state(
+            "def P : Type = nat -> nat.\n"
+            "def pred : P = fun (n : nat) => match n return nat with | O => O | S m => m end.")
+        state.add(get_def(state, "pred"))
+        state.add(expand(state, "pred_def"))
+        out = eliminate_pattern_matching(state, "pred_eq")
+        assert [h.name for h in out] == ["pred_O", "pred_S"]
+        assert out[0].statement == parse_term("pred O = O", state.env)
+        assert out[1].statement == parse_term("forall (m : nat), pred (S m) = m", state.env)
+        true_and_reparsed(state.env, out)
 
 
 class TestGenEq:
+    """`expand` lifts each side once past the telescope and applies it to
+    the telescope's variables, outermost first."""
+
     def test_base_case(self, env):
-        from folbridge.terms import TRUE
-        assert gen_eq([], BOOL, TRUE, TRUE) == Eq(BOOL, TRUE, TRUE)
+        state = mk_state(env, "true = true", [("h", "true = true")])
+        assert expand(state, "h").statement is state.find("h").statement
 
     def test_hd_error_split(self, env):
-        ty = env.definitions["hd_error"].type
-        domains, cod = arrow_split(ty)
-        got = gen_eq(domains, cod, Const("hd_error"), Const("hd_error"))
+        state = mk_state(env, "true = true", [("h", "hd_error = hd_error")])
+        got = expand(state, "h").statement
         want = parse_term(
             "forall (A : Type) (l : list A), hd_error A l = hd_error A l", env)
         assert alpha_eq(got, want)
 
     def test_two_arguments_indices(self, env):
-        got = gen_eq([INT, INT], INT, Const("add"), Const("sub"))
+        state = mk_state(env, "true = true", [("h", "add = sub")])
+        got = expand(state, "h").statement
         want = parse_term(
             "forall (x0 : Int) (x1 : Int), x0 + x1 = x0 - x1", env)
         assert alpha_eq(got, want)
@@ -268,6 +308,34 @@ class TestEliminatePatternMatching:
         out = eliminate_pattern_matching(state, "h")
         assert len(out) == 2
         stmts_truthy(env, out)
+
+    def test_inductive_alias(self):
+        """A matched variable whose type is an alias of an inductive type is
+        split on the constructors of that type."""
+        state = alias_state(
+            "def L : Type = list Int.\n"
+            "def hdz : L -> Int = fun (l : L) => match l return Int with"
+            " | nil => 0 | cons x _ => x end.")
+        state.add(get_def(state, "hdz"))
+        state.add(expand(state, "hdz_def"))
+        out = eliminate_pattern_matching(state, "hdz_eq")
+        assert [h.name for h in out] == ["hdz_nil", "hdz_cons"]
+        assert out[1].statement == parse_term(
+            "forall (x : Int) (l : list Int), hdz (cons Int x l) = x", state.env)
+        true_and_reparsed(state.env, out)
+
+    def test_dependent_premise(self, env):
+        """A later binder whose type mentions the matched variable, here a
+        premise, is instantiated with the constructor, as `destruct` does."""
+        pred_n = "match n return nat with | O => O | S m => m end"
+        state = mk_state(env, "true = true",
+                         [("k", f"forall (n p : nat), S n = p -> {pred_n} = {pred_n}")])
+        out = eliminate_pattern_matching(state, "k")
+        assert [h.name for h in out] == ["k_O", "k_S"]
+        assert out[0].statement == parse_term("forall (p : nat), S O = p -> O = O", env)
+        assert out[1].statement == parse_term(
+            "forall (m p : nat), S (S m) = p -> m = m", env)
+        true_and_reparsed(env, out)
 
 
 class TestCollectTypeInstances:
@@ -455,6 +523,22 @@ class TestInterpAlgTypes:
         from folbridge.transforms import Exhaustiveness
         assert isinstance(exh.justification.kind, Exhaustiveness)
         stmts_truthy(env, [exh])
+
+    def test_shape_axioms_with_exhaustiveness(self):
+        """Disjointness of two constructors with arguments, and an
+        exhaustiveness axiom whose disjuncts bind no, one and two
+        existentials: every axiom is true and prints to text that parses
+        back to it."""
+        p = parse_problem("data shape = circle (Int) | square (Int) (Int) | dot.\n"
+                          "goal forall (s : shape), s = s.")
+        out = interp_alg_types(ProofState(p.env, [], p.goal), include_exhaustiveness=True)
+        assert [h.name for h in out] == [
+            "shape_circle_inj", "shape_square_inj", "shape_circle_square_disj",
+            "shape_circle_dot_disj", "shape_square_dot_disj", "shape_exhaust"]
+        assert out[2].statement == parse_term(
+            "forall (x1 : Int) (y1 : Int) (y2 : Int), circle x1 <> square y1 y2", p.env)
+        assert any(isinstance(s, Exists) for s in subterms(out[-1].statement))
+        true_and_reparsed(p.env, out)
 
     def test_rigid_instance_axioms(self, env):
         # instances at a rigid type variable: cons at `list A`
@@ -654,7 +738,7 @@ class TestSaturationMemo:
 
     def test_confirming_round_substitutes_and_builds_nothing(self, env, monkeypatch):
         counts = {}
-        for name in ("subst", "injectivity_statement", "disjointness_statement",
+        for name in ("subst_list", "injectivity_statement", "disjointness_statement",
                      "exhaustiveness_statement"):
             original = getattr(transforms, name)
 
@@ -665,7 +749,7 @@ class TestSaturationMemo:
             monkeypatch.setattr(transforms, name, counting)
         state = mk_state(env, SATURATE_GOAL, SATURATE_HYPS)
         self.saturate(state)
-        assert counts["subst"] and counts["injectivity_statement"]
+        assert counts["subst_list"] and counts["injectivity_statement"]
         assert counts["disjointness_statement"]
         counts.clear()
         assert monomorphize(state) == [] and interp_alg_types(state) == []
