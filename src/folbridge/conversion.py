@@ -163,7 +163,7 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
         for arg in reversed(args):
             if type(hty) is not Pi:  # a product is its own whnf
                 if done:
-                    hty = subst_list(hty, done[::-1])
+                    hty = subst_list(hty, done[::-1], env.apps)
                     done = []
                 hty = whnf(env, hty, fuel)
                 if type(hty) is not Pi:
@@ -173,13 +173,13 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
             if done and dom._free:
                 # A variable bound by the spine stands for its argument.
                 dom = (done[-1 - dom.index] if type(dom) is Var and dom.index < len(done)
-                       else subst_list(dom, done[::-1]))
+                       else subst_list(dom, done[::-1], env.apps))
             if not convertible(env, aty, dom, fuel):
                 raise TypingError(
                     f"argument type mismatch: expected {dom}, found {aty}")
             done.append(arg)
             hty = hty.codomain
-        ty = subst_list(hty, done[::-1]) if hty._free else hty
+        ty = subst_list(hty, done[::-1], env.apps) if hty._free else hty
     elif cls is Var:
         if not 0 <= t.index < len(ctx):
             raise TypingError(f"unbound variable index {t.index}")

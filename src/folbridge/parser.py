@@ -31,11 +31,11 @@ from .printer import (
     L_AND, L_ATOM, L_BINDER, L_EQ, L_IMP, L_NOT, L_OR, OPERATORS, print_term,
 )
 from .terms import (
-    And, App, Branch, Const, Ctor, CtorDecl, Definition, Eq, Exists,
+    And, Branch, Const, Ctor, CtorDecl, Definition, Eq, Exists,
     FalseP, Fix, FolbridgeError, GlobalEnv, Ind, InductiveDecl, IntLit,
     INT, Match, Not, Or, Pi, Problem, ScopeError, SortProp, SortType,
     TYPE, Term, TrueP, Var, builtin_type, has_interior_type_binder, is_prop, lift,
-    make_lams, make_pis,
+    make_lams, make_pis, share_app,
 )
 
 
@@ -216,7 +216,7 @@ class Parser:
             lhs = self.parse_atom(bound, ctx)
             if ctx is None or not is_prop(lhs):
                 while self._at_atom_start():
-                    lhs = App(lhs, self.parse_atom(bound))
+                    lhs = share_app(self.env.apps, lhs, self.parse_atom(bound))
         limit = L_ATOM
         while True:
             tok = self.tok
@@ -239,7 +239,8 @@ class Parser:
             else:
                 rhs = self.parse(bound, None, right)
             if builtin is not None:
-                lhs = App(App(Const(builtin), lhs), rhs)
+                apps = self.env.apps
+                lhs = share_app(apps, share_app(apps, Const(builtin), lhs), rhs)
             elif level == L_EQ:
                 eq = self.equation(bound, ctx, lhs, rhs)
                 lhs = eq if tok == "=" else Not(eq)

@@ -38,11 +38,23 @@ table per class; IntT, the sorts, TrueP and FalseP have one node each. A
 table holds one entry per distinct key ever built, so its size is bounded
 by the indices, names and literals of the inputs, not by how many terms are
 built, and `==`, set and dict probes on leaves end at the identity test.
-Compound and binder nodes are built anew: a table for them would grow with
-every distinct term built, without bound over a process, and one cleared per
-problem cost more than it saved. `==` and `hash` stay structural, so this
-sharing is not observable either. Copying and pickling rebuild each node
-through its constructor.
+
+Closed applications are shared per environment. `share_app` returns the one
+App node that a `GlobalEnv.apps` table holds for a closed head and a closed
+argument, keyed by the pair of their identities; the parser, the instantiated
+types of `_infer`, `monomorphize` and `eliminate_pattern_matching` build
+their closed applications through it, so the copies of `list nat` that a
+problem's statements and types repeat are one node, and the identity tests
+of the closed-type table, the instance walk and `convertible` hit. The table
+is bounded by the problem and goes with its environment; a process-wide one
+would grow with every distinct term built. Open applications are built
+anew: no identity-keyed cache looks them up, and a table for every App,
+process-wide or per problem, was measured to cost more than it saved. Binder
+nodes (Pi, Lam, Fix, Match, Exists) are built anew too: they carry binder
+names, which `==` ignores and printing shows. The App constructor itself
+always builds a new node. `==` and `hash` stay structural, so no sharing is
+observable but through `is`. Copying and pickling rebuild each node through
+its constructor.
 
 Everything else the package builds from fields (declarations, problems,
 environments, and in the other modules justifications, hypotheses, proof
@@ -584,8 +596,19 @@ class GlobalEnv(Record):
     """Named declarations. Insertion order is declaration order; names are
     unique across inductives, constructors, definitions and builtins. The
     constructor index and the name set are built here; declarations extend
-    them."""
-    __slots__ = ("inductives", "definitions", "memo", "_ctors", "_names")
+    them.
+
+    `apps` is the environment's table of closed applications: one `App`
+    node per closed head and closed argument, keyed by the pair of their
+    ids, which `share_app` fills (see the module docstring for who builds
+    through it). An entry holds both children, so their ids stay valid
+    while the table lives. The table only grows, bounded by the closed
+    applications the problem builds, and goes with the environment.
+
+    `memo` and `apps` are keyed by ids, which name nothing outside this
+    environment's lifetime: a copied or unpickled environment is rebuilt
+    from its fields, with both empty."""
+    __slots__ = ("inductives", "definitions", "memo", "apps", "_ctors", "_names")
     _fields = ("inductives", "definitions")
     __hash__ = None
 
@@ -600,9 +623,16 @@ class GlobalEnv(Record):
         self._names = frozenset(self.definitions).union(BUILTIN_FUNCTIONS)
         for decl in inductives.values():
             self._index(decl)
-        # Four caches that only conversion reads and writes (see there);
-        # never invalidated. Not a field: `==` and `repr` skip it.
+        # Four caches that only conversion reads and writes (see there),
+        # and the table of closed applications; never invalidated. Not
+        # fields: `==` and `repr` skip them.
         self.memo: dict[tuple, object] = {}
+        self.apps: dict[tuple[int, int], App] = {}
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt from the fields: the caches' id keys would name other
+        # objects, or none, in the copy.
+        return GlobalEnv, (dict(self.inductives), dict(self.definitions))
 
     def _index(self, decl: InductiveDecl) -> None:
         for i, c in enumerate(decl.ctors):
@@ -789,14 +819,16 @@ def map_subterms(t: Term, f, depth: int = 0) -> Term:
 # Lifting and substitution
 # ---------------------------------------------------------------------------
 
-def rebind(t: Term, on_free, depth: int = 0) -> Term:
+def rebind(t: Term, on_free, depth: int = 0, apps: dict | None = None) -> Term:
     """Rebuild t with its free variables replaced: a Var(i) under d binders
     (d counted from depth) with i >= d becomes on_free(i - d, d). Every
     de Bruijn index rewrite goes through this one traversal. A subterm
     with no free index at or above d is returned as it is, without a walk;
     every caller tests t itself first, so as not to build on_free. go
     rebuilds an App in its own frame, entering only a child with something
-    to rewrite; the other classes go through map_subterms."""
+    to rewrite, and through `share_app` when the caller passes its
+    environment's table `apps`; the other classes go through
+    map_subterms."""
     def go(s: Term, d: int) -> Term:
         if not s._free >> d:
             return s  # no free variable: nothing to rewrite below s
@@ -805,7 +837,9 @@ def rebind(t: Term, on_free, depth: int = 0) -> Term:
             head, arg = s.head, s.arg
             h = go(head, d) if head._free >> d else head
             a = go(arg, d) if arg._free >> d else arg
-            return s if h is head and a is arg else App(h, a)
+            if h is head and a is arg:
+                return s
+            return App(h, a) if apps is None else share_app(apps, h, a)
         if cls is Var:
             return on_free(s.index - d, d)
         return map_subterms(s, go, d)
@@ -858,14 +892,16 @@ def subst(t: Term, index: int, replacement: Term) -> Term:
                   index)
 
 
-def subst_list(t: Term, values: list[Term]) -> Term:
+def subst_list(t: Term, values: list[Term], apps: dict | None = None) -> Term:
     """Simultaneous substitution Var(i) := values[i] for i < len(values);
     higher frees drop by len(values). values are in the outer context. A
-    closed term is returned at once, without a closure."""
+    closed term is returned at once, without a closure. With an
+    environment's table `apps`, the closed applications it builds are
+    shared (see `share_app`)."""
     if not t._free:
         return t
     n = len(values)
-    return rebind(t, lambda k, d: lift(values[k], d) if k < n else Var(k + d - n))
+    return rebind(t, lambda k, d: lift(values[k], d) if k < n else Var(k + d - n), 0, apps)
 
 
 def well_scoped(t: Term, depth: int = 0) -> bool:
@@ -896,9 +932,25 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
-def make_app(head: Term, args: list[Term]) -> Term:
+def share_app(apps: dict, head: Term, arg: Term) -> App:
+    """The application of head to arg. When both are closed it is the one
+    node that the table `apps` (a `GlobalEnv.apps`) holds for that head and
+    argument, keyed by their identities, built on the first request; an
+    open application is built anew. The stored node holds both children,
+    so their ids are not reused while the table lives."""
+    if head._free or arg._free:
+        return App(head, arg)
+    key = id(head), id(arg)
+    node = apps.get(key)
+    if node is None:
+        node = apps.setdefault(key, App(head, arg))  # racing threads get one node
+    return node
+
+
+def make_app(head: Term, args: list[Term], apps: dict | None = None) -> Term:
+    """head applied to args; through `share_app` with a table `apps`."""
     for a in args:
-        head = App(head, a)
+        head = App(head, a) if apps is None else share_app(apps, head, a)
     return head
 
 

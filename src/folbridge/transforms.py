@@ -170,7 +170,9 @@ class ProofState(Record):
     prefilled or extended by a plain `append` is indexed too; removing or
     replacing hypotheses, or changing `env` or `goal`, is not supported.
     The fields are `env`, `hypotheses` and `goal`; `==` and `repr` skip the
-    indexes."""
+    indexes. A copied or unpickled state is rebuilt from its fields, as an
+    environment is, since the instantiations' id keys would name other
+    statements in the copy."""
     __slots__ = ("env", "hypotheses", "goal", "_indexed", "_by_name", "_statements",
                  "_seen", "_found", "_goal_instances", "_walked",
                  "_instantiations", "_axioms")
@@ -198,6 +200,9 @@ class ProofState(Record):
         self._instantiations: dict[int, dict[tuple[int, ...], Term] | None] = {}
         # DatatypeAxiom -> (base of its hypothesis name, its statement).
         self._axioms: dict[DatatypeAxiom, tuple[str, Term]] = {}
+
+    def __reduce__(self) -> tuple:
+        return ProofState, (self.env, list(self.hypotheses), self.goal)
 
     def _sync(self) -> None:
         for h in self.hypotheses[self._indexed:]:
@@ -417,6 +422,7 @@ def eliminate_pattern_matching(state: ProofState, hyp_name: str) -> list[Hypothe
     rest = make_pis(binders[i + 1:], body)
     out: list[Hypothesis] = []
     base = _base_name(hyp_name)
+    apps = state.env.apps
     for k, cd in enumerate(state.env.inductive(ind_name).ctors):
         arg_tys = ctor_arg_types(state.env, ind_name, k, type_args)
         r = len(arg_tys)
@@ -424,9 +430,9 @@ def eliminate_pattern_matching(state: ProofState, hyp_name: str) -> list[Hypothe
         ctor_binders = [(f"{hint}{j}" if r > 1 else hint, lift(at, j))
                         for j, at in enumerate(arg_tys)]
         ctor_app = make_app(Ctor(ind_name, k), [lift(a, r) for a in type_args]
-                            + [Var(r - 1 - j) for j in range(r)])
+                            + [Var(r - 1 - j) for j in range(r)], apps)
         # The statement is closed, so rest has no free variable past binders[:i].
-        new_rest = subst_list(rest, [ctor_app] + [Var(r + j) for j in range(i)])
+        new_rest = subst_list(rest, [ctor_app] + [Var(r + j) for j in range(i)], apps)
         stmt = make_pis(binders[:i] + ctor_binders, iota_reduce(state.env, new_rest))
         out.append(Hypothesis(state.fresh_name(f"{base}_{cd.name}"),
                               stmt, ByConversion(source=hyp_name)))
@@ -543,7 +549,7 @@ def monomorphize(state: ProofState, from_context: bool = False) -> list[Hypothes
             inst_stmt = table.get(key)
             if inst_stmt is None:
                 # The instances are closed: one substitution, innermost first.
-                inst_stmt = table[key] = subst_list(body, combo[::-1])
+                inst_stmt = table[key] = subst_list(body, combo[::-1], state.env.apps)
             if inst_stmt in statements or inst_stmt in emitted:
                 continue
             emitted.add(inst_stmt)

@@ -1,16 +1,23 @@
 """Declarations carry their own types, and the environment keeps its own
 indexes: `InductiveDecl.type` and `InductiveDecl.ctor_types` against the
 types the environment used to build on demand (tests/decl_reference.py),
-and every answer an environment gives after later declarations against the
-answer of a fresh environment that holds the same declarations."""
+every answer an environment gives after later declarations against the
+answer of a fresh environment that holds the same declarations, and copies
+of an environment or a proof state, which start with empty caches."""
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
 import random
+
+import pytest
 
 import decl_reference
 from folbridge.conversion import min_term_size, random_ground_term, typecheck
 from folbridge.parser import parse_problem
+from folbridge.transforms import Given, Hypothesis, ProofState, monomorphize
 from folbridge.terms import (
     INT, TYPE, App, Const, Ctor, CtorDecl, Definition, FolbridgeError, GlobalEnv, Ind,
     InductiveDecl, IntLit, Var, make_app,
@@ -110,3 +117,48 @@ def test_later_declarations_answer_like_a_fresh_environment():
         assert _answers(env) == _answers(fresh), d.name
     # The last environment answers every query: nothing was left unknown.
     assert all(type(a) is not type for a in _answers(env))
+
+
+COPIED = ("data nat = O | S (nat). data list (A) = nil | cons (A) (list A). "
+          "goal cons nat O (nil nat) = cons nat (S O) (nil nat) /\\ S (S O) = S O "
+          "/\\ nil nat = nil nat.")
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+def test_copied_environment_starts_with_empty_caches(round_trip):
+    """The closed-type table and the table of closed applications are keyed
+    by ids. A copy of an environment is rebuilt from its declarations with
+    both empty; a copied entry would be keyed by the id of a term that dies
+    with the original, and would type whichever term lands at that address
+    next (a deep copy or pickle of the environment typed such an `add`
+    application `list nat`)."""
+    problem = parse_problem(COPIED)
+    assert problem.env.memo and problem.env.apps
+    env = round_trip(problem.env)
+    assert env == problem.env and env.memo == {} and env.apps == {}
+    assert env.names() == problem.env.names() and env.find_ctor("cons") == ("list", 1)
+    del problem
+    gc.collect()
+    sums = [make_app(Const("add"), [IntLit(i), IntLit(1)]) for i in range(300)]
+    assert all(typecheck(env, [], t) == INT for t in sums)
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+def test_copied_state_starts_with_empty_caches(round_trip):
+    """A proof state keeps its instantiations by the ids of its statements;
+    a copy is rebuilt from its fields and instantiates anew."""
+    problem = parse_problem(COPIED.replace(
+        "goal", "hyp len : forall (A : Type) (l : list A), l = l. goal"))
+    state = ProofState(problem.env, [Hypothesis(n, t, Given()) for n, t in problem.hypotheses],
+                       problem.goal)
+    first = monomorphize(state)
+    assert first and state._instantiations
+    copied = round_trip(state)
+    assert copied == state and not copied._instantiations and not copied._found
+    assert repr(monomorphize(copied)) == repr(first)

@@ -11,7 +11,7 @@ import pytest
 from folbridge.conversion import Counterexample, Fuel, _CtorTable, min_term_size, typecheck
 from folbridge.terms import (
     BOOL, BOOL_DECL, INT, TRUE, App, Const, CtorDecl, Definition, GlobalEnv, Ind,
-    InductiveDecl, IntLit, Problem, TrueP,
+    InductiveDecl, IntLit, Problem, TrueP, share_app,
 )
 from folbridge.transforms import (
     ByCaseConversion, ByConversion, ByDefinition, ByInstantiation, DatatypeAxiom,
@@ -100,7 +100,8 @@ def test_env_and_state_reprs_skip_their_caches():
     env = GlobalEnv()
     typecheck(env, [], App(Const("negb"), TRUE))   # fills the closed-type table
     min_term_size(env, BOOL)
-    assert env.memo
+    share_app(env.apps, Const("negb"), TRUE)
+    assert env.memo and env.apps
     assert repr(env) == f"GlobalEnv(inductives={{'Bool': {BOOL_DECL!r}}}, definitions={{}})"
     state = ProofState(env)
     state.statements()

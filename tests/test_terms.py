@@ -613,8 +613,10 @@ LEAF_TABLES = {Var: terms._VARS, Const: terms._CONSTS, Ctor: terms._CTORS,
 
 class TestSharedLeaves:
     """A leaf class gives one node per key, kept in a table with one entry
-    per distinct key ever built; compound nodes are built anew. `==` and
-    `hash` stay structural, so the sharing shows only through `is`."""
+    per distinct key ever built; a compound constructor builds a new node
+    (for the closed applications an environment shares, see
+    TestSharedApplications). `==` and `hash` stay structural, so the
+    sharing shows only through `is`."""
 
     def test_one_node_per_key(self):
         for i in (0, 1, 5, 63, 64, 10_000):
@@ -694,6 +696,150 @@ class TestSharedLeaves:
         assert after[Const] - before[Const] <= names
         assert after[Ind] - before[Ind] <= names
         assert after[Ctor] - before[Ctor] <= ctors
+
+
+LEN_APP = "forall (A : Type) (l : list A), length A (app A l (nil A)) = length A l"
+LEN_GOAL = "forall (l : list nat), length nat l = length nat (app nat (nil nat) l)"
+
+
+def _module_tables() -> dict[str, int]:
+    """The size of every dict, set and list a package module holds at
+    module level."""
+    return {f"{m.__name__}.{n}": len(v)
+            for m in (terms, conversion, parser, printer, transforms)
+            for n, v in vars(m).items() if type(v) in (dict, set, list)}
+
+
+def _live_apps() -> int:
+    gc.collect()
+    return sum(type(o) is App for o in gc.get_objects())
+
+
+class TestSharedApplications:
+    """Each environment gives one App node per closed head and closed
+    argument (`GlobalEnv.apps`, `terms.share_app`) to the parser, `_infer`,
+    `monomorphize` and `eliminate_pattern_matching`. The table is the
+    environment's own: it starts empty, no other environment sees its
+    nodes, and no process-wide table keeps them."""
+
+    @staticmethod
+    def monomorphized():
+        problem = parse_problem(PRELUDE)
+        env = problem.env
+        state = transforms.ProofState(env, [transforms.Hypothesis(
+            "len_app", parser.parse_term(LEN_APP, env), transforms.Given())],
+            parser.parse_term(LEN_GOAL, env))
+        return state, transforms.monomorphize(state)
+
+    def test_fresh_environment_has_an_empty_table(self):
+        assert terms.GlobalEnv().apps == {}
+        assert parse_problem(PRELUDE).env.apps
+
+    def test_one_node_per_closed_application(self):
+        env = terms.GlobalEnv()
+        apps = env.apps
+        nat = Ind("nat")
+        a = terms.share_app(apps, Ind("list"), nat)
+        assert terms.share_app(apps, Ind("list"), nat) is a and apps == {(id(Ind("list")), id(nat)): a}
+        assert terms.share_app(apps, Ind("list"), App(Ind("list"), nat)) is not terms.share_app(
+            apps, Ind("list"), App(Ind("list"), nat))  # a child built anew is another key
+        open_ = terms.share_app(apps, Ind("list"), Var(0))
+        assert open_ is not terms.share_app(apps, Ind("list"), Var(0)) and len(apps) == 3
+        assert make_app(Ctor("list", 0), [nat], apps) is make_app(Ctor("list", 0), [nat], apps)
+        assert subst_list(App(Ind("list"), Var(0)), [nat], apps) is a
+        assert subst_list(App(Ind("list"), Var(0)), [nat]) is not a
+
+    def test_parser_infer_and_monomorphize_build_one_node(self):
+        state, out = self.monomorphized()
+        env, goal = state.env, state.goal
+        list_nat = goal.domain                                   # the parser's
+        nil_nat = goal.codomain.rhs.arg.head.arg
+        length_nat = goal.codomain.lhs.head
+        app_nat = goal.codomain.rhs.arg.head.head
+        assert repr(list_nat) == "App(head=Ind(inductive='list'), arg=Ind(inductive='nat'))"
+        assert conversion.typecheck(env, [], nil_nat) is list_nat  # `_infer`'s
+        assert conversion.typecheck(env, [], app_nat).domain is list_nat
+        inst = next(h.statement for h in out if h.name == "len_app_nat")
+        assert inst.domain is list_nat                           # `monomorphize`'s
+        assert inst.codomain.lhs.head is length_nat
+        assert inst.codomain.lhs.arg.head.head is app_nat
+        assert inst.codomain.lhs.arg.arg is nil_nat
+        assert inst.codomain.rhs.head is length_nat
+
+    def test_case_substitution_builds_the_same_nodes(self):
+        env = parse_problem(PRELUDE).env
+        goal = parser.parse_term("nlength nat (nil nat) = O", env)
+        state = transforms.ProofState(env, [transforms.Hypothesis("h", parser.parse_term(
+            "forall (l : list nat), nlength nat l = match l return nat with"
+            " | nil => O | cons _ t => S (nlength nat t) end", env), transforms.Given())], goal)
+        nil_case = transforms.eliminate_pattern_matching(state, "h")[0].statement
+        assert nil_case == goal and nil_case is not goal
+        assert nil_case.lhs is goal.lhs and nil_case.lhs.arg is goal.lhs.arg
+
+    def test_monomorphize_output_repr_is_unchanged(self):
+        _, out = self.monomorphized()
+        h = next(h for h in out if h.name == "len_app_nat")
+        assert repr(h) == (
+            "Hypothesis(name='len_app_nat', statement=Pi(binder='l', domain=App("
+            "head=Ind(inductive='list'), arg=Ind(inductive='nat')), codomain=Eq(at_type=IntT(), "
+            "lhs=App(head=App(head=Const(name='length'), arg=Ind(inductive='nat')), "
+            "arg=App(head=App(head=App(head=Const(name='app'), arg=Ind(inductive='nat')), "
+            "arg=Var(index=0)), arg=App(head=Ctor(inductive='list', ctor_index=0), "
+            "arg=Ind(inductive='nat')))), rhs=App(head=App(head=Const(name='length'), "
+            "arg=Ind(inductive='nat')), arg=Var(index=0)))), "
+            "justification=ByInstantiation(source='len_app', type_args=(Ind(inductive='nat'),)))")
+        assert repr(h.statement) == repr_reference.node_repr(h.statement)
+        assert printer.print_term(h.statement, parse_problem(PRELUDE).env) == (
+            "forall (l : list nat), length nat (app nat l (nil nat)) = length nat l")
+
+    def test_environments_share_no_compound_node(self, bench_driver):
+        """Two runs of one benchmark problem: every compound node of the
+        first run's statements is another object in the second's."""
+        driver, workloads = bench_driver
+        for w in workloads.GENERATORS:
+            text = workloads.problem(w, 0, 0)[1]
+            first, second = driver.preprocess(text).state, driver.preprocess(text).state
+            assert first.hypotheses == second.hypotheses
+            ids = {id(s) for h in first.hypotheses for s in subterms(h.statement)
+                   if not _is_leaf(s)}
+            assert not any(id(s) in ids for h in second.hypotheses
+                           for s in subterms(h.statement) if not _is_leaf(s))
+
+    def test_table_holds_one_entry_per_application_the_problem_builds(self, bench_driver):
+        """After preprocessing, each entry is a closed application under the
+        ids of its own children, no two entries print alike, and the same
+        problem preprocessed again fills a table of the same size while the
+        first stays as it was."""
+        driver, workloads = bench_driver
+        for w in workloads.GENERATORS:
+            for index in range(3):
+                text = workloads.problem(w, 1, index)[1]
+                env = driver.preprocess(text).state.env
+                apps = env.apps
+                for (head, arg), node in apps.items():
+                    assert type(node) is App and not node._free
+                    assert (head, arg) == (id(node.head), id(node.arg))
+                assert len({repr(node) for node in apps.values()}) == len(apps)
+                size = len(apps)
+                assert len(driver.preprocess(text).state.env.apps) == size == len(apps)
+
+    def test_no_process_wide_table_grows_but_the_leaves(self, bench_driver):
+        """Preprocessing 36 benchmark problems grows no module-level
+        container of the package but the leaf tables, and once the states
+        are dropped no App node they built is left."""
+        driver, workloads = bench_driver
+        texts = [workloads.problem(w, seed, index)[1] for w in workloads.GENERATORS
+                 for seed in range(4) for index in range(3)]
+        driver.preprocess(texts[0])   # first-use caches
+        before, apps = _module_tables(), _live_apps()
+        states = [driver.preprocess(text).state for text in texts]
+        assert sum(len(s.env.apps) for s in states) > 0
+        after = _module_tables()
+        leaves = {f"folbridge.terms.{n}" for n in (
+            "_VARS", "_CONSTS", "_CTORS", "_INDS", "_TVARS", "_INTLITS", "_SOLE")}
+        assert {n for n in after if after[n] != before.get(n)} <= leaves
+        del states
+        assert _live_apps() <= apps
 
 
 def test_well_scoped_deep_chain():
