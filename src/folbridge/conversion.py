@@ -55,8 +55,8 @@ from .terms import (
     BUILTIN_FUNCTIONS, FALSE, HAS_CONST, HAS_FIX, HAS_LAM, HAS_MATCH, HAS_TVAR,
     INT, PROP, TRUE, TYPE, And, App, Const,
     Ctor, Eq, Exists, FalseP, Fix, FolbridgeError, GlobalEnv, Ind, IntLit,
-    IntT, LEAVES, Lam, Match, Not, Or, Pi, Record, SortProp, SortType, TVar, Term, TrueP,
-    Var, as_inductive_instance, builtin_type, children, ctor_arg_types,
+    IntT, LEAVES, Lam, Match, Not, Or, Pi, Record, ScopeError, SortProp, SortType, TVar,
+    Term, TrueP, Var, as_inductive_instance, builtin_type, children, ctor_arg_types,
     is_prop, lift, make_app, node_repr, normal_form, rebind,
     spine, strip_pis, subst, subst_list, well_scoped,
 )
@@ -189,7 +189,10 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
         b = builtin_type(t.name)
         return b if b is not None else env.definition(t.name).type
     elif cls is Ctor:
-        return env.inductive(t.inductive).ctor_types[t.ctor_index]
+        try:
+            return env.inductive(t.inductive).ctor_types[t.ctor_index]
+        except IndexError:
+            raise ScopeError(f"{t.inductive} has no constructor {t.ctor_index}") from None
     elif cls is Ind:
         return env.inductive(t.inductive).type
     elif cls is IntLit:
@@ -375,7 +378,10 @@ def whnf(env: GlobalEnv, t: Term, fuel: Fuel) -> Term:
             chead, cargs = spine(scrut)
             if isinstance(chead, Ctor):
                 value_args = cargs[len(env.inductive(chead.inductive).params):]
-                br = head.branches[chead.ctor_index]
+                try:
+                    br = head.branches[chead.ctor_index]
+                except IndexError:
+                    raise EvalError(f"match has no branch for {chead}") from None
                 if len(value_args) != br.arity:
                     raise EvalError("constructor application arity mismatch in match")
                 fuel.consume()
@@ -598,7 +604,11 @@ def _eval(env: GlobalEnv, t: Term, venv: tuple[Value, ...], fuel: Fuel) -> Value
         v = _eval(env, t.scrutinee, venv, fuel)
         if type(v) is not VCtor:
             raise EvalError("match scrutinee did not evaluate to a constructor")
-        return _eval(env, t.branches[v.ctor_index].body, v.args[::-1] + venv, fuel)
+        try:
+            br = t.branches[v.ctor_index]
+        except IndexError:
+            raise EvalError(f"match has no branch for {Ctor(v.inductive, v.ctor_index)}") from None
+        return _eval(env, br.body, v.args[::-1] + venv, fuel)
     if cls is Const:
         d = env.definitions.get(t.name)
         if d is not None:
@@ -609,8 +619,11 @@ def _eval(env: GlobalEnv, t: Term, venv: tuple[Value, ...], fuel: Fuel) -> Value
     if cls is Ctor:
         # A missing name falls through to env.inductive, which raises.
         decl = env.inductives.get(t.inductive) or env.inductive(t.inductive)
-        if decl.params or decl.ctors[t.ctor_index].arg_types:
-            return VCtorPartial(t.inductive, t.ctor_index, ())
+        try:
+            if decl.params or decl.ctors[t.ctor_index].arg_types:
+                return VCtorPartial(t.inductive, t.ctor_index, ())
+        except IndexError:
+            raise ScopeError(f"{t.inductive} has no constructor {t.ctor_index}") from None
         return VCtor(t.inductive, t.ctor_index, (), ())
     if cls is IntLit:
         return VInt(t.value)

@@ -114,7 +114,10 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
     if cls is Const:
         return t.name
     if cls is Ctor:
-        return env.inductive(t.inductive).ctors[t.ctor_index].name
+        try:
+            return env.inductive(t.inductive).ctors[t.ctor_index].name
+        except IndexError:
+            raise ScopeError(f"{t.inductive} has no constructor {t.ctor_index}") from None
     if cls is Ind:
         return t.inductive
     if cls is TVar:

@@ -213,6 +213,8 @@ class Ctor(Term):
         try:
             return _CTORS[key]
         except KeyError:
+            if ctor_index < 0:
+                raise ScopeError(f"negative constructor index {ctor_index}") from None
             return _share(_CTORS, key, cls, key)
 
 
@@ -1016,7 +1018,10 @@ def ctor_arg_types(env: GlobalEnv, ind: str, index: int, type_args: list[Term]) 
     (which must not be captured: they are in the caller's context and the
     results reference nothing else)."""
     decl = env.inductive(ind)
-    c = decl.ctors[index]
+    try:
+        c = decl.ctors[index]
+    except IndexError:
+        raise ScopeError(f"{ind} has no constructor {index}") from None
     if len(type_args) != len(decl.params):
         raise ScopeError(f"{ind} expects {len(decl.params)} type argument(s)")
     values = list(reversed(type_args))  # Var(0) is the last param

@@ -9,11 +9,11 @@ A caller saturates the context by applying the transformations until a
 round adds nothing. The ProofState remembers what the saturating ones have
 done, so that the last round, which only confirms the fixpoint, does
 lookups: `monomorphize` keeps each instantiation of a polymorphic statement
-and `interp_alg_types` each datatype axiom. Both read the type instances
-from one running list that the state extends as statements arrive: each
-statement is walked once by `collect_type_instances`, with one `seen` set
-shared by all of them, so each alpha class of closed subterms is walked
-once per state and typechecked at most once.
+and `interp_alg_types` the axioms of each algebraic instance. Both read the
+type instances from one running list that the state extends as statements
+arrive: each statement is walked once by `collect_type_instances`, with
+one `seen` set shared by all of them, so each alpha class of closed
+subterms is walked once per state and typechecked at most once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import itertools
 from .conversion import Fuel, beta_reduce, typecheck, whnf
 from .terms import (
     HAS_MATCH, And, App, Const, Ctor, Eq, Exists, Fix, FolbridgeError,
-    GlobalEnv, Ind, InductiveDecl, IntT, LEAVES, Lam, Match, Not, Or, Pi,
+    GlobalEnv, Ind, IntT, LEAVES, Lam, Match, Not, Or, Pi,
     Record, SortProp, SortType, TVar, Term, Var,
     as_inductive_instance, children, ctor_arg_types,
     has_interior_type_binder, is_prop, lift, make_app, make_pis, normal_form,
@@ -159,7 +159,7 @@ class ProofState(Record):
       list, and every closed subterm walked to find them;
     - each instantiation of a polymorphic statement at a combination of
       type instances (`monomorphize`);
-    - each datatype axiom, per instance and kind (`interp_alg_types`).
+    - the datatype axioms of each instance (`interp_alg_types`).
     Instantiations are kept per statement and combination by identity, not
     by equality, because they carry the binder names of that exact
     statement and those instances into printed hypotheses; `hypotheses` and
@@ -198,8 +198,8 @@ class ProofState(Record):
         # the instantiated statement}, or None for a source with an
         # interior type binder.
         self._instantiations: dict[int, dict[tuple[int, ...], Term] | None] = {}
-        # DatatypeAxiom -> (base of its hypothesis name, its statement).
-        self._axioms: dict[DatatypeAxiom, tuple[str, Term]] = {}
+        # (instance, include_exhaustiveness) -> its axioms, as _instance_axioms gives them.
+        self._axioms: dict[tuple[Term, bool], list[tuple[str, Term, DatatypeAxiom]]] = {}
 
     def __reduce__(self) -> tuple:
         return ProofState, (self.env, list(self.hypotheses), self.goal)
@@ -563,109 +563,73 @@ def monomorphize(state: ProofState, from_context: bool = False) -> list[Hypothes
 # Interpreting algebraic types
 # ---------------------------------------------------------------------------
 
-def injectivity_statement(env: GlobalEnv, instance: Term, ctor_index: int) -> Term:
-    """forall (x1 y1 : A1) .. (xn yn : An),
-       C x1..xn = C y1..yn -> x1 = y1 /\\ .. /\\ xn = yn"""
-    ind_name, targs = as_inductive_instance(instance)
-    arg_tys = ctor_arg_types(env, ind_name, ctor_index, targs)
-    n = len(arg_tys)
-    binders: list[tuple[str, Term]] = []
-    for j, at in enumerate(arg_tys):
-        binders.append((f"x{j + 1}", lift(at, 2 * j)))
-        binders.append((f"y{j + 1}", lift(at, 2 * j + 1)))
-    xs = [Var(2 * n - 1 - 2 * j) for j in range(n)]
-    ys = [Var(2 * n - 2 - 2 * j) for j in range(n)]
-    ctor = Ctor(ind_name, ctor_index)
-    lifted_targs = [lift(a, 2 * n) for a in targs]
-    premise = Eq(lift(instance, 2 * n),
-                 make_app(ctor, lifted_targs + xs),
-                 make_app(ctor, lifted_targs + ys))
-    eqs = [Eq(lift(arg_tys[j], 2 * n), xs[j], ys[j]) for j in range(n)]
-    conj = eqs[-1]
-    for e in reversed(eqs[:-1]):
-        conj = And(e, conj)
-    return make_pis(binders, Pi("_", premise, lift(conj, 1)))
+def _instance_axioms(env: GlobalEnv, inst: Term,
+                     include_exhaustiveness: bool) -> list[tuple[str, Term, DatatypeAxiom]]:
+    """The axioms of one closed algebraic instance as (base of the hypothesis
+    name, statement, justification): injectivity of each constructor with
+    arguments, disjointness of each pair, then, when asked, exhaustiveness.
+    Every argument type is closed too, so none is shifted under a binder.
 
-
-def disjointness_statement(env: GlobalEnv, instance: Term, first: int, second: int) -> Term:
-    """forall (x1 : A1)..(xn : An)(x1' : A1')..(xp' : Ap'),
-       C x1..xn <> C' x1'..xp'"""
-    ind_name, targs = as_inductive_instance(instance)
-    a_tys = ctor_arg_types(env, ind_name, first, targs)
-    b_tys = ctor_arg_types(env, ind_name, second, targs)
-    n, p = len(a_tys), len(b_tys)
-    binders: list[tuple[str, Term]] = []
-    for j, at in enumerate(a_tys):
-        binders.append((f"x{j + 1}", lift(at, j)))
-    for j, bt in enumerate(b_tys):
-        binders.append((f"y{j + 1}", lift(bt, n + j)))
-    xs = [Var(n + p - 1 - j) for j in range(n)]
-    ys = [Var(p - 1 - j) for j in range(p)]
-    lifted_targs = [lift(a, n + p) for a in targs]
-    body = Not(Eq(lift(instance, n + p),
-                  make_app(Ctor(ind_name, first), lifted_targs + xs),
-                  make_app(Ctor(ind_name, second), lifted_targs + ys)))
-    return make_pis(binders, body)
-
-
-def exhaustiveness_statement(env: GlobalEnv, instance: Term) -> Term:
-    """forall (x : I), (exists ..., x = C1 ...) \\/ .. \\/ (exists ..., x = Cn ...)"""
-    ind_name, targs = as_inductive_instance(instance)
-    decl = env.inductive(ind_name)
-    disjuncts: list[Term] = []
-    for k, cd in enumerate(decl.ctors):
-        arg_tys = ctor_arg_types(env, ind_name, k, targs)
-        r = len(arg_tys)
-        # under the x binder (depth 1) plus r existential binders
-        ctor_app = make_app(Ctor(ind_name, k),
-                            [lift(a, 1 + r) for a in targs]
-                            + [Var(r - 1 - j) for j in range(r)])
-        body = Eq(lift(instance, 1 + r), Var(r), ctor_app)
-        for j in reversed(range(r)):
-            body = Exists(f"e{j + 1}", lift(arg_tys[j], 1 + j), body)
-        disjuncts.append(body)
-    disj = disjuncts[-1]
-    for d in reversed(disjuncts[:-1]):
-        disj = Or(d, disj)
-    return Pi("x", instance, disj)
-
-
-def _datatype_axiom(env: GlobalEnv, decl: InductiveDecl, just: DatatypeAxiom) -> tuple[str, Term]:
-    """The base of the hypothesis name and the statement of one axiom."""
-    inst, kind = just.instance, just.kind
+    injectivity:    forall (x1 y1 : A1) .. (xn yn : An),
+                    C x1..xn = C y1..yn -> x1 = y1 /\\ .. /\\ xn = yn
+    disjointness:   forall (x1 : A1)..(xn : An)(y1 : B1)..(yp : Bp),
+                    C x1..xn <> C' y1..yp
+    exhaustiveness: forall (x : I), (exists e1 .., x = C1 e1 ..) \\/ ..
+                    \\/ (exists e1 .., x = Cm e1 ..)"""
+    ind_name, targs = as_inductive_instance(inst)
+    ctors = env.inductive(ind_name).ctors
     slug = type_slug(inst)
-    if type(kind) is Injectivity:
-        return (f"{slug}_{decl.ctors[kind.ctor_index].name}_inj",
-                injectivity_statement(env, inst, kind.ctor_index))
-    if type(kind) is Disjointness:
-        return (f"{slug}_{decl.ctors[kind.first].name}_{decl.ctors[kind.second].name}_disj",
-                disjointness_statement(env, inst, kind.first, kind.second))
-    return f"{slug}_exhaust", exhaustiveness_statement(env, inst)
+    heads = [make_app(Ctor(ind_name, k), targs) for k in range(len(ctors))]
+    arg_tys = [ctor_arg_types(env, ind_name, k, targs) for k in range(len(ctors))]
+    out: list[tuple[str, Term, DatatypeAxiom]] = []
+    for k, tys in enumerate(arg_tys):
+        n = len(tys)
+        if not n:
+            continue  # Nullary constructors are trivially injective.
+        binders = [b for j, at in enumerate(tys) for b in ((f"x{j + 1}", at), (f"y{j + 1}", at))]
+        premise = Eq(inst, make_app(heads[k], [Var(2 * n - 1 - 2 * j) for j in range(n)]),
+                     make_app(heads[k], [Var(2 * n - 2 - 2 * j) for j in range(n)]))
+        # Under the premise's binder as well: x_j is Var(2n-2j), y_j Var(2n-1-2j).
+        conj = Eq(tys[-1], Var(2), Var(1))
+        for j in reversed(range(n - 1)):
+            conj = And(Eq(tys[j], Var(2 * n - 2 * j), Var(2 * n - 1 - 2 * j)), conj)
+        out.append((f"{slug}_{ctors[k].name}_inj", make_pis(binders, Pi("_", premise, conj)),
+                    DatatypeAxiom(inst, Injectivity(k))))
+    for a, b in itertools.combinations(range(len(ctors)), 2):
+        n, p = len(arg_tys[a]), len(arg_tys[b])
+        binders = ([(f"x{j + 1}", at) for j, at in enumerate(arg_tys[a])]
+                   + [(f"y{j + 1}", bt) for j, bt in enumerate(arg_tys[b])])
+        body = Not(Eq(inst, make_app(heads[a], [Var(n + p - 1 - j) for j in range(n)]),
+                      make_app(heads[b], [Var(p - 1 - j) for j in range(p)])))
+        out.append((f"{slug}_{ctors[a].name}_{ctors[b].name}_disj", make_pis(binders, body),
+                    DatatypeAxiom(inst, Disjointness(a, b))))
+    if include_exhaustiveness:
+        disj = None
+        for k in reversed(range(len(ctors))):
+            r = len(arg_tys[k])
+            body = Eq(inst, Var(r), make_app(heads[k], [Var(r - 1 - j) for j in range(r)]))
+            for j in reversed(range(r)):
+                body = Exists(f"e{j + 1}", arg_tys[k][j], body)
+            disj = body if disj is None else Or(body, disj)
+        out.append((f"{slug}_exhaust", Pi("x", inst, disj), DatatypeAxiom(inst, Exhaustiveness())))
+    return out
 
 
 def interp_alg_types(state: ProofState, include_exhaustiveness: bool = False) -> list[Hypothesis]:
     """Injectivity and disjointness axioms (and, behind the flag, the
     exhaustiveness disjunction) for every algebraic instance in the goal
     and context, excluding solver-interpreted types. The state keeps each
-    axiom, so a repeated call builds none."""
+    instance's axioms, so a repeated call builds none."""
     statements = state.statements()
     emitted: set[Term] = set()
     taken: set[str] = set()
     out: list[Hypothesis] = []
     for inst in state.algebraic_instances():
-        decl = state.env.inductive(as_inductive_instance(inst)[0])
-        # Nullary constructors are trivially injective.
-        kinds: list[Record] = [Injectivity(k) for k, cd in enumerate(decl.ctors) if cd.arg_types]
-        kinds += [Disjointness(a, b)
-                  for a, b in itertools.combinations(range(len(decl.ctors)), 2)]
-        if include_exhaustiveness:
-            kinds.append(Exhaustiveness())
-        for kind in kinds:
-            just = DatatypeAxiom(inst, kind)
-            hit = state._axioms.get(just)
-            if hit is None:
-                hit = state._axioms[just] = _datatype_axiom(state.env, decl, just)
-            name, stmt = hit
+        key = inst, include_exhaustiveness
+        axioms = state._axioms.get(key)
+        if axioms is None:
+            axioms = state._axioms[key] = _instance_axioms(state.env, inst, include_exhaustiveness)
+        for name, stmt, just in axioms:
             if stmt in statements or stmt in emitted:
                 continue
             emitted.add(stmt)

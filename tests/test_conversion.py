@@ -17,9 +17,10 @@ from folbridge import conversion
 from folbridge.parser import parse_problem, parse_term
 from folbridge.printer import print_term
 from folbridge.terms import (
-    App, BOOL, BUILTIN_FUNCTIONS, Branch, Const, Ctor, Eq, FALSE, FolbridgeError, GlobalEnv, INT,
-    Ind, IntLit, IntT, Lam, Match, Pi, SortProp, SortType, TRUE, TYPE, Term,
-    Var, alpha_eq, make_app, spine, subst,
+    And, App, BOOL, BUILTIN_FUNCTIONS, Branch, Const, Ctor, Eq, Exists, FALSE, Fix,
+    FolbridgeError, GlobalEnv, INT, Ind, IntLit, IntT, Lam, Match, Not, Pi, ScopeError,
+    SortProp, SortType, TRUE, TYPE, Term, TrueP, Var, alpha_eq, ctor_arg_types, make_app,
+    spine, subst,
 )
 
 NAT, O = Ind("nat"), Ctor("nat", 0)
@@ -57,6 +58,57 @@ class TestTypecheck:
             parse_term("true = 1", env)
         with pytest.raises(TypingError):
             typecheck(env, [], Eq(BOOL, TRUE, IntLit(1)))
+
+
+NAT_TO_NAT = Pi("n", NAT, NAT)
+NAT_BRANCHES = (Branch((), IntLit(0)), Branch(("n",), IntLit(1)))
+
+# Ill-typed terms, each with the context it is typed in and a fragment of
+# the message of the TypingError it raises.
+ILL_TYPED = [
+    ([], Lam("x", IntLit(1), IntLit(1)), "lambda domain is not a type"),
+    ([Ind("list")], Match(Var(0), "list", INT, (Branch((), IntLit(0)),
+                                                Branch(("x", "l"), IntLit(1)))),
+     "list applied to wrong number of type arguments"),
+    ([], Match(O, "nat", IntLit(1), NAT_BRANCHES), "match return annotation is not a type"),
+    ([], Match(O, "nat", INT, (Branch((), IntLit(0)), Branch((), IntLit(1)))),
+     "branch for S binds 0 arguments, constructor has 1"),
+    ([], Match(O, "nat", INT, (Branch((), TRUE), NAT_BRANCHES[1])), "branch for O has type"),
+    ([], Fix("f", 0, IntLit(1), IntLit(1)), "fixpoint type annotation is not a type"),
+    ([], Fix("f", 1, NAT_TO_NAT, Lam("n", NAT, Var(0))), "decreasing index out of range"),
+    ([], Fix("f", 0, Pi("n", INT, INT), Lam("n", INT, Var(0))),
+     "decreasing argument is not of an inductive type"),
+    ([], Fix("f", 0, NAT_TO_NAT, Lam("n", NAT, IntLit(0))),
+     "fixpoint body type differs from its annotation"),
+    ([], Eq(IntLit(1), IntLit(1), IntLit(1)), "equality annotation is not a type"),
+    ([], And(IntLit(1), TrueP()), "connective applied to non-propositions"),
+    ([], Not(IntLit(1)), "negation applied to a non-proposition"),
+    ([], Exists("x", TrueP(), TrueP()), "existential domain is not a type"),
+    ([], Exists("x", INT, IntLit(1)), "existential body is not a proposition"),
+]
+
+
+@pytest.mark.parametrize("ctx, term, message", ILL_TYPED)
+def test_ill_typed_term_rejected(env, ctx, term, message):
+    with pytest.raises(TypingError, match=message):
+        typecheck(env, ctx, term)
+
+
+def test_constructor_index_outside_its_declaration(env):
+    """Each layer that reads a constructor index past its declaration's
+    constructors raises ScopeError; a match that has no branch for its
+    scrutinee's constructor raises EvalError when it is reduced."""
+    bad = Ctor("nat", 7)
+    for layer in (lambda: typecheck(env, [], bad), lambda: print_term(bad, env),
+                  lambda: eval_ground(env, bad), lambda: ctor_arg_types(env, "nat", 7, [])):
+        with pytest.raises(ScopeError, match="nat has no constructor 7"):
+            layer()
+    one_branch = Match(App(Ctor("nat", 1), O), "nat", INT, NAT_BRANCHES[:1])
+    for reduce in (normalize, eval_ground):
+        with pytest.raises(EvalError, match=r"no branch for Ctor\(inductive='nat', ctor_index=1\)"):
+            reduce(env, one_branch)
+    with pytest.raises(EvalError, match=r"no branch for Ctor\(inductive='nat', ctor_index=7\)"):
+        normalize(env, Match(bad, "nat", INT, NAT_BRANCHES))
 
 
 SPINE_DEFS = PRELUDE.replace("goal true = true.", """\
@@ -208,17 +260,24 @@ class TestNormalize:
         assert normalize(env, Var(0)) == Var(0)
 
     def test_guarded_fix_stuck_on_var(self, env):
-        # (fix length ...) l with l a variable: the head must stay a fix
-        raw = parse_term("length A l", env, bound=["l", "A"])
-        ctx = [App(Ind("list"), Var(0)), TYPE]
-        elab, _ = infer(env, ctx, raw)
-        n = normalize(env, elab)
-        # delta+beta expose the fix, but it must not unfold on a variable
-        from folbridge.terms import spine
-        head, args = spine(n)
-        from folbridge.terms import Fix as FixNode
-        assert isinstance(head, FixNode)
-        assert args == [Var(0)]  # bound=["l", "A"], so l is Var(0)
+        # (fix length ...) l with l a variable, given as it is or as a redex
+        # that whnf reduces to it: the head must stay a fix
+        for arg in ("l", "(fun (k : list A) => k) l"):
+            raw = parse_term(f"length A ({arg})", env, bound=["l", "A"])
+            ctx = [App(Ind("list"), Var(0)), TYPE]
+            elab, _ = infer(env, ctx, raw)
+            n = normalize(env, elab)
+            # delta+beta expose the fix, but it must not unfold on a variable
+            head, args = spine(n)
+            assert isinstance(head, Fix)
+            assert args == [Var(0)]  # bound=["l", "A"], so l is Var(0)
+
+    @pytest.mark.parametrize("rhs, want", [
+        ("cons Int 1 (nil Int)", True), ("cons Int 2 (nil Int)", False), ("nil Int", False)])
+    def test_eqb_compares_constructor_values(self, env, rhs, want):
+        t = parse_term(f"eqb (list Int) (cons Int 1 (nil Int)) ({rhs})", env)
+        assert normalize(env, t) == (TRUE if want else FALSE)
+        assert eval_ground(env, t) == (VTRUE if want else VFALSE)
 
     def test_idempotent(self, env):
         rng = random.Random(11)

@@ -6,16 +6,19 @@ purpose). No module imports a private (`_`-prefixed) name from another
 module of the package: a decision two modules share is public and made in
 one place. Every private function, class and constant a module defines at
 top level is read somewhere else in that module, so a helper left behind
-when its last caller goes is found. Only `conversion` reads or writes the
-caches in `GlobalEnv.memo`, which `GlobalEnv.__init__` creates. And
-importing the package loads none of the modules that make a fresh process
-slow to start."""
+when its last caller goes is found; so is a public function or class that
+nothing in `src`, `tests` or `bench` names. Only `conversion` reads or
+writes the caches in `GlobalEnv.memo`, which `GlobalEnv.__init__` creates.
+And importing the package loads none of the modules that make a fresh
+process slow to start."""
 
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -115,6 +118,62 @@ def test_checker_finds_unread_private_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_private_names_are_read(path: Path):
     assert unread_private_names(path.read_text()) == []
+
+
+ROOT = PACKAGE.parent.parent
+# A string that names something: identifiers joined by dots, such as the
+# "module.attribute" paths by which bench/tracer.py binds its layers.
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def referenced_names(tree: ast.AST) -> Counter:
+    """Each name the tree refers to, with how often: plain names,
+    attributes, the parts of imported names and their aliases, and the
+    parts of each string constant that is a dotted name."""
+    found: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+            if node.asname:
+                found[node.asname] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            found.update(node.value.split("."))
+    return found
+
+
+def unreferenced_definitions(package: dict[str, str], others: list[str]) -> list[str]:
+    """`module.name` of each top-level function and class of the package's
+    modules (name -> source) that nothing refers to but its own definition:
+    no other statement of the package and none of the `others` sources."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    total = sum((referenced_names(t) for t in trees.values()), Counter())
+    for source in others:
+        total += referenced_names(ast.parse(source))
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and total[node.name] == referenced_names(node)[node.name]]
+
+
+def test_checker_finds_unreferenced_definitions():
+    package = {"a": "def f(n):\n    return f(n - 1)\ndef g():\n    return h()\n"
+                    "def h():\n    pass\nclass C:\n    pass\nclass D:\n    pass\n",
+               "b": "from .a import g\ndef k():\n    pass\ndef m():\n    pass\n"}
+    others = ["import b\nb.m()\nBINDINGS = [('a', 'D.method')]\n", "x = 'C'\n"]
+    assert unreferenced_definitions(package, others) == ["a.f", "b.k"]
+
+
+def test_every_definition_is_referenced():
+    """A function or class that a change leaves behind is found: every one
+    defined at the top level of a package module is named somewhere in
+    `src`, `tests` or `bench` outside its own definition."""
+    package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    others = [p.read_text() for d in ("tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unreferenced_definitions(package, others) == []
 
 
 def memo_uses(source: str) -> list[int]:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PRELUDE, count_calls
-from folbridge.conversion import TypingError, infer, typecheck
+from folbridge.conversion import TypingError, VInt, eval_ground, infer, typecheck
 from folbridge.parser import (
     ArityError, ParseError, PrenexError, parse_problem, parse_term, tokenize,
 )
@@ -62,6 +62,16 @@ class TestParseProblem:
         assert typecheck(p.env, [], p.goal) == SortProp()
         q = parse_problem(print_problem(p))
         assert alpha_eq(p.goal, q.goal)
+
+    def test_def_with_binders(self):
+        """The binder form of `def` declares the curried function: it prints
+        as a `fun` and reparses to the same problem."""
+        p = parse_problem("def f (x : Int) (y : Int) : Int = x + y.\ngoal f 2 3 = 5.\n")
+        text = print_problem(p)
+        assert text.startswith(
+            "def f : Int -> Int -> Int = fun (x : Int) (y : Int) => x + y.\n")
+        assert parse_problem(text) == p
+        assert eval_ground(p.env, parse_term("f 2 3", p.env)) == VInt(5)
 
     def test_lemma_params(self):
         src = ("data list (A) = nil | cons (A) (list A).\n"

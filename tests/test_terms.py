@@ -590,12 +590,15 @@ def test_nodes_and_values_have_no_instance_dict(prelude):
 
 
 def test_negative_index_rejected():
-    """No term holds a negative de Bruijn index: building one raises, also
-    once the shared table holds higher indices, and leaves no entry."""
-    Var(63), Var(64)
+    """No term holds a negative de Bruijn or constructor index: building
+    one raises, also once the shared table holds higher indices, and leaves
+    no entry."""
+    Var(63), Var(64), Ctor("nat", 3)
     with pytest.raises(ScopeError, match="-1"):
         Var(-1)
-    assert -1 not in terms._VARS
+    with pytest.raises(ScopeError, match="-1"):
+        Ctor("nat", -1)
+    assert -1 not in terms._VARS and ("nat", -1) not in terms._CTORS
 
 
 def _is_leaf(t: Term) -> bool:

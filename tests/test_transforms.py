@@ -8,7 +8,8 @@ import pytest
 
 from folbridge import terms, transforms
 from folbridge.conversion import random_truth_check, typecheck
-from conftest import PRELUDE
+import axioms_reference
+from conftest import PRELUDE, count_calls
 from folbridge.parser import PrenexError, check_prenex, parse_problem, parse_term
 from folbridge.printer import print_term
 from folbridge.terms import (
@@ -480,6 +481,21 @@ class TestPrenex:
         assert out and all(h.justification.source == "good" for h in out)
 
 
+# Declarations with the instance each goal names: two type parameters; a
+# constructor argument that is an instance of another inductive; three
+# constructors of mixed arity; constructors that are all nullary; and a
+# type nested in another through its own parameter, with both instances.
+AXIOM_DECLARATIONS = [
+    ("data pair (A B) = mk (A) (B).", "forall (p : pair Int Bool), p = p"),
+    ("data option (A) = none | some (A).\ndata box = wrap (option Int) (Int).",
+     "forall (b : box), b = b"),
+    ("data shape = circle (Int) | square (Int) (Int) | dot.", "forall (s : shape), s = s"),
+    ("data color = red | green | blue.", "forall (c : color), c = c"),
+    ("data list (A) = nil | cons (A) (list A).\ndata rose (A) = Node (A) (list (rose A)).",
+     "forall (x : rose Int) (l : list (rose Int)), x = x"),
+]
+
+
 class TestInterpAlgTypes:
     def test_list_int_axioms(self, env):
         state = mk_state(env, "forall (l : list Int), l = l")
@@ -555,6 +571,33 @@ class TestInterpAlgTypes:
         assert out
         for h in out:
             assert well_scoped(h.statement, 0)
+
+    @pytest.mark.parametrize("include_exhaustiveness", [False, True])
+    def test_matches_reference_builders(self, monkeypatch, bench_driver,
+                                        include_exhaustiveness):
+        """Each axiom of each instance, against the builders it replaced, one
+        kind at a time (tests/axioms_reference.py): names, the repr of each
+        statement, binder names included, and justifications. The instances
+        are those of benchmark problems, axioms left out so that all are
+        emitted again, and of hand-written declarations. No `lift` is made."""
+        driver, workloads = bench_driver
+        states = []
+        for workload in sorted(workloads.GENERATORS):
+            for seed in (1, 2):
+                r = driver.preprocess(workloads.problem(workload, seed, 0)[1])
+                states.append(ProofState(r.state.env, [
+                    h for h in r.state.hypotheses
+                    if not isinstance(h.justification, DatatypeAxiom)], r.state.goal))
+        for decls, goal in AXIOM_DECLARATIONS:
+            p = parse_problem(f"{decls}\ngoal {goal}.")
+            states.append(ProofState(p.env, [], p.goal))
+        lifts = count_calls(monkeypatch, "lift", transforms)
+        for state in states:
+            want = axioms_reference.interp_alg_types(state, include_exhaustiveness)
+            lifts.clear()
+            got = interp_alg_types(state, include_exhaustiveness)
+            assert lifts == []
+            assert got and [repr(h) for h in got] == [repr(h) for h in want]
 
     def test_hypothesis_types_covered(self, env):
         state = mk_state(env, "true = true",
@@ -738,8 +781,7 @@ class TestSaturationMemo:
 
     def test_confirming_round_substitutes_and_builds_nothing(self, env, monkeypatch):
         counts = {}
-        for name in ("subst_list", "injectivity_statement", "disjointness_statement",
-                     "exhaustiveness_statement"):
+        for name in ("subst_list", "ctor_arg_types"):
             original = getattr(transforms, name)
 
             def counting(*args, name=name, original=original):
@@ -749,8 +791,7 @@ class TestSaturationMemo:
             monkeypatch.setattr(transforms, name, counting)
         state = mk_state(env, SATURATE_GOAL, SATURATE_HYPS)
         self.saturate(state)
-        assert counts["subst_list"] and counts["injectivity_statement"]
-        assert counts["disjointness_statement"]
+        assert counts["subst_list"] and counts["ctor_arg_types"]
         counts.clear()
         assert monomorphize(state) == [] and interp_alg_types(state) == []
         assert counts == {}
