@@ -26,10 +26,25 @@ is a proposition is read off its shape (terms.is_prop), and a domain that
 is neither Int nor an inductive instance cannot be sampled and raises
 EvalUnsupported.
 
-Only this module uses GlobalEnv.memo, for four caches: the closed-type
-table (`_infer`), per ground type its least inhabitant size
-(`min_term_size`) and its constructor table (`_ctor_table`), and the draw
-memo of random_truth_check. A first sample always starts from
+Only this module uses GlobalEnv.memo, for five caches: the closed-type
+table (`_infer`), the closed-value table (`_eval`), per ground type its
+least inhabitant size (`min_term_size`) and its constructor table
+(`_ctor_table`), and the draw memo of random_truth_check.
+
+The closed-value table holds, per closed application that holds no Lam and
+no Fix, its value and the fuel steps its evaluation took; a hit charges
+those steps, so fuel counts as if the term were evaluated. Such a term
+reads no value environment, and no closure in its value can capture one,
+because a constant's body is evaluated under the empty environment: its
+value is the same wherever it is evaluated. A closed `fun` or `fix`, by
+contrast, captures the environment it is evaluated in, so two of its
+closures from different places are different values that `_veq` probes
+with random arguments; read from a table they would be one value, compared
+without a probe, and the draws after that comparison would move. With the
+rule, every value, verdict, draw, counterexample and fuel count is the one
+evaluating each node gives.
+
+A first sample always starts from
 `random.Random(seed)`, so what it draws is fixed by the key `(seed, size,
 number of declared inductives, type-variable names in collect_tvars order,
 prenex binder domains as written)`; the memo keeps, per key, the type
@@ -60,6 +75,7 @@ from .terms import (
     is_prop, lift, make_app, node_repr, normal_form, rebind,
     spine, strip_pis, subst, subst_list, well_scoped,
 )
+from .printer import print_term
 
 
 class TypingError(FolbridgeError):
@@ -114,9 +130,11 @@ def infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel | None = None) ->
 
 def typecheck(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel | None = None) -> Term:
     """Type of t in ctx (ctx[0] is the innermost binder's type); raises
-    TypingError when t is ill-typed. The types of closed compound subterms
-    come from the environment's closed-type table (see `_infer`) when they
-    are there, and a table hit consumes no fuel."""
+    TypingError when t is ill-typed, a fixpoint whose recursion is not
+    structural included (see `_check_guard`). The types of closed compound
+    subterms, the closed heads of open spines among them, come from the
+    environment's closed-type table (see `_infer`) when they are there, and
+    a table hit consumes no fuel."""
     if fuel is None:
         fuel = Fuel()
     return _infer(env, ctx, t, fuel)
@@ -133,9 +151,12 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
     raises raises on every call. The table is keyed by the identity of the
     term, and an entry holds the term, so its id is not reused: a type
     always carries the binder names of its own term, never those of an
-    alpha-equal one. A closed type needs no index rewrite, so a variable
-    whose context type is closed gets that very object, and so does a
-    spine whose final codomain is closed: neither calls a kernel."""
+    alpha-equal one. An open spine is typed from its longest closed
+    prefix, so a head such as `length (list Int)` that many terms apply is
+    instantiated once per environment, not at every occurrence. A closed
+    type needs no index rewrite, so a variable whose context type is closed
+    gets that very object, and so does a spine whose final codomain is
+    closed: neither calls a kernel."""
     # Dispatch is on the exact node class, the most frequent first. A leaf
     # or a variable returns its type at once; a compound node's type is
     # `ty`, stored in the table when the node is closed.
@@ -149,13 +170,16 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
         if hit is not None:
             return hit[1]
     if cls is App:
-        # The whole spine at once: each argument is checked against its
-        # domain instantiated with the arguments before it, and the
-        # codomain is instantiated once, at the end. `done` holds the
-        # arguments that hty, under as many binders, still waits for.
+        # The spine at once: each argument is checked against its domain
+        # instantiated with the arguments before it, and the codomain is
+        # instantiated once, at the end. `done` holds the arguments that
+        # hty, under as many binders, still waits for. An open spine stops
+        # at its longest closed prefix, whose type the recursive call reads
+        # from the table or stores there; a closed spine (table is not
+        # None) is walked down to its head, and only its whole is stored.
         args: list[Term] = []
         head = t
-        while type(head) is App:
+        while type(head) is App and (head._free or table is not None):
             args.append(head.arg)
             head = head.head
         hty = _infer(env, ctx, head, fuel)
@@ -253,6 +277,7 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
         fctx = [fty] + ctx
         if not convertible(env, _infer(env, fctx, t.body, fuel), lift(fty, 1), fuel):
             raise TypingError("fixpoint body type differs from its annotation")
+        _check_guard(env, t)
         ty = fty
     elif cls is Eq:
         lty = _infer(env, ctx, t.lhs, fuel)
@@ -286,6 +311,61 @@ def _infer(env: GlobalEnv, ctx: list[Term], t: Term, fuel: Fuel) -> Term:
     if table is not None:
         table[id(t)] = (t, ty)
     return ty
+
+
+def _check_guard(env: GlobalEnv, t: Fix) -> None:
+    """Raise TypingError unless every recursive call of the fixpoint t is
+    structural: each occurrence of its self variable is applied to at least
+    `decreasing + 1` arguments, and the decreasing one is a variable bound
+    by a branch of a match on the decreasing binder (one of the body's
+    leading lambdas), or on a variable already known to be smaller. Such a
+    variable is a constructor argument of the value it was matched out of,
+    so every call recurses on a strictly smaller finite value (Gimenez,
+    TYPES 1994, the basis of Coq's guard checker).
+
+    Inductives need no positivity check for this to hold: a constructor
+    argument of arrow type is refused at declaration ("argument types must
+    be first-order"), so every value is a finite tree. A change that admits
+    such arguments must add one."""
+    # A variable is named by its level, the number of binders around its
+    # own: the self variable is level 0 and the body's k-th leading lambda
+    # level k. `names` holds the binder names in scope, innermost first, so
+    # Var(i) under them is level len(names) - 1 - i.
+    n_lams = 0
+    walk = t.body
+    while type(walk) is Lam:
+        n_lams += 1
+        walk = walk.body
+    dec_level = t.decreasing + 1 if t.decreasing < n_lams else None
+    stack = [(t.body, (t.binder,), frozenset())]
+    while stack:
+        s, names, smaller = stack.pop()
+        depth = len(names)
+        if not s._free >> (depth - 1) & 1:
+            continue  # the self variable does not occur in s
+        cls = type(s)
+        if cls is App or cls is Var:
+            head, args = spine(s)
+            if type(head) is Var and head.index == depth - 1:
+                arg = args[t.decreasing] if t.decreasing < len(args) else None
+                if type(arg) is not Var or depth - 1 - arg.index not in smaller:
+                    raise TypingError(
+                        f"fixpoint {t.binder} is not structurally recursive: "
+                        f"{print_term(s, env, list(names))}")
+            else:
+                stack.append((head, names, smaller))
+            stack += [(a, names, smaller) for a in args]
+        elif cls is Match:
+            scrut = s.scrutinee
+            grow = type(scrut) is Var and depth - 1 - scrut.index in smaller | {dec_level}
+            stack += [(scrut, names, smaller), (s.return_type, names, smaller)]
+            for br in s.branches:
+                # A branch's binders are the levels depth, depth + 1, ...
+                bound = smaller.union(range(depth, depth + br.arity)) if grow else smaller
+                stack.append((br.body, tuple(reversed(br.binders)) + names, bound))
+        else:
+            stack += [(c, (s.binder,) + names if extra else names, smaller)
+                      for c, extra in children(s)]
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +659,9 @@ def _same_value(a: Value, b: Value) -> bool:
 
 
 def eval_ground(env: GlobalEnv, t: Term, fuel: Fuel | None = None) -> Value:
-    """Evaluate a closed term; agrees with normalize on ground terms."""
+    """Evaluate a closed term; agrees with normalize on ground terms. A
+    closed application that holds no Lam and no Fix is evaluated once per
+    environment (see `_eval_closed`)."""
     if fuel is None:
         fuel = Fuel()
     return _eval(env, t, (), fuel)
@@ -588,10 +670,12 @@ def eval_ground(env: GlobalEnv, t: Term, fuel: Fuel | None = None) -> Value:
 def _eval(env: GlobalEnv, t: Term, venv: tuple[Value, ...], fuel: Fuel) -> Value:
     # One fuel step per visited node (Fuel.consume, inlined). Dispatch is on
     # the exact node class, most frequent first.
+    cls = type(t)
+    if cls is App and not t._free and not t._has & _BINDS_VALUES:
+        return _eval_closed(env, t, fuel)
     fuel.remaining -= 1
     if fuel.remaining < 0:
         raise FuelExhausted("reduction step budget exhausted")
-    cls = type(t)
     if cls is App:
         f = _eval(env, t.head, venv, fuel)
         return _apply(env, f, _eval(env, t.arg, venv, fuel), fuel)
@@ -639,6 +723,42 @@ def _eval(env: GlobalEnv, t: Term, venv: tuple[Value, ...], fuel: Fuel) -> Value
 
 
 _TYPE_LEAVES = frozenset({Ind, IntT, TVar, SortType, SortProp})
+
+# The nodes whose value captures the value environment: a closed term that
+# holds either is never answered from the closed-value table.
+_BINDS_VALUES = HAS_LAM | HAS_FIX
+
+# The closed-value table's key in GlobalEnv.memo.
+_CLOSED_VALUES = ("closed_value",)
+
+
+def _eval_closed(env: GlobalEnv, t: App, fuel: Fuel) -> Value:
+    """_eval of a closed application that holds no Lam and no Fix, through
+    the environment's closed-value table: its value and the fuel steps it
+    took, stored on its first successful evaluation. Such a term reads no
+    value environment, so it is evaluated under the empty one. A hit
+    charges the stored steps; when they exceed what is left, it leaves
+    `remaining` where stepping would have raised: at -1 from a budget that
+    was not yet spent."""
+    table = env.memo.get(_CLOSED_VALUES)
+    if table is None:
+        table = env.memo[_CLOSED_VALUES] = {}
+    hit = table.get(id(t))
+    if hit is not None:
+        steps = hit[2]
+        if steps > fuel.remaining:
+            fuel.remaining = min(fuel.remaining, 0) - 1
+            raise FuelExhausted("reduction step budget exhausted")
+        fuel.remaining -= steps
+        return hit[1]
+    before = fuel.remaining
+    fuel.remaining -= 1
+    if fuel.remaining < 0:
+        raise FuelExhausted("reduction step budget exhausted")
+    f = _eval(env, t.head, (), fuel)
+    v = _apply(env, f, _eval(env, t.arg, (), fuel), fuel)
+    table[id(t)] = (t, v, before - fuel.remaining)
+    return v
 
 
 def _reify_type(t: Term, venv: tuple[Value, ...]) -> Term:

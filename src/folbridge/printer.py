@@ -172,6 +172,9 @@ def _pp(t: Term, env: GlobalEnv, names: list[str], namer: _Namer, want: int) -> 
         scrut = _pp(t.scrutinee, env, names, namer, L_BINDER)
         rty = _pp(t.return_type, env, names, namer, L_BINDER)
         ctors = env.inductive(t.inductive).ctors
+        if len(t.branches) != len(ctors):
+            raise ScopeError(f"match on {t.inductive} has {len(t.branches)} branches, "
+                             f"{t.inductive} has {len(ctors)} constructors")
         arms = []
         for k, br in enumerate(t.branches):
             cname = ctors[k].name

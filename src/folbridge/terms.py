@@ -42,12 +42,13 @@ built, and `==`, set and dict probes on leaves end at the identity test.
 Closed applications are shared per environment. `share_app` returns the one
 App node that a `GlobalEnv.apps` table holds for a closed head and a closed
 argument, keyed by the pair of their identities; the parser, the instantiated
-types of `_infer`, `monomorphize` and `eliminate_pattern_matching` build
-their closed applications through it, so the copies of `list nat` that a
-problem's statements and types repeat are one node, and the identity tests
-of the closed-type table, the instance walk and `convertible` hit. The table
-is bounded by the problem and goes with its environment; a process-wide one
-would grow with every distinct term built. Open applications are built
+types of `_infer` and `ctor_arg_types`, `monomorphize`,
+`eliminate_pattern_matching` and the datatype axioms build their closed
+applications through it, so the copies of `list nat` that a problem's
+statements and types repeat are one node, and the identity tests of the
+closed-type and closed-value tables, the instance walk and `convertible`
+hit. The table is bounded by the problem and goes with its environment; a
+process-wide one would grow with every distinct term built. Open applications are built
 anew: no identity-keyed cache looks them up, and a table for every App,
 process-wide or per problem, was measured to cost more than it saved. Binder
 nodes (Pi, Lam, Fix, Match, Exists) are built anew too: they carry binder
@@ -625,7 +626,7 @@ class GlobalEnv(Record):
         self._names = frozenset(self.definitions).union(BUILTIN_FUNCTIONS)
         for decl in inductives.values():
             self._index(decl)
-        # Four caches that only conversion reads and writes (see there),
+        # Five caches that only conversion reads and writes (see there),
         # and the table of closed applications; never invalidated. Not
         # fields: `==` and `repr` skip them.
         self.memo: dict[tuple, object] = {}
@@ -1016,7 +1017,8 @@ def has_interior_type_binder(stmt: Term) -> bool:
 def ctor_arg_types(env: GlobalEnv, ind: str, index: int, type_args: list[Term]) -> list[Term]:
     """Constructor argument types instantiated at the given type args
     (which must not be captured: they are in the caller's context and the
-    results reference nothing else)."""
+    results reference nothing else). Their closed applications are the
+    environment's shared nodes (see `share_app`)."""
     decl = env.inductive(ind)
     try:
         c = decl.ctors[index]
@@ -1025,7 +1027,7 @@ def ctor_arg_types(env: GlobalEnv, ind: str, index: int, type_args: list[Term]) 
     if len(type_args) != len(decl.params):
         raise ScopeError(f"{ind} expects {len(decl.params)} type argument(s)")
     values = list(reversed(type_args))  # Var(0) is the last param
-    return [subst_list(t, values) for t in c.arg_types]
+    return [subst_list(t, values, env.apps) for t in c.arg_types]
 
 
 def as_inductive_instance(t: Term) -> tuple[str, list[Term]] | None:

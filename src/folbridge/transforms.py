@@ -385,13 +385,14 @@ def _match_candidates(body: Term, n: int) -> list[int]:
 
 def iota_reduce(env: GlobalEnv, t: Term) -> Term:
     """Select branches of matches whose scrutinee is constructor-headed;
-    no delta or fix unfolding."""
+    no delta or fix unfolding. A match with no branch for its constructor,
+    or whose branch binds another number of arguments, stays stuck."""
     if not t._has & HAS_MATCH:
         return t  # no match: no closure for normal_form
     def head(s: Term) -> Term:
         while type(s) is Match:
             h, cargs = spine(s.scrutinee)
-            if type(h) is not Ctor:
+            if type(h) is not Ctor or h.ctor_index >= len(s.branches):
                 break
             value_args = cargs[len(env.inductive(h.inductive).params):]
             br = s.branches[h.ctor_index]
@@ -579,7 +580,7 @@ def _instance_axioms(env: GlobalEnv, inst: Term,
     ind_name, targs = as_inductive_instance(inst)
     ctors = env.inductive(ind_name).ctors
     slug = type_slug(inst)
-    heads = [make_app(Ctor(ind_name, k), targs) for k in range(len(ctors))]
+    heads = [make_app(Ctor(ind_name, k), targs, env.apps) for k in range(len(ctors))]
     arg_tys = [ctor_arg_types(env, ind_name, k, targs) for k in range(len(ctors))]
     out: list[tuple[str, Term, DatatypeAxiom]] = []
     for k, tys in enumerate(arg_tys):

@@ -39,6 +39,44 @@ def bnot : Bool -> Bool =
 goal true = true.
 """
 
+# A problem shaped like the benchmark's poly_lemmas workload: polymorphic
+# lemmas (p3 an alpha-duplicate of p0) and a goal over ground instances.
+POLY_PROBLEM = PRELUDE.replace("goal true = true.\n", """\
+lemma p0 : forall (A : Type) (l1 l2 : list A),
+  length A (app A l1 l2) + 3 = length A l1 + (length A l2 + 3).
+lemma p1 : forall (A : Type) (x : A) (l : list A),
+  search A x (cons A x l) = true /\\ 5 < 5 + 1 + length A l = true.
+lemma p2 : forall (A : Type) (l : list A),
+  nlength A (app A l (nil A)) = nlength A l /\\ length A l + 7 = 7 + length A l.
+lemma p3 : forall (B : Type) (m1 m2 : list B),
+  length B (app B m1 m2) + 3 = length B m1 + (length B m2 + 3).
+goal forall (xs : list (list Int)) (o : option nat) (b : Bool),
+  xs = xs /\\ o = o /\\ bnot (bnot b) = b.
+""")
+
+# A problem shaped like the benchmark's unfold_defs workload: recursive
+# definitions over nat and tree with nested matches, each in the goal.
+UNFOLD_PROBLEM = """\
+data nat = O | S (nat).
+data tree = leaf | node (tree) (nat) (tree).
+def plus : nat -> nat -> nat =
+  fix plus/0 (a : nat) (b : nat) : nat :=
+    match a return nat with | O => b | S p => S (plus p b) end.
+def d0 : nat -> nat = fix d0/0 (n : nat) : nat :=
+  match n return nat with | O => S O | S p =>
+  match p return nat with | O => S (S O) | S q => plus (d0 q) p end end.
+def d1 : tree -> nat = fix d1/0 (t : tree) : nat :=
+  match t return nat with | leaf => O | node l x r =>
+  match x return nat with | O => d1 l | S y => plus (d1 r) (d0 y) end end.
+def d2 : tree -> Bool = fix d2/0 (t : tree) : Bool :=
+  match t return Bool with | leaf => true | node l x r =>
+  match x return Bool with | O => d2 l | S _ => d2 r || false end end.
+def d3 : tree -> tree = fix d3/0 (t : tree) : tree :=
+  match t return tree with | leaf => leaf | node l x r => node (d3 r) (d0 x) (d3 l) end.
+goal forall (t : tree) (n : nat), d0 (S n) = d0 (S n) /\\ d1 t = d1 t /\\ d2 t = d2 t
+  /\\ d3 t = d3 t.
+"""
+
 
 def count_calls(monkeypatch, name: str, *modules) -> list[tuple]:
     """Wrap the function `name` at its binding in each of `modules` (the

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -12,10 +13,11 @@ from folbridge.conversion import (
     random_ground_term, random_ground_type, random_truth_check, typecheck,
     value_to_term, whnf, VBuiltin, VCtor, VInt, VTRUE, VFALSE,
 )
-from conftest import PRELUDE, count_calls
+from conftest import POLY_PROBLEM, PRELUDE, UNFOLD_PROBLEM, count_calls
 from folbridge import conversion
 from folbridge.parser import parse_problem, parse_term
 from folbridge.printer import print_term
+from folbridge.transforms import iota_reduce
 from folbridge.terms import (
     And, App, BOOL, BUILTIN_FUNCTIONS, Branch, Const, Ctor, Eq, Exists, FALSE, Fix,
     FolbridgeError, GlobalEnv, INT, Ind, IntLit, IntT, Lam, Match, Not, Pi, ScopeError,
@@ -110,6 +112,60 @@ def test_constructor_index_outside_its_declaration(env):
     with pytest.raises(EvalError, match=r"no branch for Ctor\(inductive='nat', ctor_index=7\)"):
         normalize(env, Match(bad, "nat", INT, NAT_BRANCHES))
 
+
+
+def test_match_branches_that_do_not_fit_their_inductive(env):
+    """iota_reduce leaves a match stuck when it has no branch for its
+    scrutinee's constructor; print_term refuses a match whose branch count
+    differs from its inductive's constructor count."""
+    one_branch = Match(App(Ctor("nat", 1), O), "nat", INT, NAT_BRANCHES[:1])
+    assert iota_reduce(env, one_branch) is one_branch
+    three = Match(O, "nat", INT, NAT_BRANCHES + NAT_BRANCHES[:1])
+    with pytest.raises(ScopeError, match="match on nat has 3 branches, nat has 2 constructors"):
+        print_term(three, env)
+
+
+NAT_PRELUDE = "data nat = O | S (nat).\n"
+
+
+@pytest.mark.parametrize("definition, call", [
+    ("def bad : nat -> nat = fix bad/0 (n : nat) : nat := S (bad n).", "bad n"),
+    ("def bad2 : nat -> nat = fix bad2/0 (n : nat) : nat :="
+     " match n return nat with | O => O | S p => bad2 (S p) end.", "bad2 (S p)"),
+    ("def bad3 : nat -> nat = fix bad3/0 (n : nat) : nat :="
+     " match n return nat with | O => O | S p => bad3 n end.", "bad3 n"),
+    ("def bad4 : nat -> nat -> nat = fix bad4/1 (m : nat) (n : nat) : nat :="
+     " match m return nat with | O => O | S p => bad4 n p end.", "bad4 n p"),
+    ("def bad5 : nat -> nat = fix bad5/0 (n : nat) : nat :="
+     " match n return nat with | O => O | S p => (fun (g : nat -> nat) => g p) bad5 end.",
+     "bad5"),
+])
+def test_fixpoint_that_is_not_structural_is_rejected(definition, call):
+    with pytest.raises(TypingError, match=f"fixpoint {call.split()[0]} is not structurally"
+                                          f" recursive: {re.escape(call)}$"):
+        parse_problem(NAT_PRELUDE + definition + "\ngoal true = true.\n")
+
+
+def test_structural_fixpoints_are_accepted(bench_driver):
+    """A recursive call on a variable that a match on the decreasing
+    binder bound, directly or through further matches, passes the guard:
+    so does every definition of the benchmark's workloads and the test
+    preludes."""
+    ok = parse_problem(NAT_PRELUDE + (
+        "def half : nat -> nat = fix half/0 (n : nat) : nat :="
+        " match n return nat with | O => O | S p =>"
+        " match p return nat with | O => O | S q => S (half q) end end.\n"
+        "def monus : nat -> nat -> nat = fix monus/1 (m : nat) (n : nat) : nat :="
+        " match n return nat with | O => m | S p =>"
+        " match m return nat with | O => O | S k => monus k p end end.\n"
+        "goal true = true.\n"))
+    assert set(ok.env.definitions) == {"half", "monus"}
+    _, workloads = bench_driver
+    for w in workloads.GENERATORS:
+        for index in range(3):
+            assert parse_problem(workloads.problem(w, 0, index)[1]).env.definitions
+    for text in (PRELUDE, SPINE_DEFS, POLY_PROBLEM, UNFOLD_PROBLEM):
+        assert parse_problem(text).env.definitions
 
 SPINE_DEFS = PRELUDE.replace("goal true = true.", """\
 def k : forall (A : Type) (B : Type), A -> B -> A =
@@ -232,18 +288,39 @@ class TestClosedTypesAreShared:
         assert typecheck(env, ctx, Var(0)) == App(Ind("list"), Var(2))
         assert len(lifts) == 1
 
-    def test_spine_gets_its_closed_codomain(self, env, monkeypatch):
+    def test_spine_gets_its_closed_codomain(self, monkeypatch):
+        env = parse_problem(PRELUDE).env
         substs = count_calls(monkeypatch, "subst_list", conversion)
         add = BUILTIN_FUNCTIONS["add"]
         assert typecheck(env, [INT], make_app(Const("add"), [Var(0), IntLit(1)])) is (
             add.codomain.codomain)
         assert substs == []
-        # The domain `list A` of length's second argument mentions A; the
-        # final codomain Int does not, and is not rewritten.
+        # The open spine `length Int x` stops at its closed prefix
+        # `length Int`, whose type `list Int -> Int` is instantiated once and
+        # stored; the final codomain Int is not rewritten.
         length = env.definition("length").type
-        got = typecheck(env, [App(Ind("list"), INT)], make_app(Const("length"), [INT, Var(0)]))
+        prefix = App(Const("length"), INT)
+        ctx = [App(Ind("list"), INT)]
+        got = typecheck(env, ctx, App(prefix, Var(0)))
         assert got is length.codomain.codomain
-        assert [args[0] for args in substs] == [length.codomain.domain]
+        assert [args[0] for args in substs] == [length.codomain]
+        # A second spine with the same closed head reads its type.
+        assert typecheck(env, [INT] + ctx, App(prefix, Var(1))) is got
+        assert len(substs) == 1
+
+    def test_output_hypotheses_type_with_few_instantiations(self, monkeypatch, bench_driver):
+        """Typing every output hypothesis of a poly_lemmas-style problem
+        after preprocessing it, as the benchmark's check does: the closed
+        heads its instances repeat, such as `length (list Int)`, are typed
+        once per environment. The bound is a quarter of the 165 calls that
+        typing each spine down to its head made."""
+        driver, _ = bench_driver
+        result = driver.preprocess(POLY_PROBLEM)
+        substs = count_calls(monkeypatch, "subst_list", conversion)
+        for h in result.state.hypotheses:
+            assert type(typecheck(result.state.env, [], h.statement)) is SortProp
+        assert len(result.state.hypotheses) == 41
+        assert len(substs) <= 41
 
 
 class TestNormalize:
@@ -305,14 +382,12 @@ class TestNormalize:
             assert alpha_eq(typecheck(env, [], n), ty), s
 
     def test_fuel_exhaustion_reported(self):
-        src = ("data nat = O | S (nat).\n"
-               "def bad : nat -> nat =\n"
-               "  fix bad/0 (n : nat) : nat := bad (S n).\n"
-               "goal true = true.\n")
-        p = parse_problem(src)
-        t = parse_term("bad O", p.env)
+        # `fix bad/0 (n : nat) : nat := bad (S n)`, built directly: as a
+        # definition it fails the guard check.
+        env = parse_problem("data nat = O | S (nat).\ngoal true = true.\n").env
+        bad = Fix("bad", 0, NAT_TO_NAT, Lam("n", NAT, App(Var(1), App(Ctor("nat", 1), Var(0)))))
         with pytest.raises(FuelExhausted):
-            normalize(p.env, t, Fuel(2000))
+            normalize(env, App(bad, O), Fuel(2000))
 
 
 class TestConvertible:

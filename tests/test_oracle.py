@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_reference as ref
-from conftest import PRELUDE
+from conftest import POLY_PROBLEM, PRELUDE, UNFOLD_PROBLEM
 from folbridge import conversion, terms
 from folbridge.conversion import (
     DEFAULT_FUEL, EvalError, EvalUnsupported, Fuel, FuelExhausted, VClosure, VCtor, VInt,
@@ -274,21 +274,68 @@ PROGRAM = f"length Int (app Int ({_lit(30)}) ({_lit(30)}))"
 
 
 def test_fuel_matches_reference():
-    t = parse_term(PROGRAM, ENV)
-    fuel, ref_fuel = Fuel(), Fuel()
-    assert eval_ground(ENV, t, fuel) == ref._eval(ENV, t, (), ref_fuel)
-    assert fuel.remaining == ref_fuel.remaining
+    """The same value and fuel as the reference, with the closed-value
+    table cold (a fresh environment) and warm (the second evaluation, and
+    every budget after it, read PROGRAM's value and step count from it)."""
+    env = parse_problem(PRELUDE).env
+    t = parse_term(PROGRAM, env)
+    for _ in range(2):
+        fuel, ref_fuel = Fuel(), Fuel()
+        assert eval_ground(env, t, fuel) == ref._eval(env, t, (), ref_fuel)
+        assert fuel.remaining == ref_fuel.remaining
     used = DEFAULT_FUEL - fuel.remaining
     assert used > 1000
     for budget in (used, used - 1, used // 2, 1, 0):
         runs = []
-        for fn in (lambda f: eval_ground(ENV, t, f), lambda f: ref._eval(ENV, t, (), f)):
+        for fn in (lambda f: eval_ground(env, t, f), lambda f: ref._eval(env, t, (), f)):
+            f = Fuel(budget)
             try:
-                fn(Fuel(budget))
-                runs.append("done")
+                fn(f)
+                runs.append(("done", f.remaining))
             except FuelExhausted:
-                runs.append("exhausted")
-        assert runs[0] == runs[1] == ("done" if budget == used else "exhausted"), budget
+                runs.append(("exhausted", f.remaining))
+        assert runs[0] == runs[1], budget
+        assert runs[0][0] == ("done" if budget == used else "exhausted"), budget
+
+
+def test_closed_subterm_holding_a_fun_is_not_read_from_the_table():
+    """A closed application that holds a `fun` is evaluated anew each time:
+    its closure captures the value environment, so two evaluations give
+    equal values, not one stored value. One without a `fun` or a `fix` is
+    stored, and is read back."""
+    env = parse_problem(PRELUDE).env
+    with_fun = parse_term("(fun (x : Int) (y : Int) => x) 1", env)
+    plain = parse_term("app Int (cons Int 1 (nil Int))", env)
+    first, second = eval_ground(env, with_fun), eval_ground(env, with_fun)
+    assert type(first) is VClosure and first == second and first is not second
+    assert eval_ground(env, plain) is eval_ground(env, plain)
+    table = env.memo[conversion._CLOSED_VALUES]
+    assert id(plain) in table and id(with_fun) not in table
+    assert not any(term._has & (terms.HAS_LAM | terms.HAS_FIX) for term, _, _ in table.values())
+
+
+@pytest.mark.parametrize("problem", [POLY_PROBLEM, UNFOLD_PROBLEM], ids=["poly", "unfold"])
+def test_output_hypotheses_check_like_reference_twice(problem, bench_driver):
+    """Every output hypothesis of a preprocessed problem, and the negation
+    of its body under its prenex binders, checked twice in the problem's
+    environment (the closed-value table cold, then warm): each run gives the
+    reference's verdict and counterexample."""
+    driver, _ = bench_driver
+    result = driver.preprocess(problem)
+    env = result.state.env
+    refuted = 0
+    for h in result.state.hypotheses:
+        binders, body = strip_pis(h.statement)
+        for stmt in (h.statement, make_pis(binders, Not(body))):
+            want = _outcome(ref.random_truth_check, env, stmt, 2, 6, 0)
+            for _ in range(2):
+                got = _outcome(random_truth_check, env, stmt, 2, 6, 0)
+                if isinstance(want, type) or want is None:
+                    assert got == want, h.name
+                else:
+                    assert got is not None and got.instance == want.instance, h.name
+            refuted += want is not None
+    assert refuted >= len(result.state.hypotheses)
 
 
 def test_constructor_tables_built_once_per_type(monkeypatch):

@@ -721,7 +721,8 @@ def _live_apps() -> int:
 class TestSharedApplications:
     """Each environment gives one App node per closed head and closed
     argument (`GlobalEnv.apps`, `terms.share_app`) to the parser, `_infer`,
-    `monomorphize` and `eliminate_pattern_matching`. The table is the
+    `ctor_arg_types`, `monomorphize`, `eliminate_pattern_matching` and the
+    datatype axioms. The table is the
     environment's own: it starts empty, no other environment sees its
     nodes, and no process-wide table keeps them."""
 
@@ -807,6 +808,20 @@ class TestSharedApplications:
                    if not _is_leaf(s)}
             assert not any(id(s) in ids for h in second.hypotheses
                            for s in subterms(h.statement) if not _is_leaf(s))
+
+    def test_every_closed_application_in_the_output_is_shared(self, bench_driver):
+        """Every closed App of every output hypothesis, the datatype axioms'
+        constructor heads and argument types included, is its
+        environment's node for its head and argument."""
+        driver, workloads = bench_driver
+        for w in workloads.GENERATORS:
+            for index in range(3):
+                state = driver.preprocess(workloads.problem(w, 2, index)[1]).state
+                apps = state.env.apps
+                for h in state.hypotheses:
+                    for s in subterms(h.statement):
+                        if type(s) is App and not s._free:
+                            assert apps.get((id(s.head), id(s.arg))) is s, h.name
 
     def test_table_holds_one_entry_per_application_the_problem_builds(self, bench_driver):
         """After preprocessing, each entry is a closed application under the
