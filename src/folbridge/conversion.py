@@ -737,9 +737,9 @@ def _eval_closed(env: GlobalEnv, t: App, fuel: Fuel) -> Value:
     the environment's closed-value table: its value and the fuel steps it
     took, stored on its first successful evaluation. Such a term reads no
     value environment, so it is evaluated under the empty one. A hit
-    charges the stored steps; when they exceed what is left, it leaves
-    `remaining` where stepping would have raised: at -1 from a budget that
-    was not yet spent."""
+    charges the stored steps; when they exceed what is left, it raises
+    FuelExhausted with `remaining` where stepping would have left it: one
+    below zero, or one below a budget that was already negative."""
     table = env.memo.get(_CLOSED_VALUES)
     if table is None:
         table = env.memo[_CLOSED_VALUES] = {}

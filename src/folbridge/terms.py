@@ -48,14 +48,14 @@ applications through it, so the copies of `list nat` that a problem's
 statements and types repeat are one node, and the identity tests of the
 closed-type and closed-value tables, the instance walk and `convertible`
 hit. The table is bounded by the problem and goes with its environment; a
-process-wide one would grow with every distinct term built. Open applications are built
-anew: no identity-keyed cache looks them up, and a table for every App,
-process-wide or per problem, was measured to cost more than it saved. Binder
-nodes (Pi, Lam, Fix, Match, Exists) are built anew too: they carry binder
-names, which `==` ignores and printing shows. The App constructor itself
-always builds a new node. `==` and `hash` stay structural, so no sharing is
-observable but through `is`. Copying and pickling rebuild each node through
-its constructor.
+process-wide one would grow with every distinct term built. Open
+applications are built anew: no identity-keyed cache looks them up, and a
+table for every App, process-wide or per problem, was measured to cost more
+than it saved. Binder nodes (Pi, Lam, Fix, Match, Exists) are built anew
+too: they carry binder names, which `==` ignores and printing shows. The
+App constructor itself always builds a new node. `==` and `hash` stay
+structural, so no sharing is observable but through `is`. Copying and
+pickling rebuild each node through its constructor.
 
 Everything else the package builds from fields (declarations, problems,
 environments, and in the other modules justifications, hypotheses, proof

@@ -113,13 +113,12 @@ def test_constructor_index_outside_its_declaration(env):
         normalize(env, Match(bad, "nat", INT, NAT_BRANCHES))
 
 
-
-def test_match_branches_that_do_not_fit_their_inductive(env):
-    """iota_reduce leaves a match stuck when it has no branch for its
-    scrutinee's constructor; print_term refuses a match whose branch count
-    differs from its inductive's constructor count."""
+def test_iota_reduce_leaves_a_match_with_no_branch_stuck(env):
     one_branch = Match(App(Ctor("nat", 1), O), "nat", INT, NAT_BRANCHES[:1])
     assert iota_reduce(env, one_branch) is one_branch
+
+
+def test_print_rejects_a_match_whose_branches_do_not_fit(env):
     three = Match(O, "nat", INT, NAT_BRANCHES + NAT_BRANCHES[:1])
     with pytest.raises(ScopeError, match="match on nat has 3 branches, nat has 2 constructors"):
         print_term(three, env)
@@ -166,6 +165,7 @@ def test_structural_fixpoints_are_accepted(bench_driver):
             assert parse_problem(workloads.problem(w, 0, index)[1]).env.definitions
     for text in (PRELUDE, SPINE_DEFS, POLY_PROBLEM, UNFOLD_PROBLEM):
         assert parse_problem(text).env.definitions
+
 
 SPINE_DEFS = PRELUDE.replace("goal true = true.", """\
 def k : forall (A : Type) (B : Type), A -> B -> A =
