@@ -330,14 +330,16 @@ def _check_guard(env: GlobalEnv, t: Fix) -> None:
     # A variable is named by its level, the number of binders around its
     # own: the self variable is level 0 and the body's k-th leading lambda
     # level k. `names` holds the binder names in scope, innermost first, so
-    # Var(i) under them is level len(names) - 1 - i.
+    # Var(i) under them is level len(names) - 1 - i, and `smaller` has bit
+    # L set when level L is known to be smaller. A variable bound outside
+    # the fixpoint has no level.
     n_lams = 0
     walk = t.body
     while type(walk) is Lam:
         n_lams += 1
         walk = walk.body
-    dec_level = t.decreasing + 1 if t.decreasing < n_lams else None
-    stack = [(t.body, (t.binder,), frozenset())]
+    dec_bit = 1 << t.decreasing + 1 if t.decreasing < n_lams else 0
+    stack = [(t.body, (t.binder,), 0)]
     while stack:
         s, names, smaller = stack.pop()
         depth = len(names)
@@ -348,20 +350,24 @@ def _check_guard(env: GlobalEnv, t: Fix) -> None:
             head, args = spine(s)
             if type(head) is Var and head.index == depth - 1:
                 arg = args[t.decreasing] if t.decreasing < len(args) else None
-                if type(arg) is not Var or depth - 1 - arg.index not in smaller:
+                if (type(arg) is not Var or arg.index >= depth
+                        or not smaller >> (depth - 1 - arg.index) & 1):
+                    # Variables bound outside the fixpoint print as ?0, ?1, ...
+                    outer = [f"?{k}" for k in range(s._free.bit_length() - depth)]
                     raise TypingError(
                         f"fixpoint {t.binder} is not structurally recursive: "
-                        f"{print_term(s, env, list(names))}")
+                        f"{print_term(s, env, list(names) + outer)}")
             else:
                 stack.append((head, names, smaller))
             stack += [(a, names, smaller) for a in args]
         elif cls is Match:
             scrut = s.scrutinee
-            grow = type(scrut) is Var and depth - 1 - scrut.index in smaller | {dec_level}
+            grow = (type(scrut) is Var and scrut.index < depth
+                    and (smaller | dec_bit) >> (depth - 1 - scrut.index) & 1)
             stack += [(scrut, names, smaller), (s.return_type, names, smaller)]
             for br in s.branches:
                 # A branch's binders are the levels depth, depth + 1, ...
-                bound = smaller.union(range(depth, depth + br.arity)) if grow else smaller
+                bound = smaller | ((1 << br.arity) - 1) << depth if grow else smaller
                 stack.append((br.body, tuple(reversed(br.binders)) + names, bound))
         else:
             stack += [(c, (s.binder,) + names if extra else names, smaller)

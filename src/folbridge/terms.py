@@ -994,20 +994,18 @@ def has_interior_type_binder(stmt: Term) -> bool:
     inside equations and object terms are not inspected."""
     while isinstance(stmt, Pi) and isinstance(stmt.domain, SortType):
         stmt = stmt.codomain
-
-    def bad(t: Term) -> bool:
+    stack = [stmt]
+    while stack:
+        t = stack.pop()
         if isinstance(t, Pi):
-            return isinstance(t.domain, SortType) or bad(t.codomain) or bad(t.domain)
-        if isinstance(t, (And, Or)):
-            return bad(t.lhs) or bad(t.rhs)
-        if isinstance(t, (Not, Exists)):
-            return bad(t.body)
-        return False
-
-    try:
-        return bad(stmt)
-    finally:
-        del bad  # empties bad's own closure cell: no reference cycle is left
+            if isinstance(t.domain, SortType):
+                return True
+            stack += (t.domain, t.codomain)
+        elif isinstance(t, (And, Or)):
+            stack += (t.lhs, t.rhs)
+        elif isinstance(t, (Not, Exists)):
+            stack.append(t.body)
+    return False
 
 
 # ---------------------------------------------------------------------------

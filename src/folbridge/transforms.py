@@ -6,13 +6,16 @@ Justifications are recorded with each hypothesis but not yet replayed:
 nothing checks them before a hypothesis enters the context.
 
 A caller saturates the context by applying the transformations until a
-round adds nothing. The ProofState remembers what the saturating ones have
-done, so that the last round, which only confirms the fixpoint, does
-lookups: `monomorphize` keeps each instantiation of a polymorphic statement
-and `interp_alg_types` the axioms of each algebraic instance. Both read the
-type instances from one running list that the state extends as statements
-arrive: each statement is walked once by `collect_type_instances`, with
-one `seen` set shared by all of them, so each alpha class of closed
+round adds nothing, committing each hypothesis it keeps with
+`ProofState.add`, which indexes it (do not append to `hypotheses`
+directly). The ProofState remembers what the
+saturating ones have done, so that the last round, which only confirms
+the fixpoint, does lookups: `monomorphize` keeps each instantiation of a
+polymorphic statement and `interp_alg_types` the axioms of each algebraic
+instance. Both read the type instances from one running list that the
+state extends as statements arrive, the goal at construction and each
+hypothesis at `add`: each is walked once by `collect_type_instances`,
+with one `seen` set shared by all of them, so each alpha class of closed
 subterms is walked once per state and typechecked at most once.
 """
 
@@ -150,11 +153,14 @@ class Hypothesis(Record):
 class ProofState(Record):
     """Named hypotheses plus goal; extended but never rewritten.
 
-    The state indexes its hypotheses: each name with its first hypothesis,
-    and the set of their statements, which term equality (alpha-equivalence)
-    makes an alpha index. It also remembers the work of the saturating
-    transformations, so that a round that only confirms that nothing is new
-    does lookups and builds nothing:
+    A hypothesis enters the state only through `add`, which indexes it
+    there, once: its name (the first hypothesis of each name is kept), its
+    statement in the set of statements, which term equality
+    (alpha-equivalence) makes an alpha index, and its type instances. The
+    constructor copies the list it is given, walks the goal, then adds each
+    hypothesis; do not append to `hypotheses` directly. The state also
+    remembers the work of the saturating transformations, so that a round
+    that only confirms that nothing is new does lookups and builds nothing:
     - the type instances of the goal and the hypotheses, in one running
       list, and every closed subterm walked to find them;
     - each instantiation of a polymorphic statement at a combination of
@@ -166,52 +172,49 @@ class ProofState(Record):
     the list of instances hold each such statement and instance, so its id
     is not reused.
 
-    The index catches up lazily with `hypotheses`, so a list passed in
-    prefilled or extended by a plain `append` is indexed too; removing or
-    replacing hypotheses, or changing `env` or `goal`, is not supported.
-    The fields are `env`, `hypotheses` and `goal`; `==` and `repr` skip the
-    indexes. A copied or unpickled state is rebuilt from its fields, as an
-    environment is, since the instantiations' id keys would name other
-    statements in the copy."""
-    __slots__ = ("env", "hypotheses", "goal", "_indexed", "_by_name", "_statements",
-                 "_seen", "_found", "_goal_instances", "_walked",
-                 "_instantiations", "_axioms")
+    Removing or replacing hypotheses, or changing `env` or `goal`, is not
+    supported. The fields are `env`, `hypotheses` and `goal`; `==` and
+    `repr` skip the indexes. A copied or unpickled state is rebuilt from
+    its fields, as an environment is, since the instantiations' id keys
+    would name other statements in the copy."""
+    __slots__ = ("env", "hypotheses", "goal", "_by_name", "_statements",
+                 "_seen", "_found", "_goal_instances", "_instantiations", "_axioms")
     _fields = ("env", "hypotheses", "goal")
     __hash__ = None
 
     def __init__(self, env: GlobalEnv, hypotheses: list[Hypothesis] | None = None,
                  goal: Term = None) -> None:
         self.env = env
-        self.hypotheses = [] if hypotheses is None else hypotheses
+        self.hypotheses: list[Hypothesis] = []
         self.goal = goal
-        self._indexed = 0
         self._by_name: dict[str, Hypothesis] = {}
         self._statements: set[Term] = set()
         # The closed subterms walked so far, the type instances found in
-        # them, how many of those the goal gave (None before it is walked),
-        # and how many hypotheses were walked.
+        # them, and how many of those the goal gave.
         self._seen: set[Term] = set()
-        self._found: list[Term] = []
-        self._goal_instances: int | None = None
-        self._walked = 0
+        self._found = [] if goal is None else collect_type_instances(env, goal, self._seen)
+        self._goal_instances = len(self._found)
         # id(source statement) -> {ids of a combination of type instances:
         # the instantiated statement}, or None for a source with an
         # interior type binder.
         self._instantiations: dict[int, dict[tuple[int, ...], Term] | None] = {}
         # (instance, include_exhaustiveness) -> its axioms, as _instance_axioms gives them.
         self._axioms: dict[tuple[Term, bool], list[tuple[str, Term, DatatypeAxiom]]] = {}
+        for h in hypotheses or ():
+            self.add(h)
 
     def __reduce__(self) -> tuple:
-        return ProofState, (self.env, list(self.hypotheses), self.goal)
+        return ProofState, (self.env, self.hypotheses, self.goal)
 
-    def _sync(self) -> None:
-        for h in self.hypotheses[self._indexed:]:
-            self._by_name.setdefault(h.name, h)
-            self._statements.add(h.statement)
-        self._indexed = len(self.hypotheses)
+    def add(self, hyp: Hypothesis) -> None:
+        """Append hyp and index its name, its statement and its type
+        instances."""
+        self.hypotheses.append(hyp)
+        self._by_name.setdefault(hyp.name, hyp)
+        self._statements.add(hyp.statement)
+        self._found += collect_type_instances(self.env, hyp.statement, self._seen)
 
     def find(self, name: str) -> Hypothesis:
-        self._sync()
         try:
             return self._by_name[name]
         except KeyError:
@@ -219,18 +222,16 @@ class ProofState(Record):
 
     def statements(self) -> set[Term]:
         """The set of all hypothesis statements; do not mutate."""
-        self._sync()
         return self._statements
 
     def has_alpha(self, statement: Term) -> bool:
-        return statement in self.statements()
+        return statement in self._statements
 
     def fresh_name(self, base: str, taken: set[str] | None = None) -> str:
         """`base`, or the first of `base_2`, `base_3`, ... that names no
         hypothesis, no declaration and nothing in `taken`. The name returned
         is added to `taken`, so a transformation that returns several
         hypotheses passes one set to all its calls."""
-        self._sync()
         by_name, declared = self._by_name, self.env.names()
         name, i = base, 2
         while name in by_name or name in declared or (taken is not None and name in taken):
@@ -243,26 +244,17 @@ class ProofState(Record):
     def type_instances(self) -> list[Term]:
         """The type instances of the goal, then of each hypothesis in order,
         the first of each alpha class; the first `_goal_instances` are the
-        goal's. Each statement is walked once, all with the state's one
-        `seen` set. Do not mutate."""
-        found = self._found
-        if self._goal_instances is None:
-            if self.goal is not None:
-                found += collect_type_instances(self.env, self.goal, self._seen)
-            self._goal_instances = len(found)
-        for h in self.hypotheses[self._walked:]:
-            found += collect_type_instances(self.env, h.statement, self._seen)
-        self._walked = len(self.hypotheses)
-        return found
+        goal's. Each statement was walked when it entered the state, the
+        goal at construction and a hypothesis at `add`, all with the
+        state's one `seen` set; a hypothesis appended to `hypotheses`
+        directly is not indexed. Do not mutate."""
+        return self._found
 
     def algebraic_instances(self) -> list[Term]:
         """The type instances headed by an inductive, minus the types the
         back-end interprets natively, in `type_instances` order."""
-        return [t for t in self.type_instances()
+        return [t for t in self._found
                 if type(head := spine(t)[0]) is Ind and head.inductive not in INTERPRETED_TYPES]
-
-    def add(self, hyp: Hypothesis) -> None:
-        self.hypotheses.append(hyp)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,25 @@ def test_fixpoint_that_is_not_structural_is_rejected(definition, call):
         parse_problem(NAT_PRELUDE + definition + "\ngoal true = true.\n")
 
 
+@pytest.mark.parametrize("definition, call", [
+    ("data list (A) = nil | cons (A) (list A).\n"
+     "def bad : forall (A : Type), list A -> Int = fun (A : Type) =>"
+     " fix bad/0 (l : list A) : Int := match l return Int with"
+     " | nil => 0 | cons x l0 => bad (cons A x l0) end.", "bad (cons ?0 x l0)"),
+    ("def bad6 : nat -> nat -> nat = fun (n : nat) => fix bad6/0 (m : nat) : nat := bad6 n.",
+     "bad6 ?0"),
+    ("def bad7 : nat -> nat -> nat = fun (n : nat) => fix bad7/0 (m : nat) : nat :="
+     " match n return nat with | O => O | S p => bad7 p end.", "bad7 p"),
+])
+def test_fixpoint_calling_with_outer_variables_is_rejected(definition, call):
+    """A rejected call that mentions a variable bound outside the fixpoint
+    is reported like any other, the outer variable printed as a
+    placeholder; a match on an outer variable makes nothing smaller."""
+    with pytest.raises(TypingError, match=f"fixpoint {call.split()[0]} is not structurally"
+                                          f" recursive: {re.escape(call)}$"):
+        parse_problem(NAT_PRELUDE + definition + "\ngoal true = true.\n")
+
+
 def test_structural_fixpoints_are_accepted(bench_driver):
     """A recursive call on a variable that a match on the decreasing
     binder bound, directly or through further matches, passes the guard:

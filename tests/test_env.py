@@ -152,7 +152,8 @@ def test_copied_environment_starts_with_empty_caches(round_trip):
 @pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
 def test_copied_state_starts_with_empty_caches(round_trip):
     """A proof state keeps its instantiations by the ids of its statements;
-    a copy is rebuilt from its fields and instantiates anew."""
+    a copy is rebuilt from its fields, so it indexes its hypotheses and
+    type instances again, and instantiates anew."""
     problem = parse_problem(COPIED.replace(
         "goal", "hyp len : forall (A : Type) (l : list A), l = l. goal"))
     state = ProofState(problem.env, [Hypothesis(n, t, Given()) for n, t in problem.hypotheses],
@@ -160,5 +161,6 @@ def test_copied_state_starts_with_empty_caches(round_trip):
     first = monomorphize(state)
     assert first and state._instantiations
     copied = round_trip(state)
-    assert copied == state and not copied._instantiations and not copied._found
+    assert copied == state and not copied._instantiations
+    assert copied.type_instances() and repr(copied.type_instances()) == repr(state.type_instances())
     assert repr(monomorphize(copied)) == repr(first)

@@ -468,6 +468,19 @@ class TestPrenex:
             with pytest.raises(PrenexError):
                 check_prenex(stmt)
 
+    @pytest.mark.parametrize("connective", ["->", "/\\"])
+    def test_deep_chain_is_walked_without_recursion(self, connective):
+        """A directly built chain of 1 200 arrows or conjunctions, with or
+        without a type binder at its far end."""
+        def chain(last: Term) -> Term:
+            t = last
+            for _ in range(1200):
+                t = Pi("_", TrueP(), t) if connective == "->" else And(TrueP(), t)
+            return t
+
+        assert not has_interior_type_binder(chain(TrueP()))
+        assert has_interior_type_binder(chain(TYPE_BINDER))
+
     def test_monomorphize_skips_exists_premise(self, env):
         # forall A, (exists x : A, <tail>) -> true_p, where only the
         # rejected lemma's tail is a type binder.
@@ -611,17 +624,26 @@ class TestInterpAlgTypes:
 
 class TestProofStateIndex:
     def test_prefilled_and_appended_hypotheses(self, env):
+        """Hypotheses given to the constructor are indexed there, from a copy
+        of the list: appending to the caller's list changes nothing, and
+        `add` indexes a hypothesis at once."""
         stmt = parse_term("forall (n : nat), S n <> O", env)
         renamed = parse_term("forall (m : nat), S m <> O", env)
         other = parse_term("forall (l : list Int), l = l", env)
-        state = ProofState(env, [Hypothesis("h", stmt, Given())],
-                           parse_term("true = true", env))
+        given = [Hypothesis("h", stmt, Given())]
+        state = ProofState(env, given, parse_term("true = true", env))
+        assert state.hypotheses == given and state.hypotheses is not given
         assert state.has_alpha(renamed)
         assert not state.has_alpha(other)
         assert state.fresh_name("h") == "h_2"
-        state.hypotheses.append(Hypothesis("g", other, Given()))
+        list_int = parse_term("list Int", env)
+        given.append(Hypothesis("g", other, Given()))
+        assert len(state.hypotheses) == 1 and not state.has_alpha(other)
+        assert list_int not in state.type_instances()
+        state.add(Hypothesis("g", other, Given()))
         assert state.has_alpha(other)
         assert state.fresh_name("g") == "g_2"
+        assert list_int in state.type_instances()
 
     def test_has_alpha_makes_no_alpha_eq_calls(self, env, monkeypatch):
         state = mk_state(env, "true = true", [("h", SEARCH_APP)])
@@ -667,11 +689,9 @@ class TestProofStateIndex:
         assert repr(state.type_instances()) == repr(insts)
 
     def test_statements_walked_at_most_once(self, env, monkeypatch):
-        """Each statement is walked once, the goal first: an unchanged state
-        walks nothing and answers with an equal list, and a grown one walks
-        the new statements only."""
-        state = mk_state(env, "forall (l : list Int), l = l",
-                         [("h", "forall (n : nat), S n <> O")])
+        """Each statement is walked once, when it enters the state: the goal
+        at construction, then each hypothesis at `add`. The saturating
+        transformations walk nothing and a repeated call answers the same."""
         walked, visited = [], []
         original_collect, original_children = transforms.collect_type_instances, transforms.children
 
@@ -685,19 +705,22 @@ class TestProofStateIndex:
 
         monkeypatch.setattr(transforms, "collect_type_instances", collect)
         monkeypatch.setattr(transforms, "children", children)
-        first = interp_alg_types(state)
-        assert first and walked == [state.goal, state.hypotheses[0].statement]
+        state = mk_state(env, "forall (l : list Int), l = l",
+                         [("h", "forall (n : nat), S n <> O")])
+        assert walked == [state.goal, state.hypotheses[0].statement]
         walked.clear()
         visited.clear()
+        first = interp_alg_types(state)
+        assert first and walked == visited == []
         again = interp_alg_types(state)
         assert walked == visited == [] and repr(again) == repr(first)
         for h in first:
             state.add(h)
-        assert interp_alg_types(state) == [] and monomorphize(state) == []
         assert walked == [h.statement for h in first]
         walked.clear()
         visited.clear()
-        assert interp_alg_types(state) == [] and walked == visited == []
+        assert interp_alg_types(state) == [] and monomorphize(state) == []
+        assert walked == visited == []
 
     def test_find_indexes_first_of_each_name(self, env):
         first = Hypothesis("h", parse_term("1 = 1", env), Given())
@@ -705,11 +728,26 @@ class TestProofStateIndex:
         state = ProofState(env, [first, second], parse_term("true = true", env))
         assert state.find("h") is first
         later = Hypothesis("g", parse_term("3 = 3", env), Given())
-        state.hypotheses.append(later)
-        assert state.find("g") is later
+        state.add(later)
+        state.add(Hypothesis("g", parse_term("4 = 4", env), Given()))
+        assert state.find("g") is later and state.find("h") is first
         with pytest.raises(TransformError):
             state.find("missing")
 
+    @pytest.mark.parametrize("workload", ["ground_data", "poly_lemmas", "unfold_defs"])
+    def test_driver_state_is_indexed(self, bench_driver, workload):
+        """After the benchmark's driver saturates problem 0 of a workload,
+        every hypothesis it committed is indexed: the statement set is that
+        of the hypotheses, and the running instance list is a fresh walk of
+        the goal, then of each hypothesis, with one `seen` set."""
+        driver, workloads = bench_driver
+        state = driver.preprocess(workloads.problem(workload, 0, 0)[1]).state
+        assert state.statements() == {h.statement for h in state.hypotheses}
+        seen: set[Term] = set()
+        fresh = collect_type_instances(state.env, state.goal, seen)
+        for h in state.hypotheses:
+            fresh += collect_type_instances(state.env, h.statement, seen)
+        assert repr(state.type_instances()) == repr(fresh)
 
 SATURATE_GOAL = ("length Int (app Int (cons Int 1 (nil Int)) (nil Int)) = 1"
                  " /\\ hd_error nat (cons nat O (nil nat)) = some nat O")
